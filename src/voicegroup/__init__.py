@@ -93,7 +93,6 @@ from .triadic import (
     rho_inverse,
     root_position_tuple,
     stabilizer_of_set,
-    utt_apply,
     utt_compose,
     wreath_generators,
 )

@@ -173,7 +173,8 @@ def solve_uniform(prog: Progression, sigma: Perm3, k: int) -> list[UniformSoluti
     out = []
     for m, n in solve_linear(rows, rhs, prog.modulus):
         g = ExtElement(sigma, JElement(k, m, n, prog.modulus))
-        assert all(g.apply(src) == dst for src, dst in prog.steps())
+        if not all(g.apply(src) == dst for src, dst in prog.steps()):
+            raise RuntimeError(f"solver returned {g}, which does not realize every step")
         out.append(UniformSolution(sigma, k, m, n, g.matrix()))
     return out
 

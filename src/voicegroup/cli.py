@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -255,6 +256,8 @@ def _cmd_hook(args) -> int:
 
 
 def _cmd_rich(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise CliError(f"--steps must be non-negative, got {args.steps}")
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
     element = rich_element(modulus)
@@ -367,7 +370,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (e.g. `| head`); send the rest of the
+        # buffered output, flushed again at exit, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

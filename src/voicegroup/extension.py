@@ -8,6 +8,11 @@ reflection by a voice permutation relabels its entry pair,
 which is what makes the product of two pairs expressible again as a pair:
 
     (sa, ja) * (sb, jb) = (sa*sb, (sb^-1 ja sb) * jb)
+
+Conjugation by sigma is the automorphism fixed by the images of U, UV and UW,
+so a six-row table (one row per sigma, read off sigma_conjugate_generator) gives
+
+    sigma U^k (UV)^m (UW)^n sigma^-1 = U^k (UV)^(am + bn + ke) (UW)^(cm + dn + kf).
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modring import Modulus, Residue, as_modulus, check_same_modulus
-from .linalg import ALL_PERMS, Mat3, Perm3, Vec3, mat_mul, perm_matrix
+from .linalg import ALL_PERMS, Mat3, Perm3, Vec3
 from .voicing import (
+    _GENERATOR_EXPONENTS,
     Generator,
     JElement,
     NotInJ,
@@ -47,20 +52,25 @@ def sigma_conjugate_generator(sigma: Perm3, g: Generator) -> Generator:
     return generator_for_pair(sigma(r), sigma(s))
 
 
-def _generator_word(j: JElement) -> list[Generator]:
-    word = [Generator.U] * j.k
-    word += [Generator.U, Generator.V] * j.m
-    word += [Generator.U, Generator.W] * j.n
-    return word
+def _conjugation_row(sigma: Perm3) -> tuple[int, int, int, int, int, int]:
+    """(e, f, a, b, c, d) with sigma U sigma^-1 = U (UV)^e (UW)^f,
+    sigma UV sigma^-1 = (UV)^a (UW)^c and sigma UW sigma^-1 = (UV)^b (UW)^d."""
+    (e, f), (mv, nv), (mw, nw) = (
+        _GENERATOR_EXPONENTS[sigma_conjugate_generator(sigma, g)] for g in Generator
+    )
+    # U (UV)^x (UW)^y * U (UV)^x' (UW)^y' = (UV)^(x'-x) (UW)^(y'-y)
+    return e, f, mv - e, mw - e, nv - f, nw - f
 
 
-@lru_cache(maxsize=None)
+_CONJUGATION = {sigma: _conjugation_row(sigma) for sigma in ALL_PERMS}
+_PERM_ORDER = {"identity": 1, "transposition": 2, "three_cycle": 3}
+
+
 def conjugate_j(sigma: Perm3, j: JElement) -> JElement:
-    """sigma j sigma^-1, computed by conjugating a generator word letterwise."""
-    if sigma.is_identity():
-        return j
-    conjugated = [sigma_conjugate_generator(sigma, g) for g in _generator_word(j)]
-    return word_to_element(conjugated, j.modulus)
+    """sigma j sigma^-1, read off the conjugation table."""
+    e, f, a, b, c, d = _CONJUGATION[sigma]
+    k, m, n = j.k, j.m, j.n
+    return JElement(k, a * m + b * n + k * e, c * m + d * n + k * f, j.modulus)
 
 
 @dataclass(frozen=True)
@@ -113,15 +123,13 @@ class ExtElement:
         return acc
 
     def order(self) -> int:
-        acc = self
-        t = 1
-        while not acc.is_identity():
-            acc = acc * self
-            t += 1
-        return t
+        """The sigma part's order s divides the order, and self**s lies in J."""
+        s = _PERM_ORDER[self.sigma.cycle_type()]
+        return s * (self**s).j.order()
 
     def matrix(self) -> Mat3:
-        return mat_mul(perm_matrix(self.sigma, self.modulus), self.j.matrix())
+        """P_sigma M_j: row sigma(i) of the product is row i of M_j."""
+        return Mat3(self.sigma.apply(self.j.matrix().rows), self.modulus)
 
     def apply(self, v: Vec3) -> Vec3:
         return self.sigma.apply(self.j.apply(v))
@@ -141,22 +149,10 @@ class ExtElement:
         return " ".join(parts)
 
 
-def ext_multiply(a: ExtElement, b: ExtElement) -> ExtElement:
-    return a * b
-
-
-def ext_inverse(a: ExtElement) -> ExtElement:
-    return a.inverse()
-
-
-def ext_matrix(a: ExtElement) -> Mat3:
-    return a.matrix()
-
-
 def ext_decode(m: Mat3) -> ExtElement:
     """Find the unique (sigma, j) with P_sigma * M_j == m, trying all six sigma."""
     for sigma in ALL_PERMS:
-        stripped = mat_mul(perm_matrix(sigma.inverse(), m.modulus), m)
+        stripped = Mat3(sigma.inverse().apply(m.rows), m.modulus)
         try:
             return ExtElement(sigma, decode(stripped))
         except NotInJ:

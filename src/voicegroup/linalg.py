@@ -256,10 +256,6 @@ class AffineMap:
         return f"{self.linear} + {self.translation}"
 
 
-def affine_apply(f: AffineMap, v: Vec3) -> Vec3:
-    return f(v)
-
-
 def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
     """f after g: x -> f(g(x))."""
     check_same_modulus(f.modulus, g.modulus)

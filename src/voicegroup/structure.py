@@ -36,7 +36,7 @@ from .linalg import (
     mat_vec,
     scalar_affine,
 )
-from .voicing import Generator, JElement, enumerate_J, generator_matrix
+from .voicing import Generator, JElement, generator_matrix
 
 _COUNT_CHUNK = 1 << 17
 
@@ -72,9 +72,14 @@ class CentralizerReport:
 
 
 def center_of_J(modulus: Modulus | int) -> list[JElement]:
-    """Elements commuting with the whole group, by exhaustive commutation."""
-    elements = enumerate_J(modulus)
-    return [a for a in elements if all(a * b == b * a for b in elements)]
+    """{(UV)^m (UW)^n : 2m = 2n = 0}, in sort-key order.
+
+    No mode-reversing element is central for n >= 3, and U inverts the
+    commuting block, so a central (UV)^m (UW)^n equals its own inverse.
+    """
+    m = as_modulus(modulus)
+    halves = (0, m.n // 2) if m.n % 2 == 0 else (0,)
+    return [JElement(0, a, b, m) for a in halves for b in halves]
 
 
 def commutator_rows(modulus: Modulus | int) -> list[list[int]]:
@@ -262,12 +267,12 @@ def index_of_J(modulus: Modulus | int, ambient: str, budget: int = DEFAULT_BUDGE
         order = count_SL3(m, budget)
     else:
         raise ValueError(f"ambient must be 'GL3' or 'SL3', got {ambient!r}")
-    j_order = 2 * m.n * m.n
-    if order % j_order:
+    j_size = 2 * m.n * m.n
+    if order % j_size:
         raise ArithmeticError(
-            f"|ambient| = {order} is not divisible by 2n^2 = {j_order}; counting bug upstream"
+            f"|ambient| = {order} is not divisible by 2n^2 = {j_size}; counting bug upstream"
         )
-    return order // j_order
+    return order // j_size
 
 
 def ti_group(modulus: Modulus | int) -> list[AffineMap]:

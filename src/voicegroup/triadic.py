@@ -191,10 +191,6 @@ class UTT:
         return f"<{self.sign},{self.t_major},{self.t_minor}>"
 
 
-def utt_apply(u: UTT, t: TriadId) -> TriadId:
-    return u.apply(t)
-
-
 def utt_compose(a: UTT, b: UTT) -> UTT:
     return a.compose(b)
 
@@ -244,7 +240,8 @@ class HookElement:
 
     def apply_triad(self, t: TriadId) -> TriadId:
         image = classify(self.apply(root_position_tuple(t)))
-        assert image is not None and image.voicing.is_identity()
+        if image is None or not image.voicing.is_identity():
+            raise RuntimeError(f"{self} does not send {t} to a root-position triad")
         return image.id
 
     def __str__(self) -> str:
@@ -291,9 +288,11 @@ def rho_inverse(h: HookElement) -> UTT:
     sign = "-" if h.underlying.j.k else "+"
     maj = classify(h.apply(root_position_tuple(TriadId(0, Mode.MAJOR))))
     mnr = classify(h.apply(root_position_tuple(TriadId(0, Mode.MINOR))))
-    assert maj is not None and mnr is not None
+    if maj is None or mnr is None:
+        raise RuntimeError(f"{h} does not send C major and c minor to triads")
     u = UTT(sign, maj.id.root, mnr.id.root)
-    assert rho(u).underlying == h.underlying
+    if rho(u).underlying != h.underlying:
+        raise RuntimeError(f"rho({u}) = {rho(u)} does not equal {h}")
     return u
 
 
@@ -314,7 +313,8 @@ def hook_normal_form_B(h: HookElement) -> tuple[int, int]:
     p = 2 * ((-m) % 12) + k
     t = hook_generator_13U()
     remainder = (t.underlying ** (-p)) * h.underlying
-    assert remainder.sigma.is_identity() and remainder.j.k == 0 and remainder.j.m == 0
+    if not (remainder.sigma.is_identity() and remainder.j.k == 0 and remainder.j.m == 0):
+        raise RuntimeError(f"((13)U)^-{p} {h} = {remainder} is not a power of UW")
     return (p, remainder.j.n)
 
 

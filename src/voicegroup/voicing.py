@@ -20,6 +20,7 @@ and (k, m, n) stops being a coordinate system.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,6 +54,9 @@ _GENERATOR_ROWS = {
 }
 
 _PAIR_TO_GENERATOR = {frozenset(g.pair): g for g in Generator}
+
+# (m, n) of each generator's normal form U (UV)^m (UW)^n: V = U (UV), W = U (UW).
+_GENERATOR_EXPONENTS = {Generator.U: (0, 0), Generator.V: (1, 0), Generator.W: (0, 1)}
 
 
 def generator_matrix(g: Generator, modulus: Modulus | int) -> Mat3:
@@ -120,12 +124,7 @@ class JElement:
 
     @classmethod
     def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
-        m = as_modulus(modulus)
-        if g is Generator.U:
-            return cls(1, 0, 0, m)
-        if g is Generator.V:  # V = U (UV)
-            return cls(1, 1, 0, m)
-        return cls(1, 0, 1, m)  # W = U (UW)
+        return cls(1, *_GENERATOR_EXPONENTS[g], as_modulus(modulus))
 
     def is_identity(self) -> bool:
         return self.k == 0 and self.m == 0 and self.n == 0
@@ -156,13 +155,12 @@ class JElement:
         return JElement(0, self.m * t, self.n * t, self.modulus)
 
     def order(self) -> int:
-        """Least t >= 1 with self**t == identity."""
-        acc = self
-        t = 1
-        while not acc.is_identity():
-            acc = acc * self
-            t += 1
-        return t
+        """Least t >= 1 with self**t == identity: mode-reversing elements are
+        involutions, and (UV)^m (UW)^n has the additive order of (m, n) in (Z/n)^2."""
+        if self.k:
+            return 2
+        nn = self.modulus.n
+        return nn // math.gcd(self.m, self.n, nn)
 
     def matrix(self) -> Mat3:
         return normal_form_matrix(self)
@@ -182,18 +180,6 @@ class JElement:
         if self.n:
             parts.append(f"(UW)^{self.n}")
         return " ".join(parts) if parts else "Id"
-
-
-def j_multiply(a: JElement, b: JElement) -> JElement:
-    return a * b
-
-
-def j_inverse(a: JElement) -> JElement:
-    return a.inverse()
-
-
-def j_order(a: JElement) -> int:
-    return a.order()
 
 
 def normal_form_matrix(e: JElement) -> Mat3:

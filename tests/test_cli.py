@@ -1,13 +1,21 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import voicegroup
 from voicegroup.cli import main
 from voicegroup.modring import Modulus
 from voicegroup.extension import parse_element
 from voicegroup.datasets import FALLING_FIFTHS, GRAIL
+
+PACKAGE_DIR = Path(voicegroup.__file__).resolve().parent
 
 
 def run(capsys, *argv):
@@ -235,6 +243,13 @@ def test_rich_fixed_step_count(capsys):
     assert payload["cycle_length"] == 8
 
 
+def test_rich_rejects_negative_step_count(capsys):
+    code, out, err = run(capsys, "rich", "--seed", "8,4,5", "--steps", "-3")
+    assert code == 1
+    assert out == ""
+    assert "--steps" in err
+
+
 def test_solve_cyclic_flag_changes_result(capsys, tmp_path):
     path = tmp_path / "open.json"
     path.write_text('{"modulus": 12, "tuples": [[0,4,7],[1,5,8]]}')
@@ -289,3 +304,30 @@ def test_element_payload_round_trip(capsys):
     element = parse_element(payload["text"], Modulus(12))
     assert [list(r) for r in element.matrix().rows] == payload["matrix"]
     assert element == parse_element("(13)V", Modulus(12))
+
+
+def test_orbit_into_closed_pipe_exits_cleanly():
+    # 12108 orbit lines at mod 1009 outgrow the pipe buffer, so the CLI is
+    # still writing when the reader goes away, as with `| head -1`.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    argv = ["orbit", "--seed", "0,4,7", "--group", "extension", "--mod", "1009"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "voicegroup.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"size: 12108\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so checks must be explicit raises.
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, identity, mat_mul, perm_matrix
-from voicegroup.voicing import Generator, JElement, generator_matrix, word_to_element
+from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix, word_to_element
 from voicegroup.extension import (
     CosetTag,
     ExtElement,
@@ -12,10 +13,8 @@ from voicegroup.extension import (
     conjugacy_class,
     conjugate_j,
     enumerate_coset,
+    enumerate_extension,
     ext_decode,
-    ext_inverse,
-    ext_matrix,
-    ext_multiply,
     parse_element,
     sigma_conjugate_generator,
     trace,
@@ -42,25 +41,44 @@ def test_sigma_conjugate_generator_matches_matrix_conjugation():
             assert conjugated == generator_matrix(sigma_conjugate_generator(sigma, g), M12)
 
 
-def test_conjugate_j_matches_matrix_oracle(j12):
+def _conjugation_oracle(sigma, j):
+    """P_sigma M_j P_sigma^-1 as a matrix product."""
+    p = perm_matrix(sigma, j.modulus)
+    p_inv = perm_matrix(sigma.inverse(), j.modulus)
+    return mat_mul(mat_mul(p, j.matrix()), p_inv)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_conjugate_j_matches_matrix_oracle(n):
     for sigma in ALL_PERMS:
-        p = perm_matrix(sigma, M12)
-        p_inv = perm_matrix(sigma.inverse(), M12)
-        for j in j12:
-            assert conjugate_j(sigma, j).matrix() == mat_mul(mat_mul(p, j.matrix()), p_inv)
+        for j in enumerate_J(n):
+            assert conjugate_j(sigma, j).matrix() == _conjugation_oracle(sigma, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 60),
+    st.sampled_from(ALL_PERMS),
+    st.integers(0, 1),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_conjugate_j_matches_matrix_oracle_property(n, sigma, k, m, nn):
+    j = JElement(k, m, nn, Modulus(n))
+    assert conjugate_j(sigma, j).matrix() == _conjugation_oracle(sigma, j)
 
 
 def test_multiply_examples():
     t13 = Perm3.from_cycle("(13)")
     u = ExtElement(t13, JElement.from_generator(Generator.U, M12))
-    squared = ext_multiply(u, u)
+    squared = u * u
     assert squared.sigma.is_identity()
     assert squared.j == JElement(0, 11, 0, M12)  # (UV)^-1
     w = ExtElement(t13, JElement.from_generator(Generator.W, M12))
-    prod = ext_multiply(w, u)
+    prod = w * u
     assert prod.sigma.is_identity()
     assert prod.j == JElement(0, 0, 11, M12)  # (UW)^-1
-    sq = ext_multiply(ExtElement.from_sigma(t13, M12), ExtElement.from_sigma(t13, M12))
+    sq = ExtElement.from_sigma(t13, M12) * ExtElement.from_sigma(t13, M12)
     assert sq.is_identity()
 
 
@@ -96,8 +114,8 @@ def test_inverses(ext12):
     rng = random.Random(4)
     for _ in range(500):
         a = rng.choice(ext12)
-        assert (a * ext_inverse(a)).is_identity()
-        assert (ext_inverse(a) * a).is_identity()
+        assert (a * a.inverse()).is_identity()
+        assert (a.inverse() * a).is_identity()
 
 
 def test_decode_examples():
@@ -112,7 +130,7 @@ def test_decode_examples():
 
 def test_decode_round_trip_all_elements(ext12):
     for a in ext12:
-        assert ext_decode(ext_matrix(a)) == a
+        assert ext_decode(a.matrix()) == a
 
 
 def test_enumeration_sizes(ext12):
@@ -195,6 +213,34 @@ def test_order_examples():
     assert ExtElement(t13, JElement(1, 0, 0, M12)).order() == 24
     assert ExtElement(t13, JElement(1, 0, 1, M12)).order() == 2
     assert ExtElement.identity(M12).order() == 1
+
+
+def _order_by_powers(mat):
+    """Least t >= 1 with mat**t == identity, by repeated matrix multiplication."""
+    ident = identity(mat.modulus)
+    acc, t = mat, 1
+    while acc != ident:
+        acc = mat_mul(acc, mat)
+        t += 1
+    return t
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_orders_match_power_loop_on_every_element(n):
+    for j in enumerate_J(n):
+        assert j.order() == _order_by_powers(j.matrix())
+    for a in enumerate_extension(n):
+        assert a.order() == _order_by_powers(a.matrix())
+
+
+def test_orders_match_power_loop_mod_1009():
+    m = Modulus(1009)
+    rng = random.Random(1009)
+    for _ in range(12):
+        j = JElement(rng.randrange(2), rng.randrange(1009), rng.randrange(1009), m)
+        a = ExtElement(rng.choice(ALL_PERMS), j)
+        assert j.order() == _order_by_powers(j.matrix())
+        assert a.order() == _order_by_powers(a.matrix())
 
 
 def test_parse_examples():

@@ -11,7 +11,7 @@ from voicegroup.linalg import (
     mat_mul,
     scalar_affine,
 )
-from voicegroup.voicing import JElement
+from voicegroup.voicing import JElement, enumerate_J
 from voicegroup.structure import (
     Ambient,
     center_of_J,
@@ -42,6 +42,13 @@ def test_center_mod_12():
 
 def test_center_mod_7_is_trivial():
     assert [e.sort_key() for e in center_of_J(7)] == [(0, 0, 0)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7, 12, 15])
+def test_center_matches_bruteforce_commutation(n):
+    elements = enumerate_J(n)
+    central = [a for a in elements if all(a * b == b * a for b in elements)]
+    assert center_of_J(n) == central
 
 
 def test_center_contained_in_gl_centralizer():

@@ -29,7 +29,6 @@ from voicegroup.triadic import (
     rho_matrix,
     root_position_tuple,
     stabilizer_of_set,
-    utt_apply,
     utt_compose,
     wreath_generators,
 )
@@ -138,7 +137,7 @@ def test_utt_apply_examples():
     rl = UTT("+", 7, -7)
     t = TriadId(0, Mode.MAJOR)
     for _ in range(12):
-        t = utt_apply(rl, t)
+        t = rl.apply(t)
     assert t == TriadId(0, Mode.MAJOR)
     acc = UTT.identity()
     for _ in range(12):

@@ -7,9 +7,11 @@ permutation part sigma and reflection bit k, the condition
     sigma(U^k(s) + (m(z-x) + n(z-y)) * (1,1,1)) = t
 
 is linear in (m, n) once the diagonal difference sigma^-1(t) - U^k(s) is
-constant; stacking one equation per step gives an exact system solved per
-prime-power factor. A brute-force scan over the whole group is kept as the
-oracle for the linear route.
+constant; stacking one equation per step gives a linear system over Z/n,
+which modring.solve_linear solves exactly. The componentwise affine maps
+between two progressions are found the same way, as a linear system in the
+map's (u, q). A brute-force scan over the whole group is kept as the oracle
+for the linear route.
 """
 
 from __future__ import annotations
@@ -218,10 +220,12 @@ def find_affine_morphisms(
     """All affine maps f with f(a_i) == b_i for every i.
 
     By default the search space is the n^2 componentwise maps x -> u*x + q
-    (all of which commute with the voicing group). With
-    restrict_to_centralizer the search widens to the full affine centralizer
-    family (every matrix commuting with the group, paired with a diagonal
-    translation), which contains non-componentwise members.
+    (all of which commute with the voicing group); the conditions are
+    linear in (u, q), so they are solved exactly, and the maps come in
+    (u, q) order. With restrict_to_centralizer the search widens to the
+    full affine centralizer family (every matrix commuting with the group,
+    paired with a diagonal translation), which contains non-componentwise
+    members.
     """
     check_same_modulus(a.modulus, b.modulus)
     if len(a.tuples) != len(b.tuples):
@@ -229,11 +233,17 @@ def find_affine_morphisms(
     m = a.modulus
     if restrict_to_centralizer:
         candidates = list(centralizer_in_Aff(m).elements)
-    else:
-        candidates = [scalar_affine(u, q, m) for u in range(m.n) for q in range(m.n)]
-    return [
-        f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))
-    ]
+        return [
+            f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))
+        ]
+    # u*x + q == y for each entry x of a_i and the matching entry y of b_i;
+    # the search space holds n^2 maps, so a budget of n^2 never refuses
+    rows, rhs = [], []
+    for src, dst in zip(a.tuples, b.tuples):
+        for x, y in zip(src.entries, dst.entries):
+            rows.append([x, 1])
+            rhs.append(y)
+    return [scalar_affine(u, q, m) for u, q in solve_linear(rows, rhs, m, budget=m.n**2)]
 
 
 def verify_morphism_commutation(f: AffineMap, labels: Iterable[ExtElement]) -> bool:

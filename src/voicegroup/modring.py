@@ -1,8 +1,12 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
 Provides residues, unit detection, prime-power splitting of the modulus with
-Chinese-remainder recombination, and exhaustive solving of small linear
-systems over Z/n (one enumeration per prime-power factor, then CRT).
+Chinese-remainder recombination, and an exact solver for linear systems over
+Z/n. The solver diagonalizes the system (a Smith form, reached by extended-gcd
+row and column operations) and lists the solutions directly, so its cost
+follows the number of solutions. Its budget still bounds the q^d search space
+of each prime-power factor q, so a search too large to enumerate is refused
+with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -10,19 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Sequence
-
-import numpy as np
 
 DEFAULT_BUDGET = 10_000_000
 MAX_UNKNOWNS = 12
 
-_ENUM_CHUNK = 1 << 20
-
 
 class BudgetExceeded(RuntimeError):
-    """An exhaustive search would enumerate more candidates than allowed."""
+    """A search space would hold more candidates than allowed."""
 
 
 @lru_cache(maxsize=None)
@@ -176,30 +175,74 @@ def _crt_ints(values: Sequence[int], moduli: Sequence[int]) -> int:
     return acc % total
 
 
-def _solutions_mod(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], q: int, budget: int
-) -> list[tuple[int, ...]]:
-    """All x in (Z/q)^d with rows.x == rhs, by chunked exhaustive enumeration."""
-    d = len(rows[0]) if rows else 0
-    if d == 0:
-        raise ValueError("cannot infer the number of unknowns from an empty system")
-    total = q**d
-    if total > budget:
-        raise BudgetExceeded(f"{q}^{d} = {total} candidates exceeds budget {budget}")
-    a = np.asarray(rows, dtype=np.int64).reshape(len(rows), d) % q
-    b = np.asarray(rhs, dtype=np.int64) % q
-    powers = q ** np.arange(d, dtype=np.int64)
-    out: list[tuple[int, ...]] = []
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        cand = (idx[:, None] // powers) % q
-        # filter row by row so later rows only scan the survivors
-        for row, target in zip(a, b):
-            cand = cand[(cand @ row) % q == target]
-            if not len(cand):
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - k * s1
+        t0, t1 = t1, t0 - k * t1
+    return a, s0, t0
+
+
+def _pivot_op(x: int, y: int) -> tuple[int, int, int, int]:
+    """Coefficients (s, t, u, v) of a determinant-1 map (x, y) -> (g, 0).
+
+    The pair becomes (s*x + t*y, u*x + v*y) with g = gcd(x, y). When x
+    divides y the first entry is left alone, so the pivot only ever shrinks.
+    """
+    if y % x == 0:
+        return 1, 0, -(y // x), 1
+    g, s, t = _xgcd(x, y)
+    return s, t, -(y // g), x // g
+
+
+def _diagonalize(rows: list[list[int]], rhs: list[int], n: int) -> list[list[int]]:
+    """Bring rows.x == rhs to diagonal form over Z/n, in place, and return V.
+
+    Row operations act on rows and rhs together; column operations act on
+    rows and on V, which starts as the identity. Every operation has
+    determinant 1, so afterwards rows is diagonal and x = V.y maps the
+    solutions of rows.y == rhs one-to-one onto those of the input.
+    """
+    r, d = len(rows), len(rows[0])
+    v = [[0] * d for _ in range(d)]
+    for i in range(d):
+        v[i][i] = 1
+    for i in range(min(r, d)):
+        if not rows[i][i]:
+            pivot = next(((p, q) for p in range(i, r) for q in range(i, d) if rows[p][q]), None)
+            if pivot is None:
                 break
-        out.extend(tuple(int(v) for v in row) for row in cand)
-    return out
+            p, q = pivot
+            rows[i], rows[p] = rows[p], rows[i]
+            rhs[i], rhs[p] = rhs[p], rhs[i]
+            for row in rows[i:] + v:
+                row[i], row[q] = row[q], row[i]
+        dirty = True
+        while dirty:
+            a = rows[i]
+            for j in range(i + 1, r):
+                b = rows[j]
+                if b[i]:
+                    s, t, u, w = _pivot_op(a[i], b[i])
+                    ci, cj = rhs[i], rhs[j]
+                    rows[j] = [(u * x + w * y) % n for x, y in zip(a, b)]
+                    rhs[j] = (u * ci + w * cj) % n
+                    if t:  # the pivot row changes only when the pivot shrinks
+                        rows[i] = a = [(s * x + t * y) % n for x, y in zip(a, b)]
+                        rhs[i] = (s * ci + t * cj) % n
+            dirty = False
+            for j in range(i + 1, d):
+                if a[j]:
+                    s, t, u, w = _pivot_op(a[i], a[j])
+                    # likewise the pivot column, which may refill below the pivot
+                    dirty = dirty or t != 0
+                    for row in rows[i:] + v:
+                        x, y = row[i], row[j]
+                        row[i], row[j] = (s * x + t * y) % n, (u * x + w * y) % n
+    return v
 
 
 def solve_linear(
@@ -208,36 +251,64 @@ def solve_linear(
     modulus: Modulus | int,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """All solution vectors of rows.x == rhs over Z/n.
+    """All solution vectors of rows.x == rhs over Z/n, sorted.
 
-    Solved per prime-power factor by exhaustive enumeration, then CRT-combined;
-    the solution count is the product of the per-factor counts.
+    Exact: the system is diagonalized (see _diagonalize), each diagonal
+    equation d_i.y_i == c_i is solved in closed form, and the solutions are
+    mapped back through V, so the cost follows the number of solutions.
+
+    The budget bounds the search space: the prime-power factors q of n are
+    taken in increasing order, and the first with q^d > budget raises
+    BudgetExceeded, unless the system is already unsolvable modulo an earlier
+    factor, in which case the result is [].
     """
     m = as_modulus(modulus)
+    n = m.n
     if not rows:
         raise ValueError("system must have at least one row")
     d = len(rows[0])
+    if d == 0:
+        raise ValueError("cannot infer the number of unknowns from an empty system")
     if d > MAX_UNKNOWNS:
         raise ValueError(f"at most {MAX_UNKNOWNS} unknowns supported, got {d}")
     if len(rhs) != len(rows):
         raise ValueError("rhs length must match the number of rows")
-    # duplicate rows only slow the scan down
-    deduped = sorted({(tuple(int(c) % m.n for c in row), int(b) % m.n) for row, b in zip(rows, rhs)})
-    rows = [list(r) for r, _ in deduped]
-    rhs = [b for _, b in deduped]
-    per_factor: list[tuple[int, list[tuple[int, ...]]]] = []
+    if set(map(len, rows)) != {d}:
+        raise ValueError("all rows must have the same number of unknowns")
+    a = [[int(x) % n for x in row] for row in rows]
+    c = [int(b) % n for b in rhs]
+    v = _diagonalize(a, c, n)
+    # row i now reads diagonal[i] * y_i == c[i]; past the unknowns, 0 == c[i]
+    diagonal = [a[i][i] if i < d else 0 for i in range(len(a))]
+    inconsistent = [(di, ci) for di, ci in zip(diagonal, c) if ci % math.gcd(di, n)]
     for q in m.prime_powers():
-        sols = _solutions_mod(rows, rhs, q, budget)
-        if not sols:
+        total = q**d
+        if total > budget:
+            raise BudgetExceeded(f"{q}^{d} = {total} candidates exceeds budget {budget}")
+        if any(ci % math.gcd(di, q) for di, ci in inconsistent):
             return []
-        per_factor.append((q, sols))
-    moduli = [q for q, _ in per_factor]
-    combined = [
-        tuple(_crt_ints([part[i] for part in combo], moduli) for i in range(d))
-        for combo in product(*(sols for _, sols in per_factor))
-    ]
-    combined.sort()
-    return combined
+    # y_i = y0_i + t*(n/g) for t in [0, g), g = gcd(diagonal[i], n); an
+    # unknown past the rows is free (g = n)
+    y0 = [0] * d
+    free = []
+    for i in range(d):
+        di = diagonal[i] if i < len(diagonal) else 0
+        g = math.gcd(di, n)
+        if g < n:
+            y0[i] = c[i] // g * pow(di // g, -1, n // g)
+        if g > 1:
+            free.append((i, g))
+    out = [tuple(sum(vi * yi for vi, yi in zip(row, y0)) % n for row in v)]
+    for i, g in free:
+        step = [row[i] * (n // g) for row in v]
+        # each coordinate of base + t*step for t in [0, g), zipped into vectors
+        out = [
+            sol
+            for base in out
+            for sol in zip(*[[(x + t * k) % n for t in range(g)] for x, k in zip(base, step)])
+        ]
+    out.sort()
+    return out
 
 
 def solve_homogeneous(

@@ -1,8 +1,10 @@
 """Structural computations around the voicing group.
 
 Centralizers are found by solving the commutator equations as a homogeneous
-linear system in the matrix entries (the solver enumerates per prime-power
-factor and recombines by CRT). GL/SL orders are brute-force counts of
+linear system in the nine matrix entries. The solver is exact, but the budget
+still bounds its q^9 search space per prime-power factor q, so a modulus with
+a prime-power factor q >= 7 (such as 7, 9 or 36) needs a budget above the
+default. GL/SL orders are brute-force counts of
 invertible / determinant-one matrices per prime-power factor, multiplied
 out, with a closed-form product available as a cross-check. The duality
 check restricts a contextual dihedral group and the transposition/inversion

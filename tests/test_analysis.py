@@ -254,6 +254,45 @@ def test_widened_morphism_search():
         find_affine_morphisms(WEBERN_ROW_1, Progression.of([(0, 0, 0)], 12))
 
 
+def _affine_scan(a, b):
+    """Oracle: every componentwise map x -> u*x + q, in (u, q) order, kept if it sends a to b."""
+    n = a.modulus.n
+    candidates = [scalar_affine(u, q, a.modulus) for u in range(n) for q in range(n)]
+    return [f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (WEBERN_ROW_1, WEBERN_ROW_2),
+        (SCHOENBERG_OCTATONIC, SCHOENBERG_JET_SHARK),
+        (HYMN_TO_THE_SUN, WITHOUT_A_SONG),
+    ],
+)
+def test_affine_morphisms_match_scan_on_datasets(a, b):
+    assert find_affine_morphisms(a, b) == _affine_scan(a, b)
+
+
+@pytest.mark.parametrize("n", [7, 12, 24])
+def test_affine_morphisms_match_scan_on_random_pairs(n):
+    rng = random.Random(n)
+    for trial in range(30):
+        length = rng.randint(1, 4)
+        a = Progression.of(
+            [[rng.randrange(n) for _ in range(3)] for _ in range(length)], n, cyclic=bool(trial % 2)
+        )
+        if trial % 3 == 2:
+            # unrelated second progression: usually no map at all
+            b = Progression.of([[rng.randrange(n) for _ in range(3)] for _ in range(length)], n)
+        else:
+            # the image under a planted map; every third u is a zero divisor (or 0 mod 7)
+            u = rng.randrange(n) if trial % 3 else rng.choice([0, 2, 3, 4, 6, 8]) % n
+            planted = scalar_affine(u, rng.randrange(n), n)
+            b = Progression(a.modulus, tuple(planted(v) for v in a.tuples))
+            assert planted in find_affine_morphisms(a, b)
+        assert find_affine_morphisms(a, b) == _affine_scan(a, b)
+
+
 def test_hexatonic_rich_cycle_found_by_search():
     cycle = find_rich_voicing_cycle(HEXATONIC_CHORDS, 12)
     assert cycle is not None

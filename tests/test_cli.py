@@ -157,6 +157,16 @@ def test_centralizer_budget_exit_3(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_centralizer_mod_36_with_lifted_budget(capsys):
+    # 9^9 = 387420489 is the search space of the mod-9 factor
+    argv = ["centralizer", "--ambient", "m3", "--mod", "36", "--budget", "387420489", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    check("centralizer", payload)
+    assert payload["size"] == 144
+
+
 def test_center(capsys):
     code, out, _ = run(capsys, "center", "--format", "json")
     assert code == 0

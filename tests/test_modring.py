@@ -1,7 +1,9 @@
 import math
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import (
     BudgetExceeded,
@@ -145,6 +147,73 @@ def test_solver_input_validation():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         solve_homogeneous([[0] * 9], 7, budget=10**6)
+
+
+def enumerate_solutions(rows, rhs, n):
+    """Oracle: scan all n^d candidates mod n at once (no factors, no CRT)."""
+    d = len(rows[0])
+    cand = np.indices((n,) * d, dtype=np.int64).reshape(d, -1).T
+    for row, target in zip(rows, rhs):
+        cand = cand[(cand @ np.asarray(row, dtype=np.int64) - target) % n == 0]
+    return [tuple(int(v) for v in x) for x in cand]
+
+
+# primes, prime powers, 2*odd and highly composite values are all in [2, 60]
+@st.composite
+def linear_systems(draw):
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 4))
+    entry = st.integers(0, n - 1) | st.integers(-200, 200)
+    rows = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(r)]
+    rhs = draw(st.lists(entry, min_size=r, max_size=r))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, r - 1))] = [0] * d
+    if draw(st.booleans()):
+        rhs = [0] * r
+    return rows, rhs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_enumeration_property(system):
+    rows, rhs, n = system
+    assert solve_linear(rows, rhs, n, budget=n**3) == enumerate_solutions(rows, rhs, n)
+
+
+def test_budget_bounds_the_search_space_per_factor():
+    with pytest.raises(BudgetExceeded, match=r"7\^3 = 343 candidates exceeds budget 342"):
+        solve_linear([[0, 0, 0]], [0], 7, budget=342)
+    assert len(solve_linear([[0, 0, 0]], [0], 7, budget=343)) == 343
+    # unsolvable mod 2, which is checked before 7^3 exceeds the budget
+    assert solve_linear([[2, 0, 0]], [1], 14, budget=100) == []
+    # the budget is checked first for the first factor, even if unsolvable there
+    with pytest.raises(BudgetExceeded, match=r"2\^3 = 8 "):
+        solve_linear([[2, 0, 0]], [1], 14, budget=7)
+
+
+@pytest.mark.parametrize("n", [360, 1009, 1024])
+def test_solution_count_matches_sympy_smith_form(n):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(n)
+    for trial in range(12):
+        d = rng.randint(1, 9)
+        rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d + rng.randint(0, 2))]
+        if trial % 3 == 0 and d > 1:
+            # a dependent column, so the rank drops below d
+            for row in rows:
+                row[-1] = 2 * row[0] - row[1]
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        invariants = [int(snf[i, i]) for i in range(min(snf.shape))]
+        rank = sum(1 for s in invariants if s)
+        expected = math.prod(math.gcd(s, n) for s in invariants if s) * n ** (d - rank)
+        sols = solve_homogeneous(rows, n, budget=n**d)
+        assert len(sols) == expected, (rows, invariants)
+        assert all(
+            sum(a * x for a, x in zip(row, sol)) % n == 0 for row in rows for sol in sols[:50]
+        )
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 9, 12])

@@ -83,6 +83,12 @@ def test_monoid_centralizer_closed_form_matches_solver(n):
     assert set(centralizer_in_M3(n).elements) == monoid_centralizer_closed_form(n)
 
 
+# the solver is exact, so a budget of n^9 only lifts the search-space bound
+@pytest.mark.parametrize("n", [3, 9, 11, 12, 25, 36, 60])
+def test_monoid_centralizer_matches_closed_form_with_lifted_budget(n):
+    assert set(centralizer_in_M3(n, budget=n**9).elements) == monoid_centralizer_closed_form(n)
+
+
 def test_monoid_centralizer_mod_7_is_scalars():
     report = centralizer_in_M3(7, budget=7**9)
     assert report.size == 7

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .modring import Modulus, as_modulus, check_same_modulus, solve_linear
+from .modring import DEFAULT_BUDGET, Modulus, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul, scalar_affine
 from .voicing import JElement
 from .extension import ExtElement, enumerate_extension
@@ -98,7 +98,9 @@ def _step_equation(src: Vec3, dst: Vec3, sigma: Perm3, k: int) -> tuple[list[int
     return [(z - x) % n, (z - y) % n], diffs[0]
 
 
-def solve_step(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:
+def solve_step(
+    src: Vec3, dst: Vec3, group: str = "extension", budget: int = DEFAULT_BUDGET
+) -> list[ExtElement]:
     """All elements g of the chosen group with g(src) == dst.
 
     Each (sigma, k) case is a one-equation linear system in (m, n); the empty
@@ -113,7 +115,7 @@ def solve_step(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElemen
         if eq is None:
             continue
         row, rhs = eq
-        for m, n in solve_linear([row], [rhs], src.modulus):
+        for m, n in solve_linear([row], [rhs], src.modulus, budget):
             out.append(ExtElement(sigma, JElement(k, m, n, src.modulus)))
     out.sort(key=ExtElement.sort_key)
     return out
@@ -154,7 +156,9 @@ class UniformSolution:
         return str(self.element)
 
 
-def solve_uniform(prog: Progression, sigma: Perm3, k: int) -> list[UniformSolution]:
+def solve_uniform(
+    prog: Progression, sigma: Perm3, k: int, budget: int = DEFAULT_BUDGET
+) -> list[UniformSolution]:
     """All (m, n) such that sigma U^k shift(m,n) maps every tuple to its successor.
 
     Stacks one linear equation per step (wrap-around included when cyclic)
@@ -173,7 +177,7 @@ def solve_uniform(prog: Progression, sigma: Perm3, k: int) -> list[UniformSoluti
         rows.append(eq[0])
         rhs.append(eq[1])
     out = []
-    for m, n in solve_linear(rows, rhs, prog.modulus):
+    for m, n in solve_linear(rows, rhs, prog.modulus, budget):
         g = ExtElement(sigma, JElement(k, m, n, prog.modulus))
         if not all(g.apply(src) == dst for src, dst in prog.steps()):
             raise RuntimeError(f"solver returned {g}, which does not realize every step")
@@ -181,12 +185,12 @@ def solve_uniform(prog: Progression, sigma: Perm3, k: int) -> list[UniformSoluti
     return out
 
 
-def solve_uniform_all_cases(prog: Progression) -> list[UniformSolution]:
+def solve_uniform_all_cases(prog: Progression, budget: int = DEFAULT_BUDGET) -> list[UniformSolution]:
     """solve_uniform over all twelve (sigma, k) cases."""
     out = []
     for sigma in ALL_PERMS:
         for k in (0, 1):
-            out.extend(solve_uniform(prog, sigma, k))
+            out.extend(solve_uniform(prog, sigma, k, budget))
     out.sort(key=lambda s: s.element.sort_key())
     return out
 

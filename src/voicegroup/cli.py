@@ -131,11 +131,11 @@ def _cmd_normal_form(args) -> int:
 def _cmd_solve(args) -> int:
     prog = _load_progression(args.progression, args)
     if args.sigma is None and args.k is None:
-        solutions = solve_uniform_all_cases(prog)
+        solutions = solve_uniform_all_cases(prog, args.budget)
     else:
         sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
         k = args.k if args.k is not None else 0
-        solutions = solve_uniform(prog, sigma, k)
+        solutions = solve_uniform(prog, sigma, k, args.budget)
     payload = {
         "modulus": prog.modulus.n,
         "cyclic": prog.cyclic,
@@ -286,7 +286,7 @@ def _cmd_export_dot(args) -> int:
     if args.sigma is not None or args.k is not None:
         sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
         k = args.k if args.k is not None else 0
-        solutions = solve_uniform(prog, sigma, k)
+        solutions = solve_uniform(prog, sigma, k, args.budget)
         if not solutions:
             print("no solutions", file=sys.stderr)
             return EXIT_OK
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_center)
 
-    p = sub.add_parser("count", help="order of GL3 or SL3 over Z/n by brute force")
+    p = sub.add_parser("count", help="order of GL3 or SL3 over Z/n, counted per prime-power factor")
     p.add_argument("ambient", choices=("gl3", "sl3"))
     add_common(p)
     p.set_defaults(func=_cmd_count)

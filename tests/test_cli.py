@@ -135,6 +135,25 @@ def test_solve_malformed_json_exit_1(capsys, tmp_path):
     assert code == 1 and "malformed" in err
 
 
+def test_solve_passes_budget_on(capsys, tmp_path):
+    # the RICH step (0,4,7) -> (4,7,11) mod 5003: the solver is exact, but
+    # the search-space bound 5003^2 is over the default budget
+    path = tmp_path / "rich5003.json"
+    path.write_text('{"modulus": 5003, "tuples": [[0,4,7],[4,7,11]]}')
+    code, out, err = run(capsys, "solve", str(path), "--format", "json")
+    assert code == 3 and out == ""
+    assert err == "error: 5003^2 = 25030009 candidates exceeds budget 10000000\n"
+    code, out, _ = run(capsys, "solve", str(path), "--format", "json", "--budget", "100000000000")
+    assert code == 0
+    payload = json.loads(out)
+    check("solutions", payload)
+    assert "(13) U (UV)^1" in [s["text"] for s in payload["solutions"]]
+    argv = ["export-dot", str(path), "--sigma", "(13)", "--k", "1"]
+    assert run(capsys, *argv)[0] == 3
+    code, out, _ = run(capsys, *argv, "--budget", "100000000000")
+    assert code == 0 and out.startswith("digraph")
+
+
 def test_centralizer_gl3(capsys):
     code, out, _ = run(capsys, "centralizer", "--ambient", "gl3", "--format", "json")
     assert code == 0
@@ -333,6 +352,15 @@ def test_orbit_into_closed_pipe_exits_cleanly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err
+
+
+def test_importing_the_cli_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    code = "import sys, voicegroup, voicegroup.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_library_has_no_assert_statements():

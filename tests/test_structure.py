@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from voicegroup.modring import BudgetExceeded, Modulus
@@ -175,6 +176,39 @@ def test_counts_match_closed_form_mod_7():
     budget = 7**9
     assert count_GL3(7, budget) == gl3_order_closed_form(7)
     assert count_SL3(7, budget) == sl3_order_closed_form(7)
+
+
+def _det_counts_oracle(q):
+    """(#unit determinants, #determinant one) over all q^9 matrices mod q = p^a.
+
+    A numpy scan in chunks that calls nothing from the library.
+    """
+    p = min(d for d in range(2, q + 1) if q % d == 0)
+    powers = q ** np.arange(9, dtype=np.int64)
+    chunk, units, ones = 1 << 17, 0, 0
+    for start in range(0, q**9, chunk):
+        idx = np.arange(start, min(start + chunk, q**9), dtype=np.int64)
+        e = (idx[:, None] // powers) % q
+        det = (
+            e[:, 0] * (e[:, 4] * e[:, 8] - e[:, 5] * e[:, 7])
+            - e[:, 1] * (e[:, 3] * e[:, 8] - e[:, 5] * e[:, 6])
+            + e[:, 2] * (e[:, 3] * e[:, 7] - e[:, 4] * e[:, 6])
+        ) % q
+        units += int(np.count_nonzero(det % p != 0))
+        ones += int(np.count_nonzero(det == 1))
+    return units, ones
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_counts_match_full_scan_oracle(q):
+    assert (count_GL3(q), count_SL3(q)) == _det_counts_oracle(q)
+
+
+# the count enumerates two rows, so n^9 only lifts the bound on the matrices counted
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 36, 60])
+def test_counts_match_closed_form_with_lifted_budget(n):
+    assert count_GL3(n, budget=n**9) == gl3_order_closed_form(n)
+    assert count_SL3(n, budget=n**9) == sl3_order_closed_form(n)
 
 
 def test_count_budget():

@@ -24,8 +24,6 @@ from .structure import (
     centralizer_in_Aff,
     centralizer_in_GL3,
     centralizer_in_M3,
-    count_GL3,
-    count_SL3,
     index_of_J,
 )
 from .triadic import NotInHook, HookElement, UTT, rho, rho_inverse
@@ -106,6 +104,8 @@ def _load_progression(path: str, args) -> Progression:
         raise CliError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise CliError(f"malformed progression file {path}: {exc}")
+    if args.mod is not None and args.mod != prog.modulus.n:
+        raise CliError(f"--mod {args.mod} does not match the modulus {prog.modulus.n} of {path}")
     if getattr(args, "cyclic", False) and not prog.cyclic:
         prog = Progression(prog.modulus, prog.tuples, cyclic=True)
     return prog
@@ -185,8 +185,8 @@ def _cmd_center(args) -> int:
 
 def _cmd_count(args) -> int:
     modulus = Modulus(args.mod)
-    count = count_GL3(modulus, args.budget) if args.ambient == "gl3" else count_SL3(modulus, args.budget)
     index = index_of_J(modulus, args.ambient.upper(), args.budget)
+    count = index * 2 * modulus.n**2  # index_of_J checked that the division is exact
     payload = {
         "ambient": args.ambient,
         "modulus": modulus.n,
@@ -302,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="voicegroup", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="text"):
-        p.add_argument("--mod", type=int, default=12, help="modulus (default 12)")
+    def add_common(p, default_format="text", with_mod=True):
+        if with_mod:
+            p.add_argument("--mod", type=int, default=12, help="modulus (default 12)")
         p.add_argument("--format", choices=("text", "json", "dot"), default=default_format)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate budget for exhaustive searches")
 
@@ -319,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="permutation part in cycle notation, e.g. (12)")
     p.add_argument("--k", type=int, choices=(0, 1), help="reflection bit")
     p.add_argument("--cyclic", action="store_true", help="include the wrap-around step")
-    add_common(p)
+    p.add_argument("--mod", type=int, help="must equal the progression file's modulus")
+    add_common(p, with_mod=False)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("centralizer", help="centralizer of the voicing group")
@@ -342,11 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_orbit)
 
-    p = sub.add_parser("hook", help="convert between triadic transformations and group elements")
+    p = sub.add_parser("hook", help="convert between triadic transformations and group elements (mod 12)")
     p.add_argument("direction", choices=("to-utt", "from-utt"))
     p.add_argument("--element", help="group element, e.g. (13)W")
     p.add_argument("--utt", help="triadic transformation, e.g. <-,0,0>")
-    add_common(p)
+    add_common(p, with_mod=False)
     p.set_defaults(func=_cmd_hook)
 
     p = sub.add_parser("rich", help="iterate retrograde inversion enchaining from a seed")
@@ -360,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="label edges with the first uniform solution for this case")
     p.add_argument("--k", type=int, choices=(0, 1))
     p.add_argument("--cyclic", action="store_true")
-    add_common(p, default_format="dot")
+    p.add_argument("--mod", type=int, help="must equal the progression file's modulus")
+    add_common(p, default_format="dot", with_mod=False)
     p.set_defaults(func=_cmd_export_dot)
 
     return parser

@@ -27,8 +27,8 @@ from .voicing import (
     _GENERATOR_EXPONENTS,
     Generator,
     JElement,
-    NotInJ,
-    decode,
+    _sigma_j_decode,
+    _sigma_j_matrix,
     enumerate_J,
     generator_for_pair,
     word_to_element,
@@ -129,7 +129,7 @@ class ExtElement:
 
     def matrix(self) -> Mat3:
         """P_sigma M_j: row sigma(i) of the product is row i of M_j."""
-        return Mat3(self.sigma.apply(self.j.matrix().rows), self.modulus)
+        return _sigma_j_matrix(self.sigma, self.j)
 
     def apply(self, v: Vec3) -> Vec3:
         return self.sigma.apply(self.j.apply(v))
@@ -150,14 +150,11 @@ class ExtElement:
 
 
 def ext_decode(m: Mat3) -> ExtElement:
-    """Find the unique (sigma, j) with P_sigma * M_j == m, trying all six sigma."""
-    for sigma in ALL_PERMS:
-        stripped = Mat3(sigma.inverse().apply(m.rows), m.modulus)
-        try:
-            return ExtElement(sigma, decode(stripped))
-        except NotInJ:
-            continue
-    raise NotInExtension(f"matrix {m} is not in the extended voicing group mod {m.modulus.n}")
+    """The unique (sigma, j) with P_sigma * M_j == m, read off its row differences."""
+    found = _sigma_j_decode(m)
+    if found is None:
+        raise NotInExtension(f"matrix {m} is not in the extended voicing group mod {m.modulus.n}")
+    return ExtElement(*found)
 
 
 def trace(a: ExtElement) -> Residue:

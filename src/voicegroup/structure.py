@@ -26,6 +26,7 @@ from .modring import (
     BudgetExceeded,
     Modulus,
     as_modulus,
+    euler_phi,
     solve_homogeneous,
     _prime_of,
 )
@@ -243,21 +244,14 @@ def gl3_order_closed_form(modulus: Modulus | int) -> int:
     total = 1
     for q in m.prime_powers():
         p = _prime_of(q)
-        a = round(math.log(q, p))
-        total *= p ** (9 * a - 6) * (p - 1) * (p**2 - 1) * (p**3 - 1)
+        total *= q**9 // p**6 * (p - 1) * (p**2 - 1) * (p**3 - 1)
     return total
 
 
 def sl3_order_closed_form(modulus: Modulus | int) -> int:
-    """|SL| = |GL| / phi(q) for each prime-power factor q."""
+    """|SL| = |GL| / phi(n): the determinant maps GL(3, Z/n) onto the units."""
     m = as_modulus(modulus)
-    total = 1
-    for q in m.prime_powers():
-        p = _prime_of(q)
-        a = round(math.log(q, p))
-        gl = p ** (9 * a - 6) * (p - 1) * (p**2 - 1) * (p**3 - 1)
-        total *= gl // (q - q // p)
-    return total
+    return gl3_order_closed_form(m) // euler_phi(m.n)
 
 
 def index_of_J(modulus: Modulus | int, ambient: str, budget: int = DEFAULT_BUDGET) -> int:

@@ -21,7 +21,7 @@ from typing import Iterable
 from .modring import Modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13
 from .voicing import JElement
-from .extension import ExtElement, ext_decode
+from .extension import ExtElement
 
 
 class NotInHook(ValueError):
@@ -36,6 +36,17 @@ class Mode(enum.Enum):
 _NOTE_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 
 _TWELVE = Modulus(12)
+
+# (UV)^m (UW)^n shifts (x, y, z) by m(z-x) + n(z-y), and (13)U sends a major root r
+# to the minor root r - MINOR_THIRD and a minor root r to the major root r - MAJOR_THIRD.
+# So (13)^k U^k (UV)^m (UW)^n moves major roots by FIFTH m + MINOR_THIRD (n - k)
+# and minor roots by FIFTH m + MAJOR_THIRD (n - k); rho solves this for (m, n).
+_FIFTH = 7
+_MAJOR_THIRD = 4
+_MINOR_THIRD = _FIFTH - _MAJOR_THIRD
+_FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
+_THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
+_HOOK_SIGMA = (Perm3.identity(), TRANSPOSITION_13)  # sigma of the Hook elements with k = 0, 1
 
 
 @dataclass(frozen=True)
@@ -71,16 +82,15 @@ def all_triads() -> list[TriadId]:
 def root_position_tuple(id: TriadId) -> Vec3:
     """(r, r+4, r+7) for major, (r, r+3, r+7) for minor."""
     r = id.root
-    third = 4 if id.mode is Mode.MAJOR else 3
-    return Vec3.of(r, r + third, r + 7, _TWELVE)
+    third = _MAJOR_THIRD if id.mode is Mode.MAJOR else _MINOR_THIRD
+    return Vec3.of(r, r + third, r + _FIFTH, _TWELVE)
 
 
 def dualistic_tuple(id: TriadId) -> Vec3:
     """(r, r+4, r+7) for major, (r+7, r+3, r) for minor."""
     if id.mode is Mode.MAJOR:
         return root_position_tuple(id)
-    r = id.root
-    return Vec3.of(r + 7, r + 3, r, _TWELVE)
+    return Vec3(root_position_tuple(id).entries[::-1], _TWELVE)
 
 
 def classify(v: Vec3) -> TriadClass | None:
@@ -96,14 +106,12 @@ def classify(v: Vec3) -> TriadClass | None:
     if len(pcs) != 3:
         return None
     for r in pcs:
-        for mode, third in ((Mode.MAJOR, 4), (Mode.MINOR, 3)):
-            if {r, (r + third) % 12, (r + 7) % 12} == pcs:
-                id = TriadId(r, mode)
-                root_pos = root_position_tuple(id)
-                for perm in ALL_PERMS:
-                    if perm.apply(root_pos) == v:
-                        return TriadClass(id, perm)
-                raise AssertionError("unreachable: matching set without matching ordering")
+        for mode in Mode:
+            id = TriadId(r, mode)
+            root_pos = root_position_tuple(id)
+            for perm in ALL_PERMS:
+                if perm.apply(root_pos) == v:
+                    return TriadClass(id, perm)
     return None
 
 
@@ -202,11 +210,7 @@ def all_utts() -> list[UTT]:
 def is_in_hook(e: ExtElement) -> bool:
     """Stabilizing root position forces sigma = id on the mode-preserving half
     and sigma = (13) on the mode-reversing half."""
-    if e.modulus.n != 12:
-        return False
-    if e.j.k == 0:
-        return e.sigma.is_identity()
-    return e.sigma == TRANSPOSITION_13
+    return e.modulus.n == 12 and e.sigma == _HOOK_SIGMA[e.j.k]
 
 
 @dataclass(frozen=True)
@@ -239,10 +243,7 @@ class HookElement:
         return self.underlying.apply(v)
 
     def apply_triad(self, t: TriadId) -> TriadId:
-        image = classify(self.apply(root_position_tuple(t)))
-        if image is None or not image.voicing.is_identity():
-            raise RuntimeError(f"{self} does not send {t} to a root-position triad")
-        return image.id
+        return rho_inverse(self).apply(t)
 
     def __str__(self) -> str:
         return str(self.underlying)
@@ -251,7 +252,7 @@ class HookElement:
 def hook_elements() -> list[HookElement]:
     """All 288 elements: (UV)^m (UW)^n and (13) U (UV)^m (UW)^n."""
     out = []
-    for k, sigma in ((0, Perm3.identity()), (1, TRANSPOSITION_13)):
+    for k, sigma in enumerate(_HOOK_SIGMA):
         for m in range(12):
             for n in range(12):
                 out.append(HookElement(ExtElement(sigma, JElement(k, m, n, _TWELVE))))
@@ -259,38 +260,24 @@ def hook_elements() -> list[HookElement]:
 
 
 def rho_matrix(u: UTT) -> Mat3:
-    """The unique linear extension of a triadic transformation from the
-    root-position triads (which contain a basis of voicing space) to all
-    3-tuples, written out entrywise."""
-    m, n = u.t_major, u.t_minor
-    if u.sign == "+":
-        rows = (
-            (1 - 4 * m - 3 * n, m - n, 3 * m + 4 * n),
-            (-4 * m - 3 * n, 1 + m - n, 3 * m + 4 * n),
-            (-4 * m - 3 * n, m - n, 1 + 3 * m + 4 * n),
-        )
-    else:
-        rows = (
-            (1 - 4 * m - 3 * n, m - n, 3 * m + 4 * n),
-            (1 - 4 * m - 3 * n, -1 + m - n, 1 + 3 * m + 4 * n),
-            (-4 * m - 3 * n, m - n, 1 + 3 * m + 4 * n),
-        )
-    return Mat3.of(rows, _TWELVE)
+    """rho(u) as a matrix: the unique linear extension of u from the root-position triads."""
+    return rho(u).matrix()
 
 
 def rho(u: UTT) -> HookElement:
-    """Realize a triadic transformation as a Hook-group element."""
-    return HookElement(ext_decode(rho_matrix(u)))
+    """Realize a triadic transformation as a Hook-group element (see _FIFTH)."""
+    k = 1 if u.sign == "-" else 0
+    # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
+    d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
+    m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
+    return HookElement(ExtElement(_HOOK_SIGMA[k], JElement(k, m, d + k, _TWELVE)))
 
 
 def rho_inverse(h: HookElement) -> UTT:
-    """Read <s, m, n> off a Hook element's action on C major and c minor."""
-    sign = "-" if h.underlying.j.k else "+"
-    maj = classify(h.apply(root_position_tuple(TriadId(0, Mode.MAJOR))))
-    mnr = classify(h.apply(root_position_tuple(TriadId(0, Mode.MINOR))))
-    if maj is None or mnr is None:
-        raise RuntimeError(f"{h} does not send C major and c minor to triads")
-    u = UTT(sign, maj.id.root, mnr.id.root)
+    """Read <s, a, b> off a Hook element's normal form: its two root shifts (see _FIFTH)."""
+    k, m, n = hook_normal_form_A(h)
+    shift = _FIFTH * m
+    u = UTT("-" if k else "+", shift + _MINOR_THIRD * (n - k), shift + _MAJOR_THIRD * (n - k))
     if rho(u).underlying != h.underlying:
         raise RuntimeError(f"rho({u}) = {rho(u)} does not equal {h}")
     return u
@@ -305,23 +292,16 @@ def hook_normal_form_A(h: HookElement) -> tuple[int, int, int]:
 def hook_normal_form_B(h: HookElement) -> tuple[int, int]:
     """(p, n) with h == ((13)U)^p (UW)^n, p in [0,24), n in [0,12).
 
-    Even powers of (13)U are (UV)^-m and odd powers are (13)U(UV)^-m, so the
-    parity of p is the mode parity and p determines the (UV) exponent; n is
-    then read off by cancelling ((13)U)^-p.
+    ((13)U)^2q = (UV)^-q and ((13)U)^(2q+1) = (13)U(UV)^-q, so the parity of p
+    is the mode parity and p // 2 is minus the (UV) exponent.
     """
-    k, m, _ = hook_normal_form_A(h)
-    p = 2 * ((-m) % 12) + k
-    t = hook_generator_13U()
-    remainder = (t.underlying ** (-p)) * h.underlying
-    if not (remainder.sigma.is_identity() and remainder.j.k == 0 and remainder.j.m == 0):
-        raise RuntimeError(f"((13)U)^-{p} {h} = {remainder} is not a power of UW")
-    return (p, remainder.j.n)
+    k, m, n = hook_normal_form_A(h)
+    return (2 * ((-m) % 12) + k, n)
 
 
 def hook_from_normal_form_B(p: int, n: int) -> HookElement:
-    t = hook_generator_13U()
-    uw = HookElement(ExtElement.from_j(JElement(0, 0, n, _TWELVE)))
-    return (t**p) * uw
+    q, k = divmod(p % 24, 2)
+    return HookElement(ExtElement(_HOOK_SIGMA[k], JElement(k, -q, n, _TWELVE)))
 
 
 def hook_generator_13U() -> HookElement:

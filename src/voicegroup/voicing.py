@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .modring import Modulus, as_modulus, check_same_modulus
-from .linalg import Mat3, Vec3
+from .linalg import ALL_PERMS, Mat3, Perm3, Vec3
 
 
 class NotInJ(ValueError):
@@ -111,6 +111,8 @@ class JElement:
     modulus: Modulus
 
     def __post_init__(self):
+        if not isinstance(self.modulus, Modulus):
+            object.__setattr__(self, "modulus", as_modulus(self.modulus))
         _require_group_modulus(self.modulus)
         if self.k not in (0, 1):
             raise ValueError(f"k must be 0 or 1, got {self.k}")
@@ -182,29 +184,52 @@ class JElement:
         return " ".join(parts) if parts else "Id"
 
 
+# P_sigma M_j is P_sigma M_{U^k} + 1 (-m, -n, m+n), so its row differences name (sigma, k) and its
+# first row gives (m, n); the twelve patterns have entries -1, 0, 1 and stay distinct mod n >= 3.
+_BASES = {
+    (sigma, k): sigma.apply(rows)
+    for sigma in ALL_PERMS
+    for k, rows in enumerate((((1, 0, 0), (0, 1, 0), (0, 0, 1)), _GENERATOR_ROWS[Generator.U]))
+}
+
+
+def _row_differences(rows) -> tuple[int, ...]:
+    return tuple(b - a for row in rows[1:] for a, b in zip(rows[0], row))
+
+
+_BY_DIFFERENCES = {_row_differences(rows): key for key, rows in _BASES.items()}
+
+
+def _sigma_j_matrix(sigma: Perm3, e: JElement) -> Mat3:
+    """P_sigma M_e: the base P_sigma M_{U^k} plus the translation row in every row."""
+    rows = tuple((a - e.m, b - e.n, c + e.m + e.n) for a, b, c in _BASES[sigma, e.k])
+    return Mat3(rows, e.modulus)
+
+
+def _sigma_j_decode(a: Mat3) -> tuple[Perm3, JElement] | None:
+    """The unique (sigma, j) with P_sigma M_j == a, or None if there is none."""
+    nn = _require_group_modulus(a.modulus).n
+    # lift residues 0, 1 and n-1 to 0, 1 and -1; any other residue matches no key
+    key = _BY_DIFFERENCES.get(tuple((d + 1) % nn - 1 for d in _row_differences(a.rows)))
+    if key is None:
+        return None
+    sigma, k = key
+    base = _BASES[key][0]
+    e = JElement(k, base[0] - a.rows[0][0], base[1] - a.rows[0][1], a.modulus)
+    return (sigma, e) if _sigma_j_matrix(sigma, e) == a else None
+
+
 def normal_form_matrix(e: JElement) -> Mat3:
     """Closed-form matrix of a normal form (columns are the images of the basis)."""
-    m, n = e.m, e.n
-    if e.k == 0:
-        rows = ((1 - m, -n, m + n), (-m, 1 - n, m + n), (-m, -n, 1 + m + n))
-    else:
-        rows = ((-m, 1 - n, m + n), (1 - m, -n, m + n), (1 - m, 1 - n, -1 + m + n))
-    return Mat3.of(rows, e.modulus)
+    return _sigma_j_matrix(Perm3.identity(), e)
 
 
 def decode(a: Mat3) -> JElement:
     """Invert normal_form_matrix; raises NotInJ if no (k, m, n) matches."""
-    _require_group_modulus(a.modulus)
-    nn = a.modulus.n
-    # mode-preserving family: a11 = 1-m, a12 = -n
-    cand = JElement(0, (1 - a.rows[0][0]) % nn, (-a.rows[0][1]) % nn, a.modulus)
-    if normal_form_matrix(cand) == a:
-        return cand
-    # mode-reversing family: a11 = -m, a12 = 1-n
-    cand = JElement(1, (-a.rows[0][0]) % nn, (1 - a.rows[0][1]) % nn, a.modulus)
-    if normal_form_matrix(cand) == a:
-        return cand
-    raise NotInJ(f"matrix {a} is not a voicing-group element mod {nn}")
+    found = _sigma_j_decode(a)
+    if found is None or not found[0].is_identity():
+        raise NotInJ(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
+    return found[1]
 
 
 def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | int) -> JElement:

@@ -221,6 +221,25 @@ def test_count_budget_exit_3(capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("ambient", ["gl3", "sl3"])
+def test_count_counts_each_prime_power_factor_once(capsys, monkeypatch, ambient):
+    from voicegroup import structure
+
+    calls = []
+    count_dets = structure._count_dets
+
+    def counting(q, want_det_one, budget):
+        calls.append(q)
+        return count_dets(q, want_det_one, budget)
+
+    monkeypatch.setattr(structure, "_count_dets", counting)
+    code, out, _ = run(capsys, "count", ambient, "--mod", "12", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == payload["voicing_group_index"] * 2 * 12**2
+    assert sorted(calls) == [3, 4]
+
+
 def test_orbit_dual_root_position(capsys):
     code, out, _ = run(capsys, "orbit", "--seed", "0,4,7", "--group", "j", "--format", "json")
     assert code == 0
@@ -252,6 +271,16 @@ def test_hook_from_utt(capsys):
 def test_hook_rejects_non_hook_element(capsys):
     code, _, err = run(capsys, "hook", "to-utt", "--element", "(12)U")
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize("direction, arg", [("to-utt", "--element=(13)W"), ("from-utt", "--utt=<+,1,0>")])
+def test_hook_has_no_mod_option(capsys, direction, arg):
+    # the Hook map is defined over Z/12 only, so a modulus is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["hook", direction, arg, "--mod", "5"])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert "--mod" in err
 
 
 def test_rich_cycle(capsys):
@@ -310,6 +339,19 @@ def test_export_network_json_schema(capsys, grail_file):
     code, out, _ = run(capsys, "export-dot", grail_file, "--format", "json")
     assert code == 0
     check("network", json.loads(out))
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+def test_mod_must_match_the_progression_file(capsys, fifths_file, command):
+    # FALLING_FIFTHS is a mod-7 progression; the default of other commands, 12, must not apply
+    code, out, err = run(capsys, command, fifths_file, "--mod", "12")
+    assert code == 1
+    assert out == ""
+    assert "--mod 12" in err and "7" in err
+    code, out, _ = run(capsys, command, fifths_file, "--mod", "7")
+    assert code == 0 and out
+    code, out_default, _ = run(capsys, command, fifths_file)
+    assert code == 0 and out_default == out
 
 
 def test_progression_schema_accepts_canonical_files():

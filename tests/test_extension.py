@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, identity, mat_mul, perm_matrix
-from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix, word_to_element
+from voicegroup.voicing import (
+    Generator,
+    JElement,
+    NotInJ,
+    decode,
+    enumerate_J,
+    generator_matrix,
+    word_to_element,
+)
 from voicegroup.extension import (
     CosetTag,
     ExtElement,
@@ -131,6 +139,97 @@ def test_decode_examples():
 def test_decode_round_trip_all_elements(ext12):
     for a in ext12:
         assert ext_decode(a.matrix()) == a
+
+
+def _product_matrix(sigma, k, m, n, modulus):
+    """P_sigma U^k (UV)^m (UW)^n as a product of permutation and generator matrices."""
+    u, v, w = (generator_matrix(g, modulus) for g in Generator)
+    acc = perm_matrix(sigma, modulus)
+    for factor in [u] * k + [mat_mul(u, v)] * m + [mat_mul(u, w)] * n:
+        acc = mat_mul(acc, factor)
+    return acc
+
+
+def _six_sigma_oracle(a):
+    """The (sigma, j) with P_sigma M_j == a, or None, found by trial: strip each
+    sigma, read (m, n) off the first row for both k, and compare the normal-form
+    matrix written out entrywise."""
+    nn = a.modulus.n
+    for sigma in ALL_PERMS:
+        rows = Mat3(sigma.inverse().apply(a.rows), a.modulus)
+        for k in (0, 1):
+            m, n = (1 - k - rows.rows[0][0]) % nn, (k - rows.rows[0][1]) % nn
+            if k == 0:
+                want = ((1 - m, -n, m + n), (-m, 1 - n, m + n), (-m, -n, 1 + m + n))
+            else:
+                want = ((-m, 1 - n, m + n), (1 - m, -n, m + n), (1 - m, 1 - n, -1 + m + n))
+            if Mat3.of(want, a.modulus) == rows:
+                return ExtElement(sigma, JElement(k, m, n, a.modulus))
+    return None
+
+
+def _assert_decoders_agree_with_oracle(a):
+    want = _six_sigma_oracle(a)
+    if want is None:
+        with pytest.raises(NotInExtension):
+            ext_decode(a)
+    else:
+        assert ext_decode(a) == want
+    if want is not None and want.sigma.is_identity():
+        assert decode(a) == want.j
+    else:
+        with pytest.raises(NotInJ):
+            decode(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.sampled_from(ALL_PERMS), st.integers(0, 1), st.data())
+def test_decode_round_trips_against_matrix_products(n, sigma, k, data):
+    m, nn = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    element = ExtElement(sigma, JElement(k, m, nn, Modulus(n)))
+    mat = _product_matrix(sigma, k, m, nn, Modulus(n))
+    assert element.matrix() == mat
+    assert ext_decode(mat) == element
+    if sigma.is_identity():
+        assert decode(mat) == element.j
+    else:
+        with pytest.raises(NotInJ):
+            decode(mat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.sampled_from(ALL_PERMS), st.integers(0, 1), st.data())
+def test_decode_verdict_on_perturbed_members_matches_oracle(n, sigma, k, data):
+    m, nn = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows = [list(r) for r in ExtElement(sigma, JElement(k, m, nn, Modulus(n))).matrix().rows]
+    i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    delta = data.draw(st.integers(1, n - 1))
+    if data.draw(st.booleans()):
+        rows[i][j] += delta
+    else:
+        # shifting a whole column keeps the row differences, so only the
+        # membership check on the rebuilt matrix can reject it
+        for row in rows:
+            row[j] += delta
+    _assert_decoders_agree_with_oracle(Mat3.of(rows, Modulus(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_decode_verdict_on_random_matrices_matches_oracle(n, data):
+    rows = [[data.draw(st.integers(0, n - 1)) for _ in range(3)] for _ in range(3)]
+    _assert_decoders_agree_with_oracle(Mat3.of(rows, Modulus(n)))
+
+
+def test_row_difference_patterns_are_distinct_mod_every_n():
+    # the decoder names (sigma, k) by rows 2 and 3 minus row 1 of P_sigma M_{U^k}
+    for n in range(3, 61):
+        patterns = set()
+        for sigma in ALL_PERMS:
+            for k in (0, 1):
+                rows = _product_matrix(sigma, k, 0, 0, Modulus(n)).rows
+                patterns.add(tuple((b - a) % n for row in rows[1:] for a, b in zip(rows[0], row)))
+        assert len(patterns) == 12, n
 
 
 def test_enumeration_sizes(ext12):

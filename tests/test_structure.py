@@ -171,13 +171,6 @@ def test_counts_match_closed_form(n):
     assert count_SL3(n) == sl3_order_closed_form(n)
 
 
-@pytest.mark.slow
-def test_counts_match_closed_form_mod_7():
-    budget = 7**9
-    assert count_GL3(7, budget) == gl3_order_closed_form(7)
-    assert count_SL3(7, budget) == sl3_order_closed_form(7)
-
-
 def _det_counts_oracle(q):
     """(#unit determinants, #determinant one) over all q^9 matrices mod q = p^a.
 

@@ -80,6 +80,14 @@ def test_decode_is_a_bijection(n):
     assert len(seen) == 2 * n * n
 
 
+def test_constructor_accepts_an_int_modulus():
+    # like JElement.identity, Vec3.of and Mat3.of, the constructor takes n as an int
+    assert JElement(0, 1, 2, 12) == JElement(0, 1, 2, M12)
+    assert JElement(1, 13, -1, 7) == JElement(1, 6, 6, M7)
+    with pytest.raises(ValueError):
+        JElement(0, 0, 0, 2)
+
+
 def test_multiplication_examples():
     u = JElement(1, 0, 0, M12)
     assert (u * u).is_identity()

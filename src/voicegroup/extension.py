@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .modring import Modulus, Residue, as_modulus, check_same_modulus
 from .linalg import ALL_PERMS, Mat3, Perm3, Vec3
 from .voicing import (
+    _BASES,
     _GENERATOR_EXPONENTS,
     Generator,
     JElement,
@@ -63,6 +64,8 @@ def _conjugation_row(sigma: Perm3) -> tuple[int, int, int, int, int, int]:
 
 
 _CONJUGATION = {sigma: _conjugation_row(sigma) for sigma in ALL_PERMS}
+# The translation row (-m, -n, m+n) of P_sigma M_j sums to 0, so the trace is tr(P_sigma M_{U^k}).
+_TRACES = {key: sum(rows[i][i] for i in range(3)) for key, rows in _BASES.items()}
 _PERM_ORDER = {"identity": 1, "transposition": 2, "three_cycle": 3}
 
 
@@ -135,7 +138,7 @@ class ExtElement:
         return self.sigma.apply(self.j.apply(v))
 
     def trace(self) -> Residue:
-        return self.matrix().trace()
+        return Residue(_TRACES[self.sigma, self.j.k], self.modulus)
 
     def sort_key(self) -> tuple[int, int, int, int]:
         return (ALL_PERMS.index(self.sigma),) + self.j.sort_key()
@@ -184,15 +187,58 @@ def enumerate_coset(tag: CosetTag, modulus: Modulus | int) -> list[ExtElement]:
     ]
 
 
+def _span(g1: tuple[int, int], g2: tuple[int, int], n: int) -> list[tuple[int, int]]:
+    """The subgroup of (Z/n)^2 generated by g1 and g2, each element listed once."""
+    cyclic, x = [], (0, 0)
+    while True:
+        cyclic.append(x)
+        x = ((x[0] + g1[0]) % n, (x[1] + g1[1]) % n)
+        if x == (0, 0):
+            break
+    # for the least t > 0 with t*g2 in <g1>, the cosets i*g2 + <g1>, 0 <= i < t, are disjoint
+    members, steps, y = set(cyclic), [(0, 0)], (g2[0] % n, g2[1] % n)
+    while y not in members:
+        steps.append(y)
+        y = ((y[0] + g2[0]) % n, (y[1] + g2[1]) % n)
+    return [((a + c) % n, (b + d) % n) for c, d in steps for a, b in cyclic]
+
+
+def _translation_class(b: ExtElement) -> list[ExtElement]:
+    """{s b s^-1 : s in T} = b * (phi_b - 1)T, where phi_b(s) = b^-1 s b and T = {(UV)^m (UW)^n}."""
+    m = b.modulus
+    b_inv = b.inverse()
+    e1, e2 = (
+        (b_inv * ExtElement.from_j(JElement(0, *t, m)) * b).j for t in ((1, 0), (0, 1))
+    )
+    sigma, j = b.sigma, b.j
+    return [
+        ExtElement(sigma, JElement(j.k, j.m + dm, j.n + dn, m))
+        for dm, dn in _span((e1.m - 1, e1.n), (e2.m, e2.n - 1), m.n)
+    ]
+
+
 def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]:
-    """{g a g^-1} over the chosen group, by exhaustive conjugation."""
+    """{g a g^-1} over the chosen group, listed in time proportional to its size.
+
+    The translations T = {(UV)^m (UW)^n} are normal with coset representatives
+    tau = sigma U^k (all twelve for the extension, Id and U for J). For s in T,
+    s b s^-1 = b (phi_b(s) - s) with phi_b(s) = b^-1 s b linear on T, so the
+    T-class of b is the coset b (phi_b - 1)T, and the class of a is the disjoint
+    union of the T-classes of the tau a tau^-1.
+    """
+    m = a.modulus
     if within == "J":
-        group = [ExtElement.from_j(j) for j in enumerate_J(a.modulus)]
+        taus = [ExtElement.from_j(JElement(k, 0, 0, m)) for k in (0, 1)]
     elif within == "extension":
-        group = enumerate_extension(a.modulus)
+        taus = [ExtElement(sigma, JElement(k, 0, 0, m)) for sigma in ALL_PERMS for k in (0, 1)]
     else:
         raise ValueError(f"within must be 'J' or 'extension', got {within!r}")
-    return {g * a * g.inverse() for g in group}
+    out: set[ExtElement] = set()
+    for tau in taus:
+        b = tau * a * tau.inverse()
+        if b not in out:  # T-classes partition the class
+            out.update(_translation_class(b))
+    return out
 
 
 _TOKEN = re.compile(

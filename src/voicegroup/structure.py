@@ -357,10 +357,14 @@ def check_duality(seed: Vec3) -> DualityReport:
     ti_transitive = {f(seed) for f in ti} == orbit_set
     ti_simply = ti_transitive and len(set(ti_restrictions)) == len(orbit)
 
+    # Each restriction is a homomorphism into Sym(orbit), so the restricted groups
+    # commute exactly when their generators do. Both lists put the generators at
+    # positions 1 and n: UV (or UW) and U, and x+1 and -x.
+    gens = (1, n)
     commuting = all(
-        tuple(c[t[i]] for i in range(len(orbit))) == tuple(t[c[i]] for i in range(len(orbit)))
-        for c in set(ctx_restrictions)
-        for t in set(ti_restrictions)
+        tuple(c[i] for i in t) == tuple(t[i] for i in c)
+        for c in (ctx_restrictions[g] for g in gens)
+        for t in (ti_restrictions[g] for g in gens)
     )
     ok = len(orbit) == 2 * n and ctx_simply and ti_simply and commuting
     return DualityReport(

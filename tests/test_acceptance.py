@@ -66,7 +66,6 @@ from voicegroup.analysis import (
     orbit_of_element,
     rich_element,
     solve_step,
-    solve_step_bruteforce,
     solve_uniform,
     verify_morphism_commutation,
 )
@@ -362,32 +361,35 @@ def test_criterion_11_duality():
     print("criterion 11: PASS - dual pairs at (0,4,7) and (0,4,1); (0,4,10) fails with witness")
 
 
-def test_criterion_12_oracle_equivalence(j12):
+def test_criterion_12_oracle_equivalence(j12, ext12):
     # normal-form multiplication vs matrix multiplication, all 288 x 288 pairs
     mats = np.array([e.matrix().rows for e in j12], dtype=np.int64)
-    products = np.einsum("aij,bjk->abik", mats, mats) % 12
-    index = {e: i for i, e in enumerate(j12)}
-    for a in j12:
-        row = products[index[a]]
-        for b in j12:
-            got = (a * b).matrix().rows
-            assert (row[index[b]] == np.array(got)).all()
+    products = [
+        [tuple(map(tuple, p)) for p in row]
+        for row in (np.einsum("aij,bjk->abik", mats, mats) % 12).tolist()
+    ]
+    for a, row in zip(j12, products):
+        for b, want in zip(j12, row):
+            assert (a * b).matrix().rows == want
 
-    # linear solve_step vs scanning all 1728 elements, 200 random instances
+    # linear solve_step vs scanning all 1728 element matrices, 200 random instances
+    ext_mats = np.array([a.matrix().rows for a in ext12], dtype=np.int64)
     rng = random.Random(12)
     for _ in range(200):
         src = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
         dst = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
-        assert solve_step(src, dst) == solve_step_bruteforce(src, dst)
+        hits = ((ext_mats @ np.array(src.entries)) % 12 == np.array(dst.entries)).all(axis=1)
+        scan = sorted((ext12[i] for i in np.flatnonzero(hits)), key=ExtElement.sort_key)
+        assert solve_step(src, dst) == scan
 
     # CRT-per-factor solving vs direct mod-12 enumeration, homogeneous
     # systems: every 1- and 2-row system in 1 and 2 unknowns
+    candidates = {d: np.array(list(product(range(12), repeat=d)), dtype=np.int64) for d in (1, 2)}
+
     def direct(rows, d):
-        return sorted(
-            cand
-            for cand in product(range(12), repeat=d)
-            if all(sum(r * x for r, x in zip(row, cand)) % 12 == 0 for row in rows)
-        )
+        # product() lists the candidates in sorted order, and the mask keeps it
+        ok = ((candidates[d] @ np.array(rows, dtype=np.int64).T) % 12 == 0).all(axis=1)
+        return list(map(tuple, candidates[d][ok].tolist()))
 
     for a in range(12):
         assert solve_homogeneous([[a]], 12) == direct([[a]], 1)

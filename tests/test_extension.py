@@ -118,6 +118,26 @@ def test_multiply_matches_matrix_oracle_on_generating_closure():
             assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
 
 
+def _element_product_matrix(a):
+    return _product_matrix(a.sigma, a.j.k, a.j.m, a.j.n, a.modulus)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_multiply_and_inverse_match_generator_matrix_products(n, data):
+    mod, residue = Modulus(n), st.integers(0, n - 1)
+    a, b = (
+        ExtElement(
+            data.draw(st.sampled_from(ALL_PERMS)),
+            JElement(data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue), mod),
+        )
+        for _ in range(2)
+    )
+    ma = _element_product_matrix(a)
+    assert _element_product_matrix(a * b) == mat_mul(ma, _element_product_matrix(b))
+    assert mat_mul(ma, _element_product_matrix(a.inverse())) == identity(mod)
+
+
 def test_inverses(ext12):
     rng = random.Random(4)
     for _ in range(500):
@@ -284,6 +304,77 @@ def test_trace_table(ext12):
     }
     for a in ext12:
         assert trace(a).value == expected[(a.sigma.cycle_type(), a.j.k)]
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_trace_table_matches_matrix_trace(n):
+    for a in enumerate_extension(n):
+        assert a.trace() == a.matrix().trace()
+
+
+def _group(within, modulus):
+    if within == "J":
+        return [ExtElement.from_j(j) for j in enumerate_J(modulus)]
+    return enumerate_extension(modulus)
+
+
+def _conjugacy_class_oracle(a, within):
+    """{g a g^-1} by exhaustive conjugation over the chosen group."""
+    return {g * a * g.inverse() for g in _group(within, a.modulus)}
+
+
+@pytest.mark.parametrize("within", ["J", "extension"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_conjugacy_class_matches_scan_on_every_element(n, within):
+    # one scan per class: every member of a scanned class has that class
+    classes = {}
+    for a in enumerate_extension(n):
+        if a not in classes:
+            cls = frozenset(_conjugacy_class_oracle(a, within))
+            classes.update(dict.fromkeys(cls, cls))
+        assert conjugacy_class(a, within) == classes[a]
+
+
+def _conjugators(within, modulus):
+    gens = [ExtElement.from_j(JElement.from_generator(g, modulus)) for g in Generator]
+    if within == "extension":
+        gens += [ExtElement.from_sigma(Perm3.from_cycle(c), modulus) for c in ("(12)", "(13)")]
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 60),
+    st.sampled_from(["J", "extension"]),
+    st.sampled_from(ALL_PERMS),
+    st.integers(0, 1),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_conjugacy_class_property(n, within, sigma, k, m, nn):
+    a = ExtElement(sigma, JElement(k, m, nn, Modulus(n)))
+    cls = conjugacy_class(a, within)
+    assert a in cls
+    for g in _conjugators(within, a.modulus):
+        g_inv = g.inverse()
+        assert {g * c * g_inv for c in cls} == cls
+    assert (12 if within == "extension" else 2) * n * n % len(cls) == 0
+    if n <= 24:
+        assert cls == _conjugacy_class_oracle(a, within)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_class_equation(n):
+    for within, order in (("J", 2 * n * n), ("extension", 12 * n * n)):
+        group = _group(within, n)
+        seen = set()
+        for a in group:
+            if a not in seen:
+                cls = conjugacy_class(a, within)
+                assert seen.isdisjoint(cls)
+                seen |= cls
+        assert seen == set(group)
+        assert len(seen) == order
 
 
 def test_conjugacy_classes_of_u():

@@ -231,6 +231,40 @@ def test_duality_dual_pairs():
         assert report.is_dual_pair
 
 
+def _commute_elementwise(seed, which):
+    """Every restricted contextual element against every restricted T/I map."""
+    m = seed.modulus
+    orbit = ti_orbit(seed)
+    contextual = [
+        JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
+        for k in (0, 1)
+        for t in range(m.n)
+    ]
+    ctx = {restrict_to_orbit(g, orbit) for g in contextual}
+    ti = {restrict_to_orbit(f, orbit) for f in ti_group(m)}
+    return all(
+        tuple(c[t[i]] for i in range(len(orbit))) == tuple(t[c[i]] for i in range(len(orbit)))
+        for c in ctx
+        for t in ti
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_duality_commutation_matches_all_pairs(n):
+    m = Modulus(n)
+    for x in range(n):
+        for y in range(n):
+            report = check_duality(Vec3.of(x, y, 0, m))
+            commuting = _commute_elementwise(report.seed, report.contextual_generator)
+            assert report.mutually_commuting == commuting
+            assert report.is_dual_pair == (
+                report.orbit_size == 2 * n
+                and report.simply_transitive_contextual
+                and report.simply_transitive_TI
+                and commuting
+            )
+
+
 def test_duality_counterexample():
     report = check_duality(Vec3.of(0, 4, 10, M12))
     assert report.orbit_size == 24

@@ -107,13 +107,16 @@ def mat_mul(a: Mat3, b: Mat3) -> Mat3:
     return Mat3(rows, a.modulus)
 
 
+def _mat_vec_ints(rows, v: tuple[int, int, int], n: int) -> tuple[int, int, int]:
+    """rows . v mod n on plain integer rows and triples: the one matrix-action kernel."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return ((a * x + b * y + c * z) % n, (d * x + e * y + f * z) % n, (g * x + h * y + i * z) % n)
+
+
 def mat_vec(a: Mat3, v: Vec3) -> Vec3:
     check_same_modulus(a.modulus, v.modulus)
-    n = a.modulus.n
-    return Vec3(
-        tuple(sum(a.rows[i][k] * v.entries[k] for k in range(3)) % n for i in range(3)),
-        a.modulus,
-    )
+    return Vec3(_mat_vec_ints(a.rows, v.entries, a.modulus.n), a.modulus)
 
 
 def identity(modulus: Modulus | int) -> Mat3:

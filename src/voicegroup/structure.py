@@ -8,9 +8,14 @@ default. GL/SL orders count invertible / determinant-one matrices per
 prime-power factor q and multiply the counts out: the count enumerates the
 first two rows and counts the third in closed form (q^6 work), while the
 budget still bounds the q^9 matrices counted, so `count` keeps its exit-3
-contract. A closed-form product is available as a cross-check. The duality
-check restricts a contextual dihedral group and the transposition/inversion
-group to a common orbit and tests simple transitivity plus commutation.
+contract. A closed-form product is available as a cross-check.
+
+The duality check compares a contextual dihedral group with the
+transposition/inversion group on the seed's T/I orbit, in O(n) and on plain
+integer triples. A transitive group acts simply transitively exactly when
+every element fixing the seed fixes the whole orbit, so only the seed's
+stabilizer is tested against the orbit; commutation is tested on the
+generators.
 """
 
 from __future__ import annotations
@@ -39,8 +44,10 @@ from .linalg import (
     mat_mul,
     mat_vec,
     scalar_affine,
+    _mat_vec_ints,
 )
 from .voicing import Generator, JElement, generator_matrix
+from .extension import sigma_conjugate_generator
 
 
 class Ambient(enum.Enum):
@@ -279,10 +286,21 @@ def ti_group(modulus: Modulus | int) -> list[AffineMap]:
     return maps
 
 
+def _ti_image(v: tuple[int, int, int], s: int, t: int, n: int) -> tuple[int, int, int]:
+    """The T/I map x -> s x + t, applied to every component of a plain integer triple."""
+    x, y, z = v
+    return ((s * x + t) % n, (s * y + t) % n, (s * z + t) % n)
+
+
+def _ti_images(v: tuple[int, int, int], n: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The image of v under each T/I map, keyed by (s, t)."""
+    return {(s, t): _ti_image(v, s, t, n) for s in (1, -1) for t in range(n)}
+
+
 def ti_orbit(seed: Vec3) -> list[Vec3]:
     """The orbit of seed under the T/I group, deterministically ordered."""
-    out = {f(seed) for f in ti_group(seed.modulus)}
-    return sorted(out, key=lambda v: v.entries)
+    images = _ti_images(seed.entries, seed.modulus.n)
+    return [Vec3(w, seed.modulus) for w in sorted(set(images.values()))]
 
 
 def restrict_to_orbit(action, orbit: Sequence[Vec3]) -> tuple[int, ...]:
@@ -329,43 +347,73 @@ class DualityReport:
     is_dual_pair: bool
 
 
-def _contextual_group(seed: Vec3, which: str) -> list[JElement]:
-    """The 2n-element dihedral group generated by U and UV (or UW)."""
-    m = seed.modulus
-    out = []
-    for k in (0, 1):
-        for t in range(m.n):
-            out.append(JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m))
-    return out
+def _contextual_element(which: str, k: int, t: int, m: Modulus) -> JElement:
+    """U^k (UV)^t or U^k (UW)^t: the 2n of them form the contextual dihedral group."""
+    return JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
+
+
+def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
+    """Whether a finite group acts simply transitively on the orbit through seed.
+
+    `images` maps each group element to its image of seed, and `action(g)` is
+    g as a function on the orbit. If the group is transitive, its image in
+    Sym(orbit) has |G|/|K| elements, where the pointwise stabilizer K of the
+    orbit lies in Stab(seed), and |orbit| = |G|/|Stab(seed)|. So it acts simply
+    transitively exactly when every element fixing seed fixes the whole orbit:
+    |Stab(seed)| * |orbit| = |G| further checks.
+    """
+    if set(images.values()) != orbit:
+        return False
+    for g, image in images.items():
+        if image == seed:
+            act = action(g)
+            if any(act(w) != w for w in orbit):
+                return False
+    return True
 
 
 def check_duality(seed: Vec3) -> DualityReport:
-    """Restrict the contextual and T/I groups to the seed's T/I orbit and compare."""
-    n = seed.modulus.n
-    x, y, z = seed.entries
+    """Compare the contextual and T/I groups on the seed's T/I orbit, in O(n).
+
+    Everything runs on plain integer triples: a contextual element acts
+    through the integer rows of its matrix, a T/I map as x -> s x + t. Simple
+    transitivity is read off the seed's stabilizer (see _simply_transitive)
+    instead of restricting all 4n elements to the orbit; commutation is tested
+    on the generators over the orbit, and the generators of both groups must
+    map the orbit into itself.
+    """
+    m = seed.modulus
+    n = m.n
+    x, y, z = origin = seed.entries
     which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
-    orbit = ti_orbit(seed)
-    orbit_set = set(orbit)
+    ti_images = _ti_images(origin, n)
+    orbit = set(ti_images.values())
 
-    contextual = _contextual_group(seed, which)
-    ctx_restrictions = [restrict_to_orbit(g, orbit) for g in contextual]
-    ctx_transitive = {g.apply(seed) for g in contextual} == orbit_set
-    ctx_simply = ctx_transitive and len(set(ctx_restrictions)) == len(orbit)
+    def ctx(k: int, t: int):
+        rows = _contextual_element(which, k, t, m).matrix().rows
+        return lambda w: _mat_vec_ints(rows, w, n)
 
-    ti = ti_group(seed.modulus)
-    ti_restrictions = [restrict_to_orbit(f, orbit) for f in ti]
-    ti_transitive = {f(seed) for f in ti} == orbit_set
-    ti_simply = ti_transitive and len(set(ti_restrictions)) == len(orbit)
+    def ti(s: int, t: int):
+        return lambda w: _ti_image(w, s, t, n)
+
+    ctx_gens = (ctx(0, 1), ctx(1, 0))  # UV (or UW) and U
+    ti_gens = (ti(1, 1), ti(-1, 0))  # x+1 and -x
+    if any(g(w) not in orbit for g in ctx_gens + ti_gens for w in orbit):
+        raise ValueError(f"the T/I orbit of {seed} is not closed under the generators")
+
+    # U^k (UV)^t seed: walk the translation-like generator, flipping each point by U
+    step, flip = ctx_gens
+    ctx_images, v = {}, origin
+    for t in range(n):
+        ctx_images[0, t] = v
+        ctx_images[1, t] = flip(v)
+        v = step(v)
+    ctx_simply = _simply_transitive(origin, orbit, ctx_images, lambda key: ctx(*key))
+    ti_simply = _simply_transitive(origin, orbit, ti_images, lambda key: ti(*key))
 
     # Each restriction is a homomorphism into Sym(orbit), so the restricted groups
-    # commute exactly when their generators do. Both lists put the generators at
-    # positions 1 and n: UV (or UW) and U, and x+1 and -x.
-    gens = (1, n)
-    commuting = all(
-        tuple(c[i] for i in t) == tuple(t[i] for i in c)
-        for c in (ctx_restrictions[g] for g in gens)
-        for t in (ti_restrictions[g] for g in gens)
-    )
+    # commute exactly when their generators do.
+    commuting = all(c(f(w)) == f(c(w)) for c in ctx_gens for f in ti_gens for w in orbit)
     ok = len(orbit) == 2 * n and ctx_simply and ti_simply and commuting
     return DualityReport(
         seed=seed,
@@ -393,36 +441,37 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
 
     For each of the six T/I orbits of the reorderings tau(0,4,7), compare each
     generator with tau X tau^-1 for X in {P, L, R} (the contextual operations
-    on the dualistic root-position orbit) across all 24 orbit elements. The
-    match is required to be unique; an ambiguous match raises.
+    on the dualistic root-position orbit) across all 24 orbit elements, on
+    plain integer triples. tau X tau^-1 is again a reflection,
+    sigma_conjugate_generator(tau, X). The match is required to be unique; an
+    ambiguous match raises.
     """
     m = as_modulus(modulus)
-    base = Vec3.of(0, 4, 7, m)
-    base_orbit = ti_orbit(base)
+    base = Vec3.of(0, 4, 7, m).entries
     # On the dualistic root-position orbit the three reflections realize
-    # P, L, R; these matrices serve as the reference contextual operations.
-    contextual = {
-        "P": generator_matrix(Generator.W, m),
-        "L": generator_matrix(Generator.V, m),
-        "R": generator_matrix(Generator.U, m),
-    }
+    # P, L, R; these serve as the reference contextual operations.
+    contextual = {"P": Generator.W, "L": Generator.V, "R": Generator.U}
     table: dict[tuple[int, int, int], dict[str, str]] = {}
     for tau in ALL_PERMS:
         rep = tau.apply(base)
-        orbit = [tau.apply(v) for v in base_orbit]
-        tau_inv = tau.inverse()
+        orbit = set(_ti_images(rep, m.n).values())
+        conjugates = {
+            name: generator_matrix(sigma_conjugate_generator(tau, x), m).rows
+            for name, x in contextual.items()
+        }
         column: dict[str, str] = {}
         for g in Generator:
-            gm = generator_matrix(g, m)
+            rows = generator_matrix(g, m).rows
             matches = [
                 name
-                for name, xm in contextual.items()
-                if all(mat_vec(gm, w) == tau.apply(mat_vec(xm, tau_inv.apply(w))) for w in orbit)
+                for name, xrows in conjugates.items()
+                if all(_mat_vec_ints(rows, w, m.n) == _mat_vec_ints(xrows, w, m.n) for w in orbit)
             ]
             if len(matches) != 1:
                 raise AssertionError(
-                    f"generator {g} matches {matches!r} on orbit of {rep}; expected exactly one"
+                    f"generator {g} matches {matches!r} on orbit of {Vec3(rep, m)}; "
+                    "expected exactly one"
                 )
             column[g.name] = matches[0]
-        table[rep.entries] = column
+        table[rep] = column
     return table

@@ -10,6 +10,9 @@ extended voicing group, here called the Hook group.
 
 Root position writes minor triads as (r, r+3, r+7); dualistic root position
 writes them reversed, (r+7, r+3, r). Majors are (r, r+4, r+7) in both.
+
+Orbits of voicings are searched breadth-first on plain integer triples, each
+generator acting through the integer rows of its matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .modring import Modulus
-from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13
+from .modring import Modulus, check_same_modulus
+from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints
 from .voicing import JElement
 from .extension import ExtElement
 
@@ -116,21 +119,31 @@ def classify(v: Vec3) -> TriadClass | None:
 
 
 def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
-    """BFS closure of seed under the generators and their inverses."""
-    gens = list(generators)
-    gens += [g.inverse() for g in gens]
-    seen = {seed}
-    frontier = [seed]
+    """BFS closure of seed under the generators and their inverses.
+
+    Each generator and each inverse is read once as the integer rows of its
+    matrix; the search then runs on plain (x, y, z) tuples mod n, and a Vec3
+    is built only for each tuple of the result. Translations move a tuple
+    only along (1, 1, 1), so an orbit has at most 12n tuples.
+    """
+    m = seed.modulus
+    actions = set()
+    for g in generators:
+        check_same_modulus(g.modulus, m)
+        actions.add(g.matrix().rows)
+        actions.add(g.inverse().matrix().rows)
+    seen = {seed.entries}
+    frontier = [seed.entries]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in gens:
-                w = g.apply(v)
+            for rows in actions:
+                w = _mat_vec_ints(rows, v, m.n)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return seen
+    return {Vec3(w, m) for w in seen}
 
 
 def stabilizer_of_set(group: Iterable[ExtElement], target: Iterable[Vec3]) -> list[ExtElement]:

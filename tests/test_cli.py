@@ -254,6 +254,13 @@ def test_orbit_all_triads(capsys):
     assert json.loads(out)["size"] == 144
 
 
+def test_orbit_at_a_large_modulus(capsys):
+    # 12 point-group cosets times the n = 5040 shifts along (1, 1, 1)
+    code, out, _ = run(capsys, "orbit", "--seed", "0,1,3", "--group", "extension", "--mod", "5040")
+    assert code == 0
+    assert out.splitlines()[0] == "size: 60480"
+
+
 def test_hook_to_utt(capsys):
     code, out, _ = run(capsys, "hook", "to-utt", "--element", "(13)W")
     assert code == 0

@@ -1,8 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import voicegroup.structure as structure
 from voicegroup.modring import BudgetExceeded, Modulus
 from voicegroup.linalg import (
+    TRANSPOSITION_12,
     AffineMap,
     Mat3,
     Vec3,
@@ -13,8 +19,10 @@ from voicegroup.linalg import (
     scalar_affine,
 )
 from voicegroup.voicing import JElement, enumerate_J
+from voicegroup.extension import ExtElement
 from voicegroup.structure import (
     Ambient,
+    DualityReport,
     center_of_J,
     centralizer_in_Aff,
     centralizer_in_GL3,
@@ -231,6 +239,100 @@ def test_duality_dual_pairs():
         assert report.is_dual_pair
 
 
+def _duality_oracle(seed):
+    """The report from restricting all 2n contextual elements and all 2n T/I maps."""
+    m = seed.modulus
+    n = m.n
+    x, y, z = seed.entries
+    which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
+    orbit = ti_orbit(seed)
+    orbit_set = set(orbit)
+    contextual = [
+        JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
+        for k in (0, 1)
+        for t in range(n)
+    ]
+    ctx_restrictions = [restrict_to_orbit(g, orbit) for g in contextual]
+    ctx_transitive = {g.apply(seed) for g in contextual} == orbit_set
+    ctx_simply = ctx_transitive and len(set(ctx_restrictions)) == len(orbit)
+    ti = ti_group(m)
+    ti_restrictions = [restrict_to_orbit(f, orbit) for f in ti]
+    ti_transitive = {f(seed) for f in ti} == orbit_set
+    ti_simply = ti_transitive and len(set(ti_restrictions)) == len(orbit)
+    # generators sit at positions 1 and n of both lists: UV (or UW) and U, x+1 and -x
+    commuting = all(
+        tuple(c[i] for i in t) == tuple(t[i] for i in c)
+        for c in (ctx_restrictions[1], ctx_restrictions[n])
+        for t in (ti_restrictions[1], ti_restrictions[n])
+    )
+    return DualityReport(
+        seed=seed,
+        orbit_size=len(orbit),
+        contextual_generator=which,
+        simply_transitive_contextual=ctx_simply,
+        simply_transitive_TI=ti_simply,
+        mutually_commuting=commuting,
+        is_dual_pair=len(orbit) == 2 * n and ctx_simply and ti_simply and commuting,
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_duality_matches_oracle_on_every_seed(n):
+    # seeds with z = 0 cover all: a shift by (c, c, c) changes only the seed field
+    m = Modulus(n)
+    for x in range(n):
+        for y in range(n):
+            seed = Vec3.of(x, y, 0, m)
+            assert check_duality(seed) == _duality_oracle(seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_duality_property(n, data):
+    residue = st.integers(0, n - 1)
+    seed = Vec3((data.draw(residue), data.draw(residue), data.draw(residue)), Modulus(n))
+    report = check_duality(seed)
+    if n <= 24:
+        assert report == _duality_oracle(seed)
+    shifted = seed.shift(data.draw(residue))
+    assert check_duality(shifted) == dataclasses.replace(report, seed=shifted)
+    assert report.orbit_size == len(ti_orbit(seed))
+    # T/I is transitive on its own orbit and has 2n elements
+    assert report.simply_transitive_TI == (report.orbit_size == 2 * n)
+    assert report.is_dual_pair == (
+        report.orbit_size == 2 * n
+        and report.simply_transitive_contextual
+        and report.simply_transitive_TI
+        and report.mutually_commuting
+    )
+
+
+@pytest.mark.parametrize("entries", [(0, 0, 0), (0, 6, 0)])
+def test_duality_degenerate_seeds(entries):
+    # orbits of 12 < 2n tuples: both groups act, but neither simply transitively
+    seed = Vec3.of(*entries, M12)
+    report = check_duality(seed)
+    assert report == _duality_oracle(seed)
+    assert report.orbit_size == 12
+    assert report.contextual_generator == "UV"
+    assert not report.simply_transitive_contextual
+    assert not report.simply_transitive_TI
+    assert report.mutually_commuting
+    assert not report.is_dual_pair
+
+
+def test_duality_rejects_a_group_that_leaves_the_orbit(monkeypatch):
+    # Every element of J preserves every T/I orbit, so only a wrong contextual
+    # group can leave it: (12) (UV)^t sends (0,4,7) to (4,0,7), outside its orbit.
+    monkeypatch.setattr(
+        structure,
+        "_contextual_element",
+        lambda which, k, t, m: ExtElement(TRANSPOSITION_12, JElement(k, t, 0, m)),
+    )
+    with pytest.raises(ValueError, match="not closed"):
+        check_duality(Vec3.of(0, 4, 7, M12))
+
+
 def _commute_elementwise(seed, which):
     """Every restricted contextual element against every restricted T/I map."""
     m = seed.modulus
@@ -304,6 +406,11 @@ EXPECTED_TABLE = {
     (4, 0, 7): {"U": "R", "V": "P", "W": "L"},
     (7, 4, 0): {"U": "L", "V": "R", "W": "P"},
 }
+
+
+def test_orbit_restriction_table_raises_on_an_ambiguous_match():
+    with pytest.raises(AssertionError, match=r"matches \['L', 'R'\] on orbit of \(0,4,0\)"):
+        orbit_restriction_table(7)
 
 
 def test_orbit_restriction_table():

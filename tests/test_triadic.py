@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from voicegroup.cli import _ORBIT_GENERATORS
 from voicegroup.modring import Modulus
-from voicegroup.linalg import Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
+from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
 from voicegroup.voicing import JElement
 from voicegroup.extension import ExtElement
 from voicegroup.triadic import (
@@ -112,6 +115,64 @@ def test_orbit_sizes():
     assert len(orbit(mode_preserving_gens(), Vec3.of(0, 3, 7, M12))) == 72
     assert len(orbit(j_gens(), seed)) == 24
     assert len(orbit(hook_gens(), seed)) == 24
+
+
+def _orbit_oracle(generators, seed):
+    """BFS over Vec3, each step through the group element's own apply."""
+    gens = list(generators)
+    gens += [g.inverse() for g in gens]
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = g.apply(v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("group", sorted(_ORBIT_GENERATORS))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orbit_matches_oracle_on_every_seed(group, n):
+    # orbits partition the seeds, so one oracle orbit serves every seed in it
+    mod = Modulus(n)
+    gens = _ORBIT_GENERATORS[group](mod)
+    oracles = {}
+    for entries in itertools.product(range(n), repeat=3):
+        seed = Vec3(entries, mod)
+        if seed not in oracles:
+            want = _orbit_oracle(gens, seed)
+            oracles.update(dict.fromkeys(want, want))
+        assert orbit(gens, seed) == oracles[seed]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_orbit_property(n, data):
+    mod, residue = Modulus(n), st.integers(0, n - 1)
+    gens = [
+        ExtElement(
+            data.draw(st.sampled_from(ALL_PERMS)),
+            JElement(data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue), mod),
+        )
+        for _ in range(data.draw(st.integers(1, 5)))
+    ]
+    seed = Vec3((data.draw(residue), data.draw(residue), data.draw(residue)), mod)
+    got = orbit(gens, seed)
+    assert got == _orbit_oracle(gens, seed)
+    assert seed in got
+    assert all(g.apply(v) in got for g in gens for v in got)
+    # the translations move a tuple only along (1, 1, 1)
+    assert len(got) <= 12 * n
+
+
+def test_orbit_rejects_mixed_moduli():
+    with pytest.raises(ValueError):
+        orbit(ext_gens(), Vec3.of(0, 4, 7, 7))
 
 
 def test_orbits_have_expected_contents():

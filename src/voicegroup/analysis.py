@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul, scalar_affine
-from .voicing import JElement
+from .voicing import JElement, _act
 from .extension import ExtElement, enumerate_extension
 from .structure import centralizer_in_Aff
 from .triadic import hook_elements
@@ -75,49 +75,60 @@ class Progression:
         return cls.from_jsonable(json.loads(text))
 
 
+def _case(sigma: Perm3, k: int) -> tuple[Perm3, int, tuple[int, int, int], tuple[int, int, int]]:
+    """(sigma, k, pull, push): t[pull[i]] is entry i of sigma^-1(t), and push
+    is sigma's own slots for the action kernel."""
+    return sigma, k, sigma.inverse().slots, sigma.slots
+
+
+# Each group's cases in sort-key order (ALL_PERMS, then k), so that solutions
+# listed case by case, each case sorted by (m, n), come out sorted.
 _GROUP_CASES = {
-    "J": tuple((Perm3.identity(), k) for k in (0, 1)),
-    "extension": tuple((sigma, k) for sigma in ALL_PERMS for k in (0, 1)),
-    "hook": ((Perm3.identity(), 0), (TRANSPOSITION_13, 1)),
+    "J": tuple(_case(Perm3.identity(), k) for k in (0, 1)),
+    "extension": tuple(_case(sigma, k) for sigma in ALL_PERMS for k in (0, 1)),
+    "hook": (_case(Perm3.identity(), 0), _case(TRANSPOSITION_13, 1)),
 }
+_CASES = {(case[0].image, case[1]): case for case in _GROUP_CASES["extension"]}
 
 
-def _step_equation(src: Vec3, dst: Vec3, sigma: Perm3, k: int) -> tuple[list[int], int] | None:
+def _step_equation(src: tuple, dst: tuple, pull: tuple, k: int, nn: int) -> tuple[list[int], int] | None:
     """The linear condition on (m, n) for sigma U^k shift(m,n) to map src to dst.
 
-    Returns (row, rhs) or None when the required difference is not a
-    constant-diagonal vector (no solutions for this sigma, k).
+    src and dst are plain triples mod nn, and dst is read through pull as
+    sigma^-1(dst). Returns (row, rhs) or None when the required difference
+    sigma^-1(dst) - U^k(src) is not a constant-diagonal vector (no solutions
+    for this sigma, k).
     """
-    n = src.modulus.n
-    x, y, z = src.entries
-    base = (y, x, (-z + x + y) % n) if k else src.entries
-    target = sigma.inverse().apply(dst).entries
-    diffs = [(t - b) % n for t, b in zip(target, base)]
-    if diffs[0] != diffs[1] or diffs[0] != diffs[2]:
+    x, y, z = src
+    bx, by, bz = (y, x, x + y - z) if k else src
+    a, b, c = pull
+    d = (dst[a] - bx) % nn
+    if (dst[b] - by) % nn != d or (dst[c] - bz) % nn != d:
         return None
-    return [(z - x) % n, (z - y) % n], diffs[0]
+    return [(z - x) % nn, (z - y) % nn], d
 
 
 def solve_step(
     src: Vec3, dst: Vec3, group: str = "extension", budget: int = DEFAULT_BUDGET
 ) -> list[ExtElement]:
-    """All elements g of the chosen group with g(src) == dst.
+    """All elements g of the chosen group with g(src) == dst, in sort-key order.
 
     Each (sigma, k) case is a one-equation linear system in (m, n); the empty
     list is a valid result.
     """
-    check_same_modulus(src.modulus, dst.modulus)
+    modulus = check_same_modulus(src.modulus, dst.modulus)
     if group not in _GROUP_CASES:
         raise ValueError(f"group must be one of {sorted(_GROUP_CASES)}, got {group!r}")
+    nn = modulus.n
+    s, t = src.entries, dst.entries
     out = []
-    for sigma, k in _GROUP_CASES[group]:
-        eq = _step_equation(src, dst, sigma, k)
+    for sigma, k, pull, _ in _GROUP_CASES[group]:
+        eq = _step_equation(s, t, pull, k, nn)
         if eq is None:
             continue
         row, rhs = eq
-        for m, n in solve_linear([row], [rhs], src.modulus, budget):
-            out.append(ExtElement(sigma, JElement(k, m, n, src.modulus)))
-    out.sort(key=ExtElement.sort_key)
+        for m, n in solve_linear([row], [rhs], modulus, budget):
+            out.append(ExtElement(sigma, JElement(k, m, n, modulus)))
     return out
 
 
@@ -163,35 +174,38 @@ def solve_uniform(
 
     Stacks one linear equation per step (wrap-around included when cyclic)
     and solves exactly; every returned solution is re-verified against the
-    progression before being handed back.
+    progression before being handed back. Solutions come in (m, n) order.
     """
     if len(prog.tuples) < 2:
         raise ValueError("uniform solving needs at least two tuples")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
+    _, _, pull, push = _CASES[sigma.image, k]
+    modulus = prog.modulus
+    nn = modulus.n
+    steps = [(src.entries, dst.entries) for src, dst in prog.steps()]
     rows, rhs = [], []
-    for src, dst in prog.steps():
-        eq = _step_equation(src, dst, sigma, k)
+    for src, dst in steps:
+        eq = _step_equation(src, dst, pull, k, nn)
         if eq is None:
             return []
         rows.append(eq[0])
         rhs.append(eq[1])
     out = []
-    for m, n in solve_linear(rows, rhs, prog.modulus, budget):
-        g = ExtElement(sigma, JElement(k, m, n, prog.modulus))
-        if not all(g.apply(src) == dst for src, dst in prog.steps()):
+    for m, n in solve_linear(rows, rhs, modulus, budget):
+        g = ExtElement(sigma, JElement(k, m, n, modulus))
+        if any(_act(push, k, m, n, src, nn) != dst for src, dst in steps):
             raise RuntimeError(f"solver returned {g}, which does not realize every step")
         out.append(UniformSolution(sigma, k, m, n, g.matrix()))
     return out
 
 
 def solve_uniform_all_cases(prog: Progression, budget: int = DEFAULT_BUDGET) -> list[UniformSolution]:
-    """solve_uniform over all twelve (sigma, k) cases."""
+    """solve_uniform over all twelve (sigma, k) cases, in sort-key order."""
     out = []
     for sigma in ALL_PERMS:
         for k in (0, 1):
             out.extend(solve_uniform(prog, sigma, k, budget))
-    out.sort(key=lambda s: s.element.sort_key())
     return out
 
 

@@ -28,6 +28,7 @@ from .voicing import (
     _GENERATOR_EXPONENTS,
     Generator,
     JElement,
+    _act,
     _sigma_j_decode,
     _sigma_j_matrix,
     enumerate_J,
@@ -135,7 +136,9 @@ class ExtElement:
         return _sigma_j_matrix(self.sigma, self.j)
 
     def apply(self, v: Vec3) -> Vec3:
-        return self.sigma.apply(self.j.apply(v))
+        j = self.j
+        check_same_modulus(j.modulus, v.modulus)
+        return Vec3(_act(self.sigma.slots, j.k, j.m, j.n, v.entries, v.modulus.n), v.modulus)
 
     def trace(self) -> Residue:
         return Residue(_TRACES[self.sigma, self.j.k], self.modulus)

@@ -143,6 +143,8 @@ _PERM_IMAGES = {
     "(123)": (2, 3, 1),
     "(132)": (3, 1, 2),
 }
+# Slot i of sigma(v) holds entry sigma^-1(i + 1) - 1 of v: one index triple per image.
+_SLOTS = {image: tuple(image.index(i) for i in (1, 2, 3)) for image in _PERM_IMAGES.values()}
 
 
 @dataclass(frozen=True)
@@ -176,20 +178,20 @@ class Perm3:
         """Composition, rightmost first: (self*other)(i) = self(other(i))."""
         return Perm3(tuple(self(other(i)) for i in (1, 2, 3)))
 
+    @property
+    def slots(self) -> tuple[int, int, int]:
+        """Slot i of sigma(v) is v[slots[i]]: the 0-based indices sigma^-1(i + 1) - 1."""
+        return _SLOTS[self.image]
+
     def inverse(self) -> "Perm3":
-        inv = [0, 0, 0]
-        for i in (1, 2, 3):
-            inv[self(i) - 1] = i
-        return Perm3(tuple(inv))
+        return Perm3(tuple(i + 1 for i in self.slots))
 
     def apply(self, triple):
         """Left action on 3-tuples: entry in slot j moves to slot sigma(j)."""
         if isinstance(triple, Vec3):
             return Vec3(self.apply(triple.entries), triple.modulus)
-        out = [None, None, None]
-        for j in (1, 2, 3):
-            out[self(j) - 1] = triple[j - 1]
-        return tuple(out)
+        a, b, c = self.slots
+        return (triple[a], triple[b], triple[c])
 
     def is_identity(self) -> bool:
         return self.image == (1, 2, 3)

@@ -119,19 +119,20 @@ def classify(v: Vec3) -> TriadClass | None:
 
 
 def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
-    """BFS closure of seed under the generators and their inverses.
+    """BFS closure of seed under the generators: its orbit under the group they generate.
 
-    Each generator and each inverse is read once as the integer rows of its
-    matrix; the search then runs on plain (x, y, z) tuples mod n, and a Vec3
-    is built only for each tuple of the result. Translations move a tuple
-    only along (1, 1, 1), so an orbit has at most 12n tuples.
+    The group is finite, so g^-1 = g^(ord g - 1) and closing under the
+    generators alone reaches every tuple. Each generator is read once as the
+    integer rows of its matrix; the search then runs on plain (x, y, z)
+    tuples mod n, and a Vec3 is built only for each tuple of the result.
+    Translations move a tuple only along (1, 1, 1), so an orbit has at most
+    12n tuples.
     """
     m = seed.modulus
     actions = set()
     for g in generators:
         check_same_modulus(g.modulus, m)
         actions.add(g.matrix().rows)
-        actions.add(g.inverse().matrix().rows)
     seen = {seed.entries}
     frontier = [seed.entries]
     while frontier:

@@ -116,9 +116,13 @@ class JElement:
         _require_group_modulus(self.modulus)
         if self.k not in (0, 1):
             raise ValueError(f"k must be 0 or 1, got {self.k}")
-        nn = self.modulus.n
-        object.__setattr__(self, "m", int(self.m) % nn)
-        object.__setattr__(self, "n", int(self.n) % nn)
+        nn, m, n = self.modulus.n, self.m, self.n
+        # re-reduce only what is not an int in [0, nn) already; a bool is not,
+        # so True is stored as 1
+        if type(m) is not int or not 0 <= m < nn:
+            object.__setattr__(self, "m", int(m) % nn)
+        if type(n) is not int or not 0 <= n < nn:
+            object.__setattr__(self, "n", int(n) % nn)
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "JElement":
@@ -242,14 +246,27 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
     return acc
 
 
+_IDENTITY_SLOTS = Perm3.identity().slots
+
+
+def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):
+    """sigma U^k (UV)^m (UW)^n on a plain triple mod nn: the one action kernel.
+
+    U^k (UV)^m (UW)^n shifts every entry by m(z-x) + n(z-y), after U when
+    k = 1; sigma then moves the entries, slot i taking entry slots[i]
+    (Perm3.slots).
+    """
+    x, y, z = v
+    c = m * (z - x) + n * (z - y)
+    w = (y + c, x + c, x + y - z + c) if k else (x + c, y + c, z + c)
+    a, b, d = slots
+    return (w[a] % nn, w[b] % nn, w[d] % nn)
+
+
 def apply(e: JElement, v: Vec3) -> Vec3:
     """Action on a voicing: shift by m(z-x) + n(z-y), after U when k = 1."""
     check_same_modulus(e.modulus, v.modulus)
-    x, y, z = v.entries
-    c = e.m * (z - x) + e.n * (z - y)
-    if e.k == 0:
-        return v.shift(c)
-    return Vec3((y + c, x + c, -z + x + y + c), v.modulus)
+    return Vec3(_act(_IDENTITY_SLOTS, e.k, e.m, e.n, v.entries, v.modulus.n), v.modulus)
 
 
 def enumerate_J(modulus: Modulus | int) -> list[JElement]:

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
 from voicegroup.linalg import (
+    ALL_PERMS,
     AffineMap,
     Perm3,
     TRANSPOSITION_13,
     Vec3,
     identity,
+    mat_vec,
     scalar_affine,
 )
 from voicegroup.voicing import Generator, JElement
@@ -87,11 +90,52 @@ def test_solve_step_single_case_solution_structure():
 
 @pytest.mark.parametrize("group", ["J", "extension", "hook"])
 def test_solve_step_matches_bruteforce(group):
+    # both hook cases move an augmented triad (an arithmetic progression) onto
+    # its transposition, so this pair pins the order of the cases too
+    src, dst = Vec3.of(0, 4, 8, M12), Vec3.of(4, 8, 0, M12)
+    assert solve_step(src, dst, group) == solve_step_bruteforce(src, dst, group)
+    if group == "hook":
+        assert {g.sigma for g in solve_step(src, dst, group)} == {Perm3.identity(), TRANSPOSITION_13}
     rng = random.Random(group)
     for _ in range(60):
         src = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
         dst = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
         assert solve_step(src, dst, group) == solve_step_bruteforce(src, dst, group)
+
+
+@st.composite
+def planted_progressions(draw):
+    """A seed with a drawn d | gcd(z - x, z - y, n), followed by 1-5 images
+    under a random element, computed by its matrix."""
+    n = draw(st.integers(3, 24))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    x = draw(st.integers(0, n - 1))
+    seed = Vec3.of(x, x - d * draw(st.integers(0, n - 1)), x - d * draw(st.integers(0, n - 1)), n)
+    g = ExtElement(
+        draw(st.sampled_from(ALL_PERMS)),
+        JElement(draw(st.integers(0, 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n),
+    )
+    tuples = [seed]
+    for _ in range(draw(st.integers(1, 5))):
+        tuples.append(mat_vec(g.matrix(), tuples[-1]))
+    return Progression(Modulus(n), tuple(tuples), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_progressions(), st.data())
+def test_solvers_match_group_scans_in_sort_key_order(prog, data):
+    # list-for-list, so the order of the solvers' output is pinned as well as its content
+    src, dst = data.draw(st.sampled_from(prog.steps()))
+    scanned = solve_step_bruteforce(src, dst, "extension")
+    assert solve_step(src, dst, "extension") == scanned
+    assert solve_step(src, dst, "J") == solve_step_bruteforce(src, dst, "J")
+    if prog.modulus.n == 12:
+        assert solve_step(src, dst, "hook") == solve_step_bruteforce(src, dst, "hook")
+    # the elements of the whole group realizing every step realize this one;
+    # the matrix action keeps the oracle apart from the kernel under test
+    realizing = [g for g in scanned if all(mat_vec(g.matrix(), s) == t for s, t in prog.steps())]
+    realizing.sort(key=ExtElement.sort_key)
+    assert [s.element for s in solve_uniform_all_cases(prog)] == realizing
 
 
 def test_solve_uniform_grail():

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, identity, mat_mul, perm_matrix
+from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, identity, mat_mul, mat_vec, perm_matrix
 from voicegroup.voicing import (
     Generator,
     JElement,
     NotInJ,
+    _act,
     decode,
     enumerate_J,
     generator_matrix,
@@ -74,6 +75,22 @@ def test_conjugate_j_matches_matrix_oracle(n):
 def test_conjugate_j_matches_matrix_oracle_property(n, sigma, k, m, nn):
     j = JElement(k, m, nn, Modulus(n))
     assert conjugate_j(sigma, j).matrix() == _conjugation_oracle(sigma, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_action_kernel_matches_matrix_action(n, data):
+    # every (sigma, k) case, against the matrix of the element acting on the vector
+    m, nn = data.draw(st.integers(-2 * n, 2 * n)), data.draw(st.integers(-2 * n, 2 * n))
+    v = tuple(data.draw(st.integers(0, n - 1)) for _ in range(3))
+    for sigma in ALL_PERMS:
+        for k in (0, 1):
+            g = ExtElement(sigma, JElement(k, m, nn, n))
+            want = mat_vec(g.matrix(), Vec3(v, Modulus(n)))
+            assert _act(sigma.slots, k, m, nn, v, n) == want.entries
+            assert g.apply(Vec3(v, Modulus(n))) == want
+            if sigma.is_identity():
+                assert g.j.apply(Vec3(v, Modulus(n))) == want
 
 
 def test_multiply_examples():

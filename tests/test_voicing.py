@@ -88,6 +88,26 @@ def test_constructor_accepts_an_int_modulus():
         JElement(0, 0, 0, 2)
 
 
+class _Int(int):
+    """An int subclass, as numpy-style integer types are."""
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [(0, 11), (5, 0), (-1, 13), (-25, 24), (12, 36), (True, False), (_Int(-3), _Int(14))],
+)
+def test_normalisation_of_m_and_n(m, n):
+    # m and n are stored as plain ints in [0, n), whatever they arrive as
+    for k in (0, 1):
+        e = JElement(k, m, n, M12)
+        assert (e.m, e.n) == (int(m) % 12, int(n) % 12)
+        assert type(e.m) is int and type(e.n) is int
+        assert e == JElement(k, int(m) % 12, int(n) % 12, M12)
+        assert hash(e) == hash(JElement(k, int(m) % 12, int(n) % 12, M12))
+    assert JElement(0, -1, 13, 12) == JElement(0, 11, 1, 12)
+    assert str(JElement(1, True, -1, 12)) == "U (UV)^1 (UW)^11"
+
+
 def test_multiplication_examples():
     u = JElement(1, 0, 0, M12)
     assert (u * u).is_identity()

@@ -149,19 +149,33 @@ def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> lis
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class UniformSolution:
-    """One (sigma, k, m, n) realizing every step of a progression."""
+    """One (sigma, k, m, n) realizing every step of a progression.
+
+    Its matrix is derived from the element when it is read. A matrix passed to
+    the constructor, as dataclasses.replace(s, matrix=...) does, is read in its
+    place; perfbench's oracle test builds a solution with a wrong matrix so.
+    """
 
     sigma: Perm3
     k: int
     m: int
     n: int
-    matrix: Mat3
+    modulus: Modulus
+
+    def __init__(self, sigma: Perm3, k: int, m: int, n: int, modulus: Modulus, matrix: Mat3 | None = None):
+        for name, value in (("sigma", sigma), ("k", k), ("m", m), ("n", n), ("modulus", modulus)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_matrix", matrix)
 
     @property
     def element(self) -> ExtElement:
-        return ExtElement(self.sigma, JElement(self.k, self.m, self.n, self.matrix.modulus))
+        return ExtElement(self.sigma, JElement(self.k, self.m, self.n, self.modulus))
+
+    @property
+    def matrix(self) -> Mat3:
+        return self.element.matrix() if self._matrix is None else self._matrix
 
     def __str__(self) -> str:
         return str(self.element)
@@ -193,10 +207,10 @@ def solve_uniform(
         rhs.append(eq[1])
     out = []
     for m, n in solve_linear(rows, rhs, modulus, budget):
-        g = ExtElement(sigma, JElement(k, m, n, modulus))
+        s = UniformSolution(sigma, k, m, n, modulus)
         if any(_act(push, k, m, n, src, nn) != dst for src, dst in steps):
-            raise RuntimeError(f"solver returned {g}, which does not realize every step")
-        out.append(UniformSolution(sigma, k, m, n, g.matrix()))
+            raise RuntimeError(f"solver returned {s}, which does not realize every step")
+        out.append(s)
     return out
 
 

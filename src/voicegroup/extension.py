@@ -13,6 +13,15 @@ Conjugation by sigma is the automorphism fixed by the images of U, UV and UW,
 so a six-row table (one row per sigma, read off sigma_conjugate_generator) gives
 
     sigma U^k (UV)^m (UW)^n sigma^-1 = U^k (UV)^(am + bn + ke) (UW)^(cm + dn + kf).
+
+The twelve pairs p = (sigma, k) name the cosets of the translations
+T = {(UV)^m (UW)^n}, so in the coordinates t = (m, n) a product is
+
+    (p, t) * (q, s) = (pq, A t + c + s),
+
+with A and c read off the conjugation row of sigma_q^-1 (negated when k_q = 1).
+A 144-entry table keyed by (p, q), derived from that row at import, holds pq,
+A and c, so a product is one lookup and two affine lines mod n.
 """
 
 from __future__ import annotations
@@ -67,7 +76,41 @@ def _conjugation_row(sigma: Perm3) -> tuple[int, int, int, int, int, int]:
 _CONJUGATION = {sigma: _conjugation_row(sigma) for sigma in ALL_PERMS}
 # The translation row (-m, -n, m+n) of P_sigma M_j sums to 0, so the trace is tr(P_sigma M_{U^k}).
 _TRACES = {key: sum(rows[i][i] for i in range(3)) for key, rows in _BASES.items()}
-_PERM_ORDER = {"identity": 1, "transposition": 2, "three_cycle": 3}
+_PERM_INDEX = {sigma.image: i for i, sigma in enumerate(ALL_PERMS)}
+_PERM_ORDER = {
+    sigma.image: {"identity": 1, "transposition": 2, "three_cycle": 3}[sigma.cycle_type()]
+    for sigma in ALL_PERMS
+}
+_PERM_BY_IMAGE = {sigma.image: sigma for sigma in ALL_PERMS}
+_IDENTITY_PERM = _PERM_BY_IMAGE[1, 2, 3]
+# sigma^-1 in slot i holds slots[i] + 1 (Perm3.inverse), here on plain tuples
+_INVERSE_PERM = {sigma.image: _PERM_BY_IMAGE[tuple(i + 1 for i in sigma.slots)] for sigma in ALL_PERMS}
+
+
+def _product_table() -> dict:
+    """(image_p, k_p, image_q, k_q) -> (sigma_pq, k_pq, a, b, c, d, e, f) with
+
+        sigma_p U^kp (UV)^m (UW)^n * sigma_q U^kq (UV)^m' (UW)^n'
+          = sigma_pq U^kpq (UV)^(am + bn + e + m') (UW)^(cm + dn + f + n').
+
+    Moving sigma_q left past the first factor conjugates it by sigma_q^-1, and
+    moving U^kq left negates the translation when kq = 1. So for the
+    conjugation row (e, f, a, b, c, d) of sigma_q^-1 and s = (-1)^kq, the
+    entry holds s (a, b, c, d, kp e, kp f).
+    """
+    rows = {sigma.image: row for sigma, row in _CONJUGATION.items()}
+    table = {}
+    for p in _PERM_BY_IMAGE:
+        for q in _PERM_BY_IMAGE:
+            pq = _PERM_BY_IMAGE[p[q[0] - 1], p[q[1] - 1], p[q[2] - 1]]
+            e, f, a, b, c, d = rows[_INVERSE_PERM[q].image]
+            for kq, s in ((0, 1), (1, -1)):
+                table[p, 0, q, kq] = (pq, kq, s * a, s * b, s * c, s * d, 0, 0)
+                table[p, 1, q, kq] = (pq, 1 - kq, s * a, s * b, s * c, s * d, s * e, s * f)
+    return table
+
+
+_PRODUCTS = _product_table()
 
 
 def conjugate_j(sigma: Perm3, j: JElement) -> JElement:
@@ -90,11 +133,11 @@ class ExtElement:
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "ExtElement":
-        return cls(Perm3.identity(), JElement.identity(as_modulus(modulus)))
+        return cls(_IDENTITY_PERM, JElement.identity(as_modulus(modulus)))
 
     @classmethod
     def from_j(cls, j: JElement) -> "ExtElement":
-        return cls(Perm3.identity(), j)
+        return cls(_IDENTITY_PERM, j)
 
     @classmethod
     def from_sigma(cls, sigma: Perm3, modulus: Modulus | int) -> "ExtElement":
@@ -107,29 +150,42 @@ class ExtElement:
         return self.j.k == 1
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
-        check_same_modulus(self.modulus, other.modulus)
-        moved = conjugate_j(other.sigma.inverse(), self.j)
-        return ExtElement(self.sigma * other.sigma, moved * other.j)
+        x, y = self.j, other.j
+        modulus = check_same_modulus(x.modulus, y.modulus)
+        sigma, k, a, b, c, d, e, f = _PRODUCTS[self.sigma.image, x.k, other.sigma.image, y.k]
+        nn, m, n = modulus.n, x.m, x.n
+        return ExtElement(
+            sigma, JElement(k, (a * m + b * n + e + y.m) % nn, (c * m + d * n + f + y.n) % nn, modulus)
+        )
 
     def inverse(self) -> "ExtElement":
-        return ExtElement(self.sigma.inverse(), conjugate_j(self.sigma, self.j.inverse()))
+        """(p, t)^-1 = (p^-1, -(A t + c)), with A and c from the (p, p^-1) row."""
+        x, image = self.j, self.sigma.image
+        sigma = _INVERSE_PERM[image]
+        _, _, a, b, c, d, e, f = _PRODUCTS[image, x.k, sigma.image, x.k]
+        nn, m, n = x.modulus.n, x.m, x.n
+        return ExtElement(
+            sigma, JElement(x.k, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, x.modulus)
+        )
+
+    def _powers(self) -> list["ExtElement"]:
+        """[self, self^2, ..., self^s] for s the order of sigma; self^s lies in J."""
+        out = [self]
+        for _ in range(_PERM_ORDER[self.sigma.image] - 1):
+            out.append(out[-1] * self)
+        return out
 
     def __pow__(self, t: int) -> "ExtElement":
-        if t < 0:
-            return self.inverse() ** (-t)
-        acc = ExtElement.identity(self.modulus)
-        base = self
-        while t:
-            if t & 1:
-                acc = acc * base
-            base = base * base
-            t >>= 1
-        return acc
+        """self^t = (self^s)^(t div s) * self^(t mod s), the first factor in J."""
+        powers = self._powers()
+        q, r = divmod(t, len(powers))
+        head = ExtElement.from_j(powers[-1].j ** q)
+        return head * powers[r - 1] if r else head
 
     def order(self) -> int:
         """The sigma part's order s divides the order, and self**s lies in J."""
-        s = _PERM_ORDER[self.sigma.cycle_type()]
-        return s * (self**s).j.order()
+        powers = self._powers()
+        return len(powers) * powers[-1].j.order()
 
     def matrix(self) -> Mat3:
         """P_sigma M_j: row sigma(i) of the product is row i of M_j."""
@@ -144,7 +200,7 @@ class ExtElement:
         return Residue(_TRACES[self.sigma, self.j.k], self.modulus)
 
     def sort_key(self) -> tuple[int, int, int, int]:
-        return (ALL_PERMS.index(self.sigma),) + self.j.sort_key()
+        return (_PERM_INDEX[self.sigma.image],) + self.j.sort_key()
 
     def __str__(self) -> str:
         parts = []
@@ -247,7 +303,7 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
 _TOKEN = re.compile(
     r"""
     \(\s*(?P<cycle>[123](?:\s*[123]){1,2})\s*\)   # permutation cycle, digits only
-  | \(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?\d+))?   # parenthesized word with power
+  | (?P<power>\(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?\d+))?)   # parenthesized word with power
   | (?P<letter>[UVW])
   | (?P<id>Id)
   | (?P<space>\s+)
@@ -256,30 +312,37 @@ _TOKEN = re.compile(
 )
 
 
+def _factor(match: re.Match, m: Modulus) -> ExtElement | None:
+    """The factor a token stands for; None for spaces and Id."""
+    kind = match.lastgroup  # an enclosing group closes last, so "power", never "word"
+    if kind == "cycle":
+        digits = re.sub(r"\s", "", match.group("cycle"))
+        return ExtElement.from_sigma(Perm3.from_cycle(f"({digits})"), m)
+    if kind == "power":
+        j = word_to_element(match.group("word"), m)
+        exp = match.group("exp")
+        return ExtElement.from_j(j ** int(exp) if exp else j)
+    if kind == "letter":
+        return ExtElement.from_j(JElement.from_generator(Generator[match.group("letter")], m))
+    return None
+
+
 def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
     """Parse forms like '(13) U (UV)^2 (UW)^7', 'VW', '(12)U(UV)^3', 'Id'.
 
     Cycles carry no commas (permutations), and any interleaving of permutation
-    and generator factors is accepted; the result is their ordered product.
+    and generator factors is accepted; the result is their ordered product,
+    folded from the first factor. Empty text and 'Id' are the identity.
     """
     m = as_modulus(modulus)
-    acc = ExtElement.identity(m)
+    acc = None
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
             raise ValueError(f"cannot parse element {text!r} at position {pos}")
         pos = match.end()
-        if match.group("space") or match.group("id"):
-            continue
-        if match.group("cycle"):
-            digits = re.sub(r"\s", "", match.group("cycle"))
-            factor = ExtElement.from_sigma(Perm3.from_cycle(f"({digits})"), m)
-        elif match.group("word"):
-            j = word_to_element(match.group("word"), m)
-            exp = int(match.group("exp")) if match.group("exp") else 1
-            factor = ExtElement.from_j(j**exp)
-        else:
-            factor = ExtElement.from_j(JElement.from_generator(Generator[match.group("letter")], m))
-        acc = acc * factor
-    return acc
+        factor = _factor(match, m)
+        if factor is not None:
+            acc = factor if acc is None else acc * factor
+    return ExtElement.identity(m) if acc is None else acc

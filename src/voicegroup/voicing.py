@@ -237,13 +237,14 @@ def decode(a: Mat3) -> JElement:
 
 
 def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | int) -> JElement:
-    """Fold a generator word into its normal form; the empty word is the identity."""
+    """Fold a generator word into its normal form, from its first letter; the
+    empty word is the identity."""
     m = as_modulus(modulus)
-    acc = JElement.identity(m)
+    acc = None
     for letter in word:
-        g = Generator[letter] if isinstance(letter, str) else letter
-        acc = acc * JElement.from_generator(g, m)
-    return acc
+        g = JElement.from_generator(Generator[letter] if isinstance(letter, str) else letter, m)
+        acc = g if acc is None else acc * g
+    return JElement.identity(m) if acc is None else acc
 
 
 _IDENTITY_SLOTS = Perm3.identity().slots

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -148,6 +149,18 @@ def test_solve_uniform_grail():
     assert by_mn[(11, 10)] == "[[2,2,9],[1,3,9],[2,3,8]]"
     # no other (sigma, k) case admits solutions for the full cycle
     assert len(solve_uniform_all_cases(GRAIL)) == 4
+
+
+def test_uniform_solution_matrix_is_read_from_the_element():
+    sols = solve_uniform_all_cases(GRAIL)
+    for s in sols:
+        assert s.modulus == GRAIL.modulus
+        assert s.matrix == s.element.matrix()
+        assert all(mat_vec(s.matrix, src) == dst for src, dst in GRAIL.steps())
+    # a matrix given to the constructor is read in place of the derived one
+    replaced = dataclasses.replace(sols[0], matrix=identity(12))
+    assert replaced.matrix == identity(12)
+    assert replaced.element == sols[0].element
 
 
 def test_solve_uniform_grail_solutions_traverse_cycle():

@@ -16,6 +16,7 @@ from voicegroup.voicing import (
     word_to_element,
 )
 from voicegroup.extension import (
+    _PRODUCTS,
     CosetTag,
     ExtElement,
     NotInExtension,
@@ -161,6 +162,84 @@ def test_inverses(ext12):
         a = rng.choice(ext12)
         assert (a * a.inverse()).is_identity()
         assert (a.inverse() * a).is_identity()
+
+
+def _old_product(a, b):
+    """(sa, ja) * (sb, jb) = (sa*sb, (sb^-1 ja sb) * jb), through conjugate_j."""
+    return ExtElement(a.sigma * b.sigma, conjugate_j(b.sigma.inverse(), a.j) * b.j)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_product_table_matches_conjugation_route(n):
+    # the product is affine in each factor's translation, so 0, e1, e2 and one
+    # more point on each side pin every row down
+    rng = random.Random(n)
+    ts = [(0, 0), (1, 0), (0, 1), (rng.randrange(n), rng.randrange(n))]
+    points = [(sigma, k) for sigma in ALL_PERMS for k in (0, 1)]
+    for sp, kp in points:
+        for sq, kq in points:
+            row = _PRODUCTS[sp.image, kp, sq.image, kq]
+            assert any(row[0] is sigma for sigma in ALL_PERMS)
+            assert (row[0], row[1]) == (sp * sq, kp ^ kq)
+            for t in ts:
+                a = ExtElement(sp, JElement(kp, *t, n))
+                for s in ts:
+                    b = ExtElement(sq, JElement(kq, *s, n))
+                    assert a * b == _old_product(a, b)
+    assert len(_PRODUCTS) == 144
+
+
+@pytest.mark.parametrize("n", [3, 7, 12])
+def test_inverse_matches_conjugation_route(n):
+    for a in enumerate_extension(n):
+        want = ExtElement(a.sigma.inverse(), conjugate_j(a.sigma, a.j.inverse()))
+        assert a.inverse() == want
+        assert any(a.inverse().sigma is sigma for sigma in ALL_PERMS)
+
+
+def _mat_power(mat, t):
+    """mat**t for t >= 0 by repeated matrix multiplication."""
+    acc = identity(mat.modulus)
+    for _ in range(t):
+        acc = mat_mul(acc, mat)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(3, 60),
+    st.sampled_from(ALL_PERMS),
+    st.integers(0, 1),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.integers(-60, 60),
+)
+def test_power_matches_repeated_matrix_product(n, sigma, k, m, nn, t):
+    a = ExtElement(sigma, JElement(k, m, nn, Modulus(n)))
+    ma = _element_product_matrix(a)
+    power = _element_product_matrix(a**t)
+    if t >= 0:
+        assert power == _mat_power(ma, t)
+    else:
+        assert mat_mul(power, _mat_power(ma, -t)) == identity(Modulus(n))
+
+
+def test_huge_powers_reduce_by_the_order():
+    rng = random.Random(1009)
+    for sigma in ALL_PERMS:
+        for k in (0, 1):
+            a = ExtElement(sigma, JElement(k, rng.randrange(1009), rng.randrange(1009), Modulus(1009)))
+            assert a ** 10**18 == a ** (10**18 % a.order())
+            assert a ** -(10**18) == (a ** (10**18 % a.order())).inverse()
+
+
+def test_sort_key_reads_the_permutation_index():
+    for i, sigma in enumerate(ALL_PERMS):
+        for k in (0, 1):
+            a = ExtElement(sigma, JElement(k, 5, 2, M7))
+            assert a.sort_key() == (ALL_PERMS.index(a.sigma), k, 5, 2) == (i, k, 5, 2)
+            # an equal permutation that is not the shared ALL_PERMS member
+            assert ExtElement(Perm3(sigma.image), a.j).sort_key()[0] == i
 
 
 def test_decode_examples():
@@ -457,8 +536,60 @@ def test_parse_examples():
     )
     assert parse_element("Id", M12).is_identity()
     assert parse_element("(UV)^-1", M12) == ExtElement.from_j(JElement(0, 11, 0, M12))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cannot parse element '\(13\) Q' at position 5$"):
         parse_element("(13) Q", M12)
+    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(31\)'$"):
+        parse_element("U (3 1)", M12)
+
+
+@pytest.mark.parametrize("text", ["", "   ", "Id", " Id  Id "])
+def test_parse_identity(text):
+    assert parse_element(text, M7) == ExtElement.identity(M7)
+
+
+_CYCLES = ["(12)", "(13)", "(23)", "(123)", "(132)"]
+
+
+def _spaced_cycle(cycle, spaces):
+    """A cycle with runs of spaces after '(', between its digits and before ')'."""
+    digits = cycle[1:-1]
+    return "(" + "".join(" " * w + d for w, d in zip(spaces, digits)) + " " * spaces[-1] + ")"
+
+
+_token = st.one_of(
+    st.tuples(st.just("cycle"), st.sampled_from(_CYCLES), st.lists(st.integers(0, 2), min_size=4, max_size=4)),
+    st.tuples(st.just("letter"), st.sampled_from("UVW")),
+    st.tuples(st.just("power"), st.sampled_from(["UV", "UW", "VW"]), st.integers(-15, 15)),
+    st.tuples(st.just("id")),
+)
+
+
+def _token_text_and_matrix(token, mod):
+    """The token's text and its matrix, built from permutation and generator matrices."""
+    kind = token[0]
+    if kind == "cycle":
+        return _spaced_cycle(token[1], token[2]), perm_matrix(Perm3.from_cycle(token[1]), mod)
+    if kind == "letter":
+        return token[1], generator_matrix(Generator[token[1]], mod)
+    if kind == "power":
+        word, e = token[1], token[2]
+        x, y = (generator_matrix(Generator[c], mod) for c in word)
+        # (XY)^-1 = YX, since X and Y are involutions
+        base = mat_mul(x, y) if e >= 0 else mat_mul(y, x)
+        return f"({word})^{e}", _mat_power(base, abs(e))
+    return "Id", identity(mod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.lists(st.tuples(_token, st.integers(0, 3)), max_size=8))
+def test_parse_matches_product_of_factor_matrices(n, tokens):
+    mod = Modulus(n)
+    text, want = "", identity(mod)
+    for token, spaces in tokens:
+        piece, mat = _token_text_and_matrix(token, mod)
+        text += piece + " " * spaces
+        want = mat_mul(want, mat)
+    assert parse_element(text, mod).matrix() == want
 
 
 def test_str_parse_round_trip(ext12):

@@ -23,10 +23,14 @@ from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul, scalar_affine
-from .voicing import JElement, _act
+from .voicing import _SLOTS, JElement, _act, _enumerate, _new, _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
 from .structure import centralizer_in_Aff
-from .triadic import hook_elements
+from .triadic import _HOOK_POINTS, hook_elements
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -68,42 +72,37 @@ class Progression:
     def from_jsonable(cls, data: dict) -> "Progression":
         if not isinstance(data, dict) or "modulus" not in data or "tuples" not in data:
             raise ValueError("progression JSON needs 'modulus' and 'tuples'")
-        return cls.of(data["tuples"], data["modulus"], bool(data.get("cyclic", False)))
+        # read as progression.schema.json declares: nothing is coerced, and a bool is not an int
+        modulus, tuples, cyclic = data["modulus"], data["tuples"], data.get("cyclic", False)
+        if not _is_int(modulus) or not all(_is_int(x) for v in tuples for x in v):
+            raise ValueError("the modulus and the tuple entries must be integers")
+        if not isinstance(cyclic, bool):
+            raise ValueError(f"cyclic must be true or false, got {cyclic!r}")
+        return cls.of(tuples, modulus, cyclic)
 
     @classmethod
     def from_json(cls, text: str) -> "Progression":
         return cls.from_jsonable(json.loads(text))
 
 
-def _case(sigma: Perm3, k: int) -> tuple[Perm3, int, tuple[int, int, int], tuple[int, int, int]]:
-    """(sigma, k, pull, push): t[pull[i]] is entry i of sigma^-1(t), and push
-    is sigma's own slots for the action kernel."""
-    return sigma, k, sigma.inverse().slots, sigma.slots
+# Each group's points (see voicing.py) in sort-key order, so that solutions
+# listed point by point, each point sorted by (m, n), come out sorted.
+_GROUP_POINTS = {"J": (0, 1), "extension": tuple(range(12)), "hook": _HOOK_POINTS}
 
 
-# Each group's cases in sort-key order (ALL_PERMS, then k), so that solutions
-# listed case by case, each case sorted by (m, n), come out sorted.
-_GROUP_CASES = {
-    "J": tuple(_case(Perm3.identity(), k) for k in (0, 1)),
-    "extension": tuple(_case(sigma, k) for sigma in ALL_PERMS for k in (0, 1)),
-    "hook": (_case(Perm3.identity(), 0), _case(TRANSPOSITION_13, 1)),
-}
-_CASES = {(case[0].image, case[1]): case for case in _GROUP_CASES["extension"]}
-
-
-def _step_equation(src: tuple, dst: tuple, pull: tuple, k: int, nn: int) -> tuple[list[int], int] | None:
+def _step_equation(src: tuple, dst: tuple, slots: tuple, k: int, nn: int) -> tuple[list[int], int] | None:
     """The linear condition on (m, n) for sigma U^k shift(m,n) to map src to dst.
 
-    src and dst are plain triples mod nn, and dst is read through pull as
-    sigma^-1(dst). Returns (row, rhs) or None when the required difference
-    sigma^-1(dst) - U^k(src) is not a constant-diagonal vector (no solutions
-    for this sigma, k).
+    src and dst are plain triples mod nn, and sigma moves entry slots[i] into
+    slot i (Perm3.slots). Returns (row, rhs) or None when the required
+    difference dst - sigma(U^k(src)) is not a constant-diagonal vector (no
+    solutions for this sigma, k).
     """
     x, y, z = src
-    bx, by, bz = (y, x, x + y - z) if k else src
-    a, b, c = pull
-    d = (dst[a] - bx) % nn
-    if (dst[b] - by) % nn != d or (dst[c] - bz) % nn != d:
+    base = (y, x, x + y - z) if k else src
+    a, b, c = slots
+    d = (dst[0] - base[a]) % nn
+    if (dst[1] - base[b]) % nn != d or (dst[2] - base[c]) % nn != d:
         return None
     return [(z - x) % nn, (z - y) % nn], d
 
@@ -116,19 +115,18 @@ def solve_step(
     Each (sigma, k) case is a one-equation linear system in (m, n); the empty
     list is a valid result.
     """
-    modulus = check_same_modulus(src.modulus, dst.modulus)
-    if group not in _GROUP_CASES:
-        raise ValueError(f"group must be one of {sorted(_GROUP_CASES)}, got {group!r}")
+    modulus = _require_group_modulus(check_same_modulus(src.modulus, dst.modulus))
+    if group not in _GROUP_POINTS:
+        raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
     nn = modulus.n
     s, t = src.entries, dst.entries
     out = []
-    for sigma, k, pull, _ in _GROUP_CASES[group]:
-        eq = _step_equation(s, t, pull, k, nn)
+    for p in _GROUP_POINTS[group]:
+        eq = _step_equation(s, t, _SLOTS[p], p & 1, nn)
         if eq is None:
             continue
         row, rhs = eq
-        for m, n in solve_linear([row], [rhs], modulus, budget):
-            out.append(ExtElement(sigma, JElement(k, m, n, modulus)))
+        out.extend(_new(ExtElement, p, m, n, modulus) for m, n in solve_linear([row], [rhs], modulus, budget))
     return out
 
 
@@ -137,9 +135,7 @@ def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> lis
     if group == "extension":
         candidates = enumerate_extension(src.modulus)
     elif group == "J":
-        from .voicing import enumerate_J
-
-        candidates = [ExtElement.from_j(j) for j in enumerate_J(src.modulus)]
+        candidates = _enumerate(ExtElement, (0, 1), src.modulus)
     elif group == "hook":
         candidates = [h.underlying for h in hook_elements()]
     else:
@@ -171,7 +167,7 @@ class UniformSolution:
 
     @property
     def element(self) -> ExtElement:
-        return ExtElement(self.sigma, JElement(self.k, self.m, self.n, self.modulus))
+        return _new(ExtElement, _point(self.sigma, self.k), self.m, self.n, _require_group_modulus(self.modulus))
 
     @property
     def matrix(self) -> Mat3:
@@ -194,13 +190,13 @@ def solve_uniform(
         raise ValueError("uniform solving needs at least two tuples")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
-    _, _, pull, push = _CASES[sigma.image, k]
+    slots = _SLOTS[_point(sigma, k)]
     modulus = prog.modulus
     nn = modulus.n
     steps = [(src.entries, dst.entries) for src, dst in prog.steps()]
     rows, rhs = [], []
     for src, dst in steps:
-        eq = _step_equation(src, dst, pull, k, nn)
+        eq = _step_equation(src, dst, slots, k, nn)
         if eq is None:
             return []
         rows.append(eq[0])
@@ -208,7 +204,7 @@ def solve_uniform(
     out = []
     for m, n in solve_linear(rows, rhs, modulus, budget):
         s = UniformSolution(sigma, k, m, n, modulus)
-        if any(_act(push, k, m, n, src, nn) != dst for src, dst in steps):
+        if any(_act(slots, k, m, n, src, nn) != dst for src, dst in steps):
             raise RuntimeError(f"solver returned {s}, which does not realize every step")
         out.append(s)
     return out

@@ -29,6 +29,7 @@ from .structure import (
 from .triadic import NotInHook, HookElement, UTT, rho, rho_inverse
 from .analysis import (
     Progression,
+    _is_int,
     export_network_dot,
     export_network_json,
     orbit_of_element,
@@ -71,7 +72,11 @@ def _parse_vec(text: str, modulus: Modulus) -> Vec3:
 def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
     try:
         rows = json.loads(text)
-        return Mat3.of(rows, modulus)
+        matrix = Mat3.of(rows, modulus)
+        # a float or a bool entry is not truncated to an integer
+        if not all(_is_int(x) for row in rows for x in row):
+            raise ValueError("entries must be integers")
+        return matrix
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise CliError(f"cannot parse matrix {text!r}: {exc}") from exc
 
@@ -79,9 +84,9 @@ def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
 def _element_payload(e: ExtElement) -> dict:
     return {
         "sigma": e.sigma.cycle_notation(),
-        "k": e.j.k,
-        "m": e.j.m,
-        "n": e.j.n,
+        "k": e.k,
+        "m": e.m,
+        "n": e.n,
         "modulus": e.modulus.n,
         "text": str(e),
         "matrix": [list(r) for r in e.matrix().rows],

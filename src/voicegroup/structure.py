@@ -46,7 +46,7 @@ from .linalg import (
     scalar_affine,
     _mat_vec_ints,
 )
-from .voicing import Generator, JElement, generator_matrix
+from .voicing import Generator, JElement, _new, _require_group_modulus, generator_matrix
 from .extension import sigma_conjugate_generator
 
 
@@ -348,8 +348,8 @@ class DualityReport:
 
 
 def _contextual_element(which: str, k: int, t: int, m: Modulus) -> JElement:
-    """U^k (UV)^t or U^k (UW)^t: the 2n of them form the contextual dihedral group."""
-    return JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
+    """U^k (UV)^t or U^k (UW)^t, for t in [0, n): the 2n of them form the contextual dihedral group."""
+    return _new(JElement, k, t, 0, m) if which == "UV" else _new(JElement, k, 0, t, m)
 
 
 def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
@@ -382,7 +382,7 @@ def check_duality(seed: Vec3) -> DualityReport:
     on the generators over the orbit, and the generators of both groups must
     map the orbit into itself.
     """
-    m = seed.modulus
+    m = _require_group_modulus(seed.modulus)
     n = m.n
     x, y, z = origin = seed.entries
     which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"

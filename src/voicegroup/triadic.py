@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .modring import Modulus, check_same_modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints
-from .voicing import JElement
+from .voicing import JElement, _enumerate, _point
 from .extension import ExtElement
 
 
@@ -50,6 +50,7 @@ _MINOR_THIRD = _FIFTH - _MAJOR_THIRD
 _FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
 _THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
 _HOOK_SIGMA = (Perm3.identity(), TRANSPOSITION_13)  # sigma of the Hook elements with k = 0, 1
+_HOOK_POINTS = (_point(_HOOK_SIGMA[0], 0), _point(_HOOK_SIGMA[1], 1))  # in sort-key order
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def all_utts() -> list[UTT]:
 def is_in_hook(e: ExtElement) -> bool:
     """Stabilizing root position forces sigma = id on the mode-preserving half
     and sigma = (13) on the mode-reversing half."""
-    return e.modulus.n == 12 and e.sigma == _HOOK_SIGMA[e.j.k]
+    return e.modulus.n == 12 and e.point in _HOOK_POINTS
 
 
 @dataclass(frozen=True)
@@ -265,12 +266,7 @@ class HookElement:
 
 def hook_elements() -> list[HookElement]:
     """All 288 elements: (UV)^m (UW)^n and (13) U (UV)^m (UW)^n."""
-    out = []
-    for k, sigma in enumerate(_HOOK_SIGMA):
-        for m in range(12):
-            for n in range(12):
-                out.append(HookElement(ExtElement(sigma, JElement(k, m, n, _TWELVE))))
-    return out
+    return [HookElement(e) for e in _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)]
 
 
 def rho_matrix(u: UTT) -> Mat3:
@@ -299,8 +295,8 @@ def rho_inverse(h: HookElement) -> UTT:
 
 def hook_normal_form_A(h: HookElement) -> tuple[int, int, int]:
     """(k, m, n) with sigma implied: id when k = 0, (13) when k = 1."""
-    j = h.underlying.j
-    return (j.k, j.m, j.n)
+    e = h.underlying
+    return (e.k, e.m, e.n)
 
 
 def hook_normal_form_B(h: HookElement) -> tuple[int, int]:

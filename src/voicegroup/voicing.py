@@ -8,9 +8,12 @@ axis determined by two of its own entries:
     W(x,y,z) = (z, -y+x+z, x)        reflection in entries 3,1
 
 Every product of generators has a unique normal form U^k (UV)^m (UW)^n with
-k in {0,1} and m, n taken mod n, which this module uses as the canonical
-element representation: multiplication, inversion and application are O(1)
-in these coordinates, and matrices are derived views.
+k in {0,1} and m, n taken mod n. With the voice permutations of the extension
+(see extension.py), sigma U^k (UV)^m (UW)^n is stored as its point
+p = 2i + k, for sigma = ALL_PERMS[i], and its translation (m, n): the twelve
+points name the cosets of the translations T = {(UV)^m (UW)^n}, and the plain
+group is the points 0 and 1. One 12x12 point-product table makes
+multiplication, inversion and powers O(1), and matrices are derived views.
 
 Moduli 2 is rejected: over Z/2 the reflections satisfy the extra relation
 U = VW, the generated matrix group collapses to a Klein 4-group of order 4,
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 from .modring import Modulus, as_modulus, check_same_modulus
@@ -93,93 +96,181 @@ def _require_group_modulus(m: Modulus) -> Modulus:
     return m
 
 
-@dataclass(frozen=True)
-class JElement:
-    """Normal form U^k (UV)^m (UW)^n; the canonical coordinates of the group.
+def sigma_conjugate_generator(sigma: Perm3, g: Generator) -> Generator:
+    """sigma J^{r,s} sigma^-1 = J^{sigma r, sigma s} (entry pairs are unordered)."""
+    r, s = g.pair
+    return generator_for_pair(sigma(r), sigma(s))
 
-    Multiplication follows from moving U past the commuting block, where
-    U-conjugation inverts it:
 
-        (k1,m1,n1)*(k2,m2,n2) = (k1 xor k2, m2 + (-1)^k2 m1, n2 + (-1)^k2 n1)
+def _conjugation_row(sigma: Perm3) -> tuple[int, int, int, int, int, int]:
+    """(e, f, a, b, c, d) with sigma U sigma^-1 = U (UV)^e (UW)^f,
+    sigma UV sigma^-1 = (UV)^a (UW)^c and sigma UW sigma^-1 = (UV)^b (UW)^d."""
+    (e, f), (mv, nv), (mw, nw) = (
+        _GENERATOR_EXPONENTS[sigma_conjugate_generator(sigma, g)] for g in Generator
+    )
+    # U (UV)^x (UW)^y * U (UV)^x' (UW)^y' = (UV)^(x'-x) (UW)^(y'-y)
+    return e, f, mv - e, mw - e, nv - f, nw - f
 
-    The formula is exercised against the matrix-product oracle in the tests.
+
+_PERM_INDEX = {sigma.image: i for i, sigma in enumerate(ALL_PERMS)}
+
+
+def _point(sigma: Perm3, k: int) -> int:
+    """The point of sigma U^k: 2 * (index of sigma in ALL_PERMS) + k."""
+    return 2 * _PERM_INDEX[sigma.image] + k
+
+
+_CONJUGATION = [_conjugation_row(sigma) for sigma in ALL_PERMS]
+
+
+def _product_table() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """_PRODUCTS[p][q] = (pq, a, b, c, d, e, f) with
+
+        sigma_p U^kp (UV)^m (UW)^n * sigma_q U^kq (UV)^m' (UW)^n'
+          = sigma_pq U^kpq (UV)^(am + bn + e + m') (UW)^(cm + dn + f + n').
+
+    Moving sigma_q left past the first factor conjugates it by sigma_q^-1, and
+    moving U^kq left negates the translation when kq = 1. So for the
+    conjugation row (e, f, a, b, c, d) of sigma_q^-1 and s = (-1)^kq, the
+    entry holds s (a, b, c, d, kp e, kp f). Permutations compose on their
+    image tuples.
+    """
+    table = []
+    for p in range(12):
+        image_p, kp = ALL_PERMS[p >> 1].image, p & 1
+        row = []
+        for q in range(12):
+            image_q, kq = ALL_PERMS[q >> 1].image, q & 1
+            pq = 2 * _PERM_INDEX[tuple(image_p[i - 1] for i in image_q)] + (kp ^ kq)
+            # sigma_q^-1 maps i to the position of i in sigma_q's image
+            e, f, a, b, c, d = _CONJUGATION[_PERM_INDEX[tuple(image_q.index(i) + 1 for i in (1, 2, 3))]]
+            s = -1 if kq else 1
+            row.append((pq, s * a, s * b, s * c, s * d, s * kp * e, s * kp * f))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+_PRODUCTS = _product_table()
+_INVERSE_POINTS = tuple([row[0] for row in rows].index(0) for rows in _PRODUCTS)
+
+
+# P_sigma M_{U^k} for each point; the matrix of (p, (m, n)) adds the row (-m, -n, m+n) to every row.
+# The row differences name p, and the twelve patterns have entries -1, 0, 1 and stay distinct mod n >= 3.
+_BASES = tuple(
+    sigma.apply(rows) for sigma in ALL_PERMS for rows in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), _GENERATOR_ROWS[Generator.U])
+)
+_SLOTS = tuple(sigma.slots for sigma in ALL_PERMS for _ in (0, 1))
+
+
+def _row_differences(rows) -> tuple[int, ...]:
+    return tuple(b - a for row in rows[1:] for a, b in zip(rows[0], row))
+
+
+_BY_DIFFERENCES = {_row_differences(rows): p for p, rows in enumerate(_BASES)}
+
+
+class _Element:
+    """sigma U^k (UV)^m (UW)^n, stored as its point p and translation (m, n).
+
+    The one storage of JElement (the points 0 and 1) and ExtElement (all
+    twelve points), with every group operation written once, on the
+    point-product table. Values are immutable; two are equal, and hash
+    equal, when their class, coordinates and modulus agree.
     """
 
-    k: int
-    m: int
-    n: int
-    modulus: Modulus
+    __slots__ = ("point", "m", "n", "modulus")
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, Modulus):
-            object.__setattr__(self, "modulus", as_modulus(self.modulus))
-        _require_group_modulus(self.modulus)
-        if self.k not in (0, 1):
-            raise ValueError(f"k must be 0 or 1, got {self.k}")
-        nn, m, n = self.modulus.n, self.m, self.n
-        # re-reduce only what is not an int in [0, nn) already; a bool is not,
-        # so True is stored as 1
-        if type(m) is not int or not 0 <= m < nn:
-            object.__setattr__(self, "m", int(m) % nn)
-        if type(n) is not int or not 0 <= n < nn:
-            object.__setattr__(self, "n", int(n) % nn)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.point, self.m, self.n, self.modulus.n) == (other.point, other.m, other.n, other.modulus.n)
+
+    def __hash__(self):
+        return hash((self.point, self.m, self.n, self.modulus.n))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r}, mod {self.modulus.n})"
+
+    @property
+    def k(self) -> int:
+        return self.point & 1
 
     @classmethod
-    def identity(cls, modulus: Modulus | int) -> "JElement":
-        return cls(0, 0, 0, as_modulus(modulus))
-
-    @classmethod
-    def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
-        return cls(1, *_GENERATOR_EXPONENTS[g], as_modulus(modulus))
+    def identity(cls, modulus: Modulus | int):
+        return _new(cls, 0, 0, 0, _require_group_modulus(as_modulus(modulus)))
 
     def is_identity(self) -> bool:
-        return self.k == 0 and self.m == 0 and self.n == 0
+        return not (self.point or self.m or self.n)
 
     def is_mode_reversing(self) -> bool:
-        return self.k == 1
+        return bool(self.point & 1)
 
-    def __mul__(self, other: "JElement") -> "JElement":
-        check_same_modulus(self.modulus, other.modulus)
-        sign = -1 if other.k else 1
-        return JElement(
-            self.k ^ other.k,
-            other.m + sign * self.m,
-            other.n + sign * self.n,
-            self.modulus,
-        )
+    def __mul__(self, other):
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        modulus = check_same_modulus(self.modulus, other.modulus)
+        pq, a, b, c, d, e, f = _PRODUCTS[self.point][other.point]
+        nn, m, n = modulus.n, self.m, self.n
+        return _new(cls, pq, (a * m + b * n + e + other.m) % nn, (c * m + d * n + f + other.n) % nn, modulus)
 
-    def inverse(self) -> "JElement":
-        if self.k:
-            return self  # every mode-reversing element is an involution
-        return JElement(0, -self.m, -self.n, self.modulus)
+    def inverse(self):
+        """(p, t)^-1 = (p^-1, -(A t + c)), with A and c from the (p, p^-1) row."""
+        p = self.point
+        q = _INVERSE_POINTS[p]
+        _, a, b, c, d, e, f = _PRODUCTS[p][q]
+        nn, m, n = self.modulus.n, self.m, self.n
+        return _new(type(self), q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, self.modulus)
 
-    def __pow__(self, t: int) -> "JElement":
-        if t < 0:
-            return self.inverse() ** (-t)
-        if self.k:
-            return self if t % 2 else JElement.identity(self.modulus)
-        return JElement(0, self.m * t, self.n * t, self.modulus)
+    def _powers(self) -> list:
+        """[self, self^2, ..., self^s] for s the order of sigma; self^s lies in J."""
+        out = [self]
+        while out[-1].point > 1:
+            out.append(out[-1] * self)
+        return out
+
+    def __pow__(self, t: int):
+        """self^t = (self^s)^(t div s) * self^(t mod s), where x = self^s lies in J:
+        x^q is x or Id when x is mode-reversing, an involution, and (0, q t_x) otherwise."""
+        powers = self._powers()
+        q, r = divmod(t, len(powers))
+        x = powers[-1]
+        if x.point:
+            head = x if q % 2 else _new(type(self), 0, 0, 0, x.modulus)
+        else:
+            nn = x.modulus.n
+            head = _new(type(self), 0, x.m * q % nn, x.n * q % nn, x.modulus)
+        return head * powers[r - 1] if r else head
 
     def order(self) -> int:
-        """Least t >= 1 with self**t == identity: mode-reversing elements are
-        involutions, and (UV)^m (UW)^n has the additive order of (m, n) in (Z/n)^2."""
-        if self.k:
-            return 2
-        nn = self.modulus.n
-        return nn // math.gcd(self.m, self.n, nn)
+        """s times the order of x = self^s in J, for s the order of sigma: x is an
+        involution when mode-reversing, else of the additive order of (m, n) in (Z/n)^2."""
+        powers = self._powers()
+        x = powers[-1]
+        nn = x.modulus.n
+        return len(powers) * (2 if x.point else nn // math.gcd(x.m, x.n, nn))
 
     def matrix(self) -> Mat3:
-        return normal_form_matrix(self)
+        """P_sigma M_{U^k} plus the translation row (-m, -n, m+n) in every row
+        (columns are the images of the basis)."""
+        m, n = self.m, self.n
+        return Mat3(tuple((a - m, b - n, c + m + n) for a, b, c in _BASES[self.point]), self.modulus)
 
     def apply(self, v: Vec3) -> Vec3:
-        return apply(self, v)
-
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.k, self.m, self.n)
+        check_same_modulus(self.modulus, v.modulus)
+        p = self.point
+        return Vec3(_act(_SLOTS[p], p & 1, self.m, self.n, v.entries, v.modulus.n), v.modulus)
 
     def __str__(self) -> str:
-        parts = []
-        if self.k:
+        p = self.point
+        parts = [ALL_PERMS[p >> 1].cycle_notation()] if p > 1 else []
+        if p & 1:
             parts.append("U")
         if self.m:
             parts.append(f"(UV)^{self.m}")
@@ -188,52 +279,81 @@ class JElement:
         return " ".join(parts) if parts else "Id"
 
 
-# P_sigma M_j is P_sigma M_{U^k} + 1 (-m, -n, m+n), so its row differences name (sigma, k) and its
-# first row gives (m, n); the twelve patterns have entries -1, 0, 1 and stay distinct mod n >= 3.
-_BASES = {
-    (sigma, k): sigma.apply(rows)
-    for sigma in ALL_PERMS
-    for k, rows in enumerate((((1, 0, 0), (0, 1, 0), (0, 0, 1)), _GENERATOR_ROWS[Generator.U]))
-}
+_SET_POINT, _SET_M, _SET_N, _SET_MODULUS = (_Element.__dict__[name].__set__ for name in _Element.__slots__)
 
 
-def _row_differences(rows) -> tuple[int, ...]:
-    return tuple(b - a for row in rows[1:] for a, b in zip(rows[0], row))
+def _new(cls, point: int, m: int, n: int, modulus: Modulus):
+    """The trusted constructor: stores coordinates that are already reduced,
+    with no checks (products, decoders, enumerations and solvers)."""
+    e = object.__new__(cls)
+    _SET_POINT(e, point)
+    _SET_M(e, m)
+    _SET_N(e, n)
+    _SET_MODULUS(e, modulus)
+    return e
 
 
-_BY_DIFFERENCES = {_row_differences(rows): key for key, rows in _BASES.items()}
+class JElement(_Element):
+    """Normal form U^k (UV)^m (UW)^n; the canonical coordinates of the group.
+
+    Multiplication follows from moving U past the commuting block, where
+    U-conjugation inverts it:
+
+        (k1,m1,n1)*(k2,m2,n2) = (k1 xor k2, m2 + (-1)^k2 m1, n2 + (-1)^k2 n1)
+
+    which is the (k1, k2) entry of the point-product table. The tests check it
+    against this formula written out, and against the matrix product.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, m: int, n: int, modulus: Modulus | int) -> "JElement":
+        modulus = _require_group_modulus(as_modulus(modulus))
+        if k not in (0, 1):
+            raise ValueError(f"k must be 0 or 1, got {k}")
+        nn = modulus.n
+        # m and n are stored as plain ints in [0, n), whatever they arrive as
+        return _new(cls, int(k), int(m) % nn, int(n) % nn, modulus)
+
+    @classmethod
+    def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
+        return cls(1, *_GENERATOR_EXPONENTS[g], modulus)
+
+    def sort_key(self) -> tuple[int, int, int]:
+        return (self.point, self.m, self.n)
 
 
-def _sigma_j_matrix(sigma: Perm3, e: JElement) -> Mat3:
-    """P_sigma M_e: the base P_sigma M_{U^k} plus the translation row in every row."""
-    rows = tuple((a - e.m, b - e.n, c + e.m + e.n) for a, b, c in _BASES[sigma, e.k])
-    return Mat3(rows, e.modulus)
-
-
-def _sigma_j_decode(a: Mat3) -> tuple[Perm3, JElement] | None:
-    """The unique (sigma, j) with P_sigma M_j == a, or None if there is none."""
+def _decode(cls, a: Mat3, points: int):
+    """The element of cls among the first `points` points whose matrix is a, or
+    None: the row differences name the point, the first row gives (m, n), and
+    rebuilding the matrix confirms it."""
     nn = _require_group_modulus(a.modulus).n
     # lift residues 0, 1 and n-1 to 0, 1 and -1; any other residue matches no key
-    key = _BY_DIFFERENCES.get(tuple((d + 1) % nn - 1 for d in _row_differences(a.rows)))
-    if key is None:
+    p = _BY_DIFFERENCES.get(tuple((d + 1) % nn - 1 for d in _row_differences(a.rows)))
+    if p is None or p >= points:
         return None
-    sigma, k = key
-    base = _BASES[key][0]
-    e = JElement(k, base[0] - a.rows[0][0], base[1] - a.rows[0][1], a.modulus)
-    return (sigma, e) if _sigma_j_matrix(sigma, e) == a else None
+    base = _BASES[p][0]
+    e = _new(cls, p, (base[0] - a.rows[0][0]) % nn, (base[1] - a.rows[0][1]) % nn, a.modulus)
+    return e if e.matrix() == a else None
+
+
+def _enumerate(cls, points, modulus: Modulus | int) -> list:
+    """Every element at the given points, in sort-key order."""
+    m = _require_group_modulus(as_modulus(modulus))
+    return [_new(cls, p, a, b, m) for p in points for a in range(m.n) for b in range(m.n)]
 
 
 def normal_form_matrix(e: JElement) -> Mat3:
     """Closed-form matrix of a normal form (columns are the images of the basis)."""
-    return _sigma_j_matrix(Perm3.identity(), e)
+    return e.matrix()
 
 
 def decode(a: Mat3) -> JElement:
     """Invert normal_form_matrix; raises NotInJ if no (k, m, n) matches."""
-    found = _sigma_j_decode(a)
-    if found is None or not found[0].is_identity():
+    e = _decode(JElement, a, 2)
+    if e is None:
         raise NotInJ(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
-    return found[1]
+    return e
 
 
 def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | int) -> JElement:
@@ -245,9 +365,6 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
         g = JElement.from_generator(Generator[letter] if isinstance(letter, str) else letter, m)
         acc = g if acc is None else acc * g
     return JElement.identity(m) if acc is None else acc
-
-
-_IDENTITY_SLOTS = Perm3.identity().slots
 
 
 def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):
@@ -266,16 +383,9 @@ def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int,
 
 def apply(e: JElement, v: Vec3) -> Vec3:
     """Action on a voicing: shift by m(z-x) + n(z-y), after U when k = 1."""
-    check_same_modulus(e.modulus, v.modulus)
-    return Vec3(_act(_IDENTITY_SLOTS, e.k, e.m, e.n, v.entries, v.modulus.n), v.modulus)
+    return e.apply(v)
 
 
 def enumerate_J(modulus: Modulus | int) -> list[JElement]:
     """All 2*n^2 normal forms, in sort-key order."""
-    m = _require_group_modulus(as_modulus(modulus))
-    return [
-        JElement(k, mm, nn, m)
-        for k in (0, 1)
-        for mm in range(m.n)
-        for nn in range(m.n)
-    ]
+    return _enumerate(JElement, (0, 1), modulus)

@@ -418,3 +418,41 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["[[0.9,1,0],[1,0,0],[1,1,11]]", "[[true,1,0],[1,0,0],[1,1,11]]", '[[0,1,0],[1,0,0],[1,1,"11"]]'],
+)
+def test_normal_form_matrix_entries_must_be_integers(capsys, entries):
+    # 0.9 was truncated to 0 and printed U; true was read as 1
+    code, out, err = run(capsys, "normal-form", "--matrix", entries)
+    assert code == 1 and out == ""
+    assert "cannot parse matrix" in err
+
+
+def _progression_file(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # bool("false") is True, so this was solved as a cyclic progression
+        '{"modulus": 12, "cyclic": "false", "tuples": [[0,4,7],[4,7,11]]}',
+        '{"modulus": 12, "cyclic": 0, "tuples": [[0,4,7],[4,7,11]]}',
+        '{"modulus": 12, "tuples": [[0,4.9,7],[4,7,11]]}',
+        '{"modulus": 12, "tuples": [[0,true,7],[4,7,11]]}',
+        '{"modulus": "12", "tuples": [[0,4,7],[4,7,11]]}',
+        '{"modulus": 12.5, "tuples": [[0,4,7],[4,7,11]]}',
+    ],
+)
+def test_progression_files_must_match_their_schema(capsys, tmp_path, command, text):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(json.loads(text), load_schema("progression"))
+    code, out, err = run(capsys, command, _progression_file(tmp_path, text))
+    assert code == 1 and out == ""
+    assert "malformed progression file" in err

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from voicegroup.voicing import (
     Generator,
     JElement,
     NotInJ,
+    _PRODUCTS,
     _act,
     decode,
     enumerate_J,
@@ -16,7 +18,6 @@ from voicegroup.voicing import (
     word_to_element,
 )
 from voicegroup.extension import (
-    _PRODUCTS,
     CosetTag,
     ExtElement,
     NotInExtension,
@@ -30,6 +31,7 @@ from voicegroup.extension import (
     trace,
 )
 from voicegroup.structure import centralizer_in_GL3
+from voicegroup.analysis import solve_step
 
 M12 = Modulus(12)
 M7 = Modulus(7)
@@ -164,9 +166,16 @@ def test_inverses(ext12):
         assert (a.inverse() * a).is_identity()
 
 
+def _j_product(x, y):
+    """The plain-group product written out: (k1,m1,n1)(k2,m2,n2) =
+    (k1 xor k2, m2 + (-1)^k2 m1, n2 + (-1)^k2 n1)."""
+    sign = -1 if y.k else 1
+    return JElement(x.k ^ y.k, y.m + sign * x.m, y.n + sign * x.n, x.modulus)
+
+
 def _old_product(a, b):
     """(sa, ja) * (sb, jb) = (sa*sb, (sb^-1 ja sb) * jb), through conjugate_j."""
-    return ExtElement(a.sigma * b.sigma, conjugate_j(b.sigma.inverse(), a.j) * b.j)
+    return ExtElement(a.sigma * b.sigma, _j_product(conjugate_j(b.sigma.inverse(), a.j), b.j))
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
@@ -175,24 +184,26 @@ def test_product_table_matches_conjugation_route(n):
     # more point on each side pin every row down
     rng = random.Random(n)
     ts = [(0, 0), (1, 0), (0, 1), (rng.randrange(n), rng.randrange(n))]
-    points = [(sigma, k) for sigma in ALL_PERMS for k in (0, 1)]
-    for sp, kp in points:
-        for sq, kq in points:
-            row = _PRODUCTS[sp.image, kp, sq.image, kq]
-            assert any(row[0] is sigma for sigma in ALL_PERMS)
-            assert (row[0], row[1]) == (sp * sq, kp ^ kq)
+    for p in range(12):
+        sp, kp = ALL_PERMS[p // 2], p % 2
+        for q in range(12):
+            sq, kq = ALL_PERMS[q // 2], q % 2
+            assert _PRODUCTS[p][q][0] == 2 * ALL_PERMS.index(sp * sq) + (kp ^ kq)
             for t in ts:
                 a = ExtElement(sp, JElement(kp, *t, n))
                 for s in ts:
                     b = ExtElement(sq, JElement(kq, *s, n))
                     assert a * b == _old_product(a, b)
-    assert len(_PRODUCTS) == 144
+    assert [len(row) for row in _PRODUCTS] == [12] * 12
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_inverse_matches_conjugation_route(n):
     for a in enumerate_extension(n):
-        want = ExtElement(a.sigma.inverse(), conjugate_j(a.sigma, a.j.inverse()))
+        j = a.j
+        # a mode-reversing element of J is an involution; a translation inverts by negation
+        j_inv = j if j.k else JElement(0, -j.m, -j.n, a.modulus)
+        want = ExtElement(a.sigma.inverse(), conjugate_j(a.sigma, j_inv))
         assert a.inverse() == want
         assert any(a.inverse().sigma is sigma for sigma in ALL_PERMS)
 
@@ -600,3 +611,50 @@ def test_str_parse_round_trip(ext12):
 def test_modulus_mismatch():
     with pytest.raises(ValueError):
         ExtElement.from_j(JElement(0, 0, 0, M12)) * ExtElement.from_j(JElement(0, 0, 0, M7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_one_element_reached_by_five_routes(n, data):
+    # constructor, decode, parse, a product and the solver all give one value,
+    # equal and equally hashed
+    mod, residue = Modulus(n), st.integers(0, n - 1)
+    x, y = (
+        ExtElement(
+            data.draw(st.sampled_from(ALL_PERMS)),
+            JElement(data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue), mod),
+        )
+        for _ in range(2)
+    )
+    v = Vec3(tuple(data.draw(residue) for _ in range(3)), mod)
+    solved = [g for g in solve_step(v, x.apply(v)) if g.sort_key() == x.sort_key()]
+    assert len(solved) == 1
+    for route in (ext_decode(x.matrix()), parse_element(str(x), n), (x * y) * y.inverse(), solved[0]):
+        assert type(route) is ExtElement
+        assert route == x and hash(route) == hash(x)
+        assert (route.sigma, route.j) == (x.sigma, x.j)
+
+
+def test_plain_and_extension_elements_stay_distinct_types():
+    j = JElement(1, 2, 3, M12)
+    e = ExtElement.from_j(j)
+    assert j != e and e != j
+    assert e.j == j and type(e.j) is JElement
+    with pytest.raises(TypeError):
+        j * e
+    with pytest.raises(TypeError):
+        e * j
+    for value, field in ((j, "k"), (j, "m"), (j, "modulus"), (e, "sigma"), (e, "j"), (e, "n")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, 0)
+
+
+def test_constructor_error_texts():
+    with pytest.raises(ValueError, match=r"^k must be 0 or 1, got 2$"):
+        JElement(2, 0, 0, 12)
+    with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
+        JElement(0, 0, 0, 2)
+    with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2, got 1$"):
+        JElement(0, 0, 0, 1)
+    with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
+        ExtElement.from_sigma(Perm3.from_cycle("(13)"), 2)

@@ -2,9 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import Vec3, identity, mat_mul, mat_vec, perm_matrix, Perm3
+from voicegroup.linalg import ALL_PERMS, Vec3, identity, mat_mul, mat_vec, perm_matrix, Perm3
 from voicegroup.voicing import (
     Generator,
     JElement,
@@ -18,6 +19,7 @@ from voicegroup.voicing import (
     normal_form_matrix,
     word_to_element,
 )
+from voicegroup.extension import ExtElement
 
 M12 = Modulus(12)
 M7 = Modulus(7)
@@ -273,3 +275,24 @@ def test_text_form():
     assert str(JElement(1, 0, 0, M12)) == "U"
     assert str(JElement(0, 11, 1, M12)) == "(UV)^11 (UW)^1"
     assert str(JElement(1, 1, 0, M12)) == "U (UV)^1"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 60), st.data())
+def test_one_normal_form_reached_by_every_route(n, data):
+    # constructor, decode, a word, the j view of an extension element and a
+    # product all give one value, equal and equally hashed
+    mod, residue = Modulus(n), st.integers(0, n - 1)
+    k, m, nn = data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue)
+    x = JElement(k, m, nn, mod)
+    y = JElement(data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue), mod)
+    routes = (
+        decode(x.matrix()),
+        word_to_element("U" * k + "UV" * m + "UW" * nn, mod),
+        ExtElement(data.draw(st.sampled_from(ALL_PERMS)), x).j,
+        (x * y) * y.inverse(),
+    )
+    for route in routes:
+        assert type(route) is JElement
+        assert route == x and hash(route) == hash(x)
+        assert (route.k, route.m, route.n, route.modulus) == (k, m, nn, mod)

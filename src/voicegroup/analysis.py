@@ -1,17 +1,16 @@
 """Transformational analysis of chord progressions.
 
-A progression is an ordered list of voicings over one modulus. The solvers
-look for group elements carrying each tuple to its successor: for a fixed
-permutation part sigma and reflection bit k, the condition
-
-    sigma(U^k(s) + (m(z-x) + n(z-y)) * (1,1,1)) = t
-
-is linear in (m, n) once the diagonal difference sigma^-1(t) - U^k(s) is
-constant; stacking one equation per step gives a linear system over Z/n,
-which modring.solve_linear solves exactly. The componentwise affine maps
-between two progressions are found the same way, as a linear system in the
-map's (u, q). A brute-force scan over the whole group is kept as the oracle
-for the linear route.
+A progression is an ordered list of voicings over one modulus. Every query
+asks which elements sigma U^k (UV)^m (UW)^n carry a tuple s = (x, y, z) to
+its successor t, and one case loop, _cases, answers it. At the point
+(sigma, k) this holds exactly when t - sigma(U^k(s)) = (m(z-x) + n(z-y)) *
+(1,1,1): a point whose difference is not constant-diagonal is skipped, and
+each other point gives one linear equation in (m, n) per step, solved
+exactly by modring.solve_linear. solve_step runs the loop over one step and
+a group's points, solve_uniform over every step and one point, and
+solve_uniform_all_cases over every step and all twelve points. The affine
+maps between two progressions solve a linear system in the map's (u, q).
+A brute-force scan over the whole group is the oracle for the linear route.
 """
 
 from __future__ import annotations
@@ -90,21 +89,24 @@ class Progression:
 _GROUP_POINTS = {"J": (0, 1), "extension": tuple(range(12)), "hook": _HOOK_POINTS}
 
 
-def _step_equation(src: tuple, dst: tuple, slots: tuple, k: int, nn: int) -> tuple[list[int], int] | None:
-    """The linear condition on (m, n) for sigma U^k shift(m,n) to map src to dst.
-
-    src and dst are plain triples mod nn, and sigma moves entry slots[i] into
-    slot i (Perm3.slots). Returns (row, rhs) or None when the required
-    difference dst - sigma(U^k(src)) is not a constant-diagonal vector (no
-    solutions for this sigma, k).
-    """
-    x, y, z = src
-    base = (y, x, x + y - z) if k else src
-    a, b, c = slots
-    d = (dst[0] - base[a]) % nn
-    if (dst[1] - base[b]) % nn != d or (dst[2] - base[c]) % nn != d:
-        return None
-    return [(z - x) % nn, (z - y) % nn], d
+def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int):
+    """Yield (p, solutions) for each point p of `points`, in order, whose case
+    can realize every step; steps are (src, dst) pairs of plain triples. The
+    rows depend only on the sources, so each query builds them once."""
+    nn = modulus.n
+    rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
+    # (U^k(src), dst) for k = 0, 1; the point (sigma, k) reads sigma's slots off U^k(src)
+    images = [[(_act(_SLOTS[0], k, 0, 0, src, nn), dst) for src, dst in steps] for k in (0, 1)]
+    for p in points:
+        a, b, c = _SLOTS[p]
+        rhs = []
+        for w, t in images[p & 1]:
+            d = (t[0] - w[a]) % nn
+            if (t[1] - w[b]) % nn != d or (t[2] - w[c]) % nn != d:
+                break
+            rhs.append(d)
+        else:
+            yield p, solve_linear(rows, rhs, modulus, budget)
 
 
 def solve_step(
@@ -113,21 +115,15 @@ def solve_step(
     """All elements g of the chosen group with g(src) == dst, in sort-key order.
 
     Each (sigma, k) case is a one-equation linear system in (m, n); the empty
-    list is a valid result.
+    list is a valid result. The Hook group is defined over Z/12 only.
     """
     modulus = _require_group_modulus(check_same_modulus(src.modulus, dst.modulus))
     if group not in _GROUP_POINTS:
         raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
-    nn = modulus.n
-    s, t = src.entries, dst.entries
-    out = []
-    for p in _GROUP_POINTS[group]:
-        eq = _step_equation(s, t, _SLOTS[p], p & 1, nn)
-        if eq is None:
-            continue
-        row, rhs = eq
-        out.extend(_new(ExtElement, p, m, n, modulus) for m, n in solve_linear([row], [rhs], modulus, budget))
-    return out
+    if group == "hook" and modulus.n != 12:
+        raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
+    cases = _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget)
+    return [_new(ExtElement, p, m, n, modulus) for p, solutions in cases for m, n in solutions]
 
 
 def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:
@@ -177,46 +173,43 @@ class UniformSolution:
         return str(self.element)
 
 
+def _solve_uniform(prog: Progression, budget: int, sigma: Perm3 | None = None, k: int = 0) -> list[UniformSolution]:
+    """The uniform solutions of the case (sigma, k), or of all twelve cases
+    when sigma is None, each re-verified against every step."""
+    if len(prog.tuples) < 2:
+        raise ValueError("uniform solving needs at least two tuples")
+    if k not in (0, 1):
+        raise ValueError("k must be 0 or 1")
+    modulus = prog.modulus
+    nn = modulus.n
+    steps = [(src.entries, dst.entries) for src, dst in prog.steps()]
+    points = range(12) if sigma is None else (_point(sigma, k),)
+    out = []
+    for p, solutions in _cases(steps, points, modulus, budget):
+        sigma_p, k_p, slots = ALL_PERMS[p >> 1], p & 1, _SLOTS[p]
+        for m, n in solutions:
+            s = UniformSolution(sigma_p, k_p, m, n, modulus)
+            if any(_act(slots, k_p, m, n, src, nn) != dst for src, dst in steps):
+                raise RuntimeError(f"solver returned {s}, which does not realize every step")
+            out.append(s)
+    return out
+
+
 def solve_uniform(
     prog: Progression, sigma: Perm3, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[UniformSolution]:
     """All (m, n) such that sigma U^k shift(m,n) maps every tuple to its successor.
 
-    Stacks one linear equation per step (wrap-around included when cyclic)
-    and solves exactly; every returned solution is re-verified against the
-    progression before being handed back. Solutions come in (m, n) order.
+    One linear equation per step (wrap-around included when cyclic), solved
+    exactly; every returned solution is re-verified against the progression
+    before being handed back. Solutions come in (m, n) order.
     """
-    if len(prog.tuples) < 2:
-        raise ValueError("uniform solving needs at least two tuples")
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    slots = _SLOTS[_point(sigma, k)]
-    modulus = prog.modulus
-    nn = modulus.n
-    steps = [(src.entries, dst.entries) for src, dst in prog.steps()]
-    rows, rhs = [], []
-    for src, dst in steps:
-        eq = _step_equation(src, dst, slots, k, nn)
-        if eq is None:
-            return []
-        rows.append(eq[0])
-        rhs.append(eq[1])
-    out = []
-    for m, n in solve_linear(rows, rhs, modulus, budget):
-        s = UniformSolution(sigma, k, m, n, modulus)
-        if any(_act(slots, k, m, n, src, nn) != dst for src, dst in steps):
-            raise RuntimeError(f"solver returned {s}, which does not realize every step")
-        out.append(s)
-    return out
+    return _solve_uniform(prog, budget, sigma, k)
 
 
 def solve_uniform_all_cases(prog: Progression, budget: int = DEFAULT_BUDGET) -> list[UniformSolution]:
-    """solve_uniform over all twelve (sigma, k) cases, in sort-key order."""
-    out = []
-    for sigma in ALL_PERMS:
-        for k in (0, 1):
-            out.extend(solve_uniform(prog, sigma, k, budget))
-    return out
+    """The uniform solutions of all twelve (sigma, k) cases, in sort-key order."""
+    return _solve_uniform(prog, budget)
 
 
 def rich(v: Vec3) -> Vec3:

@@ -133,14 +133,19 @@ def _cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
+def _solve_case(prog: Progression, args) -> list:
+    """The uniform solutions of the case named by --sigma and --k; an omitted
+    part defaults to the identity permutation or k = 0."""
+    sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
+    return solve_uniform(prog, sigma, args.k if args.k is not None else 0, args.budget)
+
+
 def _cmd_solve(args) -> int:
     prog = _load_progression(args.progression, args)
     if args.sigma is None and args.k is None:
         solutions = solve_uniform_all_cases(prog, args.budget)
     else:
-        sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
-        k = args.k if args.k is not None else 0
-        solutions = solve_uniform(prog, sigma, k, args.budget)
+        solutions = _solve_case(prog, args)
     payload = {
         "modulus": prog.modulus.n,
         "cyclic": prog.cyclic,
@@ -289,9 +294,7 @@ def _cmd_export_dot(args) -> int:
     prog = _load_progression(args.progression, args)
     labels = None
     if args.sigma is not None or args.k is not None:
-        sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
-        k = args.k if args.k is not None else 0
-        solutions = solve_uniform(prog, sigma, k, args.budget)
+        solutions = _solve_case(prog, args)
         if not solutions:
             print("no solutions", file=sys.stderr)
             return EXIT_OK
@@ -307,17 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="voicegroup", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="text", with_mod=True):
+    def add_common(p, formats=("text", "json"), with_mod=True, with_budget=True):
         if with_mod:
             p.add_argument("--mod", type=int, default=12, help="modulus (default 12)")
-        p.add_argument("--format", choices=("text", "json", "dot"), default=default_format)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate budget for exhaustive searches")
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if with_budget:
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate budget for exhaustive searches")
 
     p = sub.add_parser("normal-form", help="normal form of a generator word or matrix")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--word", help="generator word, e.g. VW")
     group.add_argument("--matrix", help="row-major JSON matrix, e.g. [[0,1,0],[1,0,0],[1,1,11]]")
-    add_common(p)
+    add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_normal_form)
 
     p = sub.add_parser("solve", help="uniform solutions realizing a progression")
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_centralizer)
 
     p = sub.add_parser("center", help="center of the voicing group")
-    add_common(p)
+    add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_center)
 
     p = sub.add_parser("count", help="order of GL3 or SL3 over Z/n, counted per prime-power factor")
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("direction", choices=("to-utt", "from-utt"))
     p.add_argument("--element", help="group element, e.g. (13)W")
     p.add_argument("--utt", help="triadic transformation, e.g. <-,0,0>")
-    add_common(p, with_mod=False)
+    add_common(p, with_mod=False, with_budget=False)
     p.set_defaults(func=_cmd_hook)
 
     p = sub.add_parser("rich", help="iterate retrograde inversion enchaining from a seed")
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, choices=(0, 1))
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--mod", type=int, help="must equal the progression file's modulus")
-    add_common(p, default_format="dot", with_mod=False)
+    add_common(p, formats=("dot", "json"), with_mod=False)
     p.set_defaults(func=_cmd_export_dot)
 
     return parser

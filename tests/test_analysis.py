@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voicegroup.modring import Modulus
+from voicegroup.modring import BudgetExceeded, Modulus
 from voicegroup.linalg import (
     ALL_PERMS,
     AffineMap,
@@ -204,6 +204,33 @@ def test_solve_uniform_validation():
         solve_uniform(Progression.of([(0, 4, 7)], 12), Perm3.identity(), 0)
     with pytest.raises(ValueError):
         solve_uniform(GRAIL, Perm3.identity(), 2)
+    with pytest.raises(ValueError, match="at least two tuples"):
+        solve_uniform_all_cases(Progression.of([(0, 4, 7)], 12))
+
+
+def test_budget_is_read_only_where_a_case_is_feasible():
+    # mod 5003 every feasible case has a 5003^2 search space; a major triad
+    # never goes to a diminished one, so no case reaches the solver
+    M = Modulus(5003)
+    major, diminished, rich_image = Vec3.of(0, 4, 7, M), Vec3.of(0, 3, 6, M), Vec3.of(4, 7, 11, M)
+    assert solve_step(major, diminished, budget=1) == []
+    assert solve_uniform_all_cases(Progression(M, (major, diminished)), budget=1) == []
+    message = "^5003\\^2 = 25030009 candidates exceeds budget 1$"
+    with pytest.raises(BudgetExceeded, match=message):
+        solve_step(major, rich_image, budget=1)
+    with pytest.raises(BudgetExceeded, match=message):
+        solve_uniform_all_cases(Progression(M, (major, rich_image)), budget=1)
+    with pytest.raises(BudgetExceeded, match=message):
+        solve_uniform(Progression(M, (major, rich_image)), TRANSPOSITION_13, 1, budget=1)
+
+
+def test_hook_solving_needs_the_twelve_tone_modulus():
+    # the Hook group is the stabilizer of the root-position triads mod 12
+    src, dst = Vec3.of(0, 2, 4, M7), Vec3.of(6, 1, 3, M7)
+    with pytest.raises(ValueError):
+        solve_step(src, dst, "hook")
+    with pytest.raises(ValueError):
+        solve_step_bruteforce(src, dst, "hook")
 
 
 def test_rich_examples():

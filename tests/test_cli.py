@@ -92,6 +92,27 @@ def test_usage_error_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normal-form", "--word", "VW", "--format", "dot"],
+        ["export-dot", "{grail}", "--format", "text"],
+        ["normal-form", "--word", "VW", "--budget", "0"],
+        ["center", "--budget", "0"],
+        ["hook", "from-utt", "--utt", "<+,1,0>", "--budget", "1"],
+    ],
+)
+def test_options_a_subcommand_cannot_honour_are_refused(capsys, grail_file, argv):
+    # export-dot writes DOT or JSON and the others text or JSON; normal-form,
+    # center and hook return at most four elements, so no budget bounds them
+    flag = argv[-2]
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(grail=grail_file) for a in argv])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert flag in err
+
+
 def test_solve_grail(capsys, grail_file):
     code, out, _ = run(capsys, "solve", grail_file, "--sigma", "(12)", "--k", "1", "--cyclic")
     assert code == 0

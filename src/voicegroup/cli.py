@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus
 from .linalg import Mat3, Perm3, Vec3
-from .voicing import Generator, JElement, NotInJ, word_to_element
+from .voicing import JElement, NotInJ, word_to_element
 from .extension import ExtElement, NotInExtension, ext_decode, parse_element
 from .structure import (
     Ambient,
@@ -207,34 +207,24 @@ def _cmd_count(args) -> int:
     return EXIT_OK
 
 
+# The generators of each orbit group, as element texts read by parse_element.
 _ORBIT_GENERATORS = {
-    "j": lambda m: [ExtElement.from_j(JElement.from_generator(g, m)) for g in Generator],
-    "j+": lambda m: [
-        ExtElement.from_j(JElement(0, 1, 0, m)),
-        ExtElement.from_j(JElement(0, 0, 1, m)),
-    ],
-    "extension": lambda m: [ExtElement.from_j(JElement.from_generator(g, m)) for g in Generator]
-    + [
-        ExtElement.from_sigma(Perm3.from_cycle("(12)"), m),
-        ExtElement.from_sigma(Perm3.from_cycle("(13)"), m),
-    ],
-    "sigma-j+": lambda m: [
-        ExtElement.from_j(JElement(0, 1, 0, m)),
-        ExtElement.from_j(JElement(0, 0, 1, m)),
-        ExtElement.from_sigma(Perm3.from_cycle("(12)"), m),
-        ExtElement.from_sigma(Perm3.from_cycle("(123)"), m),
-    ],
-    "hook": lambda m: [
-        ExtElement(Perm3.from_cycle("(13)"), JElement(1, 0, 0, m)),
-        ExtElement(Perm3.from_cycle("(13)"), JElement(1, 0, 1, m)),
-    ],
+    "j": ("U", "V", "W"),
+    "j+": ("UV", "UW"),
+    "extension": ("U", "V", "W", "(12)", "(13)"),
+    "sigma-j+": ("UV", "UW", "(12)", "(123)"),
+    "hook": ("(13) U", "(13) U (UW)"),
 }
+
+
+def _orbit_generators(group: str, modulus: Modulus) -> list[ExtElement]:
+    return [parse_element(text, modulus) for text in _ORBIT_GENERATORS[group]]
 
 
 def _cmd_orbit(args) -> int:
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
-    generators = _ORBIT_GENERATORS[args.group](modulus)
+    generators = _orbit_generators(args.group, modulus)
     result = sorted(triadic.orbit(generators, seed), key=lambda v: v.entries)
     payload = {
         "modulus": modulus.n,
@@ -273,11 +263,7 @@ def _cmd_rich(args) -> int:
     element = rich_element(modulus)
     cycle = orbit_of_element(element, seed)
     if args.steps is not None:
-        shown = [seed]
-        current = seed
-        for _ in range(args.steps):
-            current = element.apply(current)
-            shown.append(current)
+        shown = [cycle[i % len(cycle)] for i in range(args.steps + 1)]
     else:
         shown = cycle
     payload = {
@@ -342,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_center)
 
-    p = sub.add_parser("count", help="order of GL3 or SL3 over Z/n, counted per prime-power factor")
+    p = sub.add_parser("count", help="order of GL3 or SL3 over Z/n, from the closed-form product")
     p.add_argument("ambient", choices=("gl3", "sl3"))
     add_common(p)
     p.set_defaults(func=_cmd_count)
@@ -350,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbit of a seed voicing under a chosen group")
     p.add_argument("--seed", required=True, help="comma-separated voicing, e.g. 0,4,7")
     p.add_argument("--group", choices=sorted(_ORBIT_GENERATORS), default="extension")
-    add_common(p)
+    add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("hook", help="convert between triadic transformations and group elements (mod 12)")
@@ -363,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rich", help="iterate retrograde inversion enchaining from a seed")
     p.add_argument("--seed", required=True)
     p.add_argument("--steps", type=int, help="number of steps (default: full cycle)")
-    add_common(p)
+    add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_rich)
 
     p = sub.add_parser("export-dot", help="export a progression network")

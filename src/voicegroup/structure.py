@@ -1,14 +1,10 @@
 """Structural computations around the voicing group.
 
-Centralizers are found by solving the commutator equations as a homogeneous
-linear system in the nine matrix entries. The solver is exact, but the budget
-still bounds its q^9 search space per prime-power factor q, so a modulus with
-a prime-power factor q >= 7 (such as 7, 9 or 36) needs a budget above the
-default. GL/SL orders count invertible / determinant-one matrices per
-prime-power factor q and multiply the counts out: the count enumerates the
-first two rows and counts the third in closed form (q^6 work), while the
-budget still bounds the q^9 matrices counted, so `count` keeps its exit-3
-contract. A closed-form product is available as a cross-check.
+Centralizers and the orders of GL(3, Z/n) and SL(3, Z/n) are closed forms.
+The budget still bounds the q^9 matrices over each prime-power factor q, so
+`centralizer` and `count` keep their exit-3 contract: a modulus with a
+prime-power factor q >= 7 (such as 7, 9 or 36) needs a budget above the
+default.
 
 The duality check compares a contextual dihedral group with the
 transposition/inversion group on the seed's T/I orbit, in O(n) and on plain
@@ -21,7 +17,6 @@ generators.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -32,7 +27,6 @@ from .modring import (
     Modulus,
     as_modulus,
     euler_phi,
-    solve_homogeneous,
     _prime_of,
 )
 from .linalg import (
@@ -91,41 +85,24 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     return [JElement(0, a, b, m) for a in halves for b in halves]
 
 
-def commutator_rows(modulus: Modulus | int) -> list[list[int]]:
-    """Rows of the linear system 'A commutes with U, V and W' in the 9 entries of A.
-
-    Unknowns are A's entries in row-major order; each generator G contributes
-    the 9 linear forms (A G - G A)[p][q].
-    """
-    m = as_modulus(modulus)
-    rows = []
-    for g in Generator:
-        gm = generator_matrix(g, m).rows
-        for p in range(3):
-            for q in range(3):
-                row = [0] * 9
-                for u in range(3):
-                    for v in range(3):
-                        coeff = 0
-                        if u == p:
-                            coeff += gm[v][q]
-                        if v == q:
-                            coeff -= gm[p][u]
-                        row[3 * u + v] = coeff % m.n
-                rows.append(row)
-    return rows
+def _require_budget(m: Modulus, budget: int) -> None:
+    """Raise BudgetExceeded at the first prime-power factor q of n with q^9 > budget."""
+    for q in m.prime_powers():
+        if q**9 > budget:
+            raise BudgetExceeded(f"{q}^9 = {q**9} candidates exceeds budget {budget}")
 
 
 def centralizer_in_M3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> CentralizerReport:
-    """Monoid centralizer in all 3x3 matrices, via the linear solver.
+    """Monoid centralizer in all 3x3 matrices, sorted by rows.
 
-    Over Z/12 this has 48 elements; see monoid_centralizer_closed_form for
-    the explicit description and the note on the smaller diag(u)-product
-    family. n = 7 needs a budget of at least 7**9.
+    This is monoid_centralizer_closed_form, which has 48 elements over Z/12;
+    see it for the explicit description and diagonal_product_family for the
+    smaller diag(u)-product family. The budget bounds the q^9 matrices over
+    each prime-power factor q, so n = 7 needs a budget of at least 7**9.
     """
     m = as_modulus(modulus)
-    sols = solve_homogeneous(commutator_rows(m), m, budget)
-    mats = tuple(Mat3.of((s[0:3], s[3:6], s[6:9]), m) for s in sols)
+    _require_budget(m, budget)
+    mats = tuple(sorted(monoid_centralizer_closed_form(m), key=lambda a: a.rows))
     return CentralizerReport(Ambient.M3, mats, len(mats))
 
 
@@ -174,9 +151,9 @@ def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
     Every reflection fixes the all-ones column, and fixes the covectors w of
     even weight modulo 2; hence diag(a) + (n/2)*ones*w^T commutes with the
     whole group when n is even (the factor n/2 kills the mod-2 defect). For
-    odd n only the scalar matrices remain. The solver-based centralizer_in_M3
-    is the oracle this description is checked against in the tests; over Z/12
-    it has 48 elements (4n for even n, n for odd n).
+    odd n only the scalar matrices remain. The tests check this description
+    against the solved commutator equations; over Z/12 it has 48 elements
+    (4n for even n, n for odd n).
     """
     m = as_modulus(modulus)
     n = m.n
@@ -212,37 +189,24 @@ def centralizer_in_Aff(
     return CentralizerReport(ambient, maps, len(maps))
 
 
-def _count_dets(q: int, want_det_one: bool, budget: int) -> int:
-    """Count 3x3 matrices over Z/q (q = p^a) with unit (or = 1) determinant.
-
-    Only the first two rows are enumerated. The determinant is c . r3 with
-    c = r1 x r2: if c has an entry prime to p, r3 -> c . r3 maps (Z/q)^3 onto
-    Z/q and hits every residue q^2 times; otherwise every determinant is
-    divisible by p. The budget still bounds the q^9 matrices being counted.
-    """
-    total = q**9
-    if total > budget:
-        raise BudgetExceeded(f"{q}^9 = {total} candidates exceeds budget {budget}")
-    p = _prime_of(q)
-    rows = list(itertools.product(range(q), repeat=3))
-    primitive = 0
-    for a0, a1, a2 in rows:
-        for b0, b1, b2 in rows:
-            if (a1 * b2 - a2 * b1) % p or (a2 * b0 - a0 * b2) % p or (a0 * b1 - a1 * b0) % p:
-                primitive += 1
-    return primitive * q**2 * (1 if want_det_one else q - q // p)
-
-
 def count_GL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
-    """|GL(3, Z/n)| by counting per prime-power factor (see _count_dets)."""
+    """|GL(3, Z/n)|, from gl3_order_closed_form.
+
+    The budget bounds the q^9 matrices over each prime-power factor q.
+    """
     m = as_modulus(modulus)
-    return math.prod(_count_dets(q, False, budget) for q in m.prime_powers())
+    _require_budget(m, budget)
+    return gl3_order_closed_form(m)
 
 
 def count_SL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
-    """|SL(3, Z/n)| by counting per prime-power factor (see _count_dets)."""
+    """|SL(3, Z/n)|, from sl3_order_closed_form.
+
+    The budget bounds the q^9 matrices over each prime-power factor q.
+    """
     m = as_modulus(modulus)
-    return math.prod(_count_dets(q, True, budget) for q in m.prime_powers())
+    _require_budget(m, budget)
+    return sl3_order_closed_form(m)
 
 
 def gl3_order_closed_form(modulus: Modulus | int) -> int:

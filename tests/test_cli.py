@@ -12,6 +12,8 @@ import pytest
 import voicegroup
 from voicegroup.cli import main
 from voicegroup.modring import Modulus
+from voicegroup.linalg import Vec3
+from voicegroup.analysis import rich_element
 from voicegroup.extension import parse_element
 from voicegroup.datasets import FALLING_FIFTHS, GRAIL
 
@@ -100,11 +102,14 @@ def test_usage_error_exit_1(capsys):
         ["normal-form", "--word", "VW", "--budget", "0"],
         ["center", "--budget", "0"],
         ["hook", "from-utt", "--utt", "<+,1,0>", "--budget", "1"],
+        ["orbit", "--seed", "0,4,7", "--budget", "5"],
+        ["rich", "--seed", "8,4,5", "--budget", "5"],
     ],
 )
 def test_options_a_subcommand_cannot_honour_are_refused(capsys, grail_file, argv):
     # export-dot writes DOT or JSON and the others text or JSON; normal-form,
-    # center and hook return at most four elements, so no budget bounds them
+    # center and hook return at most four elements, and orbit and rich run no
+    # budgeted search, so no budget bounds them
     flag = argv[-2]
     with pytest.raises(SystemExit) as exc:
         main([a.format(grail=grail_file) for a in argv])
@@ -242,23 +247,27 @@ def test_count_budget_exit_3(capsys):
     assert code == 3 and "budget" in err
 
 
-@pytest.mark.parametrize("ambient", ["gl3", "sl3"])
-def test_count_counts_each_prime_power_factor_once(capsys, monkeypatch, ambient):
-    from voicegroup import structure
-
-    calls = []
-    count_dets = structure._count_dets
-
-    def counting(q, want_det_one, budget):
-        calls.append(q)
-        return count_dets(q, want_det_one, budget)
-
-    monkeypatch.setattr(structure, "_count_dets", counting)
-    code, out, _ = run(capsys, "count", ambient, "--mod", "12", "--format", "json")
+@pytest.mark.parametrize(
+    "argv, key, lifted",
+    [
+        (["count", "gl3"], "order", 19_016_370_487_296),
+        (["count", "sl3"], "order", 1_584_697_540_608),
+        (["centralizer", "--ambient", "m3"], "size", 144),
+        (["centralizer", "--ambient", "gl3"], "size", 48),
+        (["centralizer", "--ambient", "aff"], "size", 5184),
+        (["centralizer", "--ambient", "affx"], "size", 1728),
+    ],
+)
+def test_budget_bounds_the_q9_matrices_per_prime_power_factor(capsys, argv, key, lifted):
+    # the answers are closed forms; the budget still bounds the q^9 matrices
+    # over each prime-power factor q, and mod 36 is refused at its factor 9
+    for mod, q in (("7", 7), ("36", 9)):
+        code, out, err = run(capsys, *argv, "--mod", mod)
+        assert (code, out) == (3, "")
+        assert err == f"error: {q}^9 = {q**9} candidates exceeds budget 10000000\n"
+    code, out, _ = run(capsys, *argv, "--mod", "36", "--budget", "387420489", "--format", "json")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["order"] == payload["voicing_group_index"] * 2 * 12**2
-    assert sorted(calls) == [3, 4]
+    assert json.loads(out)[key] == lifted
 
 
 def test_orbit_dual_root_position(capsys):
@@ -273,6 +282,14 @@ def test_orbit_all_triads(capsys):
     code, out, _ = run(capsys, "orbit", "--seed", "0,4,7", "--group", "extension", "--format", "json")
     assert code == 0
     assert json.loads(out)["size"] == 144
+
+
+# j and extension are covered by the two tests above
+@pytest.mark.parametrize("group, size", [("j+", 12), ("sigma-j+", 72), ("hook", 24)])
+def test_orbit_size_of_each_group(capsys, group, size):
+    code, out, _ = run(capsys, "orbit", "--seed", "0,4,7", "--group", group)
+    assert code == 0
+    assert out.splitlines()[0] == f"size: {size}"
 
 
 def test_orbit_at_a_large_modulus(capsys):
@@ -327,6 +344,20 @@ def test_rich_fixed_step_count(capsys):
     payload = json.loads(out)
     assert payload["tuples"] == [[8, 4, 5], [4, 5, 1], [5, 1, 2]]
     assert payload["cycle_length"] == 8
+
+
+def test_rich_steps_past_the_cycle_wrap_around(capsys):
+    # the cycle of 8,4,5 has length 8, so 20 steps go round it twice and more
+    code, out, _ = run(capsys, "rich", "--seed", "8,4,5", "--steps", "20", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cycle_length"] == 8
+    element, current = rich_element(Modulus(12)), Vec3.of(8, 4, 5, 12)
+    want = [current]
+    for _ in range(20):
+        current = element.apply(current)
+        want.append(current)
+    assert payload["tuples"] == [list(v.entries) for v in want]
 
 
 def test_rich_rejects_negative_step_count(capsys):

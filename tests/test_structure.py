@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import voicegroup.structure as structure
-from voicegroup.modring import BudgetExceeded, Modulus
+from voicegroup.modring import BudgetExceeded, Modulus, solve_homogeneous
 from voicegroup.linalg import (
     TRANSPOSITION_12,
     AffineMap,
@@ -18,7 +19,7 @@ from voicegroup.linalg import (
     mat_mul,
     scalar_affine,
 )
-from voicegroup.voicing import JElement, enumerate_J
+from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix
 from voicegroup.extension import ExtElement
 from voicegroup.structure import (
     Ambient,
@@ -87,21 +88,56 @@ def test_monoid_centralizer_membership_example():
     assert Mat3.of([[7, 0, 6], [6, 1, 6], [6, 0, 7]], M12) in centralizer_in_M3(12).elements
 
 
+def commutator_rows(n):
+    """Rows of the linear system 'A commutes with U, V and W' in the 9 entries of A.
+
+    Unknowns are A's entries in row-major order; each generator G contributes
+    the 9 linear forms (A G - G A)[p][q].
+    """
+    rows = []
+    for g in Generator:
+        gm = generator_matrix(g, n).rows
+        for p in range(3):
+            for q in range(3):
+                row = [0] * 9
+                for u in range(3):
+                    for v in range(3):
+                        coeff = 0
+                        if u == p:
+                            coeff += gm[v][q]
+                        if v == q:
+                            coeff -= gm[p][u]
+                        row[3 * u + v] = coeff % n
+                rows.append(row)
+    return rows
+
+
+def _solved_centralizer(n):
+    """The monoid centralizer as the exact solutions of the commutator equations, sorted by rows."""
+    solutions = solve_homogeneous(commutator_rows(n), n, budget=n**9)
+    return tuple(Mat3.of((s[0:3], s[3:6], s[6:9]), n) for s in solutions)
+
+
 @pytest.mark.parametrize("n", [4, 6, 12])
 def test_monoid_centralizer_closed_form_matches_solver(n):
-    assert set(centralizer_in_M3(n).elements) == monoid_centralizer_closed_form(n)
+    report = centralizer_in_M3(n)
+    assert report.elements == _solved_centralizer(n)
+    assert set(report.elements) == monoid_centralizer_closed_form(n)
 
 
-# the solver is exact, so a budget of n^9 only lifts the search-space bound
-@pytest.mark.parametrize("n", [3, 9, 11, 12, 25, 36, 60])
+# the answer is a closed form, so a budget of n^9 only lifts the q^9 bound
+@pytest.mark.parametrize("n", [*range(3, 41), 48, 60, 72, 100])
 def test_monoid_centralizer_matches_closed_form_with_lifted_budget(n):
-    assert set(centralizer_in_M3(n, budget=n**9).elements) == monoid_centralizer_closed_form(n)
+    report = centralizer_in_M3(n, budget=n**9)
+    assert report.elements == _solved_centralizer(n)
+    assert report.size == (4 * n if n % 2 == 0 else n)
 
 
 def test_monoid_centralizer_mod_7_is_scalars():
     report = centralizer_in_M3(7, budget=7**9)
     assert report.size == 7
-    assert set(report.elements) == monoid_centralizer_closed_form(7)
+    assert report.elements == _solved_centralizer(7)
+    assert all(a.rows == ((u, 0, 0), (0, u, 0), (0, 0, u)) for u, a in enumerate(report.elements))
     assert centralizer_in_GL3(7, budget=7**9).size == 6
 
 
@@ -173,10 +209,38 @@ def test_count_gl3_and_sl3_mod_12():
     assert count_SL3(12) == 241_532_928
 
 
+def _count_dets(q, want_det_one):
+    """Count 3x3 matrices over Z/q (q = p^a) with unit (or = 1) determinant.
+
+    Only the first two rows are enumerated. The determinant is c . r3 with
+    c = r1 x r2: if c has an entry prime to p, r3 -> c . r3 maps (Z/q)^3 onto
+    Z/q and hits every residue q^2 times; otherwise every determinant is
+    divisible by p.
+    """
+    p = min(d for d in range(2, q + 1) if q % d == 0)
+    rows = list(itertools.product(range(q), repeat=3))
+    primitive = 0
+    for a0, a1, a2 in rows:
+        for b0, b1, b2 in rows:
+            if (a1 * b2 - a2 * b1) % p or (a2 * b0 - a0 * b2) % p or (a0 * b1 - a1 * b0) % p:
+                primitive += 1
+    return primitive * q**2 * (1 if want_det_one else q - q // p)
+
+
+def _row_pair_counts(n):
+    """(|GL(3, Z/n)|, |SL(3, Z/n)|) as products of _count_dets over the prime-power factors."""
+    factors = Modulus(n).prime_powers()
+    return (
+        math.prod(_count_dets(q, False) for q in factors),
+        math.prod(_count_dets(q, True) for q in factors),
+    )
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 12])
 def test_counts_match_closed_form(n):
     assert count_GL3(n) == gl3_order_closed_form(n)
     assert count_SL3(n) == sl3_order_closed_form(n)
+    assert (count_GL3(n), count_SL3(n)) == _row_pair_counts(n)
 
 
 def _det_counts_oracle(q):
@@ -202,14 +266,15 @@ def _det_counts_oracle(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_counts_match_full_scan_oracle(q):
-    assert (count_GL3(q), count_SL3(q)) == _det_counts_oracle(q)
+    assert (count_GL3(q), count_SL3(q)) == _det_counts_oracle(q) == _row_pair_counts(q)
 
 
-# the count enumerates two rows, so n^9 only lifts the bound on the matrices counted
+# the counts are closed forms, so n^9 only lifts the bound on the matrices counted
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 36, 60])
 def test_counts_match_closed_form_with_lifted_budget(n):
     assert count_GL3(n, budget=n**9) == gl3_order_closed_form(n)
     assert count_SL3(n, budget=n**9) == sl3_order_closed_form(n)
+    assert (count_GL3(n, budget=n**9), count_SL3(n, budget=n**9)) == _row_pair_counts(n)
 
 
 def test_count_budget():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voicegroup.cli import _ORBIT_GENERATORS
+from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
 from voicegroup.voicing import JElement
@@ -140,7 +140,7 @@ def _orbit_oracle(generators, seed):
 def test_orbit_matches_oracle_on_every_seed(group, n):
     # orbits partition the seeds, so one oracle orbit serves every seed in it
     mod = Modulus(n)
-    gens = _ORBIT_GENERATORS[group](mod)
+    gens = _orbit_generators(group, mod)
     oracles = {}
     for entries in itertools.product(range(n), repeat=3):
         seed = Vec3(entries, mod)

@@ -20,16 +20,11 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .modring import DEFAULT_BUDGET, Modulus, as_modulus, check_same_modulus, solve_linear
+from .modring import DEFAULT_BUDGET, Modulus, _is_int, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul, scalar_affine
 from .voicing import _SLOTS, JElement, _act, _enumerate, _new, _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
-from .structure import centralizer_in_Aff
 from .triadic import _HOOK_POINTS, hook_elements
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -253,6 +248,8 @@ def find_affine_morphisms(
         raise ValueError("progressions must have equal lengths")
     m = a.modulus
     if restrict_to_centralizer:
+        from .structure import centralizer_in_Aff  # the solvers never need structure
+
         candidates = list(centralizer_in_Aff(m).elements)
         return [
             f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))

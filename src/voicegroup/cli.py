@@ -14,30 +14,13 @@ import os
 import sys
 from typing import Sequence
 
-from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus
+from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus, _is_int
 from .linalg import Mat3, Perm3, Vec3
-from .voicing import JElement, NotInJ, word_to_element
-from .extension import ExtElement, NotInExtension, ext_decode, parse_element
-from .structure import (
-    Ambient,
-    center_of_J,
-    centralizer_in_Aff,
-    centralizer_in_GL3,
-    centralizer_in_M3,
-    index_of_J,
-)
-from .triadic import NotInHook, HookElement, UTT, rho, rho_inverse
-from .analysis import (
-    Progression,
-    _is_int,
-    export_network_dot,
-    export_network_json,
-    orbit_of_element,
-    rich_element,
-    solve_uniform,
-    solve_uniform_all_cases,
-)
-from . import triadic
+from .voicing import JElement, NotInGroup, word_to_element
+from .extension import ExtElement, ext_decode, parse_element
+
+# Every subcommand needs the layers above. A handler imports structure,
+# triadic or analysis itself, so a process loads only what it runs.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -102,6 +85,8 @@ def _emit(payload: dict, args, text_lines: list[str]) -> None:
 
 
 def _load_progression(path: str, args) -> Progression:
+    from .analysis import Progression
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             prog = Progression.from_jsonable(json.load(fh))
@@ -136,11 +121,15 @@ def _cmd_normal_form(args) -> int:
 def _solve_case(prog: Progression, args) -> list:
     """The uniform solutions of the case named by --sigma and --k; an omitted
     part defaults to the identity permutation or k = 0."""
+    from .analysis import solve_uniform
+
     sigma = Perm3.from_cycle(args.sigma) if args.sigma else Perm3.identity()
     return solve_uniform(prog, sigma, args.k if args.k is not None else 0, args.budget)
 
 
 def _cmd_solve(args) -> int:
+    from .analysis import solve_uniform_all_cases
+
     prog = _load_progression(args.progression, args)
     if args.sigma is None and args.k is None:
         solutions = solve_uniform_all_cases(prog, args.budget)
@@ -159,6 +148,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_centralizer(args) -> int:
+    from .structure import Ambient, centralizer_in_Aff, centralizer_in_GL3, centralizer_in_M3
+
     modulus = Modulus(args.mod)
     ambient = Ambient(args.ambient)
     if ambient is Ambient.M3:
@@ -181,6 +172,8 @@ def _cmd_centralizer(args) -> int:
 
 
 def _cmd_center(args) -> int:
+    from .structure import center_of_J
+
     modulus = Modulus(args.mod)
     elements = center_of_J(modulus)
     elements.sort(key=JElement.sort_key)
@@ -194,6 +187,8 @@ def _cmd_center(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .structure import index_of_J
+
     modulus = Modulus(args.mod)
     index = index_of_J(modulus, args.ambient.upper(), args.budget)
     count = index * 2 * modulus.n**2  # index_of_J checked that the division is exact
@@ -222,10 +217,12 @@ def _orbit_generators(group: str, modulus: Modulus) -> list[ExtElement]:
 
 
 def _cmd_orbit(args) -> int:
+    from .triadic import orbit
+
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
     generators = _orbit_generators(args.group, modulus)
-    result = sorted(triadic.orbit(generators, seed), key=lambda v: v.entries)
+    result = sorted(orbit(generators, seed), key=lambda v: v.entries)
     payload = {
         "modulus": modulus.n,
         "group": args.group,
@@ -238,6 +235,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_hook(args) -> int:
+    from .triadic import HookElement, UTT, rho, rho_inverse
+
     if args.direction == "to-utt":
         if not args.element:
             raise CliError("to-utt needs --element")
@@ -256,6 +255,8 @@ def _cmd_hook(args) -> int:
 
 
 def _cmd_rich(args) -> int:
+    from .analysis import orbit_of_element, rich_element
+
     if args.steps is not None and args.steps < 0:
         raise CliError(f"--steps must be non-negative, got {args.steps}")
     modulus = Modulus(args.mod)
@@ -277,6 +278,8 @@ def _cmd_rich(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    from .analysis import export_network_dot, export_network_json
+
     prog = _load_progression(args.progression, args)
     labels = None
     if args.sigma is not None or args.k is not None:
@@ -320,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("centralizer", help="centralizer of the voicing group")
-    p.add_argument("--ambient", choices=[a.value for a in Ambient], default="gl3")
+    # the values of structure.Ambient, written out so that parsing needs no structure
+    p.add_argument("--ambient", choices=("m3", "gl3", "aff", "affx"), default="gl3")
     add_common(p)
     p.set_defaults(func=_cmd_centralizer)
 
@@ -379,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (NotInJ, NotInExtension, NotInHook) as exc:
+    except NotInGroup as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IN_GROUP
     except BudgetExceeded as exc:

@@ -38,6 +38,7 @@ from .voicing import (
     _PERM_INDEX,
     Generator,
     JElement,
+    NotInGroup,
     _Element,
     _decode,
     _enumerate,
@@ -49,7 +50,7 @@ from .voicing import (
 )
 
 
-class NotInExtension(ValueError):
+class NotInExtension(NotInGroup):
     """The matrix is not in the extended voicing group."""
 
 

@@ -24,6 +24,11 @@ class BudgetExceeded(RuntimeError):
     """A search space would hold more candidates than allowed."""
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, as a JSON integer must be."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @lru_cache(maxsize=None)
 def _prime_power_factors(n: int) -> tuple[int, ...]:
     """Prime-power factors of n, ordered by increasing prime: 12 -> (4, 3)."""

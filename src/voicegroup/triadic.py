@@ -23,11 +23,11 @@ from typing import Iterable
 
 from .modring import Modulus, check_same_modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints
-from .voicing import JElement, _enumerate, _point
+from .voicing import JElement, NotInGroup, _enumerate, _point
 from .extension import ExtElement
 
 
-class NotInHook(ValueError):
+class NotInHook(NotInGroup):
     """The element does not stabilize the root-position triads."""
 
 

@@ -31,7 +31,11 @@ from .modring import Modulus, as_modulus, check_same_modulus
 from .linalg import ALL_PERMS, Mat3, Perm3, Vec3
 
 
-class NotInJ(ValueError):
+class NotInGroup(ValueError):
+    """A matrix or element is not in the group it was read in."""
+
+
+class NotInJ(NotInGroup):
     """The matrix is not in the voicing-reflection group."""
 
 

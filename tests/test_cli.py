@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -10,12 +11,13 @@ import jsonschema
 import pytest
 
 import voicegroup
-from voicegroup.cli import main
+from voicegroup.cli import build_parser, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import Vec3
 from voicegroup.analysis import rich_element
 from voicegroup.extension import parse_element
 from voicegroup.datasets import FALLING_FIFTHS, GRAIL
+from voicegroup.structure import Ambient
 
 PACKAGE_DIR = Path(voicegroup.__file__).resolve().parent
 
@@ -436,17 +438,22 @@ def test_element_payload_round_trip(capsys):
     assert element == parse_element("(13)V", Modulus(12))
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's voicegroup."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_orbit_into_closed_pipe_exits_cleanly():
     # 12108 orbit lines at mod 1009 outgrow the pipe buffer, so the CLI is
     # still writing when the reader goes away, as with `| head -1`.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     argv = ["orbit", "--seed", "0,4,7", "--group", "extension", "--mod", "1009"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "voicegroup.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     assert proc.stdout.readline() == b"size: 12108\n"
     proc.stdout.close()
@@ -456,12 +463,64 @@ def test_orbit_into_closed_pipe_exits_cleanly():
 
 
 def test_importing_the_cli_loads_no_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     code = "import sys, voicegroup, voicegroup.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# The layers every subcommand loads; the table below adds each one's own.
+_CLI_LAYERS = {"modring", "linalg", "voicing", "extension", "cli"}
+
+# Runs cli.main(sys.argv[1:]) in a fresh interpreter and prints the exit code
+# and the voicegroup modules it loaded.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from voicegroup.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("voicegroup.")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["normal-form", "--word", "VW"], set()),
+        (["center"], {"structure"}),
+        (["count", "gl3"], {"structure"}),
+        (["centralizer", "--ambient", "aff"], {"structure"}),
+        (["hook", "to-utt", "--element", "(13)W"], {"triadic"}),
+        (["orbit", "--seed", "0,4,7"], {"triadic"}),
+        # analysis reads the Hook points from triadic; none of them needs structure
+        (["solve", "{grail}"], {"analysis", "triadic"}),
+        (["export-dot", "{grail}"], {"analysis", "triadic"}),
+        (["rich", "--seed", "0,4,7"], {"analysis", "triadic"}),
+    ],
+)
+def test_each_subcommand_imports_only_its_layers(grail_file, argv, extra):
+    argv = [a.replace("{grail}", grail_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert set(loaded) == _CLI_LAYERS | extra
+
+
+def test_importing_the_package_loads_no_module():
+    code = "import sys, voicegroup; print(sorted(m for m in sys.modules if m.startswith('voicegroup.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_ambient_choices_are_the_ambient_values():
+    # The choices are written out so that parsing needs no structure module.
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (ambient,) = [a for a in commands.choices["centralizer"]._actions if a.dest == "ambient"]
+    assert list(ambient.choices) == [a.value for a in Ambient]
 
 
 def test_library_has_no_assert_statements():

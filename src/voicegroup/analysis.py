@@ -9,7 +9,8 @@ each other point gives one linear equation in (m, n) per step, solved
 exactly by modring.solve_linear. solve_step runs the loop over one step and
 a group's points, solve_uniform over every step and one point, and
 solve_uniform_all_cases over every step and all twelve points. The affine
-maps between two progressions solve a linear system in the map's (u, q).
+maps between two progressions solve a linear system in the map's (u, q),
+once per covector w of the centralizer family (see voicing.py).
 A brute-force scan over the whole group is the oracle for the linear route.
 """
 
@@ -21,10 +22,10 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, _is_int, as_modulus, check_same_modulus, solve_linear
-from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul, scalar_affine
-from .voicing import _SLOTS, JElement, _act, _enumerate, _new, _point, _require_group_modulus
+from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul
+from .voicing import _HOOK_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
+from .voicing import _new, _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
-from .triadic import _HOOK_POINTS, hook_elements
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,8 @@ def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> lis
     elif group == "J":
         candidates = _enumerate(ExtElement, (0, 1), src.modulus)
     elif group == "hook":
+        from .triadic import hook_elements  # only this oracle needs triadic
+
         candidates = [h.underlying for h in hook_elements()]
     else:
         raise ValueError(f"unknown group {group!r}")
@@ -233,35 +236,33 @@ def orbit_of_element(g: ExtElement, seed: Vec3) -> list[Vec3]:
 def find_affine_morphisms(
     a: Progression, b: Progression, restrict_to_centralizer: bool = False
 ) -> list[AffineMap]:
-    """All affine maps f with f(a_i) == b_i for every i.
+    """All affine maps f with f(a_i) == b_i for every i, sorted by matrix rows
+    and then translation.
 
     By default the search space is the n^2 componentwise maps x -> u*x + q
-    (all of which commute with the voicing group); the conditions are
-    linear in (u, q), so they are solved exactly, and the maps come in
-    (u, q) order. With restrict_to_centralizer the search widens to the
-    full affine centralizer family (every matrix commuting with the group,
-    paired with a diagonal translation), which contains non-componentwise
-    members.
+    (all of which commute with the voicing group). With
+    restrict_to_centralizer it widens to the affine centralizer family
+    x -> (diag(u) + (n/2)*ones*w^T) x + (q,q,q), with w over the family's
+    covectors (see voicing.py), which has non-componentwise members for even
+    n. Each covector w gives conditions linear in (u, q), solved exactly:
+    u*x + q == y - (n/2)(w.a_i) for each entry x of a_i and y of b_i.
     """
     check_same_modulus(a.modulus, b.modulus)
     if len(a.tuples) != len(b.tuples):
         raise ValueError("progressions must have equal lengths")
     m = a.modulus
-    if restrict_to_centralizer:
-        from .structure import centralizer_in_Aff  # the solvers never need structure
-
-        candidates = list(centralizer_in_Aff(m).elements)
-        return [
-            f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))
-        ]
-    # u*x + q == y for each entry x of a_i and the matching entry y of b_i;
-    # the search space holds n^2 maps, so a budget of n^2 never refuses
-    rows, rhs = [], []
-    for src, dst in zip(a.tuples, b.tuples):
-        for x, y in zip(src.entries, dst.entries):
-            rows.append([x, 1])
-            rhs.append(y)
-    return [scalar_affine(u, q, m) for u, q in solve_linear(rows, rhs, m, budget=m.n**2)]
+    nn, h = m.n, m.n // 2
+    srcs = [v.entries for v in a.tuples]
+    rows = [[x, 1] for src in srcs for x in src]
+    out = []
+    for w in _centralizer_covectors(nn) if restrict_to_centralizer else ((0, 0, 0),):
+        shifts = [h * (w[0] * x + w[1] * y + w[2] * z) for x, y, z in srcs]
+        rhs = [e - s for s, dst in zip(shifts, b.tuples) for e in dst.entries]
+        # each covector gives n^2 maps, so a budget of n^2 never refuses
+        for u, q in solve_linear(rows, rhs, m, budget=nn**2):
+            out.append(AffineMap(Mat3(_centralizer_rows(u, w, nn), m), Vec3((q, q, q), m)))
+    out.sort(key=lambda f: (f.linear.rows, f.translation.entries))
+    return out
 
 
 def verify_morphism_commutation(f: AffineMap, labels: Iterable[ExtElement]) -> bool:

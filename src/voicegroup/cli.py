@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus, _is_int
 from .linalg import Mat3, Perm3, Vec3
-from .voicing import JElement, NotInGroup, word_to_element
+from .voicing import NotInGroup, word_to_element
 from .extension import ExtElement, ext_decode, parse_element
 
 # Every subcommand needs the layers above. A handler imports structure,
@@ -161,12 +161,9 @@ def _cmd_centralizer(args) -> int:
     payload = report.to_jsonable()
     lines = [f"ambient: {report.ambient.value}", f"size: {report.size}"]
     if ambient in (Ambient.M3, Ambient.GL3):
-        lines += [str(m) for m in sorted(report.elements, key=lambda m: m.rows)]
+        lines += [str(m) for m in report.elements]
     else:
-        lines += [
-            f"{f.linear} + {f.translation}"
-            for f in sorted(report.elements, key=lambda f: (f.linear.rows, f.translation.entries))
-        ]
+        lines += [f"{f.linear} + {f.translation}" for f in report.elements]
     _emit(payload, args, lines)
     return EXIT_OK
 
@@ -176,7 +173,6 @@ def _cmd_center(args) -> int:
 
     modulus = Modulus(args.mod)
     elements = center_of_J(modulus)
-    elements.sort(key=JElement.sort_key)
     payload = {
         "modulus": modulus.n,
         "size": len(elements),

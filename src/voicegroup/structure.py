@@ -41,6 +41,7 @@ from .linalg import (
     _mat_vec_ints,
 )
 from .voicing import Generator, JElement, _new, _require_group_modulus, generator_matrix
+from .voicing import _centralizer_covectors, _centralizer_rows
 from .extension import sigma_conjugate_generator
 
 
@@ -140,36 +141,16 @@ def diagonal_product_family(modulus: Modulus | int, invertible_only: bool = Fals
     return out
 
 
-# Covectors w with w.J == w mod 2 for every voicing reflection J: the
-# even-weight row vectors. They parametrize the rank-one shifts below.
-_MOD2_FIXED_COVECTORS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
-
-
 def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
-    """Closed-form description of the full monoid commutant.
-
-    Every reflection fixes the all-ones column, and fixes the covectors w of
-    even weight modulo 2; hence diag(a) + (n/2)*ones*w^T commutes with the
-    whole group when n is even (the factor n/2 kills the mod-2 defect). For
-    odd n only the scalar matrices remain. The tests check this description
-    against the solved commutator equations; over Z/12 it has 48 elements
-    (4n for even n, n for odd n).
+    """Closed-form description of the full monoid commutant: the matrices
+    diag(a) + (n/2)*ones*w^T, a in Z/n, with w ranging over the family's
+    covectors (see voicing._MOD2_FIXED_COVECTORS): the even-weight ones for
+    even n, only w = 0 (the scalar matrices) for odd n. The tests check this
+    description against the solved commutator equations; over Z/12 it has 48
+    elements (4n for even n, n for odd n).
     """
     m = as_modulus(modulus)
-    n = m.n
-    out = set()
-    if n % 2:
-        for a in range(n):
-            out.add(Mat3.of(((a, 0, 0), (0, a, 0), (0, 0, a)), m))
-        return out
-    h = n // 2
-    for a in range(n):
-        for w in _MOD2_FIXED_COVECTORS:
-            rows = tuple(
-                tuple((a if i == j else 0) + h * w[j] for j in range(3)) for i in range(3)
-            )
-            out.add(Mat3.of(rows, m))
-    return out
+    return {Mat3.of(_centralizer_rows(a, w, m.n), m) for a in range(m.n) for w in _centralizer_covectors(m.n)}
 
 
 def centralizer_in_Aff(

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .modring import Modulus, check_same_modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints
-from .voicing import JElement, NotInGroup, _enumerate, _point
+from .voicing import _HOOK_POINTS, _HOOK_SIGMA, JElement, NotInGroup, _enumerate
 from .extension import ExtElement
 
 
@@ -49,8 +49,6 @@ _MAJOR_THIRD = 4
 _MINOR_THIRD = _FIFTH - _MAJOR_THIRD
 _FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
 _THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
-_HOOK_SIGMA = (Perm3.identity(), TRANSPOSITION_13)  # sigma of the Hook elements with k = 0, 1
-_HOOK_POINTS = (_point(_HOOK_SIGMA[0], 0), _point(_HOOK_SIGMA[1], 1))  # in sort-key order
 
 
 @dataclass(frozen=True)

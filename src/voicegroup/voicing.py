@@ -28,7 +28,7 @@ from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 from .modring import Modulus, as_modulus, check_same_modulus
-from .linalg import ALL_PERMS, Mat3, Perm3, Vec3
+from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3
 
 
 class NotInGroup(ValueError):
@@ -59,6 +59,23 @@ _GENERATOR_ROWS = {
     Generator.V: ((-1, 1, 1), (0, 0, 1), (0, 1, 0)),
     Generator.W: ((0, 0, 1), (1, -1, 1), (1, 0, 0)),
 }
+
+# The centralizer family diag(a) + (n/2) * ones * w^T: every generator fixes the
+# all-ones column, and the covectors w with w.J == w mod 2 for every generator J
+# are the even-weight ones, so the factor n/2 kills the mod-2 defect. Odd n has w = 0 only.
+_MOD2_FIXED_COVECTORS = ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def _centralizer_covectors(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The covectors w of the centralizer family over Z/n."""
+    return _MOD2_FIXED_COVECTORS if n % 2 == 0 else _MOD2_FIXED_COVECTORS[:1]
+
+
+def _centralizer_rows(a: int, w: tuple[int, int, int], n: int) -> tuple[tuple[int, int, int], ...]:
+    """The rows of diag(a) + (n/2) * ones * w^T mod n: row i is a e_i + (n/2) w."""
+    h0, h1, h2 = (n // 2 * c for c in w)
+    return ((a + h0) % n, h1, h2), (h0, (a + h1) % n, h2), (h0, h1, (a + h2) % n)
+
 
 _PAIR_TO_GENERATOR = {frozenset(g.pair): g for g in Generator}
 
@@ -122,6 +139,11 @@ _PERM_INDEX = {sigma.image: i for i, sigma in enumerate(ALL_PERMS)}
 def _point(sigma: Perm3, k: int) -> int:
     """The point of sigma U^k: 2 * (index of sigma in ALL_PERMS) + k."""
     return 2 * _PERM_INDEX[sigma.image] + k
+
+
+# The Hook group (see triadic.py) is the elements at the points of Id and (13) U.
+_HOOK_SIGMA = (Perm3.identity(), TRANSPOSITION_13)  # sigma of the Hook elements with k = 0, 1
+_HOOK_POINTS = (_point(_HOOK_SIGMA[0], 0), _point(_HOOK_SIGMA[1], 1))  # in sort-key order
 
 
 _CONJUGATION = [_conjugation_row(sigma) for sigma in ALL_PERMS]

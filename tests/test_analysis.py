@@ -32,6 +32,7 @@ from voicegroup.analysis import (
     solve_uniform_all_cases,
     verify_morphism_commutation,
 )
+from voicegroup.structure import centralizer_in_Aff
 from voicegroup.datasets import (
     FALLING_FIFTHS,
     GRAIL,
@@ -304,6 +305,9 @@ def test_schoenberg_affine_image():
 def test_expansion_morphism_mod_7():
     morphisms = find_affine_morphisms(HYMN_TO_THE_SUN, WITHOUT_A_SONG)
     assert any(str(f) == "x -> 2x+0" for f in morphisms)
+    # mod 7 the centralizer family is the componentwise maps, and the widened search answers
+    wide = find_affine_morphisms(HYMN_TO_THE_SUN, WITHOUT_A_SONG, restrict_to_centralizer=True)
+    assert [str(f) for f in wide] == ["x -> 2x+0"]
     for prog in (HYMN_TO_THE_SUN, WITHOUT_A_SONG):
         for i, (src, dst) in enumerate(prog.steps()):
             if i == 1:  # the one voice swap in both melodies
@@ -375,6 +379,32 @@ def test_affine_morphisms_match_scan_on_random_pairs(n):
             b = Progression(a.modulus, tuple(planted(v) for v in a.tuples))
             assert planted in find_affine_morphisms(a, b)
         assert find_affine_morphisms(a, b) == _affine_scan(a, b)
+
+
+def _centralizer_scan(a, b):
+    """Oracle: the listed affine centralizer family, in its order, kept where it sends a to b."""
+    maps = centralizer_in_Aff(a.modulus, budget=10**12).elements
+    return [f for f in maps if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 8, 9, 12, 16])
+def test_widened_morphisms_match_centralizer_scan(n):
+    rng = random.Random(100 + n)
+    family = centralizer_in_Aff(n, budget=10**12).elements
+    for trial in range(24):
+        length = rng.randint(1, 4)
+        a = Progression.of([[rng.randrange(n) for _ in range(3)] for _ in range(length)], n)
+        if trial % 3 == 2:
+            # unrelated second progression: usually no map at all
+            b = Progression.of([[rng.randrange(n) for _ in range(3)] for _ in range(length)], n)
+        else:
+            # the image under a planted family member, componentwise or not
+            planted = rng.choice(family)
+            b = Progression(a.modulus, tuple(planted(v) for v in a.tuples))
+            assert planted in find_affine_morphisms(a, b, restrict_to_centralizer=True)
+        wide = find_affine_morphisms(a, b, restrict_to_centralizer=True)
+        assert wide == _centralizer_scan(a, b)
+        assert find_affine_morphisms(a, b) == [f for f in wide if f.is_componentwise()]
 
 
 def test_hexatonic_rich_cycle_found_by_search():

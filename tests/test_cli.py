@@ -492,10 +492,10 @@ print(code, *sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("voi
         (["centralizer", "--ambient", "aff"], {"structure"}),
         (["hook", "to-utt", "--element", "(13)W"], {"triadic"}),
         (["orbit", "--seed", "0,4,7"], {"triadic"}),
-        # analysis reads the Hook points from triadic; none of them needs structure
-        (["solve", "{grail}"], {"analysis", "triadic"}),
-        (["export-dot", "{grail}"], {"analysis", "triadic"}),
-        (["rich", "--seed", "0,4,7"], {"analysis", "triadic"}),
+        # analysis reads the Hook points from voicing; none of them needs structure or triadic
+        (["solve", "{grail}"], {"analysis"}),
+        (["export-dot", "{grail}"], {"analysis"}),
+        (["rich", "--seed", "0,4,7"], {"analysis"}),
     ],
 )
 def test_each_subcommand_imports_only_its_layers(grail_file, argv, extra):
@@ -507,6 +507,18 @@ def test_each_subcommand_imports_only_its_layers(grail_file, argv, extra):
     code, *loaded = proc.stdout.split()
     assert code == "0"
     assert set(loaded) == _CLI_LAYERS | extra
+
+
+def test_widened_morphism_search_loads_neither_structure_nor_triadic():
+    code = (
+        "import sys; from voicegroup.analysis import find_affine_morphisms; "
+        "from voicegroup.datasets import WEBERN_ROW_1, WEBERN_ROW_2; "
+        "find_affine_morphisms(WEBERN_ROW_1, WEBERN_ROW_2, restrict_to_centralizer=True); "
+        "print(sorted(m for m in ('voicegroup.structure', 'voicegroup.triadic') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_importing_the_package_loads_no_module():

@@ -199,6 +199,19 @@ def test_affine_centralizers():
     assert AffineMap(identity(M12), Vec3.of(1, 0, 0, M12)) not in members
 
 
+# The CLI prints the reports and the center in the order they come in, so
+# these pin that order: the keys the CLI once re-sorted by.
+@pytest.mark.parametrize("n", range(2, 17))
+def test_reports_come_sorted_by_the_cli_keys(n):
+    for report in (centralizer_in_M3(n, budget=10**12), centralizer_in_GL3(n, budget=10**12)):
+        assert list(report.elements) == sorted(report.elements, key=lambda a: a.rows)
+    for invertible_only in (False, True):
+        maps = list(centralizer_in_Aff(n, invertible_only, budget=10**12).elements)
+        assert maps == sorted(maps, key=lambda f: (f.linear.rows, f.translation.entries))
+    if n >= 3:
+        assert center_of_J(n) == sorted(center_of_J(n), key=JElement.sort_key)
+
+
 def test_count_gl3_prime_power_factors():
     assert count_GL3(3) == 11_232
     assert count_GL3(4) == 86_016

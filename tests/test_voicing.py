@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Vec3, identity, mat_mul, mat_vec, perm_matrix, Perm3
 from voicegroup.voicing import (
+    _MOD2_FIXED_COVECTORS,
     Generator,
     JElement,
     NotInJ,
@@ -18,6 +19,7 @@ from voicegroup.voicing import (
     j_reflection,
     normal_form_matrix,
     word_to_element,
+    _centralizer_covectors,
 )
 from voicegroup.extension import ExtElement
 
@@ -268,6 +270,19 @@ def test_modulus_two_is_rejected():
         JElement(0, 0, 0, Modulus(2))
     with pytest.raises(ValueError):
         enumerate_J(2)
+
+
+def test_mod2_fixed_covectors_are_the_covectors_every_generator_fixes():
+    # w.J == w (mod 2) for U, V and W: the covectors of the centralizer family
+    generators = [generator_matrix(g, 2).rows for g in Generator]
+    fixed = [
+        w
+        for w in product((0, 1), repeat=3)
+        if all(tuple(sum(w[i] * rows[i][j] for i in range(3)) % 2 for j in range(3)) == w for rows in generators)
+    ]
+    assert fixed == list(_MOD2_FIXED_COVECTORS)
+    assert _centralizer_covectors(12) == _MOD2_FIXED_COVECTORS
+    assert _centralizer_covectors(7) == ((0, 0, 0),)
 
 
 def test_text_form():

@@ -22,7 +22,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, _is_int, as_modulus, check_same_modulus, solve_linear
-from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, mat_mul
+from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3, mat_mul
 from .voicing import _HOOK_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
 from .voicing import _new, _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
@@ -214,7 +214,7 @@ def rich(v: Vec3) -> Vec3:
     """Retrograde inversion enchaining: keep the last two entries in front,
     close with the reflected first entry."""
     x, y, z = v.entries
-    return Vec3.of(y, z, -x + y + z, v.modulus)
+    return _vec3((y, z, (y + z - x) % v.modulus.n), v.modulus)
 
 
 def rich_element(modulus: Modulus | int) -> ExtElement:
@@ -260,7 +260,7 @@ def find_affine_morphisms(
         rhs = [e - s for s, dst in zip(shifts, b.tuples) for e in dst.entries]
         # each covector gives n^2 maps, so a budget of n^2 never refuses
         for u, q in solve_linear(rows, rhs, m, budget=nn**2):
-            out.append(AffineMap(Mat3(_centralizer_rows(u, w, nn), m), Vec3((q, q, q), m)))
+            out.append(_affine(_mat3(_centralizer_rows(u, w, nn), m), _vec3((q, q, q), m)))
     out.sort(key=lambda f: (f.linear.rows, f.translation.entries))
     return out
 

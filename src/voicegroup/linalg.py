@@ -9,24 +9,60 @@ x_{sigma^-1 2}, x_{sigma^-1 3}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 from .modring import Modulus, Residue, as_modulus, check_same_modulus
 
 
-@dataclass(frozen=True)
-class Vec3:
+class _Value:
+    """Slotted immutable storage, shared by the values below, the group
+    elements (voicing.py) and the Hook elements (triadic.py).
+
+    Each class has a validating public constructor, which reduces and checks
+    its input, and one trusted constructor: a module function that stores
+    fields that are already reduced, with no checks, for the library's own
+    producers. _TRUSTED names that function and the fields it takes, in
+    order; pickle and copy rebuild a value through it. The repr is the
+    dataclass form, field by field.
+    """
+
+    __slots__ = ()
+    _TRUSTED: tuple  # (trusted constructor, the fields it takes), set on each class
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        new, fields = self._TRUSTED
+        return new, tuple(getattr(self, name) for name in fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._TRUSTED[1])
+        return f"{type(self).__name__}({fields})"
+
+
+class Vec3(_Value):
     """A 3-tuple over Z/n, entries normalized to [0, n)."""
 
-    entries: tuple[int, int, int]
-    modulus: Modulus
+    __slots__ = ("entries", "modulus")
 
-    def __post_init__(self):
-        e = tuple(int(v) % self.modulus.n for v in self.entries)
+    def __new__(cls, entries: Sequence[int], modulus: Modulus) -> "Vec3":
+        e = tuple(int(v) % modulus.n for v in entries)
         if len(e) != 3:
             raise ValueError(f"expected 3 entries, got {len(e)}")
-        object.__setattr__(self, "entries", e)
+        return _vec3(e, modulus)
+
+    def __eq__(self, other):
+        if type(other) is not Vec3:
+            return NotImplemented
+        return self.entries == other.entries and self.modulus.n == other.modulus.n
+
+    def __hash__(self):
+        return hash((self.entries, self.modulus.n))
 
     @classmethod
     def of(cls, x: int, y: int, z: int, modulus: Modulus | int) -> "Vec3":
@@ -46,34 +82,53 @@ class Vec3:
 
     def shift(self, c: int) -> "Vec3":
         """Add the constant c to every component."""
-        return Vec3(tuple(v + c for v in self.entries), self.modulus)
+        n, c = self.modulus.n, int(c)
+        return _vec3(tuple((v + c) % n for v in self.entries), self.modulus)
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        check_same_modulus(self.modulus, other.modulus)
-        return Vec3(tuple(a + b for a, b in zip(self.entries, other.entries)), self.modulus)
+        n = check_same_modulus(self.modulus, other.modulus).n
+        return _vec3(tuple((a + b) % n for a, b in zip(self.entries, other.entries)), self.modulus)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        check_same_modulus(self.modulus, other.modulus)
-        return Vec3(tuple(a - b for a, b in zip(self.entries, other.entries)), self.modulus)
+        n = check_same_modulus(self.modulus, other.modulus).n
+        return _vec3(tuple((a - b) % n for a, b in zip(self.entries, other.entries)), self.modulus)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class Mat3:
+_SET_ENTRIES, _SET_VEC_MODULUS = (Vec3.__dict__[name].__set__ for name in Vec3.__slots__)
+
+
+def _vec3(entries: tuple[int, int, int], modulus: Modulus) -> Vec3:
+    """The trusted constructor of Vec3: three ints already in [0, n), as a tuple."""
+    v = object.__new__(Vec3)
+    _SET_ENTRIES(v, entries)
+    _SET_VEC_MODULUS(v, modulus)
+    return v
+
+
+Vec3._TRUSTED = (_vec3, Vec3.__slots__)
+
+
+class Mat3(_Value):
     """A 3x3 matrix over Z/n, row-major, entries normalized to [0, n)."""
 
-    rows: tuple[tuple[int, int, int], ...]
-    modulus: Modulus
+    __slots__ = ("rows", "modulus")
 
-    def __post_init__(self):
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
+    def __new__(cls, rows: Sequence[Sequence[int]], modulus: Modulus) -> "Mat3":
+        if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
-        n = self.modulus.n
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(v) % n for v in row) for row in self.rows)
-        )
+        n = modulus.n
+        return _mat3(tuple(tuple(int(v) % n for v in row) for row in rows), modulus)
+
+    def __eq__(self, other):
+        if type(other) is not Mat3:
+            return NotImplemented
+        return self.rows == other.rows and self.modulus.n == other.modulus.n
+
+    def __hash__(self):
+        return hash((self.rows, self.modulus.n))
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]], modulus: Modulus | int) -> "Mat3":
@@ -81,7 +136,7 @@ class Mat3:
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "Mat3":
-        return cls.of(((1, 0, 0), (0, 1, 0), (0, 0, 1)), modulus)
+        return _mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), as_modulus(modulus))
 
     def __matmul__(self, other):
         if isinstance(other, Mat3):
@@ -97,14 +152,26 @@ class Mat3:
         return "[" + ",".join("[" + ",".join(str(v) for v in r) + "]" for r in self.rows) + "]"
 
 
+_SET_ROWS, _SET_MAT_MODULUS = (Mat3.__dict__[name].__set__ for name in Mat3.__slots__)
+
+
+def _mat3(rows: tuple[tuple[int, int, int], ...], modulus: Modulus) -> Mat3:
+    """The trusted constructor of Mat3: three row tuples of ints already in [0, n)."""
+    a = object.__new__(Mat3)
+    _SET_ROWS(a, rows)
+    _SET_MAT_MODULUS(a, modulus)
+    return a
+
+
+Mat3._TRUSTED = (_mat3, Mat3.__slots__)
+
+
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
+    """Row i of ab is the matrix-action kernel of b's columns on row i of a."""
     check_same_modulus(a.modulus, b.modulus)
     n = a.modulus.n
-    rows = tuple(
-        tuple(sum(a.rows[i][k] * b.rows[k][j] for k in range(3)) % n for j in range(3))
-        for i in range(3)
-    )
-    return Mat3(rows, a.modulus)
+    columns = tuple(zip(*b.rows))
+    return _mat3(tuple(_mat_vec_ints(columns, row, n) for row in a.rows), a.modulus)
 
 
 def _mat_vec_ints(rows, v: tuple[int, int, int], n: int) -> tuple[int, int, int]:
@@ -116,7 +183,7 @@ def _mat_vec_ints(rows, v: tuple[int, int, int], n: int) -> tuple[int, int, int]
 
 def mat_vec(a: Mat3, v: Vec3) -> Vec3:
     check_same_modulus(a.modulus, v.modulus)
-    return Vec3(_mat_vec_ints(a.rows, v.entries, a.modulus.n), a.modulus)
+    return _vec3(_mat_vec_ints(a.rows, v.entries, a.modulus.n), a.modulus)
 
 
 def identity(modulus: Modulus | int) -> Mat3:
@@ -147,15 +214,24 @@ _PERM_IMAGES = {
 _SLOTS = {image: tuple(image.index(i) for i in (1, 2, 3)) for image in _PERM_IMAGES.values()}
 
 
-@dataclass(frozen=True)
-class Perm3:
+class Perm3(_Value):
     """A permutation of {1, 2, 3}, stored as (sigma(1), sigma(2), sigma(3))."""
 
-    image: tuple[int, int, int]
+    __slots__ = ("image",)
 
-    def __post_init__(self):
-        if tuple(sorted(self.image)) != (1, 2, 3):
-            raise ValueError(f"not a permutation of {{1,2,3}}: {self.image}")
+    def __new__(cls, image: Sequence[int]) -> "Perm3":
+        image = tuple(image)
+        if tuple(sorted(image)) != (1, 2, 3):
+            raise ValueError(f"not a permutation of {{1,2,3}}: {image}")
+        return _perm3(image)
+
+    def __eq__(self, other):
+        if type(other) is not Perm3:
+            return NotImplemented
+        return self.image == other.image
+
+    def __hash__(self):
+        return hash(self.image)
 
     @classmethod
     def identity(cls) -> "Perm3":
@@ -176,7 +252,8 @@ class Perm3:
 
     def __mul__(self, other: "Perm3") -> "Perm3":
         """Composition, rightmost first: (self*other)(i) = self(other(i))."""
-        return Perm3(tuple(self(other(i)) for i in (1, 2, 3)))
+        image = self.image
+        return _perm3(tuple(image[i - 1] for i in other.image))
 
     @property
     def slots(self) -> tuple[int, int, int]:
@@ -184,12 +261,12 @@ class Perm3:
         return _SLOTS[self.image]
 
     def inverse(self) -> "Perm3":
-        return Perm3(tuple(i + 1 for i in self.slots))
+        return _perm3(tuple(i + 1 for i in self.slots))
 
     def apply(self, triple):
         """Left action on 3-tuples: entry in slot j moves to slot sigma(j)."""
         if isinstance(triple, Vec3):
-            return Vec3(self.apply(triple.entries), triple.modulus)
+            return _vec3(self.apply(triple.entries), triple.modulus)
         a, b, c = self.slots
         return (triple[a], triple[b], triple[c])
 
@@ -214,6 +291,17 @@ class Perm3:
         return self.cycle_notation()
 
 
+_SET_IMAGE = Perm3.__dict__["image"].__set__
+
+
+def _perm3(image: tuple[int, int, int]) -> Perm3:
+    """The trusted constructor of Perm3: an image tuple that is already a permutation."""
+    p = object.__new__(Perm3)
+    _SET_IMAGE(p, image)
+    return p
+
+
+Perm3._TRUSTED = (_perm3, Perm3.__slots__)
 ALL_PERMS: tuple[Perm3, ...] = tuple(Perm3(img) for img in _PERM_IMAGES.values())
 TRANSPOSITION_12 = Perm3((2, 1, 3))
 TRANSPOSITION_13 = Perm3((3, 2, 1))
@@ -224,18 +312,25 @@ def perm_matrix(sigma: Perm3, modulus: Modulus | int) -> Mat3:
     """Matrix with columns e_{sigma(1)}, e_{sigma(2)}, e_{sigma(3)}."""
     m = as_modulus(modulus)
     rows = tuple(tuple(1 if sigma(j + 1) == i + 1 else 0 for j in range(3)) for i in range(3))
-    return Mat3(rows, m)
+    return _mat3(rows, m)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Value):
     """x -> linear.x + translation, acting on Vec3 over a shared modulus."""
 
-    linear: Mat3
-    translation: Vec3
+    __slots__ = ("linear", "translation")
 
-    def __post_init__(self):
-        check_same_modulus(self.linear.modulus, self.translation.modulus)
+    def __new__(cls, linear: Mat3, translation: Vec3) -> "AffineMap":
+        check_same_modulus(linear.modulus, translation.modulus)
+        return _affine(linear, translation)
+
+    def __eq__(self, other):
+        if type(other) is not AffineMap:
+            return NotImplemented
+        return self.linear == other.linear and self.translation == other.translation
+
+    def __hash__(self):
+        return hash((self.linear, self.translation))
 
     @property
     def modulus(self) -> Modulus:
@@ -261,14 +356,28 @@ class AffineMap:
         return f"{self.linear} + {self.translation}"
 
 
+_SET_LINEAR, _SET_TRANSLATION = (AffineMap.__dict__[name].__set__ for name in AffineMap.__slots__)
+
+
+def _affine(linear: Mat3, translation: Vec3) -> AffineMap:
+    """The trusted constructor of AffineMap: a matrix and a vector over one modulus."""
+    f = object.__new__(AffineMap)
+    _SET_LINEAR(f, linear)
+    _SET_TRANSLATION(f, translation)
+    return f
+
+
+AffineMap._TRUSTED = (_affine, AffineMap.__slots__)
+
+
 def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
     """f after g: x -> f(g(x))."""
     check_same_modulus(f.modulus, g.modulus)
-    return AffineMap(mat_mul(f.linear, g.linear), mat_vec(f.linear, g.translation) + f.translation)
+    return _affine(mat_mul(f.linear, g.linear), mat_vec(f.linear, g.translation) + f.translation)
 
 
 def scalar_affine(u: int, q: int, modulus: Modulus | int) -> AffineMap:
     """The componentwise map x -> u*x + q as an AffineMap."""
     m = as_modulus(modulus)
-    lin = Mat3.of(((u, 0, 0), (0, u, 0), (0, 0, u)), m)
-    return AffineMap(lin, Vec3.of(q, q, q, m))
+    u, q = int(u) % m.n, int(q) % m.n
+    return _affine(_mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m), _vec3((q, q, q), m))

@@ -38,7 +38,10 @@ from .linalg import (
     mat_mul,
     mat_vec,
     scalar_affine,
+    _affine,
+    _mat3,
     _mat_vec_ints,
+    _vec3,
 )
 from .voicing import Generator, JElement, _new, _require_group_modulus, generator_matrix
 from .voicing import _centralizer_covectors, _centralizer_rows
@@ -81,9 +84,9 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     No mode-reversing element is central for n >= 3, and U inverts the
     commuting block, so a central (UV)^m (UW)^n equals its own inverse.
     """
-    m = as_modulus(modulus)
+    m = _require_group_modulus(as_modulus(modulus))
     halves = (0, m.n // 2) if m.n % 2 == 0 else (0,)
-    return [JElement(0, a, b, m) for a in halves for b in halves]
+    return [_new(JElement, 0, a, b, m) for a in halves for b in halves]
 
 
 def _require_budget(m: Modulus, budget: int) -> None:
@@ -135,7 +138,7 @@ def diagonal_product_family(modulus: Modulus | int, invertible_only: bool = Fals
     for u in range(n):
         if invertible_only and math.gcd(u, n) != 1:
             continue
-        diag = Mat3.of(((u, 0, 0), (0, u, 0), (0, 0, u)), m)
+        diag = _mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m)
         for z in centrals:
             out.add(mat_mul(diag, z))
     return out
@@ -150,7 +153,7 @@ def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
     elements (4n for even n, n for odd n).
     """
     m = as_modulus(modulus)
-    return {Mat3.of(_centralizer_rows(a, w, m.n), m) for a in range(m.n) for w in _centralizer_covectors(m.n)}
+    return {_mat3(_centralizer_rows(a, w, m.n), m) for a in range(m.n) for w in _centralizer_covectors(m.n)}
 
 
 def centralizer_in_Aff(
@@ -163,9 +166,8 @@ def centralizer_in_Aff(
     """
     m = as_modulus(modulus)
     base = centralizer_in_GL3(m, budget) if invertible_only else centralizer_in_M3(m, budget)
-    maps = tuple(
-        AffineMap(a, Vec3.of(q, q, q, m)) for a in base.elements for q in range(m.n)
-    )
+    translations = [_vec3((q, q, q), m) for q in range(m.n)]
+    maps = tuple(_affine(a, t) for a in base.elements for t in translations)
     ambient = Ambient.AFF_GROUP if invertible_only else Ambient.AFF_MONOID
     return CentralizerReport(ambient, maps, len(maps))
 
@@ -245,7 +247,7 @@ def _ti_images(v: tuple[int, int, int], n: int) -> dict[tuple[int, int], tuple[i
 def ti_orbit(seed: Vec3) -> list[Vec3]:
     """The orbit of seed under the T/I group, deterministically ordered."""
     images = _ti_images(seed.entries, seed.modulus.n)
-    return [Vec3(w, seed.modulus) for w in sorted(set(images.values()))]
+    return [_vec3(w, seed.modulus) for w in sorted(set(images.values()))]
 
 
 def restrict_to_orbit(action, orbit: Sequence[Vec3]) -> tuple[int, ...]:
@@ -396,17 +398,16 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
     # On the dualistic root-position orbit the three reflections realize
     # P, L, R; these serve as the reference contextual operations.
     contextual = {"P": Generator.W, "L": Generator.V, "R": Generator.U}
+    generator_rows = {g: generator_matrix(g, m).rows for g in Generator}
     table: dict[tuple[int, int, int], dict[str, str]] = {}
     for tau in ALL_PERMS:
         rep = tau.apply(base)
         orbit = set(_ti_images(rep, m.n).values())
         conjugates = {
-            name: generator_matrix(sigma_conjugate_generator(tau, x), m).rows
-            for name, x in contextual.items()
+            name: generator_rows[sigma_conjugate_generator(tau, x)] for name, x in contextual.items()
         }
         column: dict[str, str] = {}
-        for g in Generator:
-            rows = generator_matrix(g, m).rows
+        for g, rows in generator_rows.items():
             matches = [
                 name
                 for name, xrows in conjugates.items()

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .modring import Modulus, check_same_modulus
-from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints
-from .voicing import _HOOK_POINTS, _HOOK_SIGMA, JElement, NotInGroup, _enumerate
+from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _Value, _mat_vec_ints, _vec3
+from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate, _new
 from .extension import ExtElement
 
 
@@ -92,7 +92,7 @@ def dualistic_tuple(id: TriadId) -> Vec3:
     """(r, r+4, r+7) for major, (r+7, r+3, r) for minor."""
     if id.mode is Mode.MAJOR:
         return root_position_tuple(id)
-    return Vec3(root_position_tuple(id).entries[::-1], _TWELVE)
+    return _vec3(root_position_tuple(id).entries[::-1], _TWELVE)
 
 
 def classify(v: Vec3) -> TriadClass | None:
@@ -143,7 +143,7 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
                     seen.add(w)
                     nxt.append(w)
         frontier = nxt
-    return {Vec3(w, m) for w in seen}
+    return {_vec3(w, m) for w in seen}
 
 
 def stabilizer_of_set(group: Iterable[ExtElement], target: Iterable[Vec3]) -> list[ExtElement]:
@@ -226,28 +226,36 @@ def is_in_hook(e: ExtElement) -> bool:
     return e.modulus.n == 12 and e.point in _HOOK_POINTS
 
 
-@dataclass(frozen=True)
-class HookElement:
+class HookElement(_Value):
     """An element of the stabilizer of the 24 root-position triads."""
 
-    underlying: ExtElement
+    __slots__ = ("underlying",)
 
-    def __post_init__(self):
-        if not is_in_hook(self.underlying):
-            raise NotInHook(f"{self.underlying} does not preserve root-position triads")
+    def __new__(cls, underlying: ExtElement) -> "HookElement":
+        if not is_in_hook(underlying):
+            raise NotInHook(f"{underlying} does not preserve root-position triads")
+        return _hook(underlying)
+
+    def __eq__(self, other):
+        if type(other) is not HookElement:
+            return NotImplemented
+        return self.underlying == other.underlying
+
+    def __hash__(self):
+        return hash((self.underlying,))
 
     @property
     def modulus(self) -> Modulus:
         return self.underlying.modulus
 
     def __mul__(self, other: "HookElement") -> "HookElement":
-        return HookElement(self.underlying * other.underlying)
+        return _hook(self.underlying * other.underlying)
 
     def inverse(self) -> "HookElement":
-        return HookElement(self.underlying.inverse())
+        return _hook(self.underlying.inverse())
 
     def __pow__(self, t: int) -> "HookElement":
-        return HookElement(self.underlying**t)
+        return _hook(self.underlying**t)
 
     def matrix(self) -> Mat3:
         return self.underlying.matrix()
@@ -262,9 +270,23 @@ class HookElement:
         return str(self.underlying)
 
 
+_SET_UNDERLYING = HookElement.__dict__["underlying"].__set__
+
+
+def _hook(underlying: ExtElement) -> HookElement:
+    """The trusted constructor of HookElement: an element already in the Hook group
+    (a product, inverse or power of Hook elements, or built at a Hook point)."""
+    h = object.__new__(HookElement)
+    _SET_UNDERLYING(h, underlying)
+    return h
+
+
+HookElement._TRUSTED = (_hook, HookElement.__slots__)
+
+
 def hook_elements() -> list[HookElement]:
     """All 288 elements: (UV)^m (UW)^n and (13) U (UV)^m (UW)^n."""
-    return [HookElement(e) for e in _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)]
+    return [_hook(e) for e in _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)]
 
 
 def rho_matrix(u: UTT) -> Mat3:
@@ -278,7 +300,7 @@ def rho(u: UTT) -> HookElement:
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
     m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
-    return HookElement(ExtElement(_HOOK_SIGMA[k], JElement(k, m, d + k, _TWELVE)))
+    return _hook(_new(ExtElement, _HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
 
 
 def rho_inverse(h: HookElement) -> UTT:
@@ -309,7 +331,7 @@ def hook_normal_form_B(h: HookElement) -> tuple[int, int]:
 
 def hook_from_normal_form_B(p: int, n: int) -> HookElement:
     q, k = divmod(p % 24, 2)
-    return HookElement(ExtElement(_HOOK_SIGMA[k], JElement(k, -q, n, _TWELVE)))
+    return _hook(_new(ExtElement, _HOOK_POINTS[k], -q % 12, int(n) % 12, _TWELVE))
 
 
 def hook_generator_13U() -> HookElement:

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError
 from typing import Iterable
 
 from .modring import Modulus, as_modulus, check_same_modulus
-from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3
+from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _Value, _mat3, _vec3
 
 
 class NotInGroup(ValueError):
@@ -104,8 +103,8 @@ def j_reflection(r: int, s: int, v: Vec3) -> Vec3:
         raise ValueError("reflection needs two distinct entry indices")
     if not {r, s} <= {1, 2, 3}:
         raise ValueError(f"entry indices must be in {{1,2,3}}, got ({r},{s})")
-    axis = v.entries[r - 1] + v.entries[s - 1]
-    return Vec3(tuple(-e + axis for e in v.entries), v.modulus)
+    axis, n = v.entries[r - 1] + v.entries[s - 1], v.modulus.n
+    return _vec3(tuple((axis - e) % n for e in v.entries), v.modulus)
 
 
 def _require_group_modulus(m: Modulus) -> Modulus:
@@ -141,9 +140,9 @@ def _point(sigma: Perm3, k: int) -> int:
     return 2 * _PERM_INDEX[sigma.image] + k
 
 
-# The Hook group (see triadic.py) is the elements at the points of Id and (13) U.
-_HOOK_SIGMA = (Perm3.identity(), TRANSPOSITION_13)  # sigma of the Hook elements with k = 0, 1
-_HOOK_POINTS = (_point(_HOOK_SIGMA[0], 0), _point(_HOOK_SIGMA[1], 1))  # in sort-key order
+# The Hook group (see triadic.py) is the elements at the points of Id and (13) U,
+# in sort-key order: _HOOK_POINTS[k] is the point with reflection bit k.
+_HOOK_POINTS = (_point(Perm3.identity(), 0), _point(TRANSPOSITION_13, 1))
 
 
 _CONJUGATION = [_conjugation_row(sigma) for sigma in ALL_PERMS]
@@ -195,22 +194,16 @@ def _row_differences(rows) -> tuple[int, ...]:
 _BY_DIFFERENCES = {_row_differences(rows): p for p, rows in enumerate(_BASES)}
 
 
-class _Element:
+class _Element(_Value):
     """sigma U^k (UV)^m (UW)^n, stored as its point p and translation (m, n).
 
     The one storage of JElement (the points 0 and 1) and ExtElement (all
     twelve points), with every group operation written once, on the
-    point-product table. Values are immutable; two are equal, and hash
-    equal, when their class, coordinates and modulus agree.
+    point-product table. Values are immutable (see linalg._Value); two are
+    equal, and hash equal, when their class, coordinates and modulus agree.
     """
 
     __slots__ = ("point", "m", "n", "modulus")
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -285,13 +278,15 @@ class _Element:
     def matrix(self) -> Mat3:
         """P_sigma M_{U^k} plus the translation row (-m, -n, m+n) in every row
         (columns are the images of the basis)."""
-        m, n = self.m, self.n
-        return Mat3(tuple((a - m, b - n, c + m + n) for a, b, c in _BASES[self.point]), self.modulus)
+        nn, m, n = self.modulus.n, self.m, self.n
+        return _mat3(
+            tuple(((a - m) % nn, (b - n) % nn, (c + m + n) % nn) for a, b, c in _BASES[self.point]), self.modulus
+        )
 
     def apply(self, v: Vec3) -> Vec3:
         check_same_modulus(self.modulus, v.modulus)
         p = self.point
-        return Vec3(_act(_SLOTS[p], p & 1, self.m, self.n, v.entries, v.modulus.n), v.modulus)
+        return _vec3(_act(_SLOTS[p], p & 1, self.m, self.n, v.entries, v.modulus.n), v.modulus)
 
     def __str__(self) -> str:
         p = self.point
@@ -317,6 +312,9 @@ def _new(cls, point: int, m: int, n: int, modulus: Modulus):
     _SET_N(e, n)
     _SET_MODULUS(e, modulus)
     return e
+
+
+_Element._TRUSTED = (_new, ("__class__", *_Element.__slots__))  # _new takes the class first
 
 
 class JElement(_Element):

@@ -1,0 +1,202 @@
+"""The value contract shared by the slotted immutable classes.
+
+Vec3, Mat3, Perm3, AffineMap, the group elements and the Hook elements share
+one storage (linalg._Value): a validating public constructor, one trusted
+constructor for the library's own producers, frozen fields, and pickle and
+copy through the trusted constructor.
+"""
+
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
+
+import voicegroup
+from voicegroup.analysis import Progression, find_affine_morphisms, rich
+from voicegroup.extension import ExtElement, enumerate_extension, parse_element
+from voicegroup.linalg import (
+    ALL_PERMS,
+    AffineMap,
+    Mat3,
+    Perm3,
+    Vec3,
+    affine_compose,
+    identity,
+    mat_mul,
+    mat_vec,
+    perm_matrix,
+    scalar_affine,
+)
+from voicegroup.modring import Modulus
+from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
+from voicegroup.triadic import UTT, HookElement, hook_elements, hook_from_normal_form_B, orbit, rho
+from voicegroup.voicing import JElement, j_reflection
+
+
+def _values(modulus):
+    """One value of each class over the given modulus (12, or a Modulus(12))."""
+    m = Modulus(modulus) if isinstance(modulus, int) else modulus
+    e = ExtElement(Perm3((3, 2, 1)), JElement(1, 2, 5, m))
+    return [
+        JElement(1, 2, 3, m),
+        e,
+        Vec3((0, 4, 7), m),
+        Mat3(((0, 1, 0), (1, 0, 0), (1, 1, 11)), m),
+        Perm3((2, 3, 1)),
+        AffineMap(Mat3(((5, 0, 0), (0, 5, 0), (0, 0, 5)), m), Vec3((3, 3, 3), m)),
+        HookElement(ExtElement(Perm3((3, 2, 1)), JElement(1, 4, 9, m))),
+    ]
+
+
+@pytest.mark.parametrize("value", _values(12), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda v: pickle.loads(pickle.dumps(v)),
+        lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ],
+    ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"],
+)
+def test_values_pickle_and_copy(value, route):
+    again = route(value)
+    assert type(again) is type(value)
+    assert again == value and hash(again) == hash(value)
+    assert repr(again) == repr(value)
+
+
+def test_parsed_element_pickles():
+    a = parse_element("(13) U (UV)^2", 12)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert copy.deepcopy(a) == a
+
+
+_FIELDS = {
+    JElement: ("point", "m", "n", "modulus"),
+    ExtElement: ("point", "m", "n", "modulus"),
+    Vec3: ("entries", "modulus"),
+    Mat3: ("rows", "modulus"),
+    Perm3: ("image",),
+    AffineMap: ("linear", "translation"),
+    HookElement: ("underlying",),
+}
+
+
+@pytest.mark.parametrize("value", _values(12), ids=lambda v: type(v).__name__)
+def test_values_are_frozen(value):
+    for name in _FIELDS[type(value)]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+    with pytest.raises(FrozenInstanceError):
+        value.other = 0
+
+
+def test_values_equal_across_distinct_moduli():
+    a, b = Modulus(12), Modulus(12)
+    assert a is not b
+    for x, y in zip(_values(a), _values(b)):
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def test_values_of_different_kinds_differ():
+    v = Vec3.of(0, 4, 7, 12)
+    assert v != (0, 4, 7) and (0, 4, 7) != v
+    assert v != Mat3.identity(12) and Mat3.identity(12) != v
+    assert Perm3((1, 2, 3)) != (1, 2, 3)
+    assert Vec3.of(0, 4, 7, 12) != Vec3.of(0, 4, 7, 13)
+    h = hook_elements()[5]
+    assert h != h.underlying and h.underlying != h
+
+
+def test_reprs_are_pinned():
+    assert [repr(v) for v in _values(12)] == [
+        "JElement('U (UV)^2 (UW)^3', mod 12)",
+        "ExtElement('(13) U (UV)^2 (UW)^5', mod 12)",
+        "Vec3(entries=(0, 4, 7), modulus=Modulus(n=12))",
+        "Mat3(rows=((0, 1, 0), (1, 0, 0), (1, 1, 11)), modulus=Modulus(n=12))",
+        "Perm3(image=(2, 3, 1))",
+        "AffineMap(linear=Mat3(rows=((5, 0, 0), (0, 5, 0), (0, 0, 5)), modulus=Modulus(n=12)), "
+        "translation=Vec3(entries=(3, 3, 3), modulus=Modulus(n=12)))",
+        "HookElement(underlying=ExtElement('(13) U (UV)^4 (UW)^9', mod 12))",
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Vec3((1, 2), Modulus(12)),
+        lambda: Vec3((1, 2, 3, 4), Modulus(12)),
+        lambda: Mat3(((1, 0, 0), (0, 1, 0)), Modulus(12)),
+        lambda: Mat3(((1, 0), (0, 1), (0, 0)), Modulus(12)),
+        lambda: Mat3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], 12),
+        lambda: Perm3((1, 1, 2)),
+        lambda: Perm3((1, 2, 3, 4)),
+        lambda: AffineMap(Mat3.identity(12), Vec3.of(0, 0, 0, 7)),
+        lambda: HookElement(parse_element("(12) W", 12)),
+    ],
+    ids=["vec-2", "vec-4", "mat-2-rows", "mat-2-columns", "mat-ragged", "perm-repeat", "perm-4", "affine-moduli", "hook"],
+)
+def test_public_constructors_reject_malformed_input(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_public_constructors_reduce_entries():
+    assert Vec3((-1, 12, 25), Modulus(12)).entries == (11, 0, 1)
+    assert Mat3([[-1, 0, 0], [0, 13, 0], [0, 0, 1]], Modulus(12)).rows == ((11, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert Perm3([2, 1, 3]).image == (2, 1, 3)
+
+
+def test_no_trusted_constructor_is_public():
+    assert not [name for name in voicegroup.__all__ if name.startswith("_")]
+    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, HookElement):
+        assert cls._TRUSTED[0].__name__ not in voicegroup.__all__
+
+
+def _ints(entries, n: int) -> bool:
+    return type(entries) is tuple and len(entries) == 3 and all(type(x) is int and 0 <= x < n for x in entries)
+
+
+def _reduced(value) -> bool:
+    """Whether the value holds what its public constructor would store."""
+    if isinstance(value, Vec3):
+        return _ints(value.entries, value.modulus.n)
+    if isinstance(value, Mat3):
+        return type(value.rows) is tuple and len(value.rows) == 3 and all(_ints(r, value.modulus.n) for r in value.rows)
+    if isinstance(value, Perm3):
+        return type(value.image) is tuple and Perm3(value.image) == value
+    if isinstance(value, AffineMap):
+        return _reduced(value.linear) and _reduced(value.translation) and value.translation.modulus == value.linear.modulus
+    if isinstance(value, HookElement):
+        return _reduced(value.underlying) and HookElement(value.underlying) == value
+    if isinstance(value, ExtElement):
+        return value.point in range(12) and _ints((value.m, value.n, 0), value.modulus.n)
+    raise TypeError(type(value))
+
+
+def test_trusted_producers_store_what_the_public_constructors_would():
+    m = Modulus(12)
+    v, w = Vec3.of(11, 4, 7, m), Vec3.of(5, 9, 1, m)
+    a = Mat3.of([[11, 2, 7], [3, 0, 5], [10, 10, 1]], m)
+    elements = enumerate_extension(m)[::37]
+    produced = [mat_mul(a, a), mat_vec(a, v), v.shift(-13), v + w, v - w, identity(m), j_reflection(1, 2, v)]
+    produced += [rich(v), scalar_affine(-1, -5, m), affine_compose(scalar_affine(5, 7, m), scalar_affine(-1, 3, m))]
+    produced += [p * q for p in ALL_PERMS for q in ALL_PERMS] + [p.inverse() for p in ALL_PERMS]
+    produced += [p.apply(v) for p in ALL_PERMS] + [perm_matrix(p, m) for p in ALL_PERMS]
+    produced += [g.matrix() for g in elements] + [g.apply(v) for g in elements]
+    produced += sorted(orbit(elements[:3], v), key=lambda x: x.entries) + ti_orbit(v)
+    hooks = [rho(UTT(sign, x, y)) for sign in "+-" for x in (0, 5, 11) for y in (0, 7)]
+    produced += hooks + [h * k for h in hooks for k in hooks[:3]] + [h.inverse() for h in hooks] + [h**-5 for h in hooks]
+    produced += hook_elements()[::17] + [hook_from_normal_form_B(-3, 25)]
+    produced += list(centralizer_in_M3(m).elements) + list(centralizer_in_Aff(Modulus(6)).elements)
+    prog = Progression.of([(0, 4, 7), (2, 5, 9)], m)
+    image = Progression.of([(1, 9, 0), (11, 2, 10)], m)  # x -> 5x + 1
+    morphisms = find_affine_morphisms(prog, image, restrict_to_centralizer=True)
+    assert scalar_affine(5, 1, m) in morphisms
+    produced += morphisms
+    assert [x for x in produced if not _reduced(x)] == []

@@ -27,6 +27,9 @@ EXIT_PARSE = 1
 EXIT_NOT_IN_GROUP = 2
 EXIT_BUDGET = 3
 
+# `rich --steps` prints every step, so a larger count is refused, not built.
+MAX_RICH_STEPS = 10_000
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_PARSE):
@@ -255,6 +258,8 @@ def _cmd_rich(args) -> int:
 
     if args.steps is not None and args.steps < 0:
         raise CliError(f"--steps must be non-negative, got {args.steps}")
+    if args.steps is not None and args.steps > MAX_RICH_STEPS:
+        raise CliError(f"--steps must be at most {MAX_RICH_STEPS}, got {args.steps}")
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
     element = rich_element(modulus)
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rich", help="iterate retrograde inversion enchaining from a seed")
     p.add_argument("--seed", required=True)
-    p.add_argument("--steps", type=int, help="number of steps (default: full cycle)")
+    p.add_argument("--steps", type=int, help=f"number of steps, at most {MAX_RICH_STEPS} (default: full cycle)")
     add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_rich)
 

@@ -9,6 +9,7 @@ x_{sigma^-1 2}, x_{sigma^-1 3}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError
 from typing import Sequence
 
@@ -190,16 +191,20 @@ def identity(modulus: Modulus | int) -> Mat3:
     return Mat3.identity(modulus)
 
 
+def _det_int(rows) -> int:
+    """Cofactor-expansion determinant of integer rows, not reduced."""
+    (r, s, t), (u, v, w), (x, y, z) = rows
+    return r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
+
+
 def determinant(a: Mat3) -> Residue:
     """Cofactor-expansion determinant mod n."""
-    (r, s, t), (u, v, w), (x, y, z) = a.rows
-    det = r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
-    return Residue(det, a.modulus)
+    return Residue(_det_int(a.rows), a.modulus)
 
 
 def is_invertible(a: Mat3) -> bool:
-    """Invertible over Z/n iff the determinant is a unit."""
-    return determinant(a).is_unit()
+    """Invertible over Z/n iff the determinant is a unit: gcd(det, n) == 1."""
+    return math.gcd(_det_int(a.rows), a.modulus.n) == 1
 
 
 _PERM_IMAGES = {

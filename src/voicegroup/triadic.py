@@ -11,13 +11,15 @@ extended voicing group, here called the Hook group.
 Root position writes minor triads as (r, r+3, r+7); dualistic root position
 writes them reversed, (r+7, r+3, r). Majors are (r, r+4, r+7) in both.
 
-Orbits of voicings are searched breadth-first on plain integer triples, each
-generator acting through the integer rows of its matrix.
+Every element fixes the diagonal (1, 1, 1), so an orbit of voicings is a
+union of cosets on at most 12 diagonal lines: the search closes over lines,
+not tuples, and then fills in each line's coset.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -118,32 +120,52 @@ def classify(v: Vec3) -> TriadClass | None:
 
 
 def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
-    """BFS closure of seed under the generators: its orbit under the group they generate.
+    """The orbit of seed under the group the generators generate.
 
-    The group is finite, so g^-1 = g^(ord g - 1) and closing under the
-    generators alone reaches every tuple. Each generator is read once as the
-    integer rows of its matrix; the search then runs on plain (x, y, z)
-    tuples mod n, and a Vec3 is built only for each tuple of the result.
-    Translations move a tuple only along (1, 1, 1), so an orbit has at most
+    Every element is linear and fixes (1, 1, 1), so g(v + c(1, 1, 1)) =
+    g(v) + c(1, 1, 1): the group permutes the diagonal lines v + Z/n(1, 1, 1),
+    keyed by ((x - z) mod n, (y - z) mod n). The translations (UV)^m (UW)^n
+    fix every line and have index 12 in the extended group, so an orbit meets
+    at most 12 lines. A breadth-first search over lines keeps one representative tuple
+    per line, the image that first reached it; the group is finite, so
+    closing under the generators alone (no inverses) reaches every line.
+    When an edge reaches a line already seen, the diagonal gap between its
+    image and that line's representative is a shift by a Schreier generator
+    of the line's stabilizer (Schreier's lemma). These gaps generate the
+    stabilizer's shifts h Z/n with h = gcd(n, gaps), the same subgroup on
+    every line of the orbit, so the orbit is every representative plus
+    {0, h, 2h, ...}(1, 1, 1).
+
+    Each generator is read once as the integer rows of its matrix. The
+    closure costs O(12 |generators|) matrix actions on plain ints, then one
+    Vec3 is built per tuple of the result, O(|orbit|); an orbit has at most
     12n tuples.
     """
     m = seed.modulus
+    n = m.n
     actions = set()
     for g in generators:
         check_same_modulus(g.modulus, m)
         actions.add(g.matrix().rows)
-    seen = {seed.entries}
+    x, y, z = seed.entries
+    reps = {((x - z) % n, (y - z) % n): seed.entries}
     frontier = [seed.entries]
+    h = n
     while frontier:
         nxt = []
         for v in frontier:
             for rows in actions:
-                w = _mat_vec_ints(rows, v, m.n)
-                if w not in seen:
-                    seen.add(w)
+                w = _mat_vec_ints(rows, v, n)
+                x, y, z = w
+                line = ((x - z) % n, (y - z) % n)
+                rep = reps.get(line)
+                if rep is None:
+                    reps[line] = w
                     nxt.append(w)
+                else:
+                    h = math.gcd(h, z - rep[2])
         frontier = nxt
-    return {_vec3(w, m) for w in seen}
+    return {_vec3(((x + c) % n, (y + c) % n, (z + c) % n), m) for x, y, z in reps.values() for c in range(0, n, h)}
 
 
 def stabilizer_of_set(group: Iterable[ExtElement], target: Iterable[Vec3]) -> list[ExtElement]:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import voicegroup
-from voicegroup.cli import build_parser, main
+from voicegroup.cli import MAX_RICH_STEPS, build_parser, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import Vec3
 from voicegroup.analysis import rich_element
@@ -367,6 +367,23 @@ def test_rich_rejects_negative_step_count(capsys):
     assert code == 1
     assert out == ""
     assert "--steps" in err
+
+
+def test_rich_step_count_at_the_bound_is_printed(capsys):
+    code, out, _ = run(capsys, "rich", "--seed", "8,4,5", "--steps", str(MAX_RICH_STEPS), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["tuples"]) == MAX_RICH_STEPS + 1
+    # the cycle of 8,4,5 has length 8, so the last step lands on the seed's cycle position
+    assert payload["tuples"][-1] == payload["tuples"][MAX_RICH_STEPS % 8]
+
+
+@pytest.mark.parametrize("steps", [MAX_RICH_STEPS + 1, 10**18])
+def test_rich_rejects_step_count_above_the_bound(capsys, steps):
+    code, out, err = run(capsys, "rich", "--seed", "8,4,5", "--steps", str(steps))
+    assert code == 1
+    assert out == ""
+    assert f"at most {MAX_RICH_STEPS}" in err
 
 
 def test_solve_cyclic_flag_changes_result(capsys, tmp_path):

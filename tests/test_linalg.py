@@ -83,6 +83,17 @@ def test_non_invertible_scalar():
     assert not is_invertible(d6)
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_is_invertible_matches_unit_determinant(n):
+    rng = random.Random(n)
+    mats = [rand_mat(rng, n) for _ in range(200)]
+    got = [is_invertible(a) for a in mats]
+    assert got == [determinant(a).is_unit() for a in mats]
+    # both answers occur: a unimodular and a singular matrix at every n
+    assert is_invertible(Mat3.of([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n)))
+    assert not is_invertible(Mat3.of([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n)))
+
+
 def test_group_inverses_found_by_search(j12):
     # no general matrix inverse: for group elements, search the group itself
     e = identity(Modulus(12))

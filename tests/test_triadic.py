@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators
+from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
 from voicegroup.voicing import JElement
@@ -133,6 +134,59 @@ def _orbit_oracle(generators, seed):
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+def _tuple_orbit_oracle(generators, seed):
+    """BFS over every tuple, each generator acting through the integer rows of its matrix."""
+    n = seed.modulus.n
+    actions = [g.matrix().rows for g in generators]
+    seen = {seed.entries}
+    frontier = [seed.entries]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for rows in actions:
+                w = tuple(sum(a * b for a, b in zip(row, v)) % n for row in rows)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_orbit_matches_tuple_oracle_on_random_generators(n):
+    rng = random.Random(n)
+    mod = Modulus(n)
+    for _ in range(12):
+        gens = [
+            ExtElement(rng.choice(ALL_PERMS), JElement(rng.randrange(2), rng.randrange(n), rng.randrange(n), mod))
+            for _ in range(rng.randint(1, 4))
+        ]
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        # generic, diagonal, and with a repeated entry in each place
+        for entries in ((a, b, c), (c, c, c), (a, a, b), (a, b, a), (b, a, a)):
+            seed = Vec3(entries, mod)
+            got = {v.entries for v in orbit(gens, seed)}
+            assert got == _tuple_orbit_oracle(gens, seed)
+            # the orbit meets at most 12 diagonal lines
+            assert len({((x - z) % n, (y - z) % n) for x, y, z in got}) <= 12
+
+
+@pytest.mark.parametrize(
+    "seed, group, n, size",
+    [
+        ("5,5,5", "extension", 5040, 1),
+        ("0,0,6", "extension", 12, 6),
+        ("0,2,4", "j", 12, 12),
+        ("0,1,3", "j+", 1009, 1009),
+        ("0,6,9", "sigma-j+", 12, 24),
+    ],
+)
+def test_cli_orbit_sizes(capsys, seed, group, n, size):
+    assert main(["orbit", "--seed", seed, "--group", group, "--mod", str(n), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["size"] == len(payload["orbit"]) == size
 
 
 @pytest.mark.parametrize("group", sorted(_ORBIT_GENERATORS))

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus, _is_int
 from .linalg import Mat3, Perm3, Vec3
@@ -79,11 +79,13 @@ def _element_payload(e: ExtElement) -> dict:
     }
 
 
-def _emit(payload: dict, args, text_lines: list[str]) -> None:
+def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
+    """Print the JSON payload or the text lines, as --format says; only the
+    one printed is built."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -113,11 +115,7 @@ def _cmd_normal_form(args) -> int:
         element = ExtElement.from_j(word_to_element(cleaned, modulus))
     else:
         element = ext_decode(_parse_matrix(args.matrix, modulus))
-    _emit(
-        _element_payload(element),
-        args,
-        [str(element), f"matrix: {element.matrix()}"],
-    )
+    _emit(args, lambda: _element_payload(element), lambda: [str(element), f"matrix: {element.matrix()}"])
     return EXIT_OK
 
 
@@ -138,15 +136,15 @@ def _cmd_solve(args) -> int:
         solutions = solve_uniform_all_cases(prog, args.budget)
     else:
         solutions = _solve_case(prog, args)
-    payload = {
-        "modulus": prog.modulus.n,
-        "cyclic": prog.cyclic,
-        "solutions": [_element_payload(s.element) for s in solutions],
-    }
-    if not solutions:
-        _emit(payload, args, ["no solutions"])
-    else:
-        _emit(payload, args, [f"{s}  matrix: {s.matrix}" for s in solutions])
+    _emit(
+        args,
+        lambda: {
+            "modulus": prog.modulus.n,
+            "cyclic": prog.cyclic,
+            "solutions": [_element_payload(s.element) for s in solutions],
+        },
+        lambda: [f"{s}  matrix: {s.matrix}" for s in solutions] or ["no solutions"],
+    )
     return EXIT_OK
 
 
@@ -161,13 +159,14 @@ def _cmd_centralizer(args) -> int:
         report = centralizer_in_GL3(modulus, args.budget)
     else:
         report = centralizer_in_Aff(modulus, ambient is Ambient.AFF_GROUP, args.budget)
-    payload = report.to_jsonable()
-    lines = [f"ambient: {report.ambient.value}", f"size: {report.size}"]
-    if ambient in (Ambient.M3, Ambient.GL3):
-        lines += [str(m) for m in report.elements]
-    else:
-        lines += [f"{f.linear} + {f.translation}" for f in report.elements]
-    _emit(payload, args, lines)
+
+    def lines():
+        head = [f"ambient: {report.ambient.value}", f"size: {report.size}"]
+        if ambient in (Ambient.M3, Ambient.GL3):
+            return head + [str(m) for m in report.elements]
+        return head + [f"{f.linear} + {f.translation}" for f in report.elements]
+
+    _emit(args, report.to_jsonable, lines)
     return EXIT_OK
 
 
@@ -176,12 +175,15 @@ def _cmd_center(args) -> int:
 
     modulus = Modulus(args.mod)
     elements = center_of_J(modulus)
-    payload = {
-        "modulus": modulus.n,
-        "size": len(elements),
-        "elements": [{"k": e.k, "m": e.m, "n": e.n, "text": str(e)} for e in elements],
-    }
-    _emit(payload, args, [f"size: {len(elements)}"] + [str(e) for e in elements])
+    _emit(
+        args,
+        lambda: {
+            "modulus": modulus.n,
+            "size": len(elements),
+            "elements": [{"k": e.k, "m": e.m, "n": e.n, "text": str(e)} for e in elements],
+        },
+        lambda: [f"size: {len(elements)}"] + [str(e) for e in elements],
+    )
     return EXIT_OK
 
 
@@ -191,13 +193,11 @@ def _cmd_count(args) -> int:
     modulus = Modulus(args.mod)
     index = index_of_J(modulus, args.ambient.upper(), args.budget)
     count = index * 2 * modulus.n**2  # index_of_J checked that the division is exact
-    payload = {
-        "ambient": args.ambient,
-        "modulus": modulus.n,
-        "order": count,
-        "voicing_group_index": index,
-    }
-    _emit(payload, args, [f"|{args.ambient.upper()}(3,Z/{modulus.n})| = {count}", f"index of voicing group: {index}"])
+    _emit(
+        args,
+        lambda: {"ambient": args.ambient, "modulus": modulus.n, "order": count, "voicing_group_index": index},
+        lambda: [f"|{args.ambient.upper()}(3,Z/{modulus.n})| = {count}", f"index of voicing group: {index}"],
+    )
     return EXIT_OK
 
 
@@ -222,14 +222,17 @@ def _cmd_orbit(args) -> int:
     seed = _parse_vec(args.seed, modulus)
     generators = _orbit_generators(args.group, modulus)
     result = sorted(orbit(generators, seed), key=lambda v: v.entries)
-    payload = {
-        "modulus": modulus.n,
-        "group": args.group,
-        "seed": list(seed.entries),
-        "size": len(result),
-        "orbit": [list(v.entries) for v in result],
-    }
-    _emit(payload, args, [f"size: {len(result)}"] + [str(v) for v in result])
+    _emit(
+        args,
+        lambda: {
+            "modulus": modulus.n,
+            "group": args.group,
+            "seed": list(seed.entries),
+            "size": len(result),
+            "orbit": [list(v.entries) for v in result],
+        },
+        lambda: [f"size: {len(result)}"] + [str(v) for v in result],
+    )
     return EXIT_OK
 
 
@@ -241,15 +244,17 @@ def _cmd_hook(args) -> int:
             raise CliError("to-utt needs --element")
         element = parse_element(args.element, Modulus(12))
         utt = rho_inverse(HookElement(element))
-        payload = {"element": str(element), "utt": str(utt)}
-        _emit(payload, args, [str(utt)])
+        _emit(args, lambda: {"element": str(element), "utt": str(utt)}, lambda: [str(utt)])
     else:
         if not args.utt:
             raise CliError("from-utt needs --utt")
         utt = UTT.parse(args.utt)
         h = rho(utt)
-        payload = {"utt": str(utt), **_element_payload(h.underlying)}
-        _emit(payload, args, [str(h), f"matrix: {h.matrix()}"])
+        _emit(
+            args,
+            lambda: {"utt": str(utt), **_element_payload(h.underlying)},
+            lambda: [str(h), f"matrix: {h.matrix()}"],
+        )
     return EXIT_OK
 
 
@@ -268,13 +273,16 @@ def _cmd_rich(args) -> int:
         shown = [cycle[i % len(cycle)] for i in range(args.steps + 1)]
     else:
         shown = cycle
-    payload = {
-        "modulus": modulus.n,
-        "seed": list(seed.entries),
-        "cycle_length": len(cycle),
-        "tuples": [list(v.entries) for v in shown],
-    }
-    _emit(payload, args, [f"cycle length: {len(cycle)}"] + [" -> ".join(str(v) for v in shown)])
+    _emit(
+        args,
+        lambda: {
+            "modulus": modulus.n,
+            "seed": list(seed.entries),
+            "cycle_length": len(cycle),
+            "tuples": [list(v.entries) for v in shown],
+        },
+        lambda: [f"cycle length: {len(cycle)}", " -> ".join(str(v) for v in shown)],
+    )
     return EXIT_OK
 
 

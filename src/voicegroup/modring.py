@@ -2,11 +2,11 @@
 
 Provides residues, unit detection, prime-power splitting of the modulus with
 Chinese-remainder recombination, and an exact solver for linear systems over
-Z/n. The solver diagonalizes the system (a Smith form, reached by extended-gcd
-row and column operations) and lists the solutions directly, so its cost
-follows the number of solutions. Its budget still bounds the q^d search space
-of each prime-power factor q, so a search too large to enumerate is refused
-with BudgetExceeded.
+Z/n. The solver brings the system to Howell form with extended-gcd row
+operations only, so the unknowns never move, and lists the solutions by
+back-substitution in increasing order, so its cost follows the number of
+solutions. Its budget still bounds the q^d search space of each prime-power
+factor q, so a search too large to enumerate is refused with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 DEFAULT_BUDGET = 10_000_000
@@ -203,51 +204,38 @@ def _pivot_op(x: int, y: int) -> tuple[int, int, int, int]:
     return s, t, -(y // g), x // g
 
 
-def _diagonalize(rows: list[list[int]], rhs: list[int], n: int) -> list[list[int]]:
-    """Bring rows.x == rhs to diagonal form over Z/n, in place, and return V.
+def _howell(rows: list[list[int]], n: int) -> tuple[list, list[int]]:
+    """Echelon the augmented rows [a_0 .. a_{d-1} | c] over Z/n, with row
+    operations only, into Howell form; return (pivots, zero_rhs).
 
-    Row operations act on rows and rhs together; column operations act on
-    rows and on V, which starts as the identity. Every operation has
-    determinant 1, so afterwards rows is diagonal and x = V.y maps the
-    solutions of rows.y == rhs one-to-one onto those of the input.
+    The last unknown is eliminated first. pivots[j] is the one row whose
+    leading unknown is x_j, scaled so that its pivot is g = gcd(pivot, n), or
+    None when x_j is free. Each pivot row p also pushes its annihilator
+    (n/g)*p, which vanishes at x_j, into the rows left to eliminate
+    (Storjohann's Howell form), so every vector of the row span that vanishes
+    on x_{d-1} .. x_j lies in the span of the rows below. zero_rhs holds the
+    rhs of the rows left with every coefficient 0.
     """
-    r, d = len(rows), len(rows[0])
-    v = [[0] * d for _ in range(d)]
-    for i in range(d):
-        v[i][i] = 1
-    for i in range(min(r, d)):
-        if not rows[i][i]:
-            pivot = next(((p, q) for p in range(i, r) for q in range(i, d) if rows[p][q]), None)
-            if pivot is None:
-                break
-            p, q = pivot
-            rows[i], rows[p] = rows[p], rows[i]
-            rhs[i], rhs[p] = rhs[p], rhs[i]
-            for row in rows[i:] + v:
-                row[i], row[q] = row[q], row[i]
-        dirty = True
-        while dirty:
-            a = rows[i]
-            for j in range(i + 1, r):
-                b = rows[j]
-                if b[i]:
-                    s, t, u, w = _pivot_op(a[i], b[i])
-                    ci, cj = rhs[i], rhs[j]
-                    rows[j] = [(u * x + w * y) % n for x, y in zip(a, b)]
-                    rhs[j] = (u * ci + w * cj) % n
-                    if t:  # the pivot row changes only when the pivot shrinks
-                        rows[i] = a = [(s * x + t * y) % n for x, y in zip(a, b)]
-                        rhs[i] = (s * ci + t * cj) % n
-            dirty = False
-            for j in range(i + 1, d):
-                if a[j]:
-                    s, t, u, w = _pivot_op(a[i], a[j])
-                    # likewise the pivot column, which may refill below the pivot
-                    dirty = dirty or t != 0
-                    for row in rows[i:] + v:
-                        x, y = row[i], row[j]
-                        row[i], row[j] = (s * x + t * y) % n, (u * x + w * y) % n
-    return v
+    d = len(rows[0]) - 1
+    pivots = [None] * d
+    for j in range(d - 1, -1, -1):
+        p, rest = None, []
+        for b in rows:
+            if not b[j]:
+                rest.append(b)
+            elif p is None:
+                p = b
+            else:
+                s, t, u, w = _pivot_op(p[j], b[j])
+                rest.append([(u * x + w * y) % n for x, y in zip(p, b)])
+                if t:  # the pivot row changes only when the pivot shrinks
+                    p = [(s * x + t * y) % n for x, y in zip(p, b)]
+        if p is not None:
+            s, _, u, _ = _pivot_op(p[j], n)
+            pivots[j] = [s * x % n for x in p]
+            rest.append([u * x % n for x in p])
+        rows = rest
+    return pivots, [b[d] for b in rows]
 
 
 def solve_linear(
@@ -258,14 +246,18 @@ def solve_linear(
 ) -> list[tuple[int, ...]]:
     """All solution vectors of rows.x == rhs over Z/n, sorted.
 
-    Exact: the system is diagonalized (see _diagonalize), each diagonal
-    equation d_i.y_i == c_i is solved in closed form, and the solutions are
-    mapped back through V, so the cost follows the number of solutions.
+    Exact: the augmented system is brought to Howell form (see _howell) and
+    solved by back-substitution from x_0 up. A pivot g on x_j leaves the
+    g values r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the
+    terms in x_0 .. x_{j-1}, and a free unknown all n values.
+    The Howell form lets every partial solution extend, so the solutions come
+    out in increasing order and the cost follows their number.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
     BudgetExceeded, unless the system is already unsolvable modulo an earlier
-    factor, in which case the result is [].
+    factor (some all-zero row has rhs not divisible by it), in which case the
+    result is [].
     """
     m = as_modulus(modulus)
     n = m.n
@@ -280,39 +272,21 @@ def solve_linear(
         raise ValueError("rhs length must match the number of rows")
     if set(map(len, rows)) != {d}:
         raise ValueError("all rows must have the same number of unknowns")
-    a = [[int(x) % n for x in row] for row in rows]
-    c = [int(b) % n for b in rhs]
-    v = _diagonalize(a, c, n)
-    # row i now reads diagonal[i] * y_i == c[i]; past the unknowns, 0 == c[i]
-    diagonal = [a[i][i] if i < d else 0 for i in range(len(a))]
-    inconsistent = [(di, ci) for di, ci in zip(diagonal, c) if ci % math.gcd(di, n)]
+    pivots, zero_rhs = _howell([[int(x) % n for x in row] + [int(c) % n] for row, c in zip(rows, rhs)], n)
     for q in m.prime_powers():
         total = q**d
         if total > budget:
             raise BudgetExceeded(f"{q}^{d} = {total} candidates exceeds budget {budget}")
-        if any(ci % math.gcd(di, q) for di, ci in inconsistent):
+        if any(c % q for c in zero_rhs):
             return []
-    # y_i = y0_i + t*(n/g) for t in [0, g), g = gcd(diagonal[i], n); an
-    # unknown past the rows is free (g = n)
-    y0 = [0] * d
-    free = []
-    for i in range(d):
-        di = diagonal[i] if i < len(diagonal) else 0
-        g = math.gcd(di, n)
-        if g < n:
-            y0[i] = c[i] // g * pow(di // g, -1, n // g)
-        if g > 1:
-            free.append((i, g))
-    out = [tuple(sum(vi * yi for vi, yi in zip(row, y0)) % n for row in v)]
-    for i, g in free:
-        step = [row[i] * (n // g) for row in v]
-        # each coordinate of base + t*step for t in [0, g), zipped into vectors
-        out = [
-            sol
-            for base in out
-            for sol in zip(*[[(x + t * k) % n for t in range(g)] for x, k in zip(base, step)])
-        ]
-    out.sort()
+    out = [()]
+    for j, p in enumerate(pivots):
+        if p is None:
+            out = [x + (v,) for x in out for v in range(n)]
+        else:
+            g, c = p[j], p[d]
+            # x_j from g*x_j == c - (p[0]*x_0 + ... + p[j-1]*x_{j-1}), which g divides
+            out = [x + (v,) for x in out for v in range((c - sum(map(mul, p, x))) % n // g, n, n // g)]
     return out
 
 

@@ -301,6 +301,23 @@ def test_orbit_at_a_large_modulus(capsys):
     assert out.splitlines()[0] == "size: 60480"
 
 
+def test_each_format_builds_only_what_it_prints(capsys, monkeypatch):
+    from voicegroup.structure import CentralizerReport
+
+    def unused(self):
+        raise AssertionError("built output that --format does not print")
+
+    # the text lines format every tuple; the JSON payload lists the entries
+    monkeypatch.setattr(Vec3, "__str__", unused)
+    code, out, _ = run(capsys, "orbit", "--seed", "0,4,7", "--group", "j", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["size"] == 24
+    monkeypatch.setattr(CentralizerReport, "to_jsonable", unused)
+    code, out, _ = run(capsys, "centralizer", "--ambient", "m3")
+    assert code == 0
+    assert out.splitlines()[:2] == ["ambient: m3", "size: 48"]
+
+
 def test_hook_to_utt(capsys):
     code, out, _ = run(capsys, "hook", "to-utt", "--element", "(13)W")
     assert code == 0

@@ -181,6 +181,36 @@ def test_solve_linear_matches_enumeration_property(system):
     assert solve_linear(rows, rhs, n, budget=n**3) == enumerate_solutions(rows, rhs, n)
 
 
+@st.composite
+def systems_with_many_rhs(draw):
+    """One coefficient matrix with several right-hand sides, as a query that
+    factors its rows once and solves every rhs against them would see."""
+    rows, _, n = draw(linear_systems())
+    r = len(rows)
+    entry = st.integers(0, n - 1) | st.integers(-200, 200)
+    rhss = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=2, max_size=5))
+    return rows, rhss, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems_with_many_rhs())
+def test_solve_linear_many_rhs_match_enumeration(system):
+    rows, rhss, n = system
+    for rhs in rhss:
+        sols = solve_linear(rows, rhs, n, budget=n**3)
+        # strictly increasing: sorted with no duplicates, whatever the oracle's order
+        assert all(a < b for a, b in zip(sols, sols[1:]))
+        assert sols == enumerate_solutions(rows, rhs, n)
+
+
+def test_inconsistency_found_only_after_elimination_precedes_a_later_budget():
+    # no single row is unsolvable mod 2, but their difference 2y == 1 is;
+    # that is read before 7^2 = 49 exceeds the budget
+    assert solve_linear([[1, 1], [1, 3]], [0, 1], 14, budget=10) == []
+    with pytest.raises(BudgetExceeded, match=r"7\^2 = 49 candidates exceeds budget 10"):
+        solve_linear([[1, 1], [1, 3]], [0, 0], 14, budget=10)
+
+
 def test_budget_bounds_the_search_space_per_factor():
     with pytest.raises(BudgetExceeded, match=r"7\^3 = 343 candidates exceeds budget 342"):
         solve_linear([[0, 0, 0]], [0], 7, budget=342)

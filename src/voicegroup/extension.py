@@ -35,13 +35,15 @@ from .linalg import ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
     _CONJUGATION,
+    _LETTERS,
     _PERM_INDEX,
-    Generator,
     JElement,
     NotInGroup,
     _Element,
+    _compose,
     _decode,
     _enumerate,
+    _j_power,
     _new,
     _point,
     _require_group_modulus,
@@ -193,37 +195,37 @@ _TOKEN = re.compile(
 )
 
 
-def _factor(match: re.Match, m: Modulus) -> ExtElement | None:
-    """The factor a token stands for; None for spaces and Id."""
-    kind = match.lastgroup  # an enclosing group closes last, so "power", never "word"
-    if kind == "cycle":
-        digits = re.sub(r"\s", "", match.group("cycle"))
-        return ExtElement.from_sigma(Perm3.from_cycle(f"({digits})"), m)
-    if kind == "power":
-        j = word_to_element(match.group("word"), m)
-        exp = match.group("exp")
-        return ExtElement.from_j(j ** int(exp) if exp else j)
-    if kind == "letter":
-        return ExtElement.from_j(JElement.from_generator(Generator[match.group("letter")], m))
-    return None
-
-
 def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
     """Parse forms like '(13) U (UV)^2 (UW)^7', 'VW', '(12)U(UV)^3', 'Id'.
 
     Cycles carry no commas (permutations), and any interleaving of permutation
-    and generator factors is accepted; the result is their ordered product,
-    folded from the first factor. Empty text and 'Id' are the identity.
+    and generator factors is accepted; the result is their ordered product.
+    The factors are folded from the identity on plain (point, m, n) ints through
+    the product kernel of `*`, and one element is built at the end. Empty text
+    and 'Id' are the identity.
     """
     m = as_modulus(modulus)
-    acc = None
+    nn = m.n
+    p = x = y = 0
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
             raise ValueError(f"cannot parse element {text!r} at position {pos}")
         pos = match.end()
-        factor = _factor(match, m)
-        if factor is not None:
-            acc = factor if acc is None else acc * factor
-    return ExtElement.identity(m) if acc is None else acc
+        kind = match.lastgroup  # an enclosing group closes last, so "power", never "word"
+        if kind == "cycle":
+            digits = re.sub(r"\s", "", match.group("cycle"))
+            q, a, b = _point(Perm3.from_cycle(f"({digits})"), 0), 0, 0
+        elif kind == "power":
+            j = word_to_element(match.group("word"), m)
+            exp = match.group("exp")
+            q, a, b = _j_power(j.point, j.m, j.n, int(exp) if exp else 1, nn)
+        elif kind == "letter":
+            q, (a, b) = 1, _LETTERS[match.group("letter")]
+        else:
+            continue
+        if nn < 3:  # the first factor rejects the modulus, after its own text
+            _require_group_modulus(m)
+        p, x, y = _compose(p, x, y, q, a, b, nn)
+    return _new(ExtElement, p, x, y, _require_group_modulus(m))

@@ -80,6 +80,8 @@ _PAIR_TO_GENERATOR = {frozenset(g.pair): g for g in Generator}
 
 # (m, n) of each generator's normal form U (UV)^m (UW)^n: V = U (UV), W = U (UW).
 _GENERATOR_EXPONENTS = {Generator.U: (0, 0), Generator.V: (1, 0), Generator.W: (0, 1)}
+# The same, keyed by generator and by name: the letters of a word.
+_LETTERS = {**_GENERATOR_EXPONENTS, **{g.name: e for g, e in _GENERATOR_EXPONENTS.items()}}
 
 
 def generator_matrix(g: Generator, modulus: Modulus | int) -> Mat3:
@@ -179,6 +181,19 @@ _PRODUCTS = _product_table()
 _INVERSE_POINTS = tuple([row[0] for row in rows].index(0) for rows in _PRODUCTS)
 
 
+def _compose(p: int, m: int, n: int, q: int, m2: int, n2: int, nn: int) -> tuple[int, int, int]:
+    """(p, (m, n)) * (q, (m2, n2)) mod nn on plain ints: the one product kernel."""
+    pq, a, b, c, d, e, f = _PRODUCTS[p][q]
+    return pq, (a * m + b * n + e + m2) % nn, (c * m + d * n + f + n2) % nn
+
+
+def _j_power(k: int, m: int, n: int, t: int, nn: int) -> tuple[int, int, int]:
+    """(U^k (UV)^m (UW)^n)^t mod nn: an involution when k = 1, else (0, t m, t n)."""
+    if k:
+        return (1, m, n) if t % 2 else (0, 0, 0)
+    return 0, t * m % nn, t * n % nn
+
+
 # P_sigma M_{U^k} for each point; the matrix of (p, (m, n)) adds the row (-m, -n, m+n) to every row.
 # The row differences name p, and the twelve patterns have entries -1, 0, 1 and stay distinct mod n >= 3.
 _BASES = tuple(
@@ -235,9 +250,8 @@ class _Element(_Value):
         if type(other) is not cls:
             return NotImplemented
         modulus = check_same_modulus(self.modulus, other.modulus)
-        pq, a, b, c, d, e, f = _PRODUCTS[self.point][other.point]
-        nn, m, n = modulus.n, self.m, self.n
-        return _new(cls, pq, (a * m + b * n + e + other.m) % nn, (c * m + d * n + f + other.n) % nn, modulus)
+        p, m, n = _compose(self.point, self.m, self.n, other.point, other.m, other.n, modulus.n)
+        return _new(cls, p, m, n, modulus)
 
     def inverse(self):
         """(p, t)^-1 = (p^-1, -(A t + c)), with A and c from the (p, p^-1) row."""
@@ -255,16 +269,12 @@ class _Element(_Value):
         return out
 
     def __pow__(self, t: int):
-        """self^t = (self^s)^(t div s) * self^(t mod s), where x = self^s lies in J:
-        x^q is x or Id when x is mode-reversing, an involution, and (0, q t_x) otherwise."""
+        """self^t = (self^s)^(t div s) * self^(t mod s), where x = self^s lies in J
+        and x^(t div s) is the closed form _j_power."""
         powers = self._powers()
         q, r = divmod(t, len(powers))
         x = powers[-1]
-        if x.point:
-            head = x if q % 2 else _new(type(self), 0, 0, 0, x.modulus)
-        else:
-            nn = x.modulus.n
-            head = _new(type(self), 0, x.m * q % nn, x.n * q % nn, x.modulus)
+        head = _new(type(self), *_j_power(x.point, x.m, x.n, q, x.modulus.n), x.modulus)
         return head * powers[r - 1] if r else head
 
     def order(self) -> int:
@@ -381,14 +391,22 @@ def decode(a: Mat3) -> JElement:
 
 
 def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | int) -> JElement:
-    """Fold a generator word into its normal form, from its first letter; the
-    empty word is the identity."""
-    m = as_modulus(modulus)
-    acc = None
+    """Fold a generator word (letters 'U', 'V', 'W' or Generator members) into
+    its normal form, from its first letter; the empty word is the identity.
+
+    Each letter is U (UV)^a (UW)^b, and (k, m, n) * (1, a, b) = (1 - k, a - m, b - n),
+    so the fold runs on plain ints and builds one element at the end. Any other
+    letter raises ValueError.
+    """
+    m = _require_group_modulus(as_modulus(modulus))
+    k = x = y = 0
     for letter in word:
-        g = JElement.from_generator(Generator[letter] if isinstance(letter, str) else letter, m)
-        acc = g if acc is None else acc * g
-    return JElement.identity(m) if acc is None else acc
+        try:
+            a, b = _LETTERS[letter]
+        except KeyError:
+            raise ValueError(f"word letters must be U, V or W, got {letter!r}") from None
+        k, x, y = 1 - k, a - x, b - y
+    return _new(JElement, k, x % m.n, y % m.n, m)
 
 
 def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):

@@ -553,6 +553,26 @@ def test_parse_examples():
         parse_element("U (3 1)", M12)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x", r"cannot parse element 'x' at position 0"),
+        ("Id x", r"cannot parse element 'Id x' at position 3"),
+        ("(11)", r"cannot parse permutation '\(11\)'"),
+        ("(11) U", r"cannot parse permutation '\(11\)'"),
+        ("U x", r"voicing-group normal forms need modulus >= 3 .*"),
+        ("U (11)", r"voicing-group normal forms need modulus >= 3 .*"),
+        ("(UV)^3", r"voicing-group normal forms need modulus >= 3 .*"),
+        ("", r"voicing-group normal forms need modulus >= 3 .*"),
+        ("Id", r"voicing-group normal forms need modulus >= 3 .*"),
+    ],
+)
+def test_parse_errors_in_text_order_before_the_modulus(text, message):
+    # a factor's own text is read before the first factor rejects the modulus
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_element(text, 2)
+
+
 @pytest.mark.parametrize("text", ["", "   ", "Id", " Id  Id "])
 def test_parse_identity(text):
     assert parse_element(text, M7) == ExtElement.identity(M7)
@@ -570,7 +590,12 @@ def _spaced_cycle(cycle, spaces):
 _token = st.one_of(
     st.tuples(st.just("cycle"), st.sampled_from(_CYCLES), st.lists(st.integers(0, 2), min_size=4, max_size=4)),
     st.tuples(st.just("letter"), st.sampled_from("UVW")),
-    st.tuples(st.just("power"), st.sampled_from(["UV", "UW", "VW"]), st.integers(-15, 15)),
+    st.tuples(
+        st.just("power"),
+        st.text("UVW", min_size=1, max_size=6),
+        st.one_of(st.integers(-15, 15), st.integers(-(10**12), 10**12)),
+        st.booleans(),
+    ),
     st.tuples(st.just("id")),
 )
 
@@ -583,11 +608,14 @@ def _token_text_and_matrix(token, mod):
     if kind == "letter":
         return token[1], generator_matrix(Generator[token[1]], mod)
     if kind == "power":
-        word, e = token[1], token[2]
-        x, y = (generator_matrix(Generator[c], mod) for c in word)
-        # (XY)^-1 = YX, since X and Y are involutions
-        base = mat_mul(x, y) if e >= 0 else mat_mul(y, x)
-        return f"({word})^{e}", _mat_power(base, abs(e))
+        word, e, spelled = token[1], token[2], token[3]
+        # the inverse of a word is the reversed word, since every generator is an
+        # involution; every J element's order divides 2n, so the exponent is read mod 2n
+        base = identity(mod)
+        for c in word if e >= 0 else reversed(word):
+            base = mat_mul(base, generator_matrix(Generator[c], mod))
+        text = f"({word})^{e}" if spelled or e != 1 else f"({word})"
+        return text, _mat_power(base, abs(e) % (2 * mod.n))
     return "Id", identity(mod)
 
 
@@ -603,9 +631,10 @@ def test_parse_matches_product_of_factor_matrices(n, tokens):
     assert parse_element(text, mod).matrix() == want
 
 
-def test_str_parse_round_trip(ext12):
-    for a in ext12:
-        assert parse_element(str(a), M12) == a
+def test_str_parse_round_trip():
+    for n in range(3, 14):
+        for a in enumerate_extension(n):
+            assert parse_element(str(a), n) == a
 
 
 def test_modulus_mismatch():

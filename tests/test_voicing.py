@@ -187,6 +187,24 @@ def test_word_folding_matches_pairwise_rewriting():
             assert word_to_element("".join(word), M12) == _rewrite_pairs_oracle(word, M12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 60), st.lists(st.sampled_from(["U", "V", "W", *Generator]), max_size=40))
+def test_word_to_element_matches_product_of_generator_matrices(n, letters):
+    mod = Modulus(n)
+    want = identity(mod)
+    for letter in letters:
+        want = mat_mul(want, generator_matrix(Generator[letter] if isinstance(letter, str) else letter, mod))
+    assert word_to_element(letters, mod).matrix() == want
+    if all(isinstance(letter, str) for letter in letters):
+        assert word_to_element("".join(letters), mod).matrix() == want
+
+
+@pytest.mark.parametrize("word, bad", [("uv", "'u'"), (["U", 3], "3"), ("UVx", "'x'"), ([Generator.U, "UV"], "'UV'")])
+def test_word_to_element_rejects_unknown_letters(word, bad):
+    with pytest.raises(ValueError, match=rf"^word letters must be U, V or W, got {bad}$"):
+        word_to_element(word, M12)
+
+
 def test_apply_examples():
     assert apply(JElement(0, 6, 0, M12), Vec3.of(0, 0, 1, M12)) == Vec3.of(6, 6, 7, M12)
     assert apply(JElement(1, 0, 0, M12), Vec3.of(0, 0, 1, M12)) == Vec3.of(0, 0, 11, M12)

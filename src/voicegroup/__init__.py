@@ -23,10 +23,6 @@ _EXPORTS = {
             "BudgetExceeded",
             "Modulus",
             "Residue",
-            "crt_combine",
-            "crt_split",
-            "is_unit",
-            "normalize",
             "solve_homogeneous",
             "solve_linear",
             "units",
@@ -38,7 +34,6 @@ _EXPORTS = {
             "Perm3",
             "Vec3",
             "determinant",
-            "identity",
             "is_invertible",
             "mat_mul",
             "mat_vec",
@@ -54,20 +49,16 @@ _EXPORTS = {
             "enumerate_J",
             "generator_matrix",
             "j_reflection",
-            "normal_form_matrix",
+            "sigma_conjugate_generator",
             "word_to_element",
         ),
         "extension": (
-            "CosetTag",
             "ExtElement",
             "NotInExtension",
             "conjugacy_class",
-            "conjugate_j",
-            "enumerate_coset",
             "enumerate_extension",
             "ext_decode",
             "parse_element",
-            "sigma_conjugate_generator",
         ),
         "structure": (
             "Ambient",
@@ -104,7 +95,6 @@ _EXPORTS = {
             "rho_inverse",
             "root_position_tuple",
             "stabilizer_of_set",
-            "utt_compose",
             "wreath_generators",
         ),
         "analysis": (

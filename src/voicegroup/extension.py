@@ -27,16 +27,13 @@ the element storage live in voicing.py, shared with the plain group.
 
 from __future__ import annotations
 
-import enum
 import re
 
 from .modring import Modulus, Residue, as_modulus
 from .linalg import ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
-    _CONJUGATION,
     _LETTERS,
-    _PERM_INDEX,
     JElement,
     NotInGroup,
     _Element,
@@ -47,7 +44,6 @@ from .voicing import (
     _new,
     _point,
     _require_group_modulus,
-    sigma_conjugate_generator,  # public in this module too
     word_to_element,
 )
 
@@ -56,22 +52,8 @@ class NotInExtension(NotInGroup):
     """The matrix is not in the extended voicing group."""
 
 
-class CosetTag(enum.Enum):
-    J_PLUS = "j+"
-    J_MINUS = "j-"
-    SIGMA_J_PLUS = "sigma-j+"
-    SIGMA_J_MINUS = "sigma-j-"
-
-
 # The translation row (-m, -n, m+n) of P_sigma M_j sums to 0, so the trace is tr(P_sigma M_{U^k}).
 _TRACES = tuple(sum(rows[i][i] for i in range(3)) for rows in _BASES)
-
-
-def conjugate_j(sigma: Perm3, j: JElement) -> JElement:
-    """sigma j sigma^-1, read off the conjugation table."""
-    e, f, a, b, c, d = _CONJUGATION[_PERM_INDEX[sigma.image]]
-    k, m, n = j.k, j.m, j.n
-    return JElement(k, a * m + b * n + k * e, c * m + d * n + k * f, j.modulus)
 
 
 class ExtElement(_Element):
@@ -117,20 +99,9 @@ def ext_decode(m: Mat3) -> ExtElement:
     return e
 
 
-def trace(a: ExtElement) -> Residue:
-    return a.trace()
-
-
 def enumerate_extension(modulus: Modulus | int) -> list[ExtElement]:
     """All 6 * 2n^2 elements, in sort-key order."""
     return _enumerate(ExtElement, range(12), modulus)
-
-
-def enumerate_coset(tag: CosetTag, modulus: Modulus | int) -> list[ExtElement]:
-    """The mode-preserving/-reversing halves of the group and of its plain part."""
-    k = 0 if tag in (CosetTag.J_PLUS, CosetTag.SIGMA_J_PLUS) else 1
-    end = 2 if tag in (CosetTag.J_PLUS, CosetTag.J_MINUS) else 12
-    return _enumerate(ExtElement, range(k, end, 2), modulus)
 
 
 def _span(g1: tuple[int, int], g2: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -186,7 +157,7 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
 _TOKEN = re.compile(
     r"""
     \(\s*(?P<cycle>[123](?:\s*[123]){1,2})\s*\)   # permutation cycle, digits only
-  | (?P<power>\(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?\d+))?)   # parenthesized word with power
+  | (?P<power>\(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?[0-9]+))?)   # parenthesized word with power
   | (?P<letter>[UVW])
   | (?P<id>Id)
   | (?P<space>\s+)

@@ -187,10 +187,6 @@ def mat_vec(a: Mat3, v: Vec3) -> Vec3:
     return _vec3(_mat_vec_ints(a.rows, v.entries, a.modulus.n), a.modulus)
 
 
-def identity(modulus: Modulus | int) -> Mat3:
-    return Mat3.identity(modulus)
-
-
 def _det_int(rows) -> int:
     """Cofactor-expansion determinant of integer rows, not reduced."""
     (r, s, t), (u, v, w), (x, y, z) = rows
@@ -373,12 +369,6 @@ def _affine(linear: Mat3, translation: Vec3) -> AffineMap:
 
 
 AffineMap._TRUSTED = (_affine, AffineMap.__slots__)
-
-
-def affine_compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """f after g: x -> f(g(x))."""
-    check_same_modulus(f.modulus, g.modulus)
-    return _affine(mat_mul(f.linear, g.linear), mat_vec(f.linear, g.translation) + f.translation)
 
 
 def scalar_affine(u: int, q: int, modulus: Modulus | int) -> AffineMap:

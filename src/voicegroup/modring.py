@@ -1,12 +1,12 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
-Provides residues, unit detection, prime-power splitting of the modulus with
-Chinese-remainder recombination, and an exact solver for linear systems over
-Z/n. The solver brings the system to Howell form with extended-gcd row
-operations only, so the unknowns never move, and lists the solutions by
-back-substitution in increasing order, so its cost follows the number of
-solutions. Its budget still bounds the q^d search space of each prime-power
-factor q, so a search too large to enumerate is refused with BudgetExceeded.
+Provides residues, unit detection, prime-power splitting of the modulus, and
+an exact solver for linear systems over Z/n. The solver brings the system to
+Howell form with extended-gcd row operations only, so the unknowns never move,
+and lists the solutions by back-substitution in increasing order, so its cost
+follows the number of solutions. Its budget still bounds the q^d search space
+of each prime-power factor q, so a search too large to enumerate is refused
+with BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -121,15 +121,6 @@ class Residue:
         return str(self.value)
 
 
-def normalize(x: int, modulus: Modulus | int) -> Residue:
-    """Reduce x into [0, n)."""
-    return Residue(x, as_modulus(modulus))
-
-
-def is_unit(x: Residue) -> bool:
-    return x.is_unit()
-
-
 def units(modulus: Modulus | int) -> list[Residue]:
     """All residues coprime to n, in increasing order; len == Euler phi(n)."""
     m = as_modulus(modulus)
@@ -150,35 +141,6 @@ def _prime_of(q: int) -> int:
         if q % p == 0:
             return p
     raise ValueError(f"not a prime power: {q}")
-
-
-def crt_split(modulus: Modulus | int) -> list[Modulus]:
-    """Split n into its pairwise-coprime prime-power moduli."""
-    return [Modulus(q) for q in as_modulus(modulus).prime_powers()]
-
-
-def crt_combine(residues: Sequence[Residue], modulus: Modulus | int) -> Residue:
-    """Recombine one residue per prime-power factor of the target modulus."""
-    m = as_modulus(modulus)
-    factors = m.prime_powers()
-    if len(residues) != len(factors):
-        raise ValueError(
-            f"expected {len(factors)} residues for modulus {m.n}, got {len(residues)}"
-        )
-    for r, q in zip(residues, factors):
-        if r.modulus.n != q:
-            raise ValueError(f"residue modulus {r.modulus.n} does not match factor {q}")
-    return Residue(_crt_ints([r.value for r in residues], list(factors)), m)
-
-
-def _crt_ints(values: Sequence[int], moduli: Sequence[int]) -> int:
-    """CRT for pairwise-coprime moduli."""
-    total = math.prod(moduli)
-    acc = 0
-    for v, q in zip(values, moduli):
-        rest = total // q
-        acc += v * rest * pow(rest, -1, q)
-    return acc % total
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -44,8 +44,7 @@ from .linalg import (
     _vec3,
 )
 from .voicing import Generator, JElement, _new, _require_group_modulus, generator_matrix
-from .voicing import _centralizer_covectors, _centralizer_rows
-from .extension import sigma_conjugate_generator
+from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
 
 class Ambient(enum.Enum):

@@ -222,8 +222,7 @@ class UTT:
             return UTT(sign, other.t_major + self.t_major, other.t_minor + self.t_minor)
         return UTT(sign, other.t_major + self.t_minor, other.t_minor + self.t_major)
 
-    def __mul__(self, other: "UTT") -> "UTT":
-        return self.compose(other)
+    __mul__ = compose
 
     def inverse(self) -> "UTT":
         if self.sign == "+":
@@ -232,10 +231,6 @@ class UTT:
 
     def __str__(self) -> str:
         return f"<{self.sign},{self.t_major},{self.t_minor}>"
-
-
-def utt_compose(a: UTT, b: UTT) -> UTT:
-    return a.compose(b)
 
 
 def all_utts() -> list[UTT]:

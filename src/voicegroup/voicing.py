@@ -377,13 +377,8 @@ def _enumerate(cls, points, modulus: Modulus | int) -> list:
     return [_new(cls, p, a, b, m) for p in points for a in range(m.n) for b in range(m.n)]
 
 
-def normal_form_matrix(e: JElement) -> Mat3:
-    """Closed-form matrix of a normal form (columns are the images of the basis)."""
-    return e.matrix()
-
-
 def decode(a: Mat3) -> JElement:
-    """Invert normal_form_matrix; raises NotInJ if no (k, m, n) matches."""
+    """Invert JElement.matrix; raises NotInJ if no (k, m, n) matches."""
     e = _decode(JElement, a, 2)
     if e is None:
         raise NotInJ(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
@@ -421,11 +416,6 @@ def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int,
     w = (y + c, x + c, x + y - z + c) if k else (x + c, y + c, z + c)
     a, b, d = slots
     return (w[a] % nn, w[b] % nn, w[d] % nn)
-
-
-def apply(e: JElement, v: Vec3) -> Vec3:
-    """Action on a voicing: shift by m(z-x) + n(z-y), after U when k = 1."""
-    return e.apply(v)
 
 
 def enumerate_J(modulus: Modulus | int) -> list[JElement]:

@@ -8,10 +8,10 @@ from voicegroup.modring import BudgetExceeded, Modulus
 from voicegroup.linalg import (
     ALL_PERMS,
     AffineMap,
+    Mat3,
     Perm3,
     TRANSPOSITION_13,
     Vec3,
-    identity,
     mat_vec,
     scalar_affine,
 )
@@ -159,8 +159,8 @@ def test_uniform_solution_matrix_is_read_from_the_element():
         assert s.matrix == s.element.matrix()
         assert all(mat_vec(s.matrix, src) == dst for src, dst in GRAIL.steps())
     # a matrix given to the constructor is read in place of the derived one
-    replaced = dataclasses.replace(sols[0], matrix=identity(12))
-    assert replaced.matrix == identity(12)
+    replaced = dataclasses.replace(sols[0], matrix=Mat3.identity(12))
+    assert replaced.matrix == Mat3.identity(12)
     assert replaced.element == sols[0].element
 
 
@@ -322,7 +322,7 @@ def test_noninvertible_morphisms_still_commute():
 
 
 def test_nondiagonal_translation_fails_commutation():
-    f = AffineMap(identity(M12), Vec3.of(1, 0, 0, M12))
+    f = AffineMap(Mat3.identity(M12), Vec3.of(1, 0, 0, M12))
     v = ExtElement.from_j(JElement.from_generator(Generator.V, M12))
     assert not verify_morphism_commutation(f, [v])
 

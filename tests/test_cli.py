@@ -562,6 +562,14 @@ def test_importing_the_package_loads_no_module():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_structure_loads_no_extension_module():
+    # structure reads sigma_conjugate_generator from voicing, where it is defined
+    code = "import sys, voicegroup.structure; print('voicegroup.extension' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_ambient_choices_are_the_ambient_values():
     # The choices are written out so that parsing needs no structure module.
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, identity, mat_mul, mat_vec, perm_matrix
+from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, mat_mul, mat_vec, perm_matrix
 from voicegroup.voicing import (
     Generator,
     JElement,
@@ -15,20 +15,16 @@ from voicegroup.voicing import (
     decode,
     enumerate_J,
     generator_matrix,
+    sigma_conjugate_generator,
     word_to_element,
 )
 from voicegroup.extension import (
-    CosetTag,
     ExtElement,
     NotInExtension,
     conjugacy_class,
-    conjugate_j,
-    enumerate_coset,
     enumerate_extension,
     ext_decode,
     parse_element,
-    sigma_conjugate_generator,
-    trace,
 )
 from voicegroup.structure import centralizer_in_GL3
 from voicegroup.analysis import solve_step
@@ -60,11 +56,22 @@ def _conjugation_oracle(sigma, j):
     return mat_mul(mat_mul(p, j.matrix()), p_inv)
 
 
+def _conjugate_j(sigma, j):
+    """sigma j sigma^-1 in J, decoded from the matrix product: no product or conjugation table."""
+    return decode(_conjugation_oracle(sigma, j))
+
+
+def _sigma_conjugate(sigma, j):
+    """sigma j sigma^-1 as a product of extension elements."""
+    s = ExtElement.from_sigma(sigma, j.modulus)
+    return s * ExtElement.from_j(j) * s.inverse()
+
+
 @pytest.mark.parametrize("n", [3, 7, 12])
 def test_conjugate_j_matches_matrix_oracle(n):
     for sigma in ALL_PERMS:
         for j in enumerate_J(n):
-            assert conjugate_j(sigma, j).matrix() == _conjugation_oracle(sigma, j)
+            assert _sigma_conjugate(sigma, j) == ExtElement.from_j(_conjugate_j(sigma, j))
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,7 +84,7 @@ def test_conjugate_j_matches_matrix_oracle(n):
 )
 def test_conjugate_j_matches_matrix_oracle_property(n, sigma, k, m, nn):
     j = JElement(k, m, nn, Modulus(n))
-    assert conjugate_j(sigma, j).matrix() == _conjugation_oracle(sigma, j)
+    assert _sigma_conjugate(sigma, j) == ExtElement.from_j(_conjugate_j(sigma, j))
 
 
 @settings(max_examples=300, deadline=None)
@@ -155,7 +162,7 @@ def test_multiply_and_inverse_match_generator_matrix_products(n, data):
     )
     ma = _element_product_matrix(a)
     assert _element_product_matrix(a * b) == mat_mul(ma, _element_product_matrix(b))
-    assert mat_mul(ma, _element_product_matrix(a.inverse())) == identity(mod)
+    assert mat_mul(ma, _element_product_matrix(a.inverse())) == Mat3.identity(mod)
 
 
 def test_inverses(ext12):
@@ -174,8 +181,8 @@ def _j_product(x, y):
 
 
 def _old_product(a, b):
-    """(sa, ja) * (sb, jb) = (sa*sb, (sb^-1 ja sb) * jb), through conjugate_j."""
-    return ExtElement(a.sigma * b.sigma, _j_product(conjugate_j(b.sigma.inverse(), a.j), b.j))
+    """(sa, ja) * (sb, jb) = (sa*sb, (sb^-1 ja sb) * jb), conjugating through the matrix oracle."""
+    return ExtElement(a.sigma * b.sigma, _j_product(_conjugate_j(b.sigma.inverse(), a.j), b.j))
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
@@ -203,14 +210,14 @@ def test_inverse_matches_conjugation_route(n):
         j = a.j
         # a mode-reversing element of J is an involution; a translation inverts by negation
         j_inv = j if j.k else JElement(0, -j.m, -j.n, a.modulus)
-        want = ExtElement(a.sigma.inverse(), conjugate_j(a.sigma, j_inv))
+        want = ExtElement(a.sigma.inverse(), _conjugate_j(a.sigma, j_inv))
         assert a.inverse() == want
         assert any(a.inverse().sigma is sigma for sigma in ALL_PERMS)
 
 
 def _mat_power(mat, t):
     """mat**t for t >= 0 by repeated matrix multiplication."""
-    acc = identity(mat.modulus)
+    acc = Mat3.identity(mat.modulus)
     for _ in range(t):
         acc = mat_mul(acc, mat)
     return acc
@@ -232,7 +239,7 @@ def test_power_matches_repeated_matrix_product(n, sigma, k, m, nn, t):
     if t >= 0:
         assert power == _mat_power(ma, t)
     else:
-        assert mat_mul(power, _mat_power(ma, -t)) == identity(Modulus(n))
+        assert mat_mul(power, _mat_power(ma, -t)) == Mat3.identity(Modulus(n))
 
 
 def test_huge_powers_reduce_by_the_order():
@@ -258,7 +265,7 @@ def test_decode_examples():
     assert d == ExtElement(Perm3.from_cycle("(12)"), JElement(1, 3, 0, M7))
     d2 = ext_decode(Mat3.of([[0, 1, 0], [0, 0, 1], [6, 1, 1]], M7))
     assert d2 == ExtElement(Perm3.from_cycle("(13)"), JElement(1, 1, 0, M7))
-    assert ext_decode(identity(M12)).is_identity()
+    assert ext_decode(Mat3.identity(M12)).is_identity()
     with pytest.raises(NotInExtension):
         ext_decode(Mat3.of([[1, 1, 1], [1, 1, 1], [1, 1, 1]], M12))
 
@@ -362,12 +369,10 @@ def test_row_difference_patterns_are_distinct_mod_every_n():
 def test_enumeration_sizes(ext12):
     assert len(ext12) == 1728
     assert len(set(ext12)) == 1728
-    jplus = enumerate_coset(CosetTag.J_PLUS, 12)
-    assert len(jplus) == 144
-    assert all(e.sigma.is_identity() and e.j.k == 0 for e in jplus)
-    assert len(enumerate_coset(CosetTag.J_MINUS, 12)) == 144
-    assert len(enumerate_coset(CosetTag.SIGMA_J_PLUS, 12)) == 864
-    assert len(enumerate_coset(CosetTag.SIGMA_J_MINUS, 12)) == 864
+    # the mode-preserving (k = 0) and mode-reversing (k = 1) halves, of J and of the extension
+    for k in (0, 1):
+        assert len([e for e in ext12 if e.point == k]) == 144
+        assert len([e for e in ext12 if e.point % 2 == k]) == 864
 
 
 def _bfs_matrix_closure(gens, modulus):
@@ -388,7 +393,7 @@ def _bfs_matrix_closure(gens, modulus):
 def test_enumeration_equals_bfs_closure(ext12):
     gens = [generator_matrix(g, M12) for g in Generator]
     gens += [perm_matrix(Perm3.from_cycle(c), M12) for c in ("(12)", "(13)")]
-    closure = _bfs_matrix_closure(gens + [identity(M12)], M12)
+    closure = _bfs_matrix_closure(gens + [Mat3.identity(M12)], M12)
     assert closure == {a.matrix() for a in ext12}
 
 
@@ -410,7 +415,7 @@ def test_trace_table(ext12):
         ("transposition", 1): 1,
     }
     for a in ext12:
-        assert trace(a).value == expected[(a.sigma.cycle_type(), a.j.k)]
+        assert a.trace().value == expected[(a.sigma.cycle_type(), a.j.k)]
 
 
 @pytest.mark.parametrize("n", [3, 7, 12])
@@ -514,7 +519,7 @@ def test_order_examples():
 
 def _order_by_powers(mat):
     """Least t >= 1 with mat**t == identity, by repeated matrix multiplication."""
-    ident = identity(mat.modulus)
+    ident = Mat3.identity(mat.modulus)
     acc, t = mat, 1
     while acc != ident:
         acc = mat_mul(acc, mat)
@@ -549,6 +554,9 @@ def test_parse_examples():
     assert parse_element("(UV)^-1", M12) == ExtElement.from_j(JElement(0, 11, 0, M12))
     with pytest.raises(ValueError, match=r"^cannot parse element '\(13\) Q' at position 5$"):
         parse_element("(13) Q", M12)
+    # exponents are ASCII digits, as str writes them; another script's 3 is not an exponent
+    with pytest.raises(ValueError, match=r"^cannot parse element '\(UV\)\^\u0663' at position 4$"):
+        parse_element("(UV)^\u0663", M12)
     with pytest.raises(ValueError, match=r"^cannot parse permutation '\(31\)'$"):
         parse_element("U (3 1)", M12)
 
@@ -611,19 +619,19 @@ def _token_text_and_matrix(token, mod):
         word, e, spelled = token[1], token[2], token[3]
         # the inverse of a word is the reversed word, since every generator is an
         # involution; every J element's order divides 2n, so the exponent is read mod 2n
-        base = identity(mod)
+        base = Mat3.identity(mod)
         for c in word if e >= 0 else reversed(word):
             base = mat_mul(base, generator_matrix(Generator[c], mod))
         text = f"({word})^{e}" if spelled or e != 1 else f"({word})"
         return text, _mat_power(base, abs(e) % (2 * mod.n))
-    return "Id", identity(mod)
+    return "Id", Mat3.identity(mod)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 60), st.lists(st.tuples(_token, st.integers(0, 3)), max_size=8))
 def test_parse_matches_product_of_factor_matrices(n, tokens):
     mod = Modulus(n)
-    text, want = "", identity(mod)
+    text, want = "", Mat3.identity(mod)
     for token, spaces in tokens:
         piece, mat = _token_text_and_matrix(token, mod)
         text += piece + " " * spaces

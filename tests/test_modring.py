@@ -9,11 +9,7 @@ from voicegroup.modring import (
     BudgetExceeded,
     Modulus,
     Residue,
-    crt_combine,
-    crt_split,
     euler_phi,
-    is_unit,
-    normalize,
     solve_homogeneous,
     solve_linear,
     units,
@@ -21,14 +17,14 @@ from voicegroup.modring import (
 
 
 def test_normalize_examples():
-    assert normalize(-3, 12).value == 9
-    assert normalize(14, 7).value == 0
-    assert normalize(13, 12).value == 1
+    assert Residue(-3, Modulus(12)).value == 9
+    assert Residue(14, Modulus(7)).value == 0
+    assert Residue(13, Modulus(12)).value == 1
 
 
 @given(st.integers(-10**6, 10**6), st.integers(2, 24))
 def test_normalize_recovers_input(x, n):
-    assert normalize(x, n).value + n * (x // n) == x
+    assert Residue(x, Modulus(n)).value + n * (x // n) == x
 
 
 def test_modulus_validation():
@@ -42,9 +38,9 @@ def test_modulus_validation():
 
 
 def test_is_unit_examples():
-    assert is_unit(normalize(5, 12))
-    assert not is_unit(normalize(6, 12))
-    assert not is_unit(normalize(0, 7))
+    assert Residue(5, Modulus(12)).is_unit()
+    assert not Residue(6, Modulus(12)).is_unit()
+    assert not Residue(0, Modulus(7)).is_unit()
 
 
 def test_units_examples():
@@ -73,28 +69,14 @@ def test_residue_arithmetic():
 
 
 def test_crt_split_examples():
-    assert [f.n for f in crt_split(12)] == [4, 3]
-    assert [f.n for f in crt_split(7)] == [7]
-
-
-def test_crt_combine_example():
-    combined = crt_combine([Residue(3, Modulus(4)), Residue(2, Modulus(3))], 12)
-    assert combined.value == 11
-
-
-@pytest.mark.parametrize("n", [4, 7, 12, 18, 30])
-def test_crt_round_trip(n):
-    factors = crt_split(n)
-    for x in range(n):
-        parts = [Residue(x, f) for f in factors]
-        assert crt_combine(parts, n).value == x
-
-
-def test_crt_combine_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        crt_combine([Residue(1, Modulus(4))], 12)
-    with pytest.raises(ValueError):
-        crt_combine([Residue(1, Modulus(3)), Residue(0, Modulus(4))], 12)
+    # the CRT split of n: pairwise-coprime prime powers, by increasing prime, whose product is n
+    assert Modulus(360).prime_powers() == (8, 9, 5)
+    for n in range(2, 200):
+        factors = Modulus(n).prime_powers()
+        primes = [min(p for p in range(2, q + 1) if q % p == 0) for q in factors]
+        assert math.prod(factors) == n
+        assert primes == sorted(set(primes))
+        assert all(q == p ** round(math.log(q, p)) for p, q in zip(primes, factors))
 
 
 def test_solve_homogeneous_examples():

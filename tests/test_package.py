@@ -39,6 +39,33 @@ def test_unknown_names_raise_attribute_error():
     assert not hasattr(voicegroup, "_is_int")
 
 
+# Spellings retired in 0.1.0, each with its one surviving spelling in the README.
+# The last three were never exported.
+_RETIRED = {
+    "crt_combine": "modring",
+    "crt_split": "modring",
+    "is_unit": "modring",
+    "normalize": "modring",
+    "identity": "linalg",
+    "normal_form_matrix": "voicing",
+    "CosetTag": "extension",
+    "conjugate_j": "extension",
+    "enumerate_coset": "extension",
+    "utt_compose": "triadic",
+    "affine_compose": "linalg",
+    "apply": "voicing",
+    "trace": "extension",
+}
+
+
+@pytest.mark.parametrize("name, module", sorted(_RETIRED.items()))
+def test_retired_spellings_are_gone(name, module):
+    assert name not in voicegroup.__all__
+    with pytest.raises(AttributeError):
+        getattr(voicegroup, name)
+    assert not hasattr(import_module(f"voicegroup.{module}"), name)
+
+
 def test_library_modules_are_attributes_of_the_package():
     for module in set(voicegroup._EXPORTS.values()):
         assert getattr(voicegroup, module) is import_module(f"voicegroup.{module}")

@@ -14,7 +14,6 @@ from voicegroup.linalg import (
     Mat3,
     Vec3,
     determinant,
-    identity,
     is_invertible,
     mat_mul,
     scalar_affine,
@@ -196,7 +195,7 @@ def test_affine_centralizers():
     for t in range(12):
         assert scalar_affine(1, t, M12) in members
         assert scalar_affine(11, t, M12) in members
-    assert AffineMap(identity(M12), Vec3.of(1, 0, 0, M12)) not in members
+    assert AffineMap(Mat3.identity(M12), Vec3.of(1, 0, 0, M12)) not in members
 
 
 # The CLI prints the reports and the center in the order they come in, so

@@ -33,7 +33,6 @@ from voicegroup.triadic import (
     rho_matrix,
     root_position_tuple,
     stabilizer_of_set,
-    utt_compose,
     wreath_generators,
 )
 
@@ -256,7 +255,7 @@ def test_utt_apply_examples():
     assert t == TriadId(0, Mode.MAJOR)
     acc = UTT.identity()
     for _ in range(12):
-        acc = utt_compose(rl, acc)
+        acc = rl * acc
     assert acc == UTT.identity()
 
 
@@ -266,7 +265,8 @@ def test_utt_compose_matches_pointwise_action():
     for _ in range(300):
         a = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
         b = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
-        composed = utt_compose(a, b)
+        composed = a.compose(b)
+        assert a * b == composed
         for t in triads:
             assert composed.apply(t) == a.apply(b.apply(t))
 
@@ -275,7 +275,7 @@ def test_utt_inverse_and_parse():
     rng = random.Random(2)
     for _ in range(50):
         u = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
-        assert utt_compose(u, u.inverse()) == UTT.identity()
+        assert u * u.inverse() == UTT.identity()
         assert UTT.parse(str(u)) == u
     with pytest.raises(ValueError):
         UTT.parse("<*,1,2>")
@@ -322,7 +322,7 @@ def test_rho_is_injective_homomorphism_sampled():
     for _ in range(300):
         a = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
         b = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
-        assert rho(utt_compose(a, b)).underlying == (rho(a) * rho(b)).underlying
+        assert rho(a * b).underlying == (rho(a) * rho(b)).underlying
 
 
 def test_rho_inverse_round_trip():

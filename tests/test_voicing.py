@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Vec3, identity, mat_mul, mat_vec, perm_matrix, Perm3
+from voicegroup.linalg import ALL_PERMS, Mat3, Vec3, mat_mul, mat_vec, perm_matrix, Perm3
 from voicegroup.voicing import (
     _MOD2_FIXED_COVECTORS,
     Generator,
     JElement,
     NotInJ,
-    apply,
     decode,
     enumerate_J,
     generator_for_pair,
     generator_matrix,
     j_reflection,
-    normal_form_matrix,
     word_to_element,
     _centralizer_covectors,
 )
@@ -60,14 +58,14 @@ def test_j_reflection_rejects_bad_indices():
 
 
 def test_normal_form_matrix_examples():
-    assert str(normal_form_matrix(JElement(0, 6, 0, M12))) == "[[7,0,6],[6,1,6],[6,0,7]]"
-    assert normal_form_matrix(JElement(0, 0, 0, M12)) == identity(M12)
-    assert str(normal_form_matrix(JElement(0, 1, 0, M12))) == "[[0,0,1],[11,1,1],[11,0,2]]"
+    assert str(JElement(0, 6, 0, M12).matrix()) == "[[7,0,6],[6,1,6],[6,0,7]]"
+    assert JElement(0, 0, 0, M12).matrix() == Mat3.identity(M12)
+    assert str(JElement(0, 1, 0, M12).matrix()) == "[[0,0,1],[11,1,1],[11,0,2]]"
 
 
 def test_decode_examples():
-    assert decode(identity(M12)) == JElement(0, 0, 0, M12)
-    assert decode(normal_form_matrix(JElement(0, 6, 0, M12))) == JElement(0, 6, 0, M12)
+    assert decode(Mat3.identity(M12)) == JElement(0, 0, 0, M12)
+    assert decode(JElement(0, 6, 0, M12).matrix()) == JElement(0, 6, 0, M12)
     with pytest.raises(NotInJ):
         decode(perm_matrix(Perm3.from_cycle("(123)"), M12))
 
@@ -191,7 +189,7 @@ def test_word_folding_matches_pairwise_rewriting():
 @given(st.integers(3, 60), st.lists(st.sampled_from(["U", "V", "W", *Generator]), max_size=40))
 def test_word_to_element_matches_product_of_generator_matrices(n, letters):
     mod = Modulus(n)
-    want = identity(mod)
+    want = Mat3.identity(mod)
     for letter in letters:
         want = mat_mul(want, generator_matrix(Generator[letter] if isinstance(letter, str) else letter, mod))
     assert word_to_element(letters, mod).matrix() == want
@@ -206,9 +204,9 @@ def test_word_to_element_rejects_unknown_letters(word, bad):
 
 
 def test_apply_examples():
-    assert apply(JElement(0, 6, 0, M12), Vec3.of(0, 0, 1, M12)) == Vec3.of(6, 6, 7, M12)
-    assert apply(JElement(1, 0, 0, M12), Vec3.of(0, 0, 1, M12)) == Vec3.of(0, 0, 11, M12)
-    assert apply(JElement(0, 1, 0, M12), Vec3.of(0, 4, 7, M12)) == Vec3.of(7, 11, 2, M12)
+    assert JElement(0, 6, 0, M12).apply(Vec3.of(0, 0, 1, M12)) == Vec3.of(6, 6, 7, M12)
+    assert JElement(1, 0, 0, M12).apply(Vec3.of(0, 0, 1, M12)) == Vec3.of(0, 0, 11, M12)
+    assert JElement(0, 1, 0, M12).apply(Vec3.of(0, 4, 7, M12)) == Vec3.of(7, 11, 2, M12)
 
 
 def test_apply_matches_matrix_action(j12):
@@ -216,7 +214,7 @@ def test_apply_matches_matrix_action(j12):
     for _ in range(300):
         e = rng.choice(j12)
         v = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
-        assert apply(e, v) == mat_vec(e.matrix(), v)
+        assert e.apply(v) == mat_vec(e.matrix(), v)
 
 
 def test_vw_powers_add_difference_of_first_two():
@@ -228,7 +226,7 @@ def test_vw_powers_add_difference_of_first_two():
         assert e == JElement(0, -j, j, M12)
         for _ in range(100):
             x, y, z = rng.randrange(12), rng.randrange(12), rng.randrange(12)
-            got = apply(e, Vec3.of(x, y, z, M12))
+            got = e.apply(Vec3.of(x, y, z, M12))
             c = (j * (x - y)) % 12
             assert got == Vec3.of(x + c, y + c, z + c, M12)
 
@@ -257,7 +255,7 @@ def _bfs_closure(mats, modulus):
 def test_enumeration_equals_bfs_closure(n):
     m = Modulus(n)
     gens = [generator_matrix(g, m) for g in Generator]
-    closure = _bfs_closure(gens + [identity(m)], m)
+    closure = _bfs_closure(gens + [Mat3.identity(m)], m)
     assert closure == {e.matrix() for e in enumerate_J(m)}
 
 

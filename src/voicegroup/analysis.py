@@ -6,12 +6,15 @@ its successor t, and one case loop, _cases, answers it. At the point
 (sigma, k) this holds exactly when t - sigma(U^k(s)) = (m(z-x) + n(z-y)) *
 (1,1,1): a point whose difference is not constant-diagonal is skipped, and
 each other point gives one linear equation in (m, n) per step, solved
-exactly by modring.solve_linear. solve_step runs the loop over one step and
-a group's points, solve_uniform over every step and one point, and
-solve_uniform_all_cases over every step and all twelve points. The affine
-maps between two progressions solve a linear system in the map's (u, q),
-once per covector w of the centralizer family (see voicing.py).
-A brute-force scan over the whole group is the oracle for the linear route.
+exactly by modring.solve_linear. Each distinct equation is solved once: a
+step that recurs gives one equation, points with equal right-hand sides share
+one solve per query, and solve_linear drops repeated rows. solve_step
+runs the loop over one step and a group's points, solve_uniform over every
+step and one point, and solve_uniform_all_cases over every step and all
+twelve points. The affine maps between two progressions solve a linear
+system in the map's (u, q), once per covector w of the centralizer family
+(see voicing.py). A brute-force scan over the whole group is the oracle for
+the linear route.
 """
 
 from __future__ import annotations
@@ -88,11 +91,14 @@ _GROUP_POINTS = {"J": (0, 1), "extension": tuple(range(12)), "hook": _HOOK_POINT
 def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int):
     """Yield (p, solutions) for each point p of `points`, in order, whose case
     can realize every step; steps are (src, dst) pairs of plain triples. The
-    rows depend only on the sources, so each query builds them once."""
+    rows depend only on the sources, so each query builds them once, and
+    points with equal right-hand sides share one solve and one solution list,
+    which callers only read."""
     nn = modulus.n
     rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
     # (U^k(src), dst) for k = 0, 1; the point (sigma, k) reads sigma's slots off U^k(src)
     images = [[(_act(_SLOTS[0], k, 0, 0, src, nn), dst) for src, dst in steps] for k in (0, 1)]
+    solved = {}  # rhs -> its solutions, for the points that share a rhs
     for p in points:
         a, b, c = _SLOTS[p]
         rhs = []
@@ -102,7 +108,10 @@ def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Mod
                 break
             rhs.append(d)
         else:
-            yield p, solve_linear(rows, rhs, modulus, budget)
+            rhs = tuple(rhs)
+            if rhs not in solved:
+                solved[rhs] = solve_linear(rows, rhs, modulus, budget)
+            yield p, solved[rhs]
 
 
 def solve_step(
@@ -155,9 +164,7 @@ class UniformSolution:
     modulus: Modulus
 
     def __init__(self, sigma: Perm3, k: int, m: int, n: int, modulus: Modulus, matrix: Mat3 | None = None):
-        for name, value in (("sigma", sigma), ("k", k), ("m", m), ("n", n), ("modulus", modulus)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_matrix", matrix)
+        self.__dict__.update(sigma=sigma, k=k, m=m, n=n, modulus=modulus, _matrix=matrix)
 
     @property
     def element(self) -> ExtElement:
@@ -173,14 +180,15 @@ class UniformSolution:
 
 def _solve_uniform(prog: Progression, budget: int, sigma: Perm3 | None = None, k: int = 0) -> list[UniformSolution]:
     """The uniform solutions of the case (sigma, k), or of all twelve cases
-    when sigma is None, each re-verified against every step."""
+    when sigma is None, each re-verified against every distinct step."""
     if len(prog.tuples) < 2:
         raise ValueError("uniform solving needs at least two tuples")
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
     modulus = prog.modulus
     nn = modulus.n
-    steps = [(src.entries, dst.entries) for src, dst in prog.steps()]
+    # a step that recurs, as in a cycling progression, is one condition: solve and verify it once
+    steps = list(dict.fromkeys((src.entries, dst.entries) for src, dst in prog.steps()))
     points = range(12) if sigma is None else (_point(sigma, k),)
     out = []
     for p, solutions in _cases(steps, points, modulus, budget):

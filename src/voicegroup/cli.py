@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus, _is_int
+from .modring import DEFAULT_BUDGET, BudgetExceeded, Modulus, _ascii_int, _is_int
 from .linalg import Mat3, Perm3, Vec3
 from .voicing import NotInGroup, word_to_element
 from .extension import ExtElement, ext_decode, parse_element
@@ -45,12 +45,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: ASCII digits only, refused with
+    argparse's own "invalid int value" message."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_vec(text: str, modulus: Modulus) -> Vec3:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError(f"expected three comma-separated entries, got {text!r}")
     try:
-        return Vec3.of(*(int(p) for p in parts), modulus)
+        return Vec3.of(*map(_ascii_int, parts), modulus)
     except ValueError as exc:
         raise CliError(f"cannot parse vector {text!r}: {exc}") from exc
 
@@ -310,10 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, formats=("text", "json"), with_mod=True, with_budget=True):
         if with_mod:
-            p.add_argument("--mod", type=int, default=12, help="modulus (default 12)")
+            p.add_argument("--mod", type=_int_option, default=12, help="modulus (default 12)")
         p.add_argument("--format", choices=formats, default=formats[0])
         if with_budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="candidate budget for exhaustive searches")
+            p.add_argument("--budget", type=_int_option, default=DEFAULT_BUDGET, help="candidate budget for exhaustive searches")
 
     p = sub.add_parser("normal-form", help="normal form of a generator word or matrix")
     group = p.add_mutually_exclusive_group(required=True)
@@ -325,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="uniform solutions realizing a progression")
     p.add_argument("progression", help="progression JSON file")
     p.add_argument("--sigma", help="permutation part in cycle notation, e.g. (12)")
-    p.add_argument("--k", type=int, choices=(0, 1), help="reflection bit")
+    p.add_argument("--k", type=_int_option, choices=(0, 1), help="reflection bit")
     p.add_argument("--cyclic", action="store_true", help="include the wrap-around step")
-    p.add_argument("--mod", type=int, help="must equal the progression file's modulus")
+    p.add_argument("--mod", type=_int_option, help="must equal the progression file's modulus")
     add_common(p, with_mod=False)
     p.set_defaults(func=_cmd_solve)
 
@@ -361,16 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rich", help="iterate retrograde inversion enchaining from a seed")
     p.add_argument("--seed", required=True)
-    p.add_argument("--steps", type=int, help=f"number of steps, at most {MAX_RICH_STEPS} (default: full cycle)")
+    p.add_argument("--steps", type=_int_option, help=f"number of steps, at most {MAX_RICH_STEPS} (default: full cycle)")
     add_common(p, with_budget=False)
     p.set_defaults(func=_cmd_rich)
 
     p = sub.add_parser("export-dot", help="export a progression network")
     p.add_argument("progression")
     p.add_argument("--sigma", help="label edges with the first uniform solution for this case")
-    p.add_argument("--k", type=int, choices=(0, 1))
+    p.add_argument("--k", type=_int_option, choices=(0, 1))
     p.add_argument("--cyclic", action="store_true")
-    p.add_argument("--mod", type=int, help="must equal the progression file's modulus")
+    p.add_argument("--mod", type=_int_option, help="must equal the progression file's modulus")
     add_common(p, formats=("dot", "json"), with_mod=False)
     p.set_defaults(func=_cmd_export_dot)
 

@@ -1,17 +1,20 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
 Provides residues, unit detection, prime-power splitting of the modulus, and
-an exact solver for linear systems over Z/n. The solver brings the system to
-Howell form with extended-gcd row operations only, so the unknowns never move,
-and lists the solutions by back-substitution in increasing order, so its cost
-follows the number of solutions. Its budget still bounds the q^d search space
-of each prime-power factor q, so a search too large to enumerate is refused
-with BudgetExceeded.
+an exact solver for linear systems over Z/n. The solver reduces the equations
+mod n and keeps each distinct one once, brings them to Howell form with
+extended-gcd row operations only, so the unknowns never move, and lists the
+solutions by back-substitution in increasing order, so its cost follows the
+number of solutions. Its budget still bounds the q^d search space of each
+prime-power factor q, so a search too large to enumerate is refused with
+BudgetExceeded. Integers read from text go through one reader that takes
+ASCII digits only.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -28,6 +31,18 @@ class BudgetExceeded(RuntimeError):
 def _is_int(x) -> bool:
     """An int that is not a bool, as a JSON integer must be."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_ASCII_INT = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _ascii_int(text: str) -> int:
+    """The integer written in text: an optional sign, then ASCII digits, with
+    surrounding whitespace allowed; int() would also take any Unicode digit
+    and '_'."""
+    if _ASCII_INT.fullmatch(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +181,7 @@ def _pivot_op(x: int, y: int) -> tuple[int, int, int, int]:
     return s, t, -(y // g), x // g
 
 
-def _howell(rows: list[list[int]], n: int) -> tuple[list, list[int]]:
+def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
     """Echelon the augmented rows [a_0 .. a_{d-1} | c] over Z/n, with row
     operations only, into Howell form; return (pivots, zero_rhs).
 
@@ -208,12 +223,14 @@ def solve_linear(
 ) -> list[tuple[int, ...]]:
     """All solution vectors of rows.x == rhs over Z/n, sorted.
 
-    Exact: the augmented system is brought to Howell form (see _howell) and
-    solved by back-substitution from x_0 up. A pivot g on x_j leaves the
-    g values r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the
-    terms in x_0 .. x_{j-1}, and a free unknown all n values.
-    The Howell form lets every partial solution extend, so the solutions come
-    out in increasing order and the cost follows their number.
+    Exact: each augmented row is reduced mod n and kept once, in order of
+    first occurrence, so a repeated equation is solved once; the row span,
+    and so the answer, is unchanged. The distinct rows are brought to Howell
+    form (see _howell) and solved by back-substitution from x_0 up. A pivot
+    g on x_j leaves the g values r/g + t*(n/g) for t in [0, g), where r is its
+    row's rhs less the terms in x_0 .. x_{j-1}, and a free unknown all n
+    values. The Howell form lets every partial solution extend, so the
+    solutions come out in increasing order and the cost follows their number.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
@@ -234,7 +251,8 @@ def solve_linear(
         raise ValueError("rhs length must match the number of rows")
     if set(map(len, rows)) != {d}:
         raise ValueError("all rows must have the same number of unknowns")
-    pivots, zero_rhs = _howell([[int(x) % n for x in row] + [int(c) % n] for row, c in zip(rows, rhs)], n)
+    augmented = dict.fromkeys(tuple(int(x) % n for x in row) + (int(c) % n,) for row, c in zip(rows, rhs))
+    pivots, zero_rhs = _howell(list(augmented), n)
     for q in m.prime_powers():
         total = q**d
         if total > budget:

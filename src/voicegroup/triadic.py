@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .modring import Modulus, check_same_modulus
+from .modring import Modulus, _ascii_int, check_same_modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _Value, _mat_vec_ints, _vec3
 from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate, _new
 from .extension import ExtElement
@@ -206,7 +206,7 @@ class UTT:
         parts = [p.strip().replace("−", "-") for p in body.split(",")]
         if len(parts) != 3 or parts[0] not in ("+", "-"):
             raise ValueError(f"cannot parse triadic transformation {text!r}")
-        return cls(parts[0], int(parts[1]), int(parts[2]))
+        return cls(parts[0], _ascii_int(parts[1]), _ascii_int(parts[2]))
 
     def apply(self, t: TriadId) -> TriadId:
         shift = self.t_major if t.mode is Mode.MAJOR else self.t_minor

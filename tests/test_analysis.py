@@ -16,7 +16,8 @@ from voicegroup.linalg import (
     scalar_affine,
 )
 from voicegroup.voicing import Generator, JElement
-from voicegroup.extension import ExtElement, parse_element
+from voicegroup.extension import ExtElement, enumerate_extension, parse_element
+from voicegroup import analysis
 from voicegroup.analysis import (
     Progression,
     export_network_dot,
@@ -138,6 +139,99 @@ def test_solvers_match_group_scans_in_sort_key_order(prog, data):
     realizing = [g for g in scanned if all(mat_vec(g.matrix(), s) == t for s, t in prog.steps())]
     realizing.sort(key=ExtElement.sort_key)
     assert [s.element for s in solve_uniform_all_cases(prog)] == realizing
+
+
+# Voicings with repeated entries mod 12 and mod 6: several (sigma, k) cases of
+# one step then see the same right-hand side.
+_REPEATED_ENTRY_SEEDS = [(12, (0, 0, 6)), (12, (4, 4, 4)), (12, (3, 9, 9)), (6, (3, 3, 3)), (6, (1, 1, 4)), (6, (2, 5, 5))]
+
+
+def _case_rhs(sigma, k, src, dst):
+    """The rhs d of the case (sigma, k) on one step, dst - sigma U^k(src) ==
+    d*(1,1,1), read off the matrix action; None when not constant-diagonal."""
+    n = src.modulus.n
+    image = mat_vec(ExtElement(sigma, JElement(k, 0, 0, n)).matrix(), src)
+    diff = {(t - w) % n for t, w in zip(dst.entries, image.entries)}
+    return diff.pop() if len(diff) == 1 else None
+
+
+def _steps_rhs(cases, steps):
+    """The distinct rhs tuples, over every step, of the cases that can realize every step."""
+    tuples = {tuple(_case_rhs(sigma, k, src, dst) for src, dst in steps) for sigma, k in cases}
+    return {t for t in tuples if None not in t}
+
+
+def _count_solves(monkeypatch, rows_seen=None):
+    """Record the rhs of every solve_linear call the analysis layer makes, and
+    its rows in rows_seen if given."""
+    calls, solve = [], analysis.solve_linear
+
+    def counted(rows, rhs, modulus, budget):
+        calls.append(tuple(rhs))
+        if rows_seen is not None:
+            rows_seen.append(rows)
+        return solve(rows, rhs, modulus, budget)
+
+    monkeypatch.setattr(analysis, "solve_linear", counted)
+    return calls
+
+
+_GROUP_CASES = {"J": [(Perm3.identity(), k) for k in (0, 1)], "extension": [(s, k) for s in ALL_PERMS for k in (0, 1)]}
+
+
+@pytest.mark.parametrize("n, seed", _REPEATED_ENTRY_SEEDS)
+def test_steps_from_repeated_entries_solve_each_rhs_once(monkeypatch, n, seed):
+    src = Vec3.of(*seed, n)
+    rng = random.Random(f"{n}{seed}")
+    images = sorted({g.apply(src) for g in enumerate_extension(n)}, key=lambda v: v.entries)
+    dsts = rng.sample(images, min(10, len(images))) + [Vec3.of(*(rng.randrange(n) for _ in range(3)), n)]
+    groups = ["J", "extension", "hook"] if n == 12 else ["J", "extension"]
+    calls = _count_solves(monkeypatch)
+    shared = 0
+    for dst in dsts:
+        for group in groups:
+            assert solve_step(src, dst, group) == solve_step_bruteforce(src, dst, group)
+        for group, cases in _GROUP_CASES.items():
+            calls.clear()
+            solve_step(src, dst, group)
+            distinct = _steps_rhs(cases, [(src, dst)])
+            # one solve per distinct right-hand side
+            assert len(calls) == len(set(calls)) == len(distinct)
+            assert set(calls) == distinct
+            feasible = sum(_case_rhs(sigma, k, src, dst) is not None for sigma, k in cases)
+            shared += feasible - len(distinct)
+    assert shared > 0  # some points did share a right-hand side
+
+
+@pytest.mark.parametrize("n, seed", _REPEATED_ENTRY_SEEDS)
+def test_uniform_solutions_from_repeated_entries_match_the_group_filter(monkeypatch, n, seed):
+    rng = random.Random(f"{seed}{n}")
+    group = enumerate_extension(n)
+    calls = _count_solves(monkeypatch)
+    for _ in range(4):
+        g = rng.choice(group)
+        tuples = [Vec3.of(*seed, n)]
+        for _ in range(rng.randint(1, 3)):
+            tuples.append(mat_vec(g.matrix(), tuples[-1]))
+        prog = Progression(Modulus(n), tuple(tuples), rng.random() < 0.5)
+        realizing = [h for h in group if all(mat_vec(h.matrix(), s) == t for s, t in prog.steps())]
+        realizing.sort(key=ExtElement.sort_key)
+        calls.clear()
+        assert [s.element for s in solve_uniform_all_cases(prog)] == realizing
+        # a short orbit makes steps recur; each distinct step is one equation
+        assert len(calls) == len(set(calls))
+        assert set(calls) == _steps_rhs(_GROUP_CASES["extension"], list(dict.fromkeys(prog.steps())))
+
+
+def test_recurring_steps_are_solved_once(monkeypatch):
+    # the Grail closes its cycle, so three laps hold its cyclic steps three times
+    laps = Progression(M12, GRAIL.tuples * 3)
+    rows_seen = []
+    _count_solves(monkeypatch, rows_seen)
+    solutions = solve_uniform_all_cases(laps)
+    assert {len(rows) for rows in rows_seen} == {len(GRAIL.tuples)}
+    assert len(solutions) == 4
+    assert solutions == solve_uniform_all_cases(Progression(M12, GRAIL.tuples, cyclic=True))
 
 
 def test_solve_uniform_grail():

@@ -403,6 +403,28 @@ def test_rich_rejects_step_count_above_the_bound(capsys, steps):
     assert f"at most {MAX_RICH_STEPS}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rich", "--seed", "٠,٤,٧", "--steps", "2"], "cannot parse vector"),
+        (["hook", "from-utt", "--utt", "<+,٣,1_0>"], "invalid literal for int"),
+        (["center", "--mod", "١٢"], "argument --mod: invalid int value: '١٢'"),
+        (["center", "--mod", "1_2"], "argument --mod: invalid int value: '1_2'"),
+        (["rich", "--seed", "0,4,7", "--steps", "٢"], "argument --steps: invalid int value"),
+        (["center", "--mod", "x"], "argument --mod: invalid int value: 'x'"),
+    ],
+)
+def test_integers_from_outside_take_ascii_digits_only(capsys, argv, message):
+    # str writes ASCII only, so other decimal digits and '_' are malformed input
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an option value itself
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert message in err
+
+
 def test_solve_cyclic_flag_changes_result(capsys, tmp_path):
     path = tmp_path / "open.json"
     path.write_text('{"modulus": 12, "tuples": [[0,4,7],[1,5,8]]}')

@@ -185,6 +185,36 @@ def test_solve_linear_many_rhs_match_enumeration(system):
         assert sols == enumerate_solutions(rows, rhs, n)
 
 
+@st.composite
+def systems_with_repeated_rows(draw):
+    """A system, and the same system with copies of some of its equations,
+    some written with entries x +- n, in shuffled order."""
+    rows, rhs, n = draw(linear_systems())
+    shift = st.sampled_from((-n, 0, n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
+    copies = [([x + draw(shift) for x in rows[i]], rhs[i] + draw(shift)) for i in picks]
+    equations = draw(st.permutations(list(zip(rows, rhs)) + copies))
+    return rows, rhs, [row for row, _ in equations], [c for _, c in equations], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_with_repeated_rows(), st.integers(1, 400))
+def test_repeated_rows_change_neither_solutions_nor_budget(system, budget):
+    rows, rhs, repeated_rows, repeated_rhs, n = system
+    expected = enumerate_solutions(rows, rhs, n)
+    assert solve_linear(repeated_rows, repeated_rhs, n, budget=n**3) == expected
+    assert solve_linear(rows, rhs, n, budget=n**3) == expected
+
+    def outcome(rows, rhs):
+        try:
+            return solve_linear(rows, rhs, n, budget=budget)
+        except BudgetExceeded as exc:
+            return f"BudgetExceeded: {exc}"
+
+    # under a small budget both give the same list or refuse with the same message
+    assert outcome(repeated_rows, repeated_rhs) == outcome(rows, rhs)
+
+
 def test_inconsistency_found_only_after_elimination_precedes_a_later_budget():
     # no single row is unsolvable mod 2, but their difference 2y == 1 is;
     # that is read before 7^2 = 49 exceeds the budget

@@ -281,6 +281,13 @@ def test_utt_inverse_and_parse():
         UTT.parse("<*,1,2>")
 
 
+@pytest.mark.parametrize("text", ["<+,٣,10>", "<+,3,1_0>", "<-,0,٠>", "<+,3,>", "<+,x,0>"])
+def test_utt_parse_takes_ascii_digits_only(text):
+    # str writes ASCII digits only; int() alone would take '٣' and '1_0'
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        UTT.parse(text)
+
+
 def test_rho_displayed_matrices():
     assert str(rho_matrix(UTT("+", 1, 0))) == "[[9,1,3],[8,2,3],[8,1,4]]"
     assert str(rho_matrix(UTT("+", 0, 1))) == "[[10,11,4],[9,0,4],[9,11,5]]"

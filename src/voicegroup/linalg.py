@@ -10,40 +10,9 @@ x_{sigma^-1 2}, x_{sigma^-1 3}).
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError
 from typing import Sequence
 
-from .modring import Modulus, Residue, as_modulus, check_same_modulus
-
-
-class _Value:
-    """Slotted immutable storage, shared by the values below, the group
-    elements (voicing.py) and the Hook elements (triadic.py).
-
-    Each class has a validating public constructor, which reduces and checks
-    its input, and one trusted constructor: a module function that stores
-    fields that are already reduced, with no checks, for the library's own
-    producers. _TRUSTED names that function and the fields it takes, in
-    order; pickle and copy rebuild a value through it. The repr is the
-    dataclass form, field by field.
-    """
-
-    __slots__ = ()
-    _TRUSTED: tuple  # (trusted constructor, the fields it takes), set on each class
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        new, fields = self._TRUSTED
-        return new, tuple(getattr(self, name) for name in fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._TRUSTED[1])
-        return f"{type(self).__name__}({fields})"
+from .modring import Modulus, Residue, _Value, as_modulus, check_same_modulus
 
 
 class Vec3(_Value):

@@ -8,14 +8,14 @@ solutions by back-substitution in increasing order, so its cost follows the
 number of solutions. Its budget still bounds the q^d search space of each
 prime-power factor q, so a search too large to enumerate is refused with
 BudgetExceeded. Integers read from text go through one reader that takes
-ASCII digits only.
+ASCII digits only. The slotted immutable storage that every value class of
+the library shares (_Value) is defined here, in the lowest layer.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Sequence
@@ -64,15 +64,62 @@ def _prime_power_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class _Value:
+    """Slotted immutable storage, shared by Modulus and Residue here, the
+    vectors, matrices, permutations and affine maps (linalg.py), the group
+    elements (voicing.py), and the Hook elements and triad records
+    (triadic.py).
+
+    Each class has a public constructor, which reduces and checks its input
+    (TriadClass has nothing to check), and one trusted constructor: a module
+    function that stores fields that are already reduced, with no checks, for
+    the library's own producers. _TRUSTED names that function and the fields
+    it takes, in order; pickle and copy rebuild a value through it. The repr
+    is the dataclass form, field by field, except for the group elements,
+    which show their normal form. Setting or deleting an attribute raises
+    dataclasses.FrozenInstanceError, imported only then, so that loading the
+    library does not load dataclasses.
+    """
+
+    __slots__ = ()
+    _TRUSTED: tuple  # (trusted constructor, the fields it takes), set on each class
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        new, fields = self._TRUSTED
+        return new, tuple(getattr(self, name) for name in fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._TRUSTED[1])
+        return f"{type(self).__name__}({fields})"
+
+
+class Modulus(_Value):
     """A modulus n >= 2, shared by all values computed over Z/n."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {self.n!r}")
+    def __new__(cls, n: int) -> "Modulus":
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
+        return _modulus(n)
+
+    def __eq__(self, other):
+        if type(other) is not Modulus:
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
 
     def prime_powers(self) -> tuple[int, ...]:
         return _prime_power_factors(self.n)
@@ -84,25 +131,44 @@ class Modulus:
         return str(self.n)
 
 
+_SET_N = Modulus.__dict__["n"].__set__
+
+
+def _modulus(n: int) -> Modulus:
+    """The trusted constructor of Modulus: an int n >= 2."""
+    m = object.__new__(Modulus)
+    _SET_N(m, n)
+    return m
+
+
+Modulus._TRUSTED = (_modulus, Modulus.__slots__)
+
+
 def as_modulus(m: Modulus | int) -> Modulus:
     return m if isinstance(m, Modulus) else Modulus(int(m))
 
 
 def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:
-    if a != b:
+    if a is not b and a != b:
         raise ValueError(f"mixed moduli: {a} vs {b}")
     return a
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_Value):
     """An integer reduced to [0, n) for a fixed modulus."""
 
-    value: int
-    modulus: Modulus
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.modulus.n)
+    def __new__(cls, value: int, modulus: Modulus) -> "Residue":
+        return _residue(int(value) % modulus.n, modulus)
+
+    def __eq__(self, other):
+        if type(other) is not Residue:
+            return NotImplemented
+        return self.value == other.value and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.value, self.modulus))
 
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.modulus.n) == 1
@@ -136,10 +202,24 @@ class Residue:
         return str(self.value)
 
 
+_SET_VALUE, _SET_RESIDUE_MODULUS = (Residue.__dict__[name].__set__ for name in Residue.__slots__)
+
+
+def _residue(value: int, modulus: Modulus) -> Residue:
+    """The trusted constructor of Residue: an int already in [0, n)."""
+    r = object.__new__(Residue)
+    _SET_VALUE(r, value)
+    _SET_RESIDUE_MODULUS(r, modulus)
+    return r
+
+
+Residue._TRUSTED = (_residue, Residue.__slots__)
+
+
 def units(modulus: Modulus | int) -> list[Residue]:
     """All residues coprime to n, in increasing order; len == Euler phi(n)."""
     m = as_modulus(modulus)
-    return [Residue(v, m) for v in range(m.n) if math.gcd(v, m.n) == 1]
+    return [_residue(v, m) for v in range(m.n) if math.gcd(v, m.n) == 1]
 
 
 def euler_phi(n: int) -> int:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
-from .modring import Modulus, _ascii_int, check_same_modulus
-from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _Value, _mat_vec_ints, _vec3
+from .modring import Modulus, _Value, _ascii_int, check_same_modulus
+from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
 from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate, _new
 from .extension import ExtElement
 
@@ -53,15 +52,21 @@ _FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
 _THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
 
 
-@dataclass(frozen=True)
-class TriadId:
+class TriadId(_Value):
     """An abstract consonant triad: root pitch class and mode, over Z/12."""
 
-    root: int
-    mode: Mode
+    __slots__ = ("root", "mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "root", int(self.root) % 12)
+    def __new__(cls, root: int, mode: Mode) -> "TriadId":
+        return _triad_id(int(root) % 12, mode)
+
+    def __eq__(self, other):
+        if type(other) is not TriadId:
+            return NotImplemented
+        return self.root == other.root and self.mode == other.mode
+
+    def __hash__(self):
+        return hash((self.root, self.mode))
 
     def name(self) -> str:
         base = _NOTE_NAMES[self.root]
@@ -71,16 +76,53 @@ class TriadId:
         return self.name()
 
 
-@dataclass(frozen=True)
-class TriadClass:
+_SET_ROOT, _SET_MODE = (TriadId.__dict__[name].__set__ for name in TriadId.__slots__)
+
+
+def _triad_id(root: int, mode: Mode) -> TriadId:
+    """The trusted constructor of TriadId: a root already in [0, 12)."""
+    t = object.__new__(TriadId)
+    _SET_ROOT(t, root)
+    _SET_MODE(t, mode)
+    return t
+
+
+TriadId._TRUSTED = (_triad_id, TriadId.__slots__)
+
+
+class TriadClass(_Value):
     """A classified voicing: which triad it is, and the reordering from root position."""
 
-    id: TriadId
-    voicing: Perm3
+    __slots__ = ("id", "voicing")
+
+    def __new__(cls, id: TriadId, voicing: Perm3) -> "TriadClass":
+        return _triad_class(id, voicing)
+
+    def __eq__(self, other):
+        if type(other) is not TriadClass:
+            return NotImplemented
+        return self.id == other.id and self.voicing == other.voicing
+
+    def __hash__(self):
+        return hash((self.id, self.voicing))
+
+
+_SET_ID, _SET_VOICING = (TriadClass.__dict__[name].__set__ for name in TriadClass.__slots__)
+
+
+def _triad_class(id: TriadId, voicing: Perm3) -> TriadClass:
+    """The trusted constructor of TriadClass (the public one checks nothing either)."""
+    c = object.__new__(TriadClass)
+    _SET_ID(c, id)
+    _SET_VOICING(c, voicing)
+    return c
+
+
+TriadClass._TRUSTED = (_triad_class, TriadClass.__slots__)
 
 
 def all_triads() -> list[TriadId]:
-    return [TriadId(r, mode) for mode in Mode for r in range(12)]
+    return [_triad_id(r, mode) for mode in Mode for r in range(12)]
 
 
 def root_position_tuple(id: TriadId) -> Vec3:
@@ -115,7 +157,7 @@ def classify(v: Vec3) -> TriadClass | None:
             root_pos = root_position_tuple(id)
             for perm in ALL_PERMS:
                 if perm.apply(root_pos) == v:
-                    return TriadClass(id, perm)
+                    return _triad_class(id, perm)
     return None
 
 
@@ -181,19 +223,23 @@ def stabilizer_of_set(group: Iterable[ExtElement], target: Iterable[Vec3]) -> li
 Sign = str  # "+" or "-"
 
 
-@dataclass(frozen=True)
-class UTT:
+class UTT(_Value):
     """A uniform triadic transformation <sign, t_major, t_minor> over Z/12."""
 
-    sign: Sign
-    t_major: int
-    t_minor: int
+    __slots__ = ("sign", "t_major", "t_minor")
 
-    def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        object.__setattr__(self, "t_major", int(self.t_major) % 12)
-        object.__setattr__(self, "t_minor", int(self.t_minor) % 12)
+    def __new__(cls, sign: Sign, t_major: int, t_minor: int) -> "UTT":
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        return _utt(sign, int(t_major) % 12, int(t_minor) % 12)
+
+    def __eq__(self, other):
+        if type(other) is not UTT:
+            return NotImplemented
+        return self.sign == other.sign and self.t_major == other.t_major and self.t_minor == other.t_minor
+
+    def __hash__(self):
+        return hash((self.sign, self.t_major, self.t_minor))
 
     @classmethod
     def identity(cls) -> "UTT":
@@ -201,10 +247,12 @@ class UTT:
 
     @classmethod
     def parse(cls, text: str) -> "UTT":
-        """Parse '<+,7,5>' (angle brackets optional, unicode minus accepted)."""
-        body = text.strip().lstrip("<").rstrip(">")
+        """Parse '<+,7,5>' (one pair of angle brackets or none, unicode minus accepted)."""
+        body = text.strip()
+        if body[:1] == "<" and body[-1:] == ">":
+            body = body[1:-1]
         parts = [p.strip().replace("−", "-") for p in body.split(",")]
-        if len(parts) != 3 or parts[0] not in ("+", "-"):
+        if len(parts) != 3 or parts[0] not in ("+", "-") or "<" in body or ">" in body:
             raise ValueError(f"cannot parse triadic transformation {text!r}")
         return cls(parts[0], _ascii_int(parts[1]), _ascii_int(parts[2]))
 
@@ -233,8 +281,23 @@ class UTT:
         return f"<{self.sign},{self.t_major},{self.t_minor}>"
 
 
+_SET_SIGN, _SET_T_MAJOR, _SET_T_MINOR = (UTT.__dict__[name].__set__ for name in UTT.__slots__)
+
+
+def _utt(sign: Sign, t_major: int, t_minor: int) -> UTT:
+    """The trusted constructor of UTT: sign '+' or '-', shifts already in [0, 12)."""
+    u = object.__new__(UTT)
+    _SET_SIGN(u, sign)
+    _SET_T_MAJOR(u, t_major)
+    _SET_T_MINOR(u, t_minor)
+    return u
+
+
+UTT._TRUSTED = (_utt, UTT.__slots__)
+
+
 def all_utts() -> list[UTT]:
-    return [UTT(s, m, n) for s in ("+", "-") for m in range(12) for n in range(12)]
+    return [_utt(s, m, n) for s in ("+", "-") for m in range(12) for n in range(12)]
 
 
 def is_in_hook(e: ExtElement) -> bool:

@@ -26,8 +26,8 @@ import enum
 import math
 from typing import Iterable
 
-from .modring import Modulus, as_modulus, check_same_modulus
-from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _Value, _mat3, _vec3
+from .modring import Modulus, _Value, as_modulus, check_same_modulus
+from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _mat3, _vec3
 
 
 class NotInGroup(ValueError):
@@ -214,7 +214,7 @@ class _Element(_Value):
 
     The one storage of JElement (the points 0 and 1) and ExtElement (all
     twelve points), with every group operation written once, on the
-    point-product table. Values are immutable (see linalg._Value); two are
+    point-product table. Values are immutable (see modring._Value); two are
     equal, and hash equal, when their class, coordinates and modulus agree.
     """
 

@@ -332,6 +332,19 @@ def test_hook_from_utt(capsys):
     assert out.splitlines()[0] == "(UV)^4 (UW)^11"
 
 
+def test_hook_from_utt_takes_no_brackets(capsys):
+    code, out, _ = run(capsys, "hook", "from-utt", "--utt", "+,1,0")
+    assert code == 0
+    assert out.splitlines()[0] == "(UV)^4 (UW)^11"
+
+
+@pytest.mark.parametrize("utt", ["<<+,1,0>>", "<+,1,0", "+,1,0>>>"])
+def test_hook_from_utt_rejects_unbalanced_brackets(capsys, utt):
+    code, out, err = run(capsys, "hook", "from-utt", "--utt", utt)
+    assert code == 1 and out == ""
+    assert "cannot parse triadic transformation" in err
+
+
 def test_hook_rejects_non_hook_element(capsys):
     code, _, err = run(capsys, "hook", "to-utt", "--element", "(12)U")
     assert code == 2 and "error" in err
@@ -563,6 +576,47 @@ def test_each_subcommand_imports_only_its_layers(grail_file, argv, extra):
     code, *loaded = proc.stdout.split()
     assert code == "0"
     assert set(loaded) == _CLI_LAYERS | extra
+
+
+# Imports voicegroup and voicegroup.cli in a fresh interpreter, runs
+# cli.main(sys.argv[1:]), and prints which of the heavy stdlib modules were
+# loaded after the import and after the run, one line each.
+_STDLIB_PROBE = """
+import contextlib, io, sys
+import voicegroup, voicegroup.cli
+heavy = ("dataclasses", "inspect")
+print(*[m for m in heavy if m in sys.modules], sep=",")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = voicegroup.cli.main(sys.argv[1:])
+print(*[m for m in heavy if m in sys.modules], sep=",")
+print(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["normal-form", "--word", "VW"], ""),
+        (["orbit", "--seed", "0,4,7"], ""),
+        (["hook", "to-utt", "--element", "(13)W"], ""),
+        (["hook", "from-utt", "--utt", "<+,1,0>"], ""),
+        # these return the report records (CentralizerReport, DualityReport,
+        # UniformSolution, Progression), which are still dataclasses
+        (["center"], "dataclasses,inspect"),
+        (["count", "gl3"], "dataclasses,inspect"),
+        (["centralizer", "--ambient", "aff"], "dataclasses,inspect"),
+        (["solve", "{grail}"], "dataclasses,inspect"),
+        (["export-dot", "{grail}"], "dataclasses,inspect"),
+        (["rich", "--seed", "0,4,7"], "dataclasses,inspect"),
+    ],
+)
+def test_algebra_subcommands_load_no_dataclasses(grail_file, argv, loaded):
+    argv = [a.replace("{grail}", grail_file) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_PROBE, *argv], capture_output=True, text=True, env=_child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", loaded, "0"]
 
 
 def test_widened_morphism_search_loads_neither_structure_nor_triadic():

@@ -281,6 +281,17 @@ def test_utt_inverse_and_parse():
         UTT.parse("<*,1,2>")
 
 
+@pytest.mark.parametrize("text", ["<+,1,0>", "+,1,0", "  < + , 1 , 0 >  ", "<+,13,-12>"])
+def test_utt_parse_takes_one_pair_of_brackets_or_none(text):
+    assert UTT.parse(text) == UTT("+", 1, 0)
+
+
+@pytest.mark.parametrize("text", ["<<+,1,0>>", "<+,1,0", "+,1,0>", "+,1,0>>>", "<+,1,0>>", "<+,<1,0>", "<>"])
+def test_utt_parse_rejects_unbalanced_or_doubled_brackets(text):
+    with pytest.raises(ValueError, match="cannot parse triadic transformation"):
+        UTT.parse(text)
+
+
 @pytest.mark.parametrize("text", ["<+,٣,10>", "<+,3,1_0>", "<-,0,٠>", "<+,3,>", "<+,x,0>"])
 def test_utt_parse_takes_ascii_digits_only(text):
     # str writes ASCII digits only; int() alone would take '٣' and '1_0'

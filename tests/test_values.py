@@ -1,13 +1,14 @@
 """The value contract shared by the slotted immutable classes.
 
-Vec3, Mat3, Perm3, AffineMap, the group elements and the Hook elements share
-one storage (linalg._Value): a validating public constructor, one trusted
-constructor for the library's own producers, frozen fields, and pickle and
-copy through the trusted constructor.
+Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements, the Hook
+elements and the triad records share one storage (modring._Value): a
+validating public constructor, one trusted constructor for the library's own
+producers, frozen fields, and pickle and copy through the trusted constructor.
 """
 
 import copy
 import pickle
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -26,9 +27,10 @@ from voicegroup.linalg import (
     perm_matrix,
     scalar_affine,
 )
-from voicegroup.modring import Modulus
+from voicegroup.modring import Modulus, Residue, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
-from voicegroup.triadic import UTT, HookElement, hook_elements, hook_from_normal_form_B, orbit, rho
+from voicegroup.triadic import UTT, HookElement, Mode, TriadClass, TriadId, all_triads, all_utts, classify
+from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
 from voicegroup.voicing import JElement, j_reflection
 
 
@@ -44,6 +46,11 @@ def _values(modulus):
         Perm3((2, 3, 1)),
         AffineMap(Mat3(((5, 0, 0), (0, 5, 0), (0, 0, 5)), m), Vec3((3, 3, 3), m)),
         HookElement(ExtElement(Perm3((3, 2, 1)), JElement(1, 4, 9, m))),
+        m,
+        Residue(-5, m),
+        TriadId(13, Mode.MINOR),
+        TriadClass(TriadId(0, Mode.MAJOR), Perm3((3, 2, 1))),
+        UTT("-", 13, -1),
     ]
 
 
@@ -79,6 +86,11 @@ _FIELDS = {
     Perm3: ("image",),
     AffineMap: ("linear", "translation"),
     HookElement: ("underlying",),
+    Modulus: ("n",),
+    Residue: ("value", "modulus"),
+    TriadId: ("root", "mode"),
+    TriadClass: ("id", "voicing"),
+    UTT: ("sign", "t_major", "t_minor"),
 }
 
 
@@ -109,6 +121,9 @@ def test_values_of_different_kinds_differ():
     assert Vec3.of(0, 4, 7, 12) != Vec3.of(0, 4, 7, 13)
     h = hook_elements()[5]
     assert h != h.underlying and h.underlying != h
+    m = Modulus(12)
+    assert m != 12 and Residue(3, m) != 3 and Residue(3, m) != Residue(3, Modulus(13))
+    assert UTT("+", 0, 0) != ("+", 0, 0) and TriadId(0, Mode.MAJOR) != TriadId(0, Mode.MINOR)
 
 
 def test_reprs_are_pinned():
@@ -121,7 +136,37 @@ def test_reprs_are_pinned():
         "AffineMap(linear=Mat3(rows=((5, 0, 0), (0, 5, 0), (0, 0, 5)), modulus=Modulus(n=12)), "
         "translation=Vec3(entries=(3, 3, 3), modulus=Modulus(n=12)))",
         "HookElement(underlying=ExtElement('(13) U (UV)^4 (UW)^9', mod 12))",
+        "Modulus(n=12)",
+        "Residue(value=7, modulus=Modulus(n=12))",
+        "TriadId(root=1, mode=<Mode.MINOR: 'minor'>)",
+        "TriadClass(id=TriadId(root=0, mode=<Mode.MAJOR: 'major'>), voicing=Perm3(image=(3, 2, 1)))",
+        "UTT(sign='-', t_major=1, t_minor=11)",
     ]
+
+
+def test_public_constructors_take_keywords():
+    m = Modulus(n=12)
+    assert m == Modulus(12) and m.n == 12
+    assert Residue(value=-1, modulus=m) == Residue(11, m)
+    assert TriadId(root=13, mode=Mode.MAJOR) == TriadId(1, Mode.MAJOR)
+    assert TriadClass(id=TriadId(0, Mode.MINOR), voicing=Perm3((1, 2, 3))).id.mode is Mode.MINOR
+    assert UTT(sign="+", t_major=13, t_minor=-1) == UTT("+", 1, 11)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Modulus(1), "modulus must be an integer >= 2, got 1"),
+        (lambda: Modulus(n=12.0), "modulus must be an integer >= 2, got 12.0"),
+        (lambda: Modulus(True), "modulus must be an integer >= 2, got True"),
+        (lambda: Modulus("12"), "modulus must be an integer >= 2, got '12'"),
+        (lambda: UTT("*", 0, 0), "sign must be '+' or '-', got '*'"),
+        (lambda: UTT(sign="", t_major=0, t_minor=0), "sign must be '+' or '-', got ''"),
+    ],
+)
+def test_public_constructor_error_texts(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -152,7 +197,7 @@ def test_public_constructors_reduce_entries():
 
 def test_no_trusted_constructor_is_public():
     assert not [name for name in voicegroup.__all__ if name.startswith("_")]
-    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, HookElement):
+    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, HookElement, Modulus, Residue, TriadId, TriadClass, UTT):
         assert cls._TRUSTED[0].__name__ not in voicegroup.__all__
 
 
@@ -174,6 +219,14 @@ def _reduced(value) -> bool:
         return _reduced(value.underlying) and HookElement(value.underlying) == value
     if isinstance(value, ExtElement):
         return value.point in range(12) and _ints((value.m, value.n, 0), value.modulus.n)
+    if isinstance(value, Residue):
+        return type(value.value) is int and 0 <= value.value < value.modulus.n
+    if isinstance(value, TriadId):
+        return value.root in range(12) and type(value.root) is int and isinstance(value.mode, Mode)
+    if isinstance(value, TriadClass):
+        return _reduced(value.id) and _reduced(value.voicing)
+    if isinstance(value, UTT):
+        return value.sign in ("+", "-") and _ints((value.t_major, value.t_minor, 0), 12)
     raise TypeError(type(value))
 
 
@@ -197,4 +250,6 @@ def test_trusted_producers_store_what_the_public_constructors_would():
     morphisms = find_affine_morphisms(prog, image, restrict_to_centralizer=True)
     assert scalar_affine(5, 1, m) in morphisms
     produced += morphisms
+    produced += units(m) + units(Modulus(7)) + all_triads() + all_utts() + [rho_inverse(h) for h in hooks]
+    produced += [classify(x) for x in ti_orbit(Vec3.of(0, 4, 7, m))] + [u * v for u in all_utts()[::29] for v in all_utts()[::31]]
     assert [x for x in produced if not _reduced(x)] == []

@@ -23,7 +23,6 @@ _EXPORTS = {
             "BudgetExceeded",
             "Modulus",
             "Residue",
-            "solve_homogeneous",
             "solve_linear",
             "units",
         ),

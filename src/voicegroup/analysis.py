@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .modring import DEFAULT_BUDGET, Modulus, _is_int, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3, mat_mul
 from .voicing import _HOOK_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
-from .voicing import _new, _point, _require_group_modulus
+from .voicing import _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
 
 
@@ -128,7 +128,7 @@ def solve_step(
     if group == "hook" and modulus.n != 12:
         raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
     cases = _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget)
-    return [_new(ExtElement, p, m, n, modulus) for p, solutions in cases for m, n in solutions]
+    return [ExtElement._make(p, m, n, modulus) for p, solutions in cases for m, n in solutions]
 
 
 def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:
@@ -168,7 +168,7 @@ class UniformSolution:
 
     @property
     def element(self) -> ExtElement:
-        return _new(ExtElement, _point(self.sigma, self.k), self.m, self.n, _require_group_modulus(self.modulus))
+        return ExtElement._make(_point(self.sigma, self.k), self.m, self.n, _require_group_modulus(self.modulus))
 
     @property
     def matrix(self) -> Mat3:

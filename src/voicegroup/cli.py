@@ -306,10 +306,7 @@ def _cmd_export_dot(args) -> int:
             print("no solutions", file=sys.stderr)
             return EXIT_OK
         labels = [solutions[0].element] * len(prog.steps())
-    if args.format == "json":
-        print(json.dumps(export_network_json(prog, labels), indent=2))
-    else:
-        sys.stdout.write(export_network_dot(prog, labels))
+    _emit(args, lambda: export_network_json(prog, labels), lambda: export_network_dot(prog, labels).splitlines())
     return EXIT_OK
 
 

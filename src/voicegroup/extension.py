@@ -41,7 +41,6 @@ from .voicing import (
     _decode,
     _enumerate,
     _j_power,
-    _new,
     _point,
     _require_group_modulus,
     word_to_element,
@@ -66,7 +65,7 @@ class ExtElement(_Element):
     __slots__ = ()
 
     def __new__(cls, sigma: Perm3, j: JElement) -> "ExtElement":
-        return _new(cls, _point(sigma, j.k), j.m, j.n, j.modulus)
+        return cls._make(_point(sigma, j.k), j.m, j.n, j.modulus)
 
     @property
     def sigma(self) -> Perm3:
@@ -74,15 +73,15 @@ class ExtElement(_Element):
 
     @property
     def j(self) -> JElement:
-        return _new(JElement, self.point & 1, self.m, self.n, self.modulus)
+        return JElement._make(self.point & 1, self.m, self.n, self.modulus)
 
     @classmethod
     def from_j(cls, j: JElement) -> "ExtElement":
-        return _new(cls, j.k, j.m, j.n, j.modulus)
+        return cls._make(j.k, j.m, j.n, j.modulus)
 
     @classmethod
     def from_sigma(cls, sigma: Perm3, modulus: Modulus | int) -> "ExtElement":
-        return _new(cls, _point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus)))
+        return cls._make(_point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus)))
 
     def trace(self) -> Residue:
         return Residue(_TRACES[self.point], self.modulus)
@@ -125,10 +124,10 @@ def _translation_class(b: ExtElement) -> list[ExtElement]:
     m = b.modulus
     nn = m.n
     b_inv = b.inverse()
-    e1, e2 = (b_inv * _new(ExtElement, 0, *t, m) * b for t in ((1, 0), (0, 1)))
+    e1, e2 = (b_inv * ExtElement._make(0, *t, m) * b for t in ((1, 0), (0, 1)))
     p, bm, bn = b.point, b.m, b.n
     return [
-        _new(ExtElement, p, (bm + dm) % nn, (bn + dn) % nn, m)
+        ExtElement._make(p, (bm + dm) % nn, (bn + dn) % nn, m)
         for dm, dn in _span((e1.m - 1, e1.n), (e2.m, e2.n - 1), nn)
     ]
 
@@ -147,7 +146,7 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
     m = a.modulus
     out: set[ExtElement] = set()
     for p in range(2 if within == "J" else 12):
-        tau = _new(ExtElement, p, 0, 0, m)
+        tau = ExtElement._make(p, 0, 0, m)
         b = tau * a * tau.inverse()
         if b not in out:  # T-classes partition the class
             out.update(_translation_class(b))
@@ -199,4 +198,4 @@ def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
         if nn < 3:  # the first factor rejects the modulus, after its own text
             _require_group_modulus(m)
         p, x, y = _compose(p, x, y, q, a, b, nn)
-    return _new(ExtElement, p, x, y, _require_group_modulus(m))
+    return ExtElement._make(p, x, y, _require_group_modulus(m))

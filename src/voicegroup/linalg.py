@@ -26,6 +26,7 @@ class Vec3(_Value):
             raise ValueError(f"expected 3 entries, got {len(e)}")
         return _vec3(e, modulus)
 
+    # hashed and compared in every orbit and solution set: on the ints, not the derived key
     def __eq__(self, other):
         if type(other) is not Vec3:
             return NotImplemented
@@ -67,18 +68,7 @@ class Vec3(_Value):
         return "(" + ",".join(str(v) for v in self.entries) + ")"
 
 
-_SET_ENTRIES, _SET_VEC_MODULUS = (Vec3.__dict__[name].__set__ for name in Vec3.__slots__)
-
-
-def _vec3(entries: tuple[int, int, int], modulus: Modulus) -> Vec3:
-    """The trusted constructor of Vec3: three ints already in [0, n), as a tuple."""
-    v = object.__new__(Vec3)
-    _SET_ENTRIES(v, entries)
-    _SET_VEC_MODULUS(v, modulus)
-    return v
-
-
-Vec3._TRUSTED = (_vec3, Vec3.__slots__)
+_vec3 = Vec3._make  # three ints already in [0, n), as a tuple
 
 
 class Mat3(_Value):
@@ -92,6 +82,7 @@ class Mat3(_Value):
         n = modulus.n
         return _mat3(tuple(tuple(int(v) % n for v in row) for row in rows), modulus)
 
+    # hashed and compared in every centralizer and listing: on the ints, not the derived key
     def __eq__(self, other):
         if type(other) is not Mat3:
             return NotImplemented
@@ -122,18 +113,7 @@ class Mat3(_Value):
         return "[" + ",".join("[" + ",".join(str(v) for v in r) + "]" for r in self.rows) + "]"
 
 
-_SET_ROWS, _SET_MAT_MODULUS = (Mat3.__dict__[name].__set__ for name in Mat3.__slots__)
-
-
-def _mat3(rows: tuple[tuple[int, int, int], ...], modulus: Modulus) -> Mat3:
-    """The trusted constructor of Mat3: three row tuples of ints already in [0, n)."""
-    a = object.__new__(Mat3)
-    _SET_ROWS(a, rows)
-    _SET_MAT_MODULUS(a, modulus)
-    return a
-
-
-Mat3._TRUSTED = (_mat3, Mat3.__slots__)
+_mat3 = Mat3._make  # three row tuples of ints already in [0, n)
 
 
 def mat_mul(a: Mat3, b: Mat3) -> Mat3:
@@ -195,14 +175,6 @@ class Perm3(_Value):
             raise ValueError(f"not a permutation of {{1,2,3}}: {image}")
         return _perm3(image)
 
-    def __eq__(self, other):
-        if type(other) is not Perm3:
-            return NotImplemented
-        return self.image == other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
     @classmethod
     def identity(cls) -> "Perm3":
         return cls((1, 2, 3))
@@ -261,17 +233,7 @@ class Perm3(_Value):
         return self.cycle_notation()
 
 
-_SET_IMAGE = Perm3.__dict__["image"].__set__
-
-
-def _perm3(image: tuple[int, int, int]) -> Perm3:
-    """The trusted constructor of Perm3: an image tuple that is already a permutation."""
-    p = object.__new__(Perm3)
-    _SET_IMAGE(p, image)
-    return p
-
-
-Perm3._TRUSTED = (_perm3, Perm3.__slots__)
+_perm3 = Perm3._make  # an image tuple that is already a permutation
 ALL_PERMS: tuple[Perm3, ...] = tuple(Perm3(img) for img in _PERM_IMAGES.values())
 TRANSPOSITION_12 = Perm3((2, 1, 3))
 TRANSPOSITION_13 = Perm3((3, 2, 1))
@@ -293,14 +255,6 @@ class AffineMap(_Value):
     def __new__(cls, linear: Mat3, translation: Vec3) -> "AffineMap":
         check_same_modulus(linear.modulus, translation.modulus)
         return _affine(linear, translation)
-
-    def __eq__(self, other):
-        if type(other) is not AffineMap:
-            return NotImplemented
-        return self.linear == other.linear and self.translation == other.translation
-
-    def __hash__(self):
-        return hash((self.linear, self.translation))
 
     @property
     def modulus(self) -> Modulus:
@@ -326,18 +280,7 @@ class AffineMap(_Value):
         return f"{self.linear} + {self.translation}"
 
 
-_SET_LINEAR, _SET_TRANSLATION = (AffineMap.__dict__[name].__set__ for name in AffineMap.__slots__)
-
-
-def _affine(linear: Mat3, translation: Vec3) -> AffineMap:
-    """The trusted constructor of AffineMap: a matrix and a vector over one modulus."""
-    f = object.__new__(AffineMap)
-    _SET_LINEAR(f, linear)
-    _SET_TRANSLATION(f, translation)
-    return f
-
-
-AffineMap._TRUSTED = (_affine, AffineMap.__slots__)
+_affine = AffineMap._make  # a matrix and a vector over one modulus
 
 
 def scalar_affine(u: int, q: int, modulus: Modulus | int) -> AffineMap:

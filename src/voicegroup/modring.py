@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 DEFAULT_BUDGET = 10_000_000
@@ -64,25 +64,97 @@ def _prime_power_factors(n: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _trusted_constructor(cls, setters):
+    """The trusted constructor of cls: store the fields given, in slot order,
+    with no checks. Unrolled for 1 to 4 fields, as a loop over the setters
+    would cost each construction more."""
+    new = object.__new__
+    if len(setters) == 1:
+        (s0,) = setters
+
+        def make(a):
+            v = new(cls)
+            s0(v, a)
+            return v
+
+    elif len(setters) == 2:
+        s0, s1 = setters
+
+        def make(a, b):
+            v = new(cls)
+            s0(v, a)
+            s1(v, b)
+            return v
+
+    elif len(setters) == 3:
+        s0, s1, s2 = setters
+
+        def make(a, b, c):
+            v = new(cls)
+            s0(v, a)
+            s1(v, b)
+            s2(v, c)
+            return v
+
+    elif len(setters) == 4:
+        s0, s1, s2, s3 = setters
+
+        def make(a, b, c, d):
+            v = new(cls)
+            s0(v, a)
+            s1(v, b)
+            s2(v, c)
+            s3(v, d)
+            return v
+
+    else:
+        raise TypeError(f"{cls.__name__} has {len(setters)} fields; a value class takes 1 to 4")
+    # pickle finds a constructor by its qualified name
+    make.__name__, make.__qualname__, make.__module__ = "_make", f"{cls.__qualname__}._make", cls.__module__
+    return make
+
+
 class _Value:
     """Slotted immutable storage, shared by Modulus and Residue here, the
     vectors, matrices, permutations and affine maps (linalg.py), the group
     elements (voicing.py), and the Hook elements and triad records
     (triadic.py).
 
-    Each class has a public constructor, which reduces and checks its input
-    (TriadClass has nothing to check), and one trusted constructor: a module
-    function that stores fields that are already reduced, with no checks, for
-    the library's own producers. _TRUSTED names that function and the fields
-    it takes, in order; pickle and copy rebuild a value through it. The repr
-    is the dataclass form, field by field, except for the group elements,
-    which show their normal form. Setting or deleting an attribute raises
-    dataclasses.FrozenInstanceError, imported only then, so that loading the
-    library does not load dataclasses.
+    A class declares its fields as __slots__, and everything else is derived
+    from them when the class is defined, base slots first: cls._make, the
+    trusted constructor, which stores fields that are already reduced, with
+    no checks, for the library's own producers; cls._TRUSTED, that
+    constructor and the fields it takes, through which pickle and copy
+    rebuild a value; the repr, field by field; and equality and hash, on the
+    class and every field. Vec3, Mat3 and the group elements write their own
+    equality and hash, and the group elements their own repr. The public
+    constructor (__new__) reduces and checks its input, then calls cls._make.
+    Setting or deleting an attribute raises dataclasses.FrozenInstanceError,
+    imported only then, so that loading the library does not load
+    dataclasses.
     """
 
     __slots__ = ()
-    _TRUSTED: tuple  # (trusted constructor, the fields it takes), set on each class
+    _TRUSTED: tuple  # (cls._make, the fields it takes), set on each class
+
+    def __init_subclass__(cls):
+        fields, setters = (), ()
+        for klass in reversed(cls.__mro__):
+            slots = klass.__dict__.get("__slots__", ())
+            fields += slots
+            setters += tuple(klass.__dict__[name].__set__ for name in slots)
+        cls._make = staticmethod(_trusted_constructor(cls, setters))
+        cls._TRUSTED = (cls._make, fields)
+        cls._KEY = attrgetter(*fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        key = self._KEY
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._KEY(self))
 
     def __setattr__(self, name, value):
         from dataclasses import FrozenInstanceError
@@ -113,14 +185,6 @@ class Modulus(_Value):
             raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
         return _modulus(n)
 
-    def __eq__(self, other):
-        if type(other) is not Modulus:
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
-
     def prime_powers(self) -> tuple[int, ...]:
         return _prime_power_factors(self.n)
 
@@ -131,17 +195,7 @@ class Modulus(_Value):
         return str(self.n)
 
 
-_SET_N = Modulus.__dict__["n"].__set__
-
-
-def _modulus(n: int) -> Modulus:
-    """The trusted constructor of Modulus: an int n >= 2."""
-    m = object.__new__(Modulus)
-    _SET_N(m, n)
-    return m
-
-
-Modulus._TRUSTED = (_modulus, Modulus.__slots__)
+_modulus = Modulus._make  # an int n >= 2
 
 
 def as_modulus(m: Modulus | int) -> Modulus:
@@ -161,14 +215,6 @@ class Residue(_Value):
 
     def __new__(cls, value: int, modulus: Modulus) -> "Residue":
         return _residue(int(value) % modulus.n, modulus)
-
-    def __eq__(self, other):
-        if type(other) is not Residue:
-            return NotImplemented
-        return self.value == other.value and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
 
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.modulus.n) == 1
@@ -202,18 +248,7 @@ class Residue(_Value):
         return str(self.value)
 
 
-_SET_VALUE, _SET_RESIDUE_MODULUS = (Residue.__dict__[name].__set__ for name in Residue.__slots__)
-
-
-def _residue(value: int, modulus: Modulus) -> Residue:
-    """The trusted constructor of Residue: an int already in [0, n)."""
-    r = object.__new__(Residue)
-    _SET_VALUE(r, value)
-    _SET_RESIDUE_MODULUS(r, modulus)
-    return r
-
-
-Residue._TRUSTED = (_residue, Residue.__slots__)
+_residue = Residue._make  # an int already in [0, n)
 
 
 def units(modulus: Modulus | int) -> list[Residue]:
@@ -349,11 +384,3 @@ def solve_linear(
             out = [x + (v,) for x in out for v in range((c - sum(map(mul, p, x))) % n // g, n, n // g)]
     return out
 
-
-def solve_homogeneous(
-    rows: Sequence[Sequence[int]],
-    modulus: Modulus | int,
-    budget: int = DEFAULT_BUDGET,
-) -> list[tuple[int, ...]]:
-    """All x with rows.x == 0 over Z/n (see solve_linear)."""
-    return solve_linear(rows, [0] * len(rows), modulus, budget)

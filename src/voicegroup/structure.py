@@ -43,7 +43,7 @@ from .linalg import (
     _mat_vec_ints,
     _vec3,
 )
-from .voicing import Generator, JElement, _new, _require_group_modulus, generator_matrix
+from .voicing import Generator, JElement, _require_group_modulus, generator_matrix
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
 
@@ -85,7 +85,7 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     """
     m = _require_group_modulus(as_modulus(modulus))
     halves = (0, m.n // 2) if m.n % 2 == 0 else (0,)
-    return [_new(JElement, 0, a, b, m) for a in halves for b in halves]
+    return [JElement._make(0, a, b, m) for a in halves for b in halves]
 
 
 def _require_budget(m: Modulus, budget: int) -> None:
@@ -295,7 +295,7 @@ class DualityReport:
 
 def _contextual_element(which: str, k: int, t: int, m: Modulus) -> JElement:
     """U^k (UV)^t or U^k (UW)^t, for t in [0, n): the 2n of them form the contextual dihedral group."""
-    return _new(JElement, k, t, 0, m) if which == "UV" else _new(JElement, k, 0, t, m)
+    return JElement._make(k, t, 0, m) if which == "UV" else JElement._make(k, 0, t, m)
 
 
 def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:

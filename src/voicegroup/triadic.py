@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .modring import Modulus, _Value, _ascii_int, check_same_modulus
 from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
-from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate, _new
+from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate
 from .extension import ExtElement
 
 
@@ -58,15 +58,9 @@ class TriadId(_Value):
     __slots__ = ("root", "mode")
 
     def __new__(cls, root: int, mode: Mode) -> "TriadId":
+        if not isinstance(mode, Mode):
+            raise ValueError(f"mode must be a Mode, got {mode!r}")
         return _triad_id(int(root) % 12, mode)
-
-    def __eq__(self, other):
-        if type(other) is not TriadId:
-            return NotImplemented
-        return self.root == other.root and self.mode == other.mode
-
-    def __hash__(self):
-        return hash((self.root, self.mode))
 
     def name(self) -> str:
         base = _NOTE_NAMES[self.root]
@@ -76,18 +70,7 @@ class TriadId(_Value):
         return self.name()
 
 
-_SET_ROOT, _SET_MODE = (TriadId.__dict__[name].__set__ for name in TriadId.__slots__)
-
-
-def _triad_id(root: int, mode: Mode) -> TriadId:
-    """The trusted constructor of TriadId: a root already in [0, 12)."""
-    t = object.__new__(TriadId)
-    _SET_ROOT(t, root)
-    _SET_MODE(t, mode)
-    return t
-
-
-TriadId._TRUSTED = (_triad_id, TriadId.__slots__)
+_triad_id = TriadId._make  # a root already in [0, 12) and a Mode
 
 
 class TriadClass(_Value):
@@ -98,27 +81,8 @@ class TriadClass(_Value):
     def __new__(cls, id: TriadId, voicing: Perm3) -> "TriadClass":
         return _triad_class(id, voicing)
 
-    def __eq__(self, other):
-        if type(other) is not TriadClass:
-            return NotImplemented
-        return self.id == other.id and self.voicing == other.voicing
 
-    def __hash__(self):
-        return hash((self.id, self.voicing))
-
-
-_SET_ID, _SET_VOICING = (TriadClass.__dict__[name].__set__ for name in TriadClass.__slots__)
-
-
-def _triad_class(id: TriadId, voicing: Perm3) -> TriadClass:
-    """The trusted constructor of TriadClass (the public one checks nothing either)."""
-    c = object.__new__(TriadClass)
-    _SET_ID(c, id)
-    _SET_VOICING(c, voicing)
-    return c
-
-
-TriadClass._TRUSTED = (_triad_class, TriadClass.__slots__)
+_triad_class = TriadClass._make
 
 
 def all_triads() -> list[TriadId]:
@@ -233,14 +197,6 @@ class UTT(_Value):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
         return _utt(sign, int(t_major) % 12, int(t_minor) % 12)
 
-    def __eq__(self, other):
-        if type(other) is not UTT:
-            return NotImplemented
-        return self.sign == other.sign and self.t_major == other.t_major and self.t_minor == other.t_minor
-
-    def __hash__(self):
-        return hash((self.sign, self.t_major, self.t_minor))
-
     @classmethod
     def identity(cls) -> "UTT":
         return cls("+", 0, 0)
@@ -281,19 +237,7 @@ class UTT(_Value):
         return f"<{self.sign},{self.t_major},{self.t_minor}>"
 
 
-_SET_SIGN, _SET_T_MAJOR, _SET_T_MINOR = (UTT.__dict__[name].__set__ for name in UTT.__slots__)
-
-
-def _utt(sign: Sign, t_major: int, t_minor: int) -> UTT:
-    """The trusted constructor of UTT: sign '+' or '-', shifts already in [0, 12)."""
-    u = object.__new__(UTT)
-    _SET_SIGN(u, sign)
-    _SET_T_MAJOR(u, t_major)
-    _SET_T_MINOR(u, t_minor)
-    return u
-
-
-UTT._TRUSTED = (_utt, UTT.__slots__)
+_utt = UTT._make  # sign '+' or '-', shifts already in [0, 12)
 
 
 def all_utts() -> list[UTT]:
@@ -315,14 +259,6 @@ class HookElement(_Value):
         if not is_in_hook(underlying):
             raise NotInHook(f"{underlying} does not preserve root-position triads")
         return _hook(underlying)
-
-    def __eq__(self, other):
-        if type(other) is not HookElement:
-            return NotImplemented
-        return self.underlying == other.underlying
-
-    def __hash__(self):
-        return hash((self.underlying,))
 
     @property
     def modulus(self) -> Modulus:
@@ -350,18 +286,7 @@ class HookElement(_Value):
         return str(self.underlying)
 
 
-_SET_UNDERLYING = HookElement.__dict__["underlying"].__set__
-
-
-def _hook(underlying: ExtElement) -> HookElement:
-    """The trusted constructor of HookElement: an element already in the Hook group
-    (a product, inverse or power of Hook elements, or built at a Hook point)."""
-    h = object.__new__(HookElement)
-    _SET_UNDERLYING(h, underlying)
-    return h
-
-
-HookElement._TRUSTED = (_hook, HookElement.__slots__)
+_hook = HookElement._make  # an element already in the Hook group
 
 
 def hook_elements() -> list[HookElement]:
@@ -380,7 +305,7 @@ def rho(u: UTT) -> HookElement:
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
     m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
-    return _hook(_new(ExtElement, _HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
+    return _hook(ExtElement._make(_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
 
 
 def rho_inverse(h: HookElement) -> UTT:
@@ -411,7 +336,7 @@ def hook_normal_form_B(h: HookElement) -> tuple[int, int]:
 
 def hook_from_normal_form_B(p: int, n: int) -> HookElement:
     q, k = divmod(p % 24, 2)
-    return _hook(_new(ExtElement, _HOOK_POINTS[k], -q % 12, int(n) % 12, _TWELVE))
+    return _hook(ExtElement._make(_HOOK_POINTS[k], -q % 12, int(n) % 12, _TWELVE))
 
 
 def hook_generator_13U() -> HookElement:

@@ -220,6 +220,7 @@ class _Element(_Value):
 
     __slots__ = ("point", "m", "n", "modulus")
 
+    # hashed and compared in every orbit, listing and solution set: on the ints, not the derived key
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -237,7 +238,7 @@ class _Element(_Value):
 
     @classmethod
     def identity(cls, modulus: Modulus | int):
-        return _new(cls, 0, 0, 0, _require_group_modulus(as_modulus(modulus)))
+        return cls._make(0, 0, 0, _require_group_modulus(as_modulus(modulus)))
 
     def is_identity(self) -> bool:
         return not (self.point or self.m or self.n)
@@ -251,7 +252,7 @@ class _Element(_Value):
             return NotImplemented
         modulus = check_same_modulus(self.modulus, other.modulus)
         p, m, n = _compose(self.point, self.m, self.n, other.point, other.m, other.n, modulus.n)
-        return _new(cls, p, m, n, modulus)
+        return cls._make(p, m, n, modulus)
 
     def inverse(self):
         """(p, t)^-1 = (p^-1, -(A t + c)), with A and c from the (p, p^-1) row."""
@@ -259,7 +260,7 @@ class _Element(_Value):
         q = _INVERSE_POINTS[p]
         _, a, b, c, d, e, f = _PRODUCTS[p][q]
         nn, m, n = self.modulus.n, self.m, self.n
-        return _new(type(self), q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, self.modulus)
+        return type(self)._make(q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, self.modulus)
 
     def _powers(self) -> list:
         """[self, self^2, ..., self^s] for s the order of sigma; self^s lies in J."""
@@ -274,7 +275,7 @@ class _Element(_Value):
         powers = self._powers()
         q, r = divmod(t, len(powers))
         x = powers[-1]
-        head = _new(type(self), *_j_power(x.point, x.m, x.n, q, x.modulus.n), x.modulus)
+        head = type(self)._make(*_j_power(x.point, x.m, x.n, q, x.modulus.n), x.modulus)
         return head * powers[r - 1] if r else head
 
     def order(self) -> int:
@@ -310,23 +311,6 @@ class _Element(_Value):
         return " ".join(parts) if parts else "Id"
 
 
-_SET_POINT, _SET_M, _SET_N, _SET_MODULUS = (_Element.__dict__[name].__set__ for name in _Element.__slots__)
-
-
-def _new(cls, point: int, m: int, n: int, modulus: Modulus):
-    """The trusted constructor: stores coordinates that are already reduced,
-    with no checks (products, decoders, enumerations and solvers)."""
-    e = object.__new__(cls)
-    _SET_POINT(e, point)
-    _SET_M(e, m)
-    _SET_N(e, n)
-    _SET_MODULUS(e, modulus)
-    return e
-
-
-_Element._TRUSTED = (_new, ("__class__", *_Element.__slots__))  # _new takes the class first
-
-
 class JElement(_Element):
     """Normal form U^k (UV)^m (UW)^n; the canonical coordinates of the group.
 
@@ -347,7 +331,7 @@ class JElement(_Element):
             raise ValueError(f"k must be 0 or 1, got {k}")
         nn = modulus.n
         # m and n are stored as plain ints in [0, n), whatever they arrive as
-        return _new(cls, int(k), int(m) % nn, int(n) % nn, modulus)
+        return cls._make(int(k), int(m) % nn, int(n) % nn, modulus)
 
     @classmethod
     def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
@@ -367,14 +351,14 @@ def _decode(cls, a: Mat3, points: int):
     if p is None or p >= points:
         return None
     base = _BASES[p][0]
-    e = _new(cls, p, (base[0] - a.rows[0][0]) % nn, (base[1] - a.rows[0][1]) % nn, a.modulus)
+    e = cls._make(p, (base[0] - a.rows[0][0]) % nn, (base[1] - a.rows[0][1]) % nn, a.modulus)
     return e if e.matrix() == a else None
 
 
 def _enumerate(cls, points, modulus: Modulus | int) -> list:
     """Every element at the given points, in sort-key order."""
     m = _require_group_modulus(as_modulus(modulus))
-    return [_new(cls, p, a, b, m) for p in points for a in range(m.n) for b in range(m.n)]
+    return [cls._make(p, a, b, m) for p in points for a in range(m.n) for b in range(m.n)]
 
 
 def decode(a: Mat3) -> JElement:
@@ -401,7 +385,7 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
         except KeyError:
             raise ValueError(f"word letters must be U, V or W, got {letter!r}") from None
         k, x, y = 1 - k, a - x, b - y
-    return _new(JElement, k, x % m.n, y % m.n, m)
+    return JElement._make(k, x % m.n, y % m.n, m)
 
 
 def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from voicegroup.modring import Modulus, solve_homogeneous
+from voicegroup.modring import Modulus, solve_linear
 from voicegroup.linalg import (
     Mat3,
     Perm3,
@@ -390,14 +390,14 @@ def test_criterion_12_oracle_equivalence(j12, ext12):
         return list(map(tuple, candidates[d][ok].tolist()))
 
     for a in range(12):
-        assert solve_homogeneous([[a]], 12) == direct([[a]], 1)
+        assert solve_linear([[a]], [0], 12) == direct([[a]], 1)
         for b in range(12):
-            assert solve_homogeneous([[a], [b]], 12) == direct([[a], [b]], 1)
-            assert solve_homogeneous([[a, b]], 12) == direct([[a, b]], 2)
+            assert solve_linear([[a], [b]], [0, 0], 12) == direct([[a], [b]], 1)
+            assert solve_linear([[a, b]], [0], 12) == direct([[a, b]], 2)
     for a in range(12):
         for b in range(12):
             for c in range(12):
                 for d in range(12):
                     rows = [[a, b], [c, d]]
-                    assert solve_homogeneous(rows, 12) == direct(rows, 2)
+                    assert solve_linear(rows, [0, 0], 12) == direct(rows, 2)
     print("criterion 12: PASS - dual-route checks: multiplication, step solving, linear solving")

@@ -10,7 +10,6 @@ from voicegroup.modring import (
     Modulus,
     Residue,
     euler_phi,
-    solve_homogeneous,
     solve_linear,
     units,
 )
@@ -80,8 +79,8 @@ def test_crt_split_examples():
 
 
 def test_solve_homogeneous_examples():
-    assert solve_homogeneous([[1]], 12) == [(0,)]
-    assert solve_homogeneous([[2]], 12) == [(0,), (6,)]
+    assert solve_linear([[1]], [0], 12) == [(0,)]
+    assert solve_linear([[2]], [0], 12) == [(0,), (6,)]
 
 
 def test_solve_linear_matches_direct_enumeration():
@@ -104,7 +103,7 @@ def test_solve_linear_two_rows_spot():
 
 
 def test_solution_count_multiplies_over_factors():
-    sols = solve_homogeneous([[6, 0], [0, 4]], 12)
+    sols = solve_linear([[6, 0], [0, 4]], [0, 0], 12)
     per_factor = [
         sum(
             1
@@ -123,12 +122,12 @@ def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_linear([[1, 2]], [0, 0], 12)
     with pytest.raises(ValueError):
-        solve_homogeneous([[0] * 13], 12)
+        solve_linear([[0] * 13], [0], 12)
 
 
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
-        solve_homogeneous([[0] * 9], 7, budget=10**6)
+        solve_linear([[0] * 9], [0], 7, budget=10**6)
 
 
 def enumerate_solutions(rows, rhs, n):
@@ -251,7 +250,7 @@ def test_solution_count_matches_sympy_smith_form(n):
         invariants = [int(snf[i, i]) for i in range(min(snf.shape))]
         rank = sum(1 for s in invariants if s)
         expected = math.prod(math.gcd(s, n) for s in invariants if s) * n ** (d - rank)
-        sols = solve_homogeneous(rows, n, budget=n**d)
+        sols = solve_linear(rows, [0] * len(rows), n, budget=n**d)
         assert len(sols) == expected, (rows, invariants)
         assert all(
             sum(a * x for a, x in zip(row, sol)) % n == 0 for row in rows for sol in sols[:50]
@@ -272,4 +271,4 @@ def test_three_unknown_systems_match_single_modulus_enumeration(n):
             for cand in candidates
             if all(sum(r * x for r, x in zip(row, cand)) % n == 0 for row in rows)
         )
-        assert solve_homogeneous(rows, n) == expected
+        assert solve_linear(rows, [0] * len(rows), n) == expected

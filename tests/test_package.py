@@ -46,6 +46,7 @@ _RETIRED = {
     "crt_split": "modring",
     "is_unit": "modring",
     "normalize": "modring",
+    "solve_homogeneous": "modring",
     "identity": "linalg",
     "normal_form_matrix": "voicing",
     "CosetTag": "extension",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import voicegroup.structure as structure
-from voicegroup.modring import BudgetExceeded, Modulus, solve_homogeneous
+from voicegroup.modring import BudgetExceeded, Modulus, solve_linear
 from voicegroup.linalg import (
     TRANSPOSITION_12,
     AffineMap,
@@ -113,7 +113,8 @@ def commutator_rows(n):
 
 def _solved_centralizer(n):
     """The monoid centralizer as the exact solutions of the commutator equations, sorted by rows."""
-    solutions = solve_homogeneous(commutator_rows(n), n, budget=n**9)
+    rows = commutator_rows(n)
+    solutions = solve_linear(rows, [0] * len(rows), n, budget=n**9)
     return tuple(Mat3.of((s[0:3], s[3:6], s[6:9]), n) for s in solutions)
 
 

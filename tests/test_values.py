@@ -2,8 +2,9 @@
 
 Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements, the Hook
 elements and the triad records share one storage (modring._Value): a
-validating public constructor, one trusted constructor for the library's own
-producers, frozen fields, and pickle and copy through the trusted constructor.
+validating public constructor, and, derived from the declared slots, one
+trusted constructor for the library's own producers, frozen fields, equality,
+and pickle and copy through the trusted constructor.
 """
 
 import copy
@@ -27,7 +28,7 @@ from voicegroup.linalg import (
     perm_matrix,
     scalar_affine,
 )
-from voicegroup.modring import Modulus, Residue, units
+from voicegroup.modring import Modulus, Residue, _Value, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
 from voicegroup.triadic import UTT, HookElement, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
@@ -162,6 +163,8 @@ def test_public_constructors_take_keywords():
         (lambda: Modulus("12"), "modulus must be an integer >= 2, got '12'"),
         (lambda: UTT("*", 0, 0), "sign must be '+' or '-', got '*'"),
         (lambda: UTT(sign="", t_major=0, t_minor=0), "sign must be '+' or '-', got ''"),
+        (lambda: TriadId(0, "major"), "mode must be a Mode, got 'major'"),
+        (lambda: TriadId(root=4, mode=None), "mode must be a Mode, got None"),
     ],
 )
 def test_public_constructor_error_texts(build, message):
@@ -193,6 +196,72 @@ def test_public_constructors_reduce_entries():
     assert Vec3((-1, 12, 25), Modulus(12)).entries == (11, 0, 1)
     assert Mat3([[-1, 0, 0], [0, 13, 0], [0, 0, 1]], Modulus(12)).rows == ((11, 0, 0), (0, 1, 0), (0, 0, 1))
     assert Perm3([2, 1, 3]).image == (2, 1, 3)
+
+
+def _others(modulus):
+    """A second value of each class, in the order of _values, that differs
+    from the first in every field; each field can replace the first's one."""
+    m = Modulus(modulus) if isinstance(modulus, int) else modulus
+    return [
+        JElement(0, 5, 7, 13),
+        ExtElement(Perm3((2, 3, 1)), JElement(0, 4, 8, 13)),
+        Vec3((1, 2, 3), Modulus(13)),
+        Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), Modulus(13)),
+        Perm3((1, 2, 3)),
+        AffineMap(Mat3.identity(m), Vec3((1, 1, 1), m)),
+        HookElement(ExtElement(Perm3((1, 2, 3)), JElement(0, 1, 2, m))),
+        Modulus(13),
+        Residue(3, Modulus(13)),
+        TriadId(2, Mode.MAJOR),
+        TriadClass(TriadId(5, Mode.MINOR), Perm3((1, 2, 3))),
+        UTT("+", 2, 3),
+    ]
+
+
+def _slots_along_mro(cls):
+    return tuple(name for klass in reversed(cls.__mro__) for name in klass.__dict__.get("__slots__", ()))
+
+
+@pytest.mark.parametrize("value", _values(12), ids=lambda v: type(v).__name__)
+def test_trusted_constructor_is_derived_from_the_slots(value):
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in _FIELDS[cls])
+    assert cls._TRUSTED == (cls._make, _FIELDS[cls])
+    assert _FIELDS[cls] == _slots_along_mro(cls)
+    again = cls._make(*fields)
+    assert type(again) is cls and again == value and hash(again) == hash(value)
+    assert cls._make.__qualname__ == f"{cls.__qualname__}._make"
+
+
+@pytest.mark.parametrize("value, other", zip(_values(12), _others(12)), ids=lambda v: type(v).__name__)
+def test_every_field_takes_part_in_equality(value, other):
+    cls = type(value)
+    assert type(other) is cls
+    fields = [getattr(value, name) for name in _FIELDS[cls]]
+    for i, name in enumerate(_FIELDS[cls]):
+        assert getattr(other, name) != fields[i], name
+        changed = cls._make(*fields[:i], getattr(other, name), *fields[i + 1 :])
+        assert changed != value and value != changed, name
+
+
+def test_value_class_takes_one_to_four_fields():
+    class Two(_Value):
+        __slots__ = ("a", "b")
+
+    class Four(Two):
+        __slots__ = ("c", "d")
+
+    x = Four._make(1, 2, 3, 4)
+    assert Four._TRUSTED[1] == ("a", "b", "c", "d") and (x.a, x.b, x.c, x.d) == (1, 2, 3, 4)
+    with pytest.raises(TypeError):
+
+        class Five(_Value):
+            __slots__ = ("a", "b", "c", "d", "e")
+
+    with pytest.raises(TypeError):
+
+        class FiveAlongTheMro(Four):
+            __slots__ = ("e",)
 
 
 def test_no_trusted_constructor_is_public():

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from .modring import Modulus, Residue, as_modulus
-from .linalg import ALL_PERMS, Mat3, Perm3
+from .linalg import _PERM_IMAGES, ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
     _LETTERS,
@@ -40,10 +40,10 @@ from .voicing import (
     _compose,
     _decode,
     _enumerate,
+    _fold_word,
     _j_power,
     _point,
     _require_group_modulus,
-    word_to_element,
 )
 
 
@@ -153,16 +153,21 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
     return out
 
 
+# One factor and the whitespace after it; text.lstrip() drops what comes before
+# the first, and str.isspace() is the set of characters \s matches.
 _TOKEN = re.compile(
     r"""
-    \(\s*(?P<cycle>[123](?:\s*[123]){1,2})\s*\)   # permutation cycle, digits only
-  | (?P<power>\(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?[0-9]+))?)   # parenthesized word with power
-  | (?P<letter>[UVW])
-  | (?P<id>Id)
-  | (?P<space>\s+)
+    (?:
+        \(\s*(?P<cycle>[123](?:\s*[123]){1,2})\s*\)   # permutation cycle, digits only
+      | \(\s*(?P<word>[UVW]+)\s*\)(?:\^(?P<exp>-?[0-9]+))?   # parenthesized word with power
+      | (?P<letter>[UVW])
+      | Id
+    )\s*
     """,
     re.VERBOSE,
 )
+# The point of each cycle, keyed by its digits: '13' -> the point of (13).
+_CYCLE_POINTS = {text[1:-1]: _point(Perm3(image), 0) for text, image in _PERM_IMAGES.items() if text != "id"}
 
 
 def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
@@ -170,29 +175,33 @@ def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
 
     Cycles carry no commas (permutations), and any interleaving of permutation
     and generator factors is accepted; the result is their ordered product.
-    The factors are folded from the identity on plain (point, m, n) ints through
-    the product kernel of `*`, and one element is built at the end. Empty text
-    and 'Id' are the identity.
+    Each factor is read in one regex step together with the whitespace after
+    it, as plain (point, m, n) ints: a cycle's point from a table keyed by its
+    digits, a letter's translation from the generator table, and a power of a
+    word from the word fold of word_to_element and the closed form of J
+    powers. The factors are folded from the identity through the product
+    kernel of `*`, and one element is built at the end. Empty text and 'Id'
+    are the identity.
     """
     m = as_modulus(modulus)
     nn = m.n
     p = x = y = 0
-    pos = 0
-    while pos < len(text):
+    pos, end = len(text) - len(text.lstrip()), len(text)
+    while pos < end:
         match = _TOKEN.match(text, pos)
         if match is None:
             raise ValueError(f"cannot parse element {text!r} at position {pos}")
         pos = match.end()
-        kind = match.lastgroup  # an enclosing group closes last, so "power", never "word"
-        if kind == "cycle":
-            digits = re.sub(r"\s", "", match.group("cycle"))
-            q, a, b = _point(Perm3.from_cycle(f"({digits})"), 0), 0, 0
-        elif kind == "power":
-            j = word_to_element(match.group("word"), m)
-            exp = match.group("exp")
-            q, a, b = _j_power(j.point, j.m, j.n, int(exp) if exp else 1, nn)
-        elif kind == "letter":
-            q, (a, b) = 1, _LETTERS[match.group("letter")]
+        cycle, word, exp, letter = match.groups()
+        if letter:
+            q, (a, b) = 1, _LETTERS[letter]
+        elif cycle:
+            digits = "".join(cycle.split())
+            q, a, b = _CYCLE_POINTS.get(digits), 0, 0
+            if q is None:  # two or three digits that name no permutation: from_cycle raises
+                q = _point(Perm3.from_cycle(f"({digits})"), 0)
+        elif word:
+            q, a, b = _j_power(*_fold_word(word, nn), int(exp) if exp else 1, nn)
         else:
             continue
         if nn < 3:  # the first factor rejects the modulus, after its own text

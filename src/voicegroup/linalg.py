@@ -20,7 +20,8 @@ class Vec3(_Value):
 
     __slots__ = ("entries", "modulus")
 
-    def __new__(cls, entries: Sequence[int], modulus: Modulus) -> "Vec3":
+    def __new__(cls, entries: Sequence[int], modulus: Modulus | int) -> "Vec3":
+        modulus = as_modulus(modulus)
         e = tuple(int(v) % modulus.n for v in entries)
         if len(e) != 3:
             raise ValueError(f"expected 3 entries, got {len(e)}")
@@ -37,7 +38,7 @@ class Vec3(_Value):
 
     @classmethod
     def of(cls, x: int, y: int, z: int, modulus: Modulus | int) -> "Vec3":
-        return cls((x, y, z), as_modulus(modulus))
+        return cls((x, y, z), modulus)
 
     @property
     def x(self) -> int:
@@ -76,9 +77,10 @@ class Mat3(_Value):
 
     __slots__ = ("rows", "modulus")
 
-    def __new__(cls, rows: Sequence[Sequence[int]], modulus: Modulus) -> "Mat3":
+    def __new__(cls, rows: Sequence[Sequence[int]], modulus: Modulus | int) -> "Mat3":
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("expected a 3x3 matrix")
+        modulus = as_modulus(modulus)
         n = modulus.n
         return _mat3(tuple(tuple(int(v) % n for v in row) for row in rows), modulus)
 
@@ -93,7 +95,7 @@ class Mat3(_Value):
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]], modulus: Modulus | int) -> "Mat3":
-        return cls(tuple(tuple(r) for r in rows), as_modulus(modulus))
+        return cls(tuple(tuple(r) for r in rows), modulus)
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "Mat3":

@@ -213,7 +213,8 @@ class Residue(_Value):
 
     __slots__ = ("value", "modulus")
 
-    def __new__(cls, value: int, modulus: Modulus) -> "Residue":
+    def __new__(cls, value: int, modulus: Modulus | int) -> "Residue":
+        modulus = as_modulus(modulus)
         return _residue(int(value) % modulus.n, modulus)
 
     def is_unit(self) -> bool:

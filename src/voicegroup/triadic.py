@@ -79,10 +79,14 @@ class TriadClass(_Value):
     __slots__ = ("id", "voicing")
 
     def __new__(cls, id: TriadId, voicing: Perm3) -> "TriadClass":
+        if not isinstance(id, TriadId):
+            raise ValueError(f"id must be a TriadId, got {id!r}")
+        if not isinstance(voicing, Perm3):
+            raise ValueError(f"voicing must be a Perm3, got {voicing!r}")
         return _triad_class(id, voicing)
 
 
-_triad_class = TriadClass._make
+_triad_class = TriadClass._make  # a TriadId and a Perm3
 
 
 def all_triads() -> list[TriadId]:

@@ -202,11 +202,29 @@ _BASES = tuple(
 _SLOTS = tuple(sigma.slots for sigma in ALL_PERMS for _ in (0, 1))
 
 
-def _row_differences(rows) -> tuple[int, ...]:
-    return tuple(b - a for row in rows[1:] for a, b in zip(rows[0], row))
+def _row_differences(rows, nn: int) -> tuple[int, ...]:
+    """Rows 1 and 2 less row 0 mod nn, with the residues 0, 1 and nn-1 lifted
+    to 0, 1 and -1; any other residue matches no key of _BY_DIFFERENCES."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (
+        (d - a + 1) % nn - 1, (e - b + 1) % nn - 1, (f - c + 1) % nn - 1,
+        (g - a + 1) % nn - 1, (h - b + 1) % nn - 1, (i - c + 1) % nn - 1,
+    )
 
 
-_BY_DIFFERENCES = {_row_differences(rows): p for p, rows in enumerate(_BASES)}
+# the base differences are -1, 0 and 1, which every modulus >= 3 leaves as they are
+_BY_DIFFERENCES = {_row_differences(rows, 3): p for p, rows in enumerate(_BASES)}
+
+
+def _matrix_rows(p: int, m: int, n: int, nn: int) -> tuple[tuple[int, int, int], ...]:
+    """The rows of the matrix of (p, (m, n)) mod nn: _BASES[p] plus (-m, -n, m+n) in every row."""
+    (a, b, c), (d, e, f), (g, h, i) = _BASES[p]
+    s = m + n
+    return (
+        ((a - m) % nn, (b - n) % nn, (c + s) % nn),
+        ((d - m) % nn, (e - n) % nn, (f + s) % nn),
+        ((g - m) % nn, (h - n) % nn, (i + s) % nn),
+    )
 
 
 class _Element(_Value):
@@ -262,37 +280,40 @@ class _Element(_Value):
         nn, m, n = self.modulus.n, self.m, self.n
         return type(self)._make(q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, self.modulus)
 
-    def _powers(self) -> list:
-        """[self, self^2, ..., self^s] for s the order of sigma; self^s lies in J."""
-        out = [self]
-        while out[-1].point > 1:
-            out.append(out[-1] * self)
+    def _powers(self) -> list[tuple[int, int, int]]:
+        """The (point, m, n) of self, self^2, ..., self^s, folded on plain ints by
+        _compose, for s the order of sigma (1, 2 or 3); self^s lies in J."""
+        p, m, n, nn = self.point, self.m, self.n, self.modulus.n
+        out = [(p, m, n)]
+        q, a, b = p, m, n
+        while q > 1:
+            q, a, b = _compose(q, a, b, p, m, n, nn)
+            out.append((q, a, b))
         return out
 
     def __pow__(self, t: int):
         """self^t = (self^s)^(t div s) * self^(t mod s), where x = self^s lies in J
-        and x^(t div s) is the closed form _j_power."""
+        and x^(t div s) is the closed form _j_power; one element is built."""
         powers = self._powers()
         q, r = divmod(t, len(powers))
-        x = powers[-1]
-        head = type(self)._make(*_j_power(x.point, x.m, x.n, q, x.modulus.n), x.modulus)
-        return head * powers[r - 1] if r else head
+        nn = self.modulus.n
+        p, m, n = _j_power(*powers[-1], q, nn)
+        if r:
+            p, m, n = _compose(p, m, n, *powers[r - 1], nn)
+        return type(self)._make(p, m, n, self.modulus)
 
     def order(self) -> int:
         """s times the order of x = self^s in J, for s the order of sigma: x is an
         involution when mode-reversing, else of the additive order of (m, n) in (Z/n)^2."""
         powers = self._powers()
-        x = powers[-1]
-        nn = x.modulus.n
-        return len(powers) * (2 if x.point else nn // math.gcd(x.m, x.n, nn))
+        k, m, n = powers[-1]
+        nn = self.modulus.n
+        return len(powers) * (2 if k else nn // math.gcd(m, n, nn))
 
     def matrix(self) -> Mat3:
         """P_sigma M_{U^k} plus the translation row (-m, -n, m+n) in every row
         (columns are the images of the basis)."""
-        nn, m, n = self.modulus.n, self.m, self.n
-        return _mat3(
-            tuple(((a - m) % nn, (b - n) % nn, (c + m + n) % nn) for a, b, c in _BASES[self.point]), self.modulus
-        )
+        return _mat3(_matrix_rows(self.point, self.m, self.n, self.modulus.n), self.modulus)
 
     def apply(self, v: Vec3) -> Vec3:
         check_same_modulus(self.modulus, v.modulus)
@@ -344,15 +365,15 @@ class JElement(_Element):
 def _decode(cls, a: Mat3, points: int):
     """The element of cls among the first `points` points whose matrix is a, or
     None: the row differences name the point, the first row gives (m, n), and
-    rebuilding the matrix confirms it."""
+    rebuilding the rows on plain ints confirms it before the element is built."""
     nn = _require_group_modulus(a.modulus).n
-    # lift residues 0, 1 and n-1 to 0, 1 and -1; any other residue matches no key
-    p = _BY_DIFFERENCES.get(tuple((d + 1) % nn - 1 for d in _row_differences(a.rows)))
+    rows = a.rows
+    p = _BY_DIFFERENCES.get(_row_differences(rows, nn))
     if p is None or p >= points:
         return None
-    base = _BASES[p][0]
-    e = cls._make(p, (base[0] - a.rows[0][0]) % nn, (base[1] - a.rows[0][1]) % nn, a.modulus)
-    return e if e.matrix() == a else None
+    base, first = _BASES[p][0], rows[0]
+    m, n = (base[0] - first[0]) % nn, (base[1] - first[1]) % nn
+    return cls._make(p, m, n, a.modulus) if _matrix_rows(p, m, n, nn) == rows else None
 
 
 def _enumerate(cls, points, modulus: Modulus | int) -> list:
@@ -373,11 +394,17 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
     """Fold a generator word (letters 'U', 'V', 'W' or Generator members) into
     its normal form, from its first letter; the empty word is the identity.
 
-    Each letter is U (UV)^a (UW)^b, and (k, m, n) * (1, a, b) = (1 - k, a - m, b - n),
-    so the fold runs on plain ints and builds one element at the end. Any other
-    letter raises ValueError.
+    The fold runs on plain ints (_fold_word) and builds one element at the
+    end. Any other letter raises ValueError.
     """
     m = _require_group_modulus(as_modulus(modulus))
+    return JElement._make(*_fold_word(word, m.n), m)
+
+
+def _fold_word(word, nn: int) -> tuple[int, int, int]:
+    """(k, m, n) mod nn of a generator word's normal form, folded from its first
+    letter: each letter is U (UV)^a (UW)^b, and (k, m, n) * (1, a, b) =
+    (1 - k, a - m, b - n). Any other letter raises ValueError."""
     k = x = y = 0
     for letter in word:
         try:
@@ -385,7 +412,7 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
         except KeyError:
             raise ValueError(f"word letters must be U, V or W, got {letter!r}") from None
         k, x, y = 1 - k, a - x, b - y
-    return JElement._make(k, x % m.n, y % m.n, m)
+    return k, x % nn, y % nn
 
 
 def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):

@@ -559,6 +559,13 @@ def test_parse_examples():
         parse_element("(UV)^\u0663", M12)
     with pytest.raises(ValueError, match=r"^cannot parse permutation '\(31\)'$"):
         parse_element("U (3 1)", M12)
+    # a run of mixed whitespace ends a factor; a bad token is reported where it starts
+    with pytest.raises(ValueError, match=r"^cannot parse element 'U \\t x' at position 4$"):
+        parse_element("U \t x", M12)
+    with pytest.raises(ValueError, match=r"^cannot parse element '\(13\)\\xa0\\n\(UV\)\^2\\t Q' at position 14$"):
+        parse_element("(13)\xa0\n(UV)^2\t Q", M12)
+    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(21\)'$"):
+        parse_element("U\t\u2003( 2\t1 )", M12)
 
 
 @pytest.mark.parametrize(
@@ -566,9 +573,13 @@ def test_parse_examples():
     [
         ("x", r"cannot parse element 'x' at position 0"),
         ("Id x", r"cannot parse element 'Id x' at position 3"),
+        ("Id \t\n x", r"cannot parse element 'Id \\t\\n x' at position 6"),
+        ("\t x", r"cannot parse element '\\t x' at position 2"),
+        ("\xa0(1\t1)", r"cannot parse permutation '\(11\)'"),
         ("(11)", r"cannot parse permutation '\(11\)'"),
         ("(11) U", r"cannot parse permutation '\(11\)'"),
         ("U x", r"voicing-group normal forms need modulus >= 3 .*"),
+        ("U \t x", r"voicing-group normal forms need modulus >= 3 .*"),
         ("U (11)", r"voicing-group normal forms need modulus >= 3 .*"),
         ("(UV)^3", r"voicing-group normal forms need modulus >= 3 .*"),
         ("", r"voicing-group normal forms need modulus >= 3 .*"),
@@ -589,14 +600,20 @@ def test_parse_identity(text):
 _CYCLES = ["(12)", "(13)", "(23)", "(123)", "(132)"]
 
 
-def _spaced_cycle(cycle, spaces):
-    """A cycle with runs of spaces after '(', between its digits and before ')'."""
+# ASCII and Unicode whitespace, for separators and for padding inside cycles
+_SPACES = " \t\n\u00a0\u2003"
+
+
+def _spaced_cycle(cycle, pads):
+    """A cycle with runs of whitespace after '(', between its digits and before ')'."""
     digits = cycle[1:-1]
-    return "(" + "".join(" " * w + d for w, d in zip(spaces, digits)) + " " * spaces[-1] + ")"
+    return "(" + "".join(w + d for w, d in zip(pads, digits)) + pads[-1] + ")"
 
 
 _token = st.one_of(
-    st.tuples(st.just("cycle"), st.sampled_from(_CYCLES), st.lists(st.integers(0, 2), min_size=4, max_size=4)),
+    st.tuples(
+        st.just("cycle"), st.sampled_from(_CYCLES), st.lists(st.text(_SPACES, max_size=2), min_size=4, max_size=4)
+    ),
     st.tuples(st.just("letter"), st.sampled_from("UVW")),
     st.tuples(
         st.just("power"),
@@ -628,13 +645,13 @@ def _token_text_and_matrix(token, mod):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(3, 60), st.lists(st.tuples(_token, st.integers(0, 3)), max_size=8))
+@given(st.integers(3, 60), st.lists(st.tuples(_token, st.text(_SPACES, max_size=3)), max_size=8))
 def test_parse_matches_product_of_factor_matrices(n, tokens):
     mod = Modulus(n)
     text, want = "", Mat3.identity(mod)
     for token, spaces in tokens:
         piece, mat = _token_text_and_matrix(token, mod)
-        text += piece + " " * spaces
+        text += piece + spaces
         want = mat_mul(want, mat)
     assert parse_element(text, mod).matrix() == want
 

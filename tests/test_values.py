@@ -192,6 +192,28 @@ def test_public_constructors_reject_malformed_input(build):
         build()
 
 
+def test_public_constructors_take_an_int_modulus():
+    m = Modulus(12)
+    assert Residue(3, 12) == Residue(3, m) and Residue(value=-1, modulus=12) == Residue(11, m)
+    assert Vec3((1, 2, 15), 12) == Vec3((1, 2, 3), m)
+    assert Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 13)), 12) == Mat3.identity(m)
+    with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2, got 1$"):
+        Vec3((1, 2, 3), 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TriadClass(0, Perm3((1, 2, 3))), "id must be a TriadId, got 0"),
+        (lambda: TriadClass(TriadId(0, Mode.MAJOR), "id"), "voicing must be a Perm3, got 'id'"),
+        (lambda: TriadClass(id=TriadId(0, Mode.MAJOR), voicing=(3, 2, 1)), "voicing must be a Perm3, got (3, 2, 1)"),
+    ],
+)
+def test_triad_class_checks_its_fields(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_public_constructors_reduce_entries():
     assert Vec3((-1, 12, 25), Modulus(12)).entries == (11, 0, 1)
     assert Mat3([[-1, 0, 0], [0, 13, 0], [0, 0, 1]], Modulus(12)).rows == ((11, 0, 0), (0, 1, 0), (0, 0, 1))

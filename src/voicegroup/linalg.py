@@ -183,8 +183,9 @@ class Perm3(_Value):
 
     @classmethod
     def from_cycle(cls, text: str) -> "Perm3":
-        """Parse cycle notation: '(13)', '(123)'; 'id', '()' and 'e' are the identity."""
-        key = text.replace(" ", "")
+        """Parse cycle notation: '(13)', '(123)'; 'id', '()' and 'e' are the identity.
+        Whitespace anywhere in the text is ignored, as in element text."""
+        key = "".join(text.split())
         if key in ("id", "()", "e", ""):
             return cls.identity()
         if key in _PERM_IMAGES:

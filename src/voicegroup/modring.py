@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from operator import attrgetter, mul
+from operator import attrgetter, index, mul
 from typing import Sequence
 
 DEFAULT_BUDGET = 10_000_000
@@ -181,9 +181,15 @@ class Modulus(_Value):
     __slots__ = ("n",)
 
     def __new__(cls, n: int) -> "Modulus":
-        if not isinstance(n, int) or n < 2:
+        # any integer type (an int subclass, a numpy int) is read as a plain
+        # int; a float or a string is refused, not truncated or parsed
+        try:
+            value = index(n)
+        except TypeError:
+            value = 0
+        if value < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {n!r}")
-        return _modulus(n)
+        return _modulus(value)
 
     def prime_powers(self) -> tuple[int, ...]:
         return _prime_power_factors(self.n)
@@ -199,7 +205,7 @@ _modulus = Modulus._make  # an int n >= 2
 
 
 def as_modulus(m: Modulus | int) -> Modulus:
-    return m if isinstance(m, Modulus) else Modulus(int(m))
+    return m if isinstance(m, Modulus) else Modulus(m)
 
 
 def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:

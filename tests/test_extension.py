@@ -268,6 +268,10 @@ def test_decode_examples():
     assert ext_decode(Mat3.identity(M12)).is_identity()
     with pytest.raises(NotInExtension):
         ext_decode(Mat3.of([[1, 1, 1], [1, 1, 1], [1, 1, 1]], M12))
+    # residues n - 1 lift to -1: the decoded element equals and hashes as the parsed one
+    a = parse_element("(132) U (UV)^1008 (UW)^3", 1009)
+    d3 = ext_decode(a.matrix())
+    assert d3 == a and hash(d3) == hash(a)
 
 
 def test_decode_round_trip_all_elements(ext12):
@@ -552,6 +556,13 @@ def test_parse_examples():
     )
     assert parse_element("Id", M12).is_identity()
     assert parse_element("(UV)^-1", M12) == ExtElement.from_j(JElement(0, 11, 0, M12))
+    a = parse_element("(123) U (UV)^5 (UW)^700", 1009)
+    assert a == ExtElement(Perm3.from_cycle("(123)"), JElement(1, 5, 700, 1009))
+    assert parse_element(str(a), 1009) == a
+    # a lone cycle folds whitespace as element text does
+    for text in ("(1\t3)", "(1\xa03)", " (13)\n"):
+        assert Perm3.from_cycle(text) == Perm3.from_cycle("(13)")
+        assert parse_element(text, M12) == parse_element("(13)", M12)
     with pytest.raises(ValueError, match=r"^cannot parse element '\(13\) Q' at position 5$"):
         parse_element("(13) Q", M12)
     # exponents are ASCII digits, as str writes them; another script's 3 is not an exponent

@@ -31,6 +31,9 @@ def test_modulus_validation():
         Modulus(1)
     with pytest.raises(ValueError):
         Modulus(0)
+    # numpy integers are integers: read as a plain int
+    for n in (np.int64(12), np.uint8(12)):
+        assert Modulus(n) == Modulus(12) and type(Modulus(n).n) is int
     assert Modulus(12).prime_powers() == (4, 3)
     assert Modulus(7).prime_powers() == (7,)
     assert Modulus(60).prime_powers() == (4, 3, 5)
@@ -100,6 +103,9 @@ def test_solve_linear_matches_direct_enumeration():
 def test_solve_linear_two_rows_spot():
     # the hexatonic solve: 7m+3n=11, 9m+5n=5 has the four known solutions
     assert solve_linear([[7, 3], [9, 5]], [11, 5], 12) == [(2, 7), (5, 4), (8, 1), (11, 10)]
+    # a repeated equation changes nothing; the same coefficients with another rhs are inconsistent
+    assert solve_linear([[7, 3], [9, 5], [7, 3]], [11, 5, 11], 12) == [(2, 7), (5, 4), (8, 1), (11, 10)]
+    assert solve_linear([[7, 3], [7, 3]], [11, 10], 12) == []
 
 
 def test_solution_count_multiplies_over_factors():
@@ -123,6 +129,8 @@ def test_solver_input_validation():
         solve_linear([[1, 2]], [0, 0], 12)
     with pytest.raises(ValueError):
         solve_linear([[0] * 13], [0], 12)
+    with pytest.raises(ValueError, match="^all rows must have the same number of unknowns$"):
+        solve_linear([[1, 2], [3]], [0, 0], 12)
 
 
 def test_budget_exceeded():

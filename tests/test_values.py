@@ -28,11 +28,11 @@ from voicegroup.linalg import (
     perm_matrix,
     scalar_affine,
 )
-from voicegroup.modring import Modulus, Residue, _Value, units
+from voicegroup.modring import Modulus, Residue, _Value, solve_linear, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
 from voicegroup.triadic import UTT, HookElement, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
-from voicegroup.voicing import JElement, j_reflection
+from voicegroup.voicing import JElement, j_reflection, word_to_element
 
 
 def _values(modulus):
@@ -161,6 +161,11 @@ def test_public_constructors_take_keywords():
         (lambda: Modulus(n=12.0), "modulus must be an integer >= 2, got 12.0"),
         (lambda: Modulus(True), "modulus must be an integer >= 2, got True"),
         (lambda: Modulus("12"), "modulus must be an integer >= 2, got '12'"),
+        # a float or a string modulus is refused wherever a modulus is taken, not truncated or parsed
+        (lambda: Vec3((1, 2, 3), 12.7), "modulus must be an integer >= 2, got 12.7"),
+        (lambda: JElement(0, 1, 1, "13"), "modulus must be an integer >= 2, got '13'"),
+        (lambda: word_to_element("VW", "7"), "modulus must be an integer >= 2, got '7'"),
+        (lambda: solve_linear([[1, 1]], [0], 7.5), "modulus must be an integer >= 2, got 7.5"),
         (lambda: UTT("*", 0, 0), "sign must be '+' or '-', got '*'"),
         (lambda: UTT(sign="", t_major=0, t_minor=0), "sign must be '+' or '-', got ''"),
         (lambda: TriadId(0, "major"), "mode must be a Mode, got 'major'"),

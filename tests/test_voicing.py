@@ -86,6 +86,9 @@ def test_constructor_accepts_an_int_modulus():
     # like JElement.identity, Vec3.of and Mat3.of, the constructor takes n as an int
     assert JElement(0, 1, 2, 12) == JElement(0, 1, 2, M12)
     assert JElement(1, 13, -1, 7) == JElement(1, 6, 6, M7)
+    # an int subclass is read as a plain int
+    assert JElement(0, 1, 2, _Int(12)) == JElement(0, 1, 2, M12)
+    assert type(Modulus(_Int(12)).n) is int
     with pytest.raises(ValueError):
         JElement(0, 0, 0, 2)
 

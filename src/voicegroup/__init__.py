@@ -79,7 +79,6 @@ _EXPORTS = {
             "ti_orbit",
         ),
         "triadic": (
-            "HookElement",
             "Mode",
             "NotInHook",
             "TriadClass",
@@ -87,7 +86,6 @@ _EXPORTS = {
             "UTT",
             "classify",
             "dualistic_tuple",
-            "hook_normal_form_A",
             "hook_normal_form_B",
             "orbit",
             "rho",

@@ -140,7 +140,7 @@ def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> lis
     elif group == "hook":
         from .triadic import hook_elements  # only this oracle needs triadic
 
-        candidates = [h.underlying for h in hook_elements()]
+        candidates = hook_elements()
     else:
         raise ValueError(f"unknown group {group!r}")
     out = [g for g in candidates if g.apply(src) == dst]

@@ -246,13 +246,13 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_hook(args) -> int:
-    from .triadic import HookElement, UTT, rho, rho_inverse
+    from .triadic import UTT, rho, rho_inverse
 
     if args.direction == "to-utt":
         if not args.element:
             raise CliError("to-utt needs --element")
         element = parse_element(args.element, Modulus(12))
-        utt = rho_inverse(HookElement(element))
+        utt = rho_inverse(element)
         _emit(args, lambda: {"element": str(element), "utt": str(utt)}, lambda: [str(utt)])
     else:
         if not args.utt:
@@ -261,7 +261,7 @@ def _cmd_hook(args) -> int:
         h = rho(utt)
         _emit(
             args,
-            lambda: {"utt": str(utt), **_element_payload(h.underlying)},
+            lambda: {"utt": str(utt), **_element_payload(h)},
             lambda: [str(h), f"matrix: {h.matrix()}"],
         )
     return EXIT_OK

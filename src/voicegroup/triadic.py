@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import index
 from typing import Iterable
 
 from .modring import Modulus, _Value, _ascii_int, check_same_modulus
-from .linalg import Mat3, Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
+from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
 from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate
 from .extension import ExtElement
 
@@ -52,6 +53,15 @@ _FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
 _THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
 
 
+def _integer(x: int, name: str) -> int:
+    """x as a plain int: any integer type is read, a float or a string is
+    refused, not truncated or parsed."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
 class TriadId(_Value):
     """An abstract consonant triad: root pitch class and mode, over Z/12."""
 
@@ -60,7 +70,7 @@ class TriadId(_Value):
     def __new__(cls, root: int, mode: Mode) -> "TriadId":
         if not isinstance(mode, Mode):
             raise ValueError(f"mode must be a Mode, got {mode!r}")
-        return _triad_id(int(root) % 12, mode)
+        return _triad_id(_integer(root, "root") % 12, mode)
 
     def name(self) -> str:
         base = _NOTE_NAMES[self.root]
@@ -199,7 +209,7 @@ class UTT(_Value):
     def __new__(cls, sign: Sign, t_major: int, t_minor: int) -> "UTT":
         if sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-        return _utt(sign, int(t_major) % 12, int(t_minor) % 12)
+        return _utt(sign, _integer(t_major, "t_major") % 12, _integer(t_minor, "t_minor") % 12)
 
     @classmethod
     def identity(cls) -> "UTT":
@@ -254,114 +264,62 @@ def is_in_hook(e: ExtElement) -> bool:
     return e.modulus.n == 12 and e.point in _HOOK_POINTS
 
 
-class HookElement(_Value):
-    """An element of the stabilizer of the 24 root-position triads."""
-
-    __slots__ = ("underlying",)
-
-    def __new__(cls, underlying: ExtElement) -> "HookElement":
-        if not is_in_hook(underlying):
-            raise NotInHook(f"{underlying} does not preserve root-position triads")
-        return _hook(underlying)
-
-    @property
-    def modulus(self) -> Modulus:
-        return self.underlying.modulus
-
-    def __mul__(self, other: "HookElement") -> "HookElement":
-        return _hook(self.underlying * other.underlying)
-
-    def inverse(self) -> "HookElement":
-        return _hook(self.underlying.inverse())
-
-    def __pow__(self, t: int) -> "HookElement":
-        return _hook(self.underlying**t)
-
-    def matrix(self) -> Mat3:
-        return self.underlying.matrix()
-
-    def apply(self, v: Vec3) -> Vec3:
-        return self.underlying.apply(v)
-
-    def apply_triad(self, t: TriadId) -> TriadId:
-        return rho_inverse(self).apply(t)
-
-    def __str__(self) -> str:
-        return str(self.underlying)
+def _require_hook(e: ExtElement) -> None:
+    if not is_in_hook(e):
+        raise NotInHook(f"{e} does not preserve root-position triads")
 
 
-_hook = HookElement._make  # an element already in the Hook group
-
-
-def hook_elements() -> list[HookElement]:
+def hook_elements() -> list[ExtElement]:
     """All 288 elements: (UV)^m (UW)^n and (13) U (UV)^m (UW)^n."""
-    return [_hook(e) for e in _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)]
+    return _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)
 
 
-def rho_matrix(u: UTT) -> Mat3:
-    """rho(u) as a matrix: the unique linear extension of u from the root-position triads."""
-    return rho(u).matrix()
-
-
-def rho(u: UTT) -> HookElement:
+def rho(u: UTT) -> ExtElement:
     """Realize a triadic transformation as a Hook-group element (see _FIFTH)."""
     k = 1 if u.sign == "-" else 0
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
     m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
-    return _hook(ExtElement._make(_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
+    return ExtElement._make(_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE)
 
 
-def rho_inverse(h: HookElement) -> UTT:
+def rho_inverse(e: ExtElement) -> UTT:
     """Read <s, a, b> off a Hook element's normal form: its two root shifts (see _FIFTH)."""
-    k, m, n = hook_normal_form_A(h)
-    shift = _FIFTH * m
+    _require_hook(e)
+    k, n = e.k, e.n
+    shift = _FIFTH * e.m
     u = UTT("-" if k else "+", shift + _MINOR_THIRD * (n - k), shift + _MAJOR_THIRD * (n - k))
-    if rho(u).underlying != h.underlying:
-        raise RuntimeError(f"rho({u}) = {rho(u)} does not equal {h}")
+    if rho(u) != e:
+        raise RuntimeError(f"rho({u}) = {rho(u)} does not equal {e}")
     return u
 
 
-def hook_normal_form_A(h: HookElement) -> tuple[int, int, int]:
-    """(k, m, n) with sigma implied: id when k = 0, (13) when k = 1."""
-    e = h.underlying
-    return (e.k, e.m, e.n)
-
-
-def hook_normal_form_B(h: HookElement) -> tuple[int, int]:
-    """(p, n) with h == ((13)U)^p (UW)^n, p in [0,24), n in [0,12).
+def hook_normal_form_B(e: ExtElement) -> tuple[int, int]:
+    """(p, n) with e == ((13)U)^p (UW)^n, p in [0,24), n in [0,12).
 
     ((13)U)^2q = (UV)^-q and ((13)U)^(2q+1) = (13)U(UV)^-q, so the parity of p
     is the mode parity and p // 2 is minus the (UV) exponent.
     """
-    k, m, n = hook_normal_form_A(h)
-    return (2 * ((-m) % 12) + k, n)
+    _require_hook(e)
+    return (2 * ((-e.m) % 12) + e.k, e.n)
 
 
-def hook_from_normal_form_B(p: int, n: int) -> HookElement:
-    q, k = divmod(p % 24, 2)
-    return _hook(ExtElement._make(_HOOK_POINTS[k], -q % 12, int(n) % 12, _TWELVE))
+def hook_from_normal_form_B(p: int, n: int) -> ExtElement:
+    q, k = divmod(_integer(p, "p") % 24, 2)
+    return ExtElement._make(_HOOK_POINTS[k], -q % 12, _integer(n, "n") % 12, _TWELVE)
 
 
-def hook_generator_13U() -> HookElement:
-    return HookElement(ExtElement(TRANSPOSITION_13, JElement(1, 0, 0, _TWELVE)))
-
-
-def hook_generator_13W() -> HookElement:
-    return HookElement(ExtElement(TRANSPOSITION_13, JElement(1, 0, 1, _TWELVE)))
-
-
-def wreath_generators() -> tuple[HookElement, HookElement, HookElement]:
+def wreath_generators() -> tuple[ExtElement, ExtElement, ExtElement]:
     """(E, F, G): E = (13)W swaps the two root-translation directions, F
     translates root-position majors by 1 fixing minors, G the reverse."""
-    e = hook_generator_13W()
-    f = HookElement(ExtElement.from_j(JElement(0, 4, -1, _TWELVE)))
-    g = HookElement(ExtElement.from_j(JElement(0, 3, 1, _TWELVE)))
+    e = ExtElement(TRANSPOSITION_13, JElement(1, 0, 1, _TWELVE))
+    f = ExtElement.from_j(JElement(0, 4, -1, _TWELVE))
+    g = ExtElement.from_j(JElement(0, 3, 1, _TWELVE))
     return e, f, g
 
 
-def rho_from_wreath(u: UTT) -> HookElement:
+def rho_from_wreath(u: UTT) -> ExtElement:
     """rho via the wreath generators: E^index(s) F^m G^n."""
     e, f, g = wreath_generators()
-    acc = e if u.sign == "-" else HookElement(ExtElement.identity(_TWELVE))
+    acc = e if u.sign == "-" else ExtElement.identity(_TWELVE)
     return acc * (f**u.t_major) * (g**u.t_minor)

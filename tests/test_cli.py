@@ -348,6 +348,7 @@ def test_hook_from_utt_rejects_unbalanced_brackets(capsys, utt):
 def test_hook_rejects_non_hook_element(capsys):
     code, _, err = run(capsys, "hook", "to-utt", "--element", "(12)U")
     assert code == 2 and "error" in err
+    assert "(12) U does not preserve root-position triads" in err
 
 
 @pytest.mark.parametrize("direction, arg", [("to-utt", "--element=(13)W"), ("from-utt", "--utt=<+,1,0>")])

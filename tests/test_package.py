@@ -40,7 +40,7 @@ def test_unknown_names_raise_attribute_error():
 
 
 # Spellings retired in 0.1.0, each with its one surviving spelling in the README.
-# The last three were never exported.
+# The last six were never exported.
 _RETIRED = {
     "crt_combine": "modring",
     "crt_split": "modring",
@@ -53,9 +53,14 @@ _RETIRED = {
     "conjugate_j": "extension",
     "enumerate_coset": "extension",
     "utt_compose": "triadic",
+    "HookElement": "triadic",
+    "hook_normal_form_A": "triadic",
     "affine_compose": "linalg",
     "apply": "voicing",
     "trace": "extension",
+    "hook_generator_13U": "triadic",
+    "hook_generator_13W": "triadic",
+    "rho_matrix": "triadic",
 }
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,8 @@ from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
 from voicegroup.voicing import JElement
-from voicegroup.extension import ExtElement
+from voicegroup.extension import ExtElement, parse_element
 from voicegroup.triadic import (
-    HookElement,
     Mode,
     NotInHook,
     TriadId,
@@ -21,22 +21,20 @@ from voicegroup.triadic import (
     classify,
     dualistic_tuple,
     hook_from_normal_form_B,
-    hook_generator_13U,
-    hook_generator_13W,
-    hook_normal_form_A,
     hook_normal_form_B,
     is_in_hook,
     orbit,
     rho,
     rho_from_wreath,
     rho_inverse,
-    rho_matrix,
     root_position_tuple,
     stabilizer_of_set,
     wreath_generators,
 )
 
 M12 = Modulus(12)
+E13U = parse_element("(13) U", 12)
+E13W = parse_element("(13) W", 12)
 
 
 def ext_gens():
@@ -63,7 +61,7 @@ def j_gens():
 
 
 def hook_gens():
-    return [hook_generator_13U().underlying, hook_generator_13W().underlying]
+    return [E13U, E13W]
 
 
 def test_root_position_tuples():
@@ -241,7 +239,7 @@ def test_stabilizer_of_root_position_is_hook(ext12, hooks):
     rootpos = {root_position_tuple(t) for t in all_triads()}
     stab = stabilizer_of_set(ext12, rootpos)
     assert len(stab) == 288
-    assert set(stab) == {h.underlying for h in hooks}
+    assert set(stab) == set(hooks)
 
 
 def test_utt_apply_examples():
@@ -300,17 +298,17 @@ def test_utt_parse_takes_ascii_digits_only(text):
 
 
 def test_rho_displayed_matrices():
-    assert str(rho_matrix(UTT("+", 1, 0))) == "[[9,1,3],[8,2,3],[8,1,4]]"
-    assert str(rho_matrix(UTT("+", 0, 1))) == "[[10,11,4],[9,0,4],[9,11,5]]"
-    assert str(rho_matrix(UTT("-", 0, 0))) == "[[1,0,0],[1,11,1],[0,0,1]]"
-    assert rho(UTT("-", 0, 0)).underlying == ExtElement(TRANSPOSITION_13, JElement(1, 0, 1, M12))
+    assert str(rho(UTT("+", 1, 0)).matrix()) == "[[9,1,3],[8,2,3],[8,1,4]]"
+    assert str(rho(UTT("+", 0, 1)).matrix()) == "[[10,11,4],[9,0,4],[9,11,5]]"
+    assert str(rho(UTT("-", 0, 0)).matrix()) == "[[1,0,0],[1,11,1],[0,0,1]]"
+    assert rho(UTT("-", 0, 0)) == ExtElement(TRANSPOSITION_13, JElement(1, 0, 1, M12)) == E13W
 
 
 def test_rho_action_on_all_root_position_triads():
     # <s,m,n> shifts major roots by m, minor roots by n, and s flips mode:
     # exhaustive over all 288 transformations and all 24 root-position triads
     for u in all_utts():
-        mat = rho_matrix(u)
+        mat = rho(u).matrix()
         for r in range(12):
             maj = mat_vec(mat, root_position_tuple(TriadId(r, Mode.MAJOR)))
             mnr = mat_vec(mat, root_position_tuple(TriadId(r, Mode.MINOR)))
@@ -332,7 +330,7 @@ def test_rho_matrix_matches_basis_inversion_route():
         ]
         cols = [root_position_tuple(t).entries for t in images]
         image_matrix = Mat3.of(tuple(zip(*cols)), M12)
-        assert mat_mul(image_matrix, basis_inverse) == rho_matrix(u)
+        assert mat_mul(image_matrix, basis_inverse) == rho(u).matrix()
 
 
 def test_rho_is_injective_homomorphism_sampled():
@@ -340,18 +338,37 @@ def test_rho_is_injective_homomorphism_sampled():
     for _ in range(300):
         a = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
         b = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
-        assert rho(a * b).underlying == (rho(a) * rho(b)).underlying
+        assert rho(a * b) == rho(a) * rho(b)
 
 
 def test_rho_inverse_round_trip():
     for u in all_utts():
         assert rho_inverse(rho(u)) == u
-    with pytest.raises(NotInHook):
-        HookElement(ExtElement.from_j(JElement(1, 0, 0, M12)))
+
+
+def test_rho_inverse_and_normal_form_B_check_hook_membership(ext12):
+    # every element of the extension: the 1440 outside the Hook group are refused
+    # by both readers, and the 288 inside it round-trip through rho
+    inside = outside = 0
+    for e in ext12:
+        if is_in_hook(e):
+            assert rho(rho_inverse(e)) == e
+            inside += 1
+            continue
+        for read in (rho_inverse, hook_normal_form_B):
+            with pytest.raises(NotInHook, match=f"^{re.escape(str(e))} does not preserve root-position triads$"):
+                read(e)
+        outside += 1
+    assert (inside, outside) == (288, 1440)
+    # the Hook group is defined over Z/12 only: a Hook-shaped element mod 7 is refused
+    e = ExtElement.from_j(JElement(0, 1, 2, Modulus(7)))
+    for read in (rho_inverse, hook_normal_form_B):
+        with pytest.raises(NotInHook, match="does not preserve root-position triads"):
+            read(e)
 
 
 def test_hook_membership_characterization(ext12, hooks):
-    hook_set = {h.underlying for h in hooks}
+    hook_set = set(hooks)
     for e in ext12:
         expected = (e.j.k == 0 and e.sigma.is_identity()) or (
             e.j.k == 1 and e.sigma == TRANSPOSITION_13
@@ -360,26 +377,27 @@ def test_hook_membership_characterization(ext12, hooks):
 
 
 def test_hook_halves(hooks):
-    plus = [h for h in hooks if not h.underlying.is_mode_reversing()]
-    minus = [h for h in hooks if h.underlying.is_mode_reversing()]
+    plus = [h for h in hooks if not h.is_mode_reversing()]
+    minus = [h for h in hooks if h.is_mode_reversing()]
     assert len(plus) == len(minus) == 144
-    assert all(h.underlying.sigma.is_identity() for h in plus)
-    assert all(h.underlying.sigma == TRANSPOSITION_13 for h in minus)
+    assert all(h.sigma.is_identity() for h in plus)
+    assert all(h.sigma == TRANSPOSITION_13 for h in minus)
 
 
 def test_normal_form_A(hooks):
     for h in hooks:
-        k, m, n = hook_normal_form_A(h)
-        sigma = Perm3.identity() if k == 0 else TRANSPOSITION_13
-        assert h.underlying == ExtElement(sigma, JElement(k, m, n, M12))
+        sigma = Perm3.identity() if h.k == 0 else TRANSPOSITION_13
+        assert h == ExtElement(sigma, JElement(h.k, h.m, h.n, M12))
 
 
 def test_generator_orders():
-    assert hook_generator_13U().underlying.order() == 24
-    assert hook_generator_13W().underlying.order() == 2
-    prod = hook_generator_13W() * hook_generator_13U()
-    assert prod.underlying == ExtElement.from_j(JElement(0, 0, 11, M12))
-    assert prod.underlying.order() == 12
+    assert E13U == ExtElement(TRANSPOSITION_13, JElement(1, 0, 0, M12))
+    assert E13W == ExtElement(TRANSPOSITION_13, JElement(1, 0, 1, M12))
+    assert E13U.order() == 24
+    assert E13W.order() == 2
+    prod = E13W * E13U
+    assert prod == ExtElement.from_j(JElement(0, 0, 11, M12))
+    assert prod.order() == 12
 
 
 def test_normal_form_B_unique_and_parity(hooks):
@@ -389,15 +407,15 @@ def test_normal_form_B_unique_and_parity(hooks):
         assert 0 <= p < 24 and 0 <= n < 12
         assert (p, n) not in seen
         seen[(p, n)] = h
-        assert hook_from_normal_form_B(p, n).underlying == h.underlying
-        assert (p % 2 == 1) == h.underlying.is_mode_reversing()
+        assert hook_from_normal_form_B(p, n) == h
+        assert (p % 2 == 1) == h.is_mode_reversing()
     assert len(seen) == 288
-    assert hook_normal_form_B(hook_generator_13U()) == (1, 0)
-    assert hook_normal_form_B(hook_generator_13W()) == (1, 1)
+    assert hook_normal_form_B(E13U) == (1, 0)
+    assert hook_normal_form_B(E13W) == (1, 1)
 
 
 def test_two_generators_generate_hook(hooks):
-    gens = [hook_generator_13U().underlying, hook_generator_13W().underlying]
+    gens = hook_gens()
     gens += [g.inverse() for g in gens]
     seen = {ExtElement.identity(M12)}
     frontier = list(seen)
@@ -410,45 +428,47 @@ def test_two_generators_generate_hook(hooks):
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
-    assert seen == {h.underlying for h in hooks}
+    assert seen == set(hooks)
 
 
 def test_semidirect_decomposition(hooks):
-    e13w = hook_generator_13W().underlying
-    w_cyclic = {ExtElement.identity(M12), e13w}
+    w_cyclic = {ExtElement.identity(M12), E13W}
     j_plus = {ExtElement.from_j(JElement(0, m, n, M12)) for m in range(12) for n in range(12)}
     assert w_cyclic & j_plus == {ExtElement.identity(M12)}
     products = {a * b for a in w_cyclic for b in j_plus}
-    assert products == {h.underlying for h in hooks}
+    assert products == set(hooks)
 
 
 def test_conjugation_formula_for_all_pairs():
-    e13w = hook_generator_13W().underlying
     for m in range(12):
         for n in range(12):
             inner = ExtElement.from_j(JElement(0, m, n, M12))
-            got = e13w * inner * e13w.inverse()
+            got = E13W * inner * E13W.inverse()
             assert got == ExtElement.from_j(JElement(0, m + n, -n, M12))
 
 
 def test_wreath_generators():
     E, F, G = wreath_generators()
-    assert rho(UTT("+", 1, 0)).underlying == F.underlying
-    assert rho(UTT("+", 0, 1)).underlying == G.underlying
-    assert rho(UTT("-", 0, 0)).underlying == E.underlying
-    assert (E * F * E.inverse()).underlying == G.underlying
-    assert (F * G).underlying.j == JElement(0, 7, 0, M12)
+    assert rho(UTT("+", 1, 0)) == F
+    assert rho(UTT("+", 0, 1)) == G
+    assert rho(UTT("-", 0, 0)) == E == E13W
+    assert E * F * E.inverse() == G
+    assert (F * G).j == JElement(0, 7, 0, M12)
     # F translates root-position majors by 1 and fixes minors; G conversely
+    f, g = rho_inverse(F), rho_inverse(G)
     for r in range(12):
-        assert F.apply_triad(TriadId(r, Mode.MAJOR)) == TriadId(r + 1, Mode.MAJOR)
-        assert F.apply_triad(TriadId(r, Mode.MINOR)) == TriadId(r, Mode.MINOR)
-        assert G.apply_triad(TriadId(r, Mode.MAJOR)) == TriadId(r, Mode.MAJOR)
-        assert G.apply_triad(TriadId(r, Mode.MINOR)) == TriadId(r + 1, Mode.MINOR)
+        assert f.apply(TriadId(r, Mode.MAJOR)) == TriadId(r + 1, Mode.MAJOR)
+        assert f.apply(TriadId(r, Mode.MINOR)) == TriadId(r, Mode.MINOR)
+        assert g.apply(TriadId(r, Mode.MAJOR)) == TriadId(r, Mode.MAJOR)
+        assert g.apply(TriadId(r, Mode.MINOR)) == TriadId(r + 1, Mode.MINOR)
+        for t in (TriadId(r, Mode.MAJOR), TriadId(r, Mode.MINOR)):
+            assert F.apply(root_position_tuple(t)) == root_position_tuple(f.apply(t))
+            assert G.apply(root_position_tuple(t)) == root_position_tuple(g.apply(t))
 
 
 def test_wreath_generators_span_mode_preserving_half():
     E, F, G = wreath_generators()
-    gens = [F.underlying, G.underlying, F.underlying.inverse(), G.underlying.inverse()]
+    gens = [F, G, F.inverse(), G.inverse()]
     seen = {ExtElement.identity(M12)}
     frontier = list(seen)
     while frontier:
@@ -475,9 +495,9 @@ def test_wreath_product_law():
             rhs = E**t * F ** (m + p) * G ** (n + q)
         else:
             rhs = E ** (t + 1) * F ** (m + q) * G ** (n + p)
-        assert lhs.underlying == rhs.underlying
+        assert lhs == rhs
 
 
 def test_rho_from_wreath_agrees():
     for u in all_utts():
-        assert rho_from_wreath(u).underlying == rho(u).underlying
+        assert rho_from_wreath(u) == rho(u)

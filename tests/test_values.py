@@ -1,8 +1,8 @@
 """The value contract shared by the slotted immutable classes.
 
-Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements, the Hook
-elements and the triad records share one storage (modring._Value): a
-validating public constructor, and, derived from the declared slots, one
+Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements and the
+triad records share one storage (modring._Value): a validating public
+constructor, and, derived from the declared slots, one
 trusted constructor for the library's own producers, frozen fields, equality,
 and pickle and copy through the trusted constructor.
 """
@@ -30,7 +30,7 @@ from voicegroup.linalg import (
 )
 from voicegroup.modring import Modulus, Residue, _Value, solve_linear, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
-from voicegroup.triadic import UTT, HookElement, Mode, TriadClass, TriadId, all_triads, all_utts, classify
+from voicegroup.triadic import UTT, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
 from voicegroup.voicing import JElement, j_reflection, word_to_element
 
@@ -46,7 +46,6 @@ def _values(modulus):
         Mat3(((0, 1, 0), (1, 0, 0), (1, 1, 11)), m),
         Perm3((2, 3, 1)),
         AffineMap(Mat3(((5, 0, 0), (0, 5, 0), (0, 0, 5)), m), Vec3((3, 3, 3), m)),
-        HookElement(ExtElement(Perm3((3, 2, 1)), JElement(1, 4, 9, m))),
         m,
         Residue(-5, m),
         TriadId(13, Mode.MINOR),
@@ -86,7 +85,6 @@ _FIELDS = {
     Mat3: ("rows", "modulus"),
     Perm3: ("image",),
     AffineMap: ("linear", "translation"),
-    HookElement: ("underlying",),
     Modulus: ("n",),
     Residue: ("value", "modulus"),
     TriadId: ("root", "mode"),
@@ -120,8 +118,6 @@ def test_values_of_different_kinds_differ():
     assert v != Mat3.identity(12) and Mat3.identity(12) != v
     assert Perm3((1, 2, 3)) != (1, 2, 3)
     assert Vec3.of(0, 4, 7, 12) != Vec3.of(0, 4, 7, 13)
-    h = hook_elements()[5]
-    assert h != h.underlying and h.underlying != h
     m = Modulus(12)
     assert m != 12 and Residue(3, m) != 3 and Residue(3, m) != Residue(3, Modulus(13))
     assert UTT("+", 0, 0) != ("+", 0, 0) and TriadId(0, Mode.MAJOR) != TriadId(0, Mode.MINOR)
@@ -136,7 +132,6 @@ def test_reprs_are_pinned():
         "Perm3(image=(2, 3, 1))",
         "AffineMap(linear=Mat3(rows=((5, 0, 0), (0, 5, 0), (0, 0, 5)), modulus=Modulus(n=12)), "
         "translation=Vec3(entries=(3, 3, 3), modulus=Modulus(n=12)))",
-        "HookElement(underlying=ExtElement('(13) U (UV)^4 (UW)^9', mod 12))",
         "Modulus(n=12)",
         "Residue(value=7, modulus=Modulus(n=12))",
         "TriadId(root=1, mode=<Mode.MINOR: 'minor'>)",
@@ -170,11 +165,28 @@ def test_public_constructors_take_keywords():
         (lambda: UTT(sign="", t_major=0, t_minor=0), "sign must be '+' or '-', got ''"),
         (lambda: TriadId(0, "major"), "mode must be a Mode, got 'major'"),
         (lambda: TriadId(root=4, mode=None), "mode must be a Mode, got None"),
+        # a float or a string is refused wherever a triad-level integer is taken, not truncated or parsed
+        (lambda: TriadId(2.7, Mode.MAJOR), "root must be an integer, got 2.7"),
+        (lambda: TriadId("3", Mode.MAJOR), "root must be an integer, got '3'"),
+        (lambda: UTT("+", 1.5, 2.9), "t_major must be an integer, got 1.5"),
+        (lambda: UTT("+", "7", " 5"), "t_major must be an integer, got '7'"),
+        (lambda: UTT("+", 7, " 5"), "t_minor must be an integer, got ' 5'"),
+        (lambda: hook_from_normal_form_B(3, 2.5), "n must be an integer, got 2.5"),
+        (lambda: hook_from_normal_form_B(3.5, 2), "p must be an integer, got 3.5"),
     ],
 )
 def test_public_constructor_error_texts(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_triad_level_integers_take_any_integer_type():
+    np = pytest.importorskip("numpy")
+    t = TriadId(np.int64(14), Mode.MAJOR)
+    assert t == TriadId(2, Mode.MAJOR) and type(t.root) is int
+    u = UTT("-", np.uint8(13), np.int32(-1))
+    assert u == UTT("-", 1, 11) and type(u.t_major) is type(u.t_minor) is int
+    assert hook_from_normal_form_B(np.int64(-3), np.int16(25)) == hook_from_normal_form_B(-3, 25)
 
 
 @pytest.mark.parametrize(
@@ -188,9 +200,8 @@ def test_public_constructor_error_texts(build, message):
         lambda: Perm3((1, 1, 2)),
         lambda: Perm3((1, 2, 3, 4)),
         lambda: AffineMap(Mat3.identity(12), Vec3.of(0, 0, 0, 7)),
-        lambda: HookElement(parse_element("(12) W", 12)),
     ],
-    ids=["vec-2", "vec-4", "mat-2-rows", "mat-2-columns", "mat-ragged", "perm-repeat", "perm-4", "affine-moduli", "hook"],
+    ids=["vec-2", "vec-4", "mat-2-rows", "mat-2-columns", "mat-ragged", "perm-repeat", "perm-4", "affine-moduli"],
 )
 def test_public_constructors_reject_malformed_input(build):
     with pytest.raises(ValueError):
@@ -236,7 +247,6 @@ def _others(modulus):
         Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), Modulus(13)),
         Perm3((1, 2, 3)),
         AffineMap(Mat3.identity(m), Vec3((1, 1, 1), m)),
-        HookElement(ExtElement(Perm3((1, 2, 3)), JElement(0, 1, 2, m))),
         Modulus(13),
         Residue(3, Modulus(13)),
         TriadId(2, Mode.MAJOR),
@@ -293,7 +303,7 @@ def test_value_class_takes_one_to_four_fields():
 
 def test_no_trusted_constructor_is_public():
     assert not [name for name in voicegroup.__all__ if name.startswith("_")]
-    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, HookElement, Modulus, Residue, TriadId, TriadClass, UTT):
+    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, Modulus, Residue, TriadId, TriadClass, UTT):
         assert cls._TRUSTED[0].__name__ not in voicegroup.__all__
 
 
@@ -311,8 +321,6 @@ def _reduced(value) -> bool:
         return type(value.image) is tuple and Perm3(value.image) == value
     if isinstance(value, AffineMap):
         return _reduced(value.linear) and _reduced(value.translation) and value.translation.modulus == value.linear.modulus
-    if isinstance(value, HookElement):
-        return _reduced(value.underlying) and HookElement(value.underlying) == value
     if isinstance(value, ExtElement):
         return value.point in range(12) and _ints((value.m, value.n, 0), value.modulus.n)
     if isinstance(value, Residue):

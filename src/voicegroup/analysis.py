@@ -90,14 +90,15 @@ _GROUP_POINTS = {"J": (0, 1), "extension": tuple(range(12)), "hook": _HOOK_POINT
 
 def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int):
     """Yield (p, solutions) for each point p of `points`, in order, whose case
-    can realize every step; steps are (src, dst) pairs of plain triples. The
-    rows depend only on the sources, so each query builds them once, and
-    points with equal right-hand sides share one solve and one solution list,
-    which callers only read."""
+    can realize every step; steps are (src, dst) pairs of plain triples,
+    reduced mod n. The rows depend only on the sources, so each query builds
+    them once, and points with equal right-hand sides share one solve and one
+    solution list, which callers only read."""
     nn = modulus.n
     rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
-    # (U^k(src), dst) for k = 0, 1; the point (sigma, k) reads sigma's slots off U^k(src)
-    images = [[(_act(_SLOTS[0], k, 0, 0, src, nn), dst) for src, dst in steps] for k in (0, 1)]
+    # (U^k(src), dst) for k = 0, 1, U^0(src) being src itself; the point
+    # (sigma, k) reads sigma's slots off U^k(src)
+    images = (steps, [(_act(_SLOTS[0], 1, 0, 0, src, nn), dst) for src, dst in steps])
     solved = {}  # rhs -> its solutions, for the points that share a rhs
     for p in points:
         a, b, c = _SLOTS[p]
@@ -109,9 +110,10 @@ def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Mod
             rhs.append(d)
         else:
             rhs = tuple(rhs)
-            if rhs not in solved:
-                solved[rhs] = solve_linear(rows, rhs, modulus, budget)
-            yield p, solved[rhs]
+            solutions = solved.get(rhs)
+            if solutions is None:
+                solutions = solved[rhs] = solve_linear(rows, rhs, modulus, budget)
+            yield p, solutions
 
 
 def solve_step(
@@ -127,8 +129,10 @@ def solve_step(
         raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
     if group == "hook" and modulus.n != 12:
         raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
-    cases = _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget)
-    return [ExtElement._make(p, m, n, modulus) for p, solutions in cases for m, n in solutions]
+    make, out = ExtElement._make, []
+    for p, solutions in _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget):
+        out += [make(p, m, n, modulus) for m, n in solutions]
+    return out
 
 
 def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:

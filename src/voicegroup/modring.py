@@ -1,15 +1,16 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
 Provides residues, unit detection, prime-power splitting of the modulus, and
-an exact solver for linear systems over Z/n. The solver reduces the equations
-mod n and keeps each distinct one once, brings them to Howell form with
-extended-gcd row operations only, so the unknowns never move, and lists the
-solutions by back-substitution in increasing order, so its cost follows the
-number of solutions. Its budget still bounds the q^d search space of each
-prime-power factor q, so a search too large to enumerate is refused with
-BudgetExceeded. Integers read from text go through one reader that takes
-ASCII digits only. The slotted immutable storage that every value class of
-the library shares (_Value) is defined here, in the lowest layer.
+an exact solver for linear systems over Z/n. The solver reads its entries as
+integers, reduces the equations mod n and keeps each distinct one once,
+brings them to Howell form with extended-gcd row operations only, so the
+unknowns never move, and lists the solutions by back-substitution in
+increasing order, so its cost follows the number of solutions. Its budget
+still bounds the q^d search space of each prime-power factor q, so a search
+too large to enumerate is refused with BudgetExceeded. Integers read from
+text go through one reader that takes ASCII digits only. The slotted
+immutable storage that every value class of the library shares (_Value) is
+defined here, in the lowest layer.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def _ascii_int(text: str) -> int:
     if _ASCII_INT.fullmatch(text) is None:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
+
+
+def _integer(x: int, name: str) -> int:
+    """x as a plain int: any integer type is read, a float or a string is
+    refused, not truncated or parsed."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +319,12 @@ def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
 
     The last unknown is eliminated first. pivots[j] is the one row whose
     leading unknown is x_j, scaled so that its pivot is g = gcd(pivot, n), or
-    None when x_j is free. Each pivot row p also pushes its annihilator
-    (n/g)*p, which vanishes at x_j, into the rows left to eliminate
-    (Storjohann's Howell form), so every vector of the row span that vanishes
-    on x_{d-1} .. x_j lies in the span of the rows below. zero_rhs holds the
-    rhs of the rows left with every coefficient 0.
+    None when x_j is free; a pivot that already divides n is kept as it is.
+    Each pivot row p also pushes its annihilator (n/g)*p, which vanishes at
+    x_j, into the rows left to eliminate (Storjohann's Howell form) unless it
+    is all zero, so every vector of the row span that vanishes on
+    x_{d-1} .. x_j lies in the span of the rows below. zero_rhs holds the rhs
+    of the rows left with every coefficient 0.
     """
     d = len(rows[0]) - 1
     pivots = [None] * d
@@ -330,9 +341,17 @@ def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
                 if t:  # the pivot row changes only when the pivot shrinks
                     p = [(s * x + t * y) % n for x, y in zip(p, b)]
         if p is not None:
-            s, _, u, _ = _pivot_op(p[j], n)
-            pivots[j] = [s * x % n for x in p]
-            rest.append([u * x % n for x in p])
+            g = p[j]
+            if n % g:
+                g, s, _ = _xgcd(g, n)
+                pivots[j] = [s * x % n for x in p]
+            else:
+                pivots[j] = p
+            # the annihilator of p itself: s is a unit mod n/g only, so s*p may span less
+            h = -(n // g)
+            annihilator = [h * x % n for x in p]
+            if any(annihilator):
+                rest.append(annihilator)
         rows = rest
     return pivots, [b[d] for b in rows]
 
@@ -345,14 +364,17 @@ def solve_linear(
 ) -> list[tuple[int, ...]]:
     """All solution vectors of rows.x == rhs over Z/n, sorted.
 
-    Exact: each augmented row is reduced mod n and kept once, in order of
-    first occurrence, so a repeated equation is solved once; the row span,
-    and so the answer, is unchanged. The distinct rows are brought to Howell
-    form (see _howell) and solved by back-substitution from x_0 up. A pivot
-    g on x_j leaves the g values r/g + t*(n/g) for t in [0, g), where r is its
-    row's rhs less the terms in x_0 .. x_{j-1}, and a free unknown all n
-    values. The Howell form lets every partial solution extend, so the
-    solutions come out in increasing order and the cost follows their number.
+    Exact: each entry is read as an integer (any integer type; a float or a
+    string is refused with ValueError, not truncated), each augmented row is
+    reduced mod n and kept once, in order of first occurrence, so a repeated
+    equation is solved once; the row span, and so the answer, is unchanged.
+    The distinct rows are brought to Howell form (see _howell) and solved by
+    back-substitution from x_0 up. A pivot g on x_j leaves the g values
+    r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the terms in
+    x_0 .. x_{j-1}, and a free unknown all n values. The Howell form lets
+    every partial solution extend, so the solutions come out in increasing
+    order and the cost follows their number: x_0 and x_1 are listed in closed
+    form, at O(1) integer work per solution.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
@@ -373,16 +395,40 @@ def solve_linear(
         raise ValueError("rhs length must match the number of rows")
     if set(map(len, rows)) != {d}:
         raise ValueError("all rows must have the same number of unknowns")
-    augmented = dict.fromkeys(tuple(int(x) % n for x in row) + (int(c) % n,) for row, c in zip(rows, rhs))
+    mod_n = n.__rmod__  # x -> x % n
+    try:
+        augmented = dict.fromkeys((*map(mod_n, map(index, row)), index(c) % n) for row, c in zip(rows, rhs))
+    except TypeError:
+        # name the first entry that is not an integer
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                _integer(x, f"rows[{i}][{j}]")
+        for i, c in enumerate(rhs):
+            _integer(c, f"rhs[{i}]")
+        raise
     pivots, zero_rhs = _howell(list(augmented), n)
     for q in m.prime_powers():
         total = q**d
         if total > budget:
             raise BudgetExceeded(f"{q}^{d} = {total} candidates exceeds budget {budget}")
-        if any(c % q for c in zero_rhs):
-            return []
-    out = [()]
-    for j, p in enumerate(pivots):
+        for c in zero_rhs:
+            if c % q:
+                return []
+    # x_0 runs over an arithmetic progression, and x_1, for each x_0, over one
+    # that starts at (c - a*x_0) % n // g
+    p = pivots[0]
+    first = range(n) if p is None else range(p[d] // p[0], n, n // p[0])
+    if d == 1:
+        return [(u,) for u in first]
+    p = pivots[1]
+    if p is None:
+        out = [(u, v) for u in first for v in range(n)]
+    else:
+        a, g, c = p[0], p[1], p[d]
+        step = n // g
+        out = [(u, v) for u in first for v in range((c - a * u) % n // g, n, step)]
+    for j in range(2, d):
+        p = pivots[j]
         if p is None:
             out = [x + (v,) for x in out for v in range(n)]
         else:
@@ -390,4 +436,3 @@ def solve_linear(
             # x_j from g*x_j == c - (p[0]*x_0 + ... + p[j-1]*x_{j-1}), which g divides
             out = [x + (v,) for x in out for v in range((c - sum(map(mul, p, x))) % n // g, n, n // g)]
     return out
-

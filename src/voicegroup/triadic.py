@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import enum
 import math
-from operator import index
 from typing import Iterable
 
-from .modring import Modulus, _Value, _ascii_int, check_same_modulus
+from .modring import Modulus, _Value, _ascii_int, _integer, check_same_modulus
 from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
 from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate
 from .extension import ExtElement
@@ -51,15 +50,6 @@ _MAJOR_THIRD = 4
 _MINOR_THIRD = _FIFTH - _MAJOR_THIRD
 _FIFTH_INVERSE = pow(_FIFTH, -1, _TWELVE.n)
 _THIRDS_GAP_INVERSE = pow(_MAJOR_THIRD - _MINOR_THIRD, -1, _TWELVE.n)
-
-
-def _integer(x: int, name: str) -> int:
-    """x as a plain int: any integer type is read, a float or a string is
-    refused, not truncated or parsed."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 class TriadId(_Value):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from voicegroup.linalg import (
     mat_vec,
     scalar_affine,
 )
-from voicegroup.voicing import Generator, JElement
+from voicegroup.voicing import Generator, JElement, enumerate_J
 from voicegroup.extension import ExtElement, enumerate_extension, parse_element
 from voicegroup import analysis
 from voicegroup.analysis import (
@@ -139,6 +140,34 @@ def test_solvers_match_group_scans_in_sort_key_order(prog, data):
     realizing = [g for g in scanned if all(mat_vec(g.matrix(), s) == t for s, t in prog.steps())]
     realizing.sort(key=ExtElement.sort_key)
     assert [s.element for s in solve_uniform_all_cases(prog)] == realizing
+
+
+def test_solve_step_matches_bruteforce_for_every_divisor_of_60():
+    # gcd(z - x, z - y, n) = d fixes a step's equation (z-x)m + (z-y)n == rhs up
+    # to units; over the twelve divisors of 60 the solver meets pivots that
+    # divide 60 and pivots that share a factor with 60 without dividing it
+    n = 60
+    rng = random.Random(n)
+    js = enumerate_J(n)
+    perms = [ExtElement.from_sigma(sigma, n) for sigma in ALL_PERMS]
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        while True:
+            x, y, z = (rng.randrange(n) for _ in range(3))
+            if math.gcd(z - x, z - y, n) == d:
+                break
+        src = Vec3.of(x, y, z, n)
+        j_images = [j.apply(src) for j in js]
+        dst = rng.choice(j_images)
+        assert solve_step(src, dst, "J") == solve_step_bruteforce(src, dst, "J") != []
+        # sigma j carries src to dst iff j carries src to sigma^-1(dst), so one
+        # scan of J lists what solve_step_bruteforce's scan of all 6*2n^2
+        # elements would, in the same sort-key order, at a sixth of the cost
+        dst = rng.choice(perms).apply(rng.choice(j_images))
+        scanned = []
+        for s in perms:
+            target = s.inverse().apply(dst)
+            scanned += [ExtElement(s.sigma, j) for j, w in zip(js, j_images) if w == target]
+        assert solve_step(src, dst, "extension") == scanned != []
 
 
 # Voicings with repeated entries mod 12 and mod 6: several (sigma, k) cases of

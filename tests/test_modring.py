@@ -39,6 +39,8 @@ def test_modulus_reads_numpy_integers_as_int():
     np = pytest.importorskip("numpy")
     for n in (np.int64(12), np.uint8(12)):
         assert Modulus(n) == Modulus(12) and type(Modulus(n).n) is int
+    sols = solve_linear([[np.int64(7), np.uint8(3)], np.array([9, 5])], np.array([11, -7]), np.int32(12))
+    assert sols == [(2, 7), (5, 4), (8, 1), (11, 10)] and {type(x) for sol in sols for x in sol} == {int}
 
 
 def test_is_unit_examples():
@@ -250,6 +252,7 @@ def test_solution_count_matches_sympy_smith_form(n):
     from sympy.matrices.normalforms import smith_normal_form
 
     rng = random.Random(n)
+    planted_rng = random.Random(-n)  # a stream of its own, so drawing x* leaves the systems as drawn
     for trial in range(12):
         d = rng.randint(1, 9)
         rows = [[rng.randint(-6, 6) for _ in range(d)] for _ in range(d + rng.randint(0, 2))]
@@ -266,6 +269,15 @@ def test_solution_count_matches_sympy_smith_form(n):
         assert all(
             sum(a * x for a, x in zip(row, sol)) % n == 0 for row in rows for sol in sols[:50]
         )
+        # a planted rhs = A x* is solved by the coset x* + kernel, of the same size
+        planted = tuple(planted_rng.randrange(n) for _ in range(d))
+        rhs = [sum(a * x for a, x in zip(row, planted)) for row in rows]
+        sols = solve_linear(rows, rhs, n, budget=n**d)
+        assert len(sols) == expected, (rows, rhs, invariants)
+        assert planted in sols
+        assert all(a < b for a, b in zip(sols, sols[1:]))
+        residuals = {(sum(a * x for a, x in zip(row, sol)) - c) % n for row, c in zip(rows, rhs) for sol in sols}
+        assert residuals == {0}
 
 
 @pytest.mark.parametrize("n", [4, 6, 7, 9, 12])

@@ -161,6 +161,10 @@ def test_public_constructors_take_keywords():
         (lambda: JElement(0, 1, 1, "13"), "modulus must be an integer >= 2, got '13'"),
         (lambda: word_to_element("VW", "7"), "modulus must be an integer >= 2, got '7'"),
         (lambda: solve_linear([[1, 1]], [0], 7.5), "modulus must be an integer >= 2, got 7.5"),
+        # a float or a string entry of a system is refused, not truncated or parsed
+        (lambda: solve_linear([[1.5, 1]], [0], 7), "rows[0][0] must be an integer, got 1.5"),
+        (lambda: solve_linear([[1, 1], [2, "3"]], [0, 1], 7), "rows[1][1] must be an integer, got '3'"),
+        (lambda: solve_linear([[1, 1]], [0.0], 7), "rhs[0] must be an integer, got 0.0"),
         (lambda: UTT("*", 0, 0), "sign must be '+' or '-', got '*'"),
         (lambda: UTT(sign="", t_major=0, t_minor=0), "sign must be '+' or '-', got ''"),
         (lambda: TriadId(0, "major"), "mode must be a Mode, got 'major'"),

@@ -68,7 +68,7 @@ def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
     try:
         rows = json.loads(text)
         matrix = Mat3.of(rows, modulus)
-        # a float or a bool entry is not truncated to an integer
+        # Mat3 refuses a float or a string entry; a bool is an integer to it, but not to JSON
         if not all(_is_int(x) for row in rows for x in row):
             raise ValueError("entries must be integers")
         return matrix

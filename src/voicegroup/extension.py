@@ -34,6 +34,7 @@ from .linalg import _PERM_IMAGES, ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
     _LETTERS,
+    _PRODUCTS,
     JElement,
     NotInGroup,
     _Element,
@@ -120,15 +121,19 @@ def _span(g1: tuple[int, int], g2: tuple[int, int], n: int) -> list[tuple[int, i
 
 
 def _translation_class(b: ExtElement) -> list[ExtElement]:
-    """{s b s^-1 : s in T} = b * (phi_b - 1)T, where phi_b(s) = b^-1 s b and T = {(UV)^m (UW)^n}."""
+    """{s b s^-1 : s in T} for b = (p, t) and T = {(UV)^m (UW)^n}: the coset t + (A_p - 1)T.
+
+    s b = (p, A_p s + t), with A_p the linear part of the point-product entry
+    _PRODUCTS[0][p], and multiplying by s^-1 on the right subtracts s; so the
+    coset is spanned by the columns of A_p - 1, and no element is multiplied.
+    """
     m = b.modulus
     nn = m.n
-    b_inv = b.inverse()
-    e1, e2 = (b_inv * ExtElement._make(0, *t, m) * b for t in ((1, 0), (0, 1)))
     p, bm, bn = b.point, b.m, b.n
+    _, a11, a12, a21, a22, _, _ = _PRODUCTS[0][p]
     return [
         ExtElement._make(p, (bm + dm) % nn, (bn + dn) % nn, m)
-        for dm, dn in _span((e1.m - 1, e1.n), (e2.m, e2.n - 1), nn)
+        for dm, dn in _span((a11 - 1, a21), (a12, a22 - 1), nn)
     ]
 
 
@@ -136,10 +141,11 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
     """{g a g^-1} over the chosen group, listed in time proportional to its size.
 
     The translations T = {(UV)^m (UW)^n} are normal with coset representatives
-    tau = sigma U^k (all twelve for the extension, Id and U for J). For s in T,
-    s b s^-1 = b (phi_b(s) - s) with phi_b(s) = b^-1 s b linear on T, so the
-    T-class of b is the coset b (phi_b - 1)T, and the class of a is the disjoint
-    union of the T-classes of the tau a tau^-1.
+    tau = sigma U^k (all twelve for the extension, Id and U for J). For b =
+    (p, t) and s in T, s b = (p, A_p s + t) with A_p the 2x2 matrix the
+    point-product table holds for p, so the T-class of b is the coset
+    t + (A_p - 1)T (see _translation_class), and the class of a is the
+    disjoint union of the T-classes of the tau a tau^-1.
     """
     if within not in ("J", "extension"):
         raise ValueError(f"within must be 'J' or 'extension', got {within!r}")

@@ -10,19 +10,28 @@ x_{sigma^-1 2}, x_{sigma^-1 3}).
 from __future__ import annotations
 
 import math
+from operator import index
 from typing import Sequence
 
-from .modring import Modulus, Residue, _Value, as_modulus, check_same_modulus
+from .modring import Modulus, Residue, _Value, _integer, as_modulus, check_same_modulus
 
 
 class Vec3(_Value):
-    """A 3-tuple over Z/n, entries normalized to [0, n)."""
+    """A 3-tuple over Z/n, entries normalized to [0, n); a float or a string
+    entry is refused, not truncated or parsed."""
 
     __slots__ = ("entries", "modulus")
 
     def __new__(cls, entries: Sequence[int], modulus: Modulus | int) -> "Vec3":
         modulus = as_modulus(modulus)
-        e = tuple(int(v) % modulus.n for v in entries)
+        n = modulus.n
+        try:
+            e = tuple(index(v) % n for v in entries)
+        except TypeError:
+            # name the first entry that is not an integer
+            for i, v in enumerate(entries):
+                _integer(v, f"entries[{i}]")
+            raise
         if len(e) != 3:
             raise ValueError(f"expected 3 entries, got {len(e)}")
         return _vec3(e, modulus)
@@ -54,7 +63,7 @@ class Vec3(_Value):
 
     def shift(self, c: int) -> "Vec3":
         """Add the constant c to every component."""
-        n, c = self.modulus.n, int(c)
+        n, c = self.modulus.n, _integer(c, "c")
         return _vec3(tuple((v + c) % n for v in self.entries), self.modulus)
 
     def __add__(self, other: "Vec3") -> "Vec3":
@@ -73,7 +82,8 @@ _vec3 = Vec3._make  # three ints already in [0, n), as a tuple
 
 
 class Mat3(_Value):
-    """A 3x3 matrix over Z/n, row-major, entries normalized to [0, n)."""
+    """A 3x3 matrix over Z/n, row-major, entries normalized to [0, n); a float
+    or a string entry is refused, not truncated or parsed."""
 
     __slots__ = ("rows", "modulus")
 
@@ -82,7 +92,14 @@ class Mat3(_Value):
             raise ValueError("expected a 3x3 matrix")
         modulus = as_modulus(modulus)
         n = modulus.n
-        return _mat3(tuple(tuple(int(v) % n for v in row) for row in rows), modulus)
+        try:
+            return _mat3(tuple(tuple(index(v) % n for v in row) for row in rows), modulus)
+        except TypeError:
+            # name the first entry that is not an integer
+            for i, row in enumerate(rows):
+                for j, v in enumerate(row):
+                    _integer(v, f"rows[{i}][{j}]")
+            raise
 
     # hashed and compared in every centralizer and listing: on the ints, not the derived key
     def __eq__(self, other):
@@ -289,5 +306,5 @@ _affine = AffineMap._make  # a matrix and a vector over one modulus
 def scalar_affine(u: int, q: int, modulus: Modulus | int) -> AffineMap:
     """The componentwise map x -> u*x + q as an AffineMap."""
     m = as_modulus(modulus)
-    u, q = int(u) % m.n, int(q) % m.n
+    u, q = _integer(u, "u") % m.n, _integer(q, "q") % m.n
     return _affine(_mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m), _vec3((q, q, q), m))

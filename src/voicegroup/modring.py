@@ -225,13 +225,15 @@ def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:
 
 
 class Residue(_Value):
-    """An integer reduced to [0, n) for a fixed modulus."""
+    """An integer reduced to [0, n) for a fixed modulus. The value, and an
+    operand that is not a Residue, are read as Modulus reads n: a float or a
+    string is refused, not truncated or parsed."""
 
     __slots__ = ("value", "modulus")
 
     def __new__(cls, value: int, modulus: Modulus | int) -> "Residue":
         modulus = as_modulus(modulus)
-        return _residue(int(value) % modulus.n, modulus)
+        return _residue(_integer(value, "value") % modulus.n, modulus)
 
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.modulus.n) == 1
@@ -240,7 +242,7 @@ class Residue(_Value):
         if isinstance(other, Residue):
             check_same_modulus(self.modulus, other.modulus)
             return other.value
-        return int(other)
+        return _integer(other, "operand")
 
     def __add__(self, other) -> "Residue":
         return Residue(self.value + self._coerce(other), self.modulus)

@@ -29,21 +29,8 @@ from .modring import (
     euler_phi,
     _prime_of,
 )
-from .linalg import (
-    ALL_PERMS,
-    AffineMap,
-    Mat3,
-    Vec3,
-    is_invertible,
-    mat_mul,
-    mat_vec,
-    scalar_affine,
-    _affine,
-    _mat3,
-    _mat_vec_ints,
-    _vec3,
-)
-from .voicing import Generator, JElement, _require_group_modulus, generator_matrix
+from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, is_invertible, mat_vec, scalar_affine, _affine, _mat3, _vec3
+from .voicing import _GENERATOR_EXPONENTS, _SLOTS, Generator, JElement, _act, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
 
@@ -120,27 +107,23 @@ def diagonal_product_family(modulus: Modulus | int, invertible_only: bool = Fals
     """The products diag(u) * (central involution), u ranging over Z/n.
 
     For even n the central involutions are Id, (UV)^(n/2), (UW)^(n/2) and
-    their product; for odd n only Id, leaving the scalar matrices. Over Z/12
+    their product, the matrices I + (n/2)*ones*w^T for the even-weight
+    covectors w; for odd n only Id, leaving the scalar matrices. So a product
+    is diag(u) + (n/2)*ones*w^T for odd u and diag(u) for even u. Over Z/12
     this yields 30 distinct matrices (16 invertible ones for unit u). Note:
     for even n this is a proper subset of the full monoid commutant, which
     also contains diag(a) + (n/2)*ones*w^T for even a; the invertible parts
     agree. See monoid_centralizer_closed_form.
     """
-    m = as_modulus(modulus)
+    m = _require_group_modulus(as_modulus(modulus))
     n = m.n
-    centrals = [Mat3.identity(m)]
-    if n % 2 == 0:
-        h = n // 2
-        for k, mm, nn in ((0, h, 0), (0, 0, h), (0, h, h)):
-            centrals.append(JElement(k, mm, nn, m).matrix())
-    out = set()
-    for u in range(n):
-        if invertible_only and math.gcd(u, n) != 1:
-            continue
-        diag = _mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m)
-        for z in centrals:
-            out.add(mat_mul(diag, z))
-    return out
+    zero = (0, 0, 0)
+    return {
+        _mat3(_centralizer_rows(u, w if u % 2 else zero, n), m)
+        for u in range(n)
+        if not invertible_only or math.gcd(u, n) == 1
+        for w in _centralizer_covectors(n)
+    }
 
 
 def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
@@ -293,11 +276,6 @@ class DualityReport:
     is_dual_pair: bool
 
 
-def _contextual_element(which: str, k: int, t: int, m: Modulus) -> JElement:
-    """U^k (UV)^t or U^k (UW)^t, for t in [0, n): the 2n of them form the contextual dihedral group."""
-    return JElement._make(k, t, 0, m) if which == "UV" else JElement._make(k, 0, t, m)
-
-
 def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
     """Whether a finite group acts simply transitively on the orbit through seed.
 
@@ -321,12 +299,12 @@ def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
 def check_duality(seed: Vec3) -> DualityReport:
     """Compare the contextual and T/I groups on the seed's T/I orbit, in O(n).
 
-    Everything runs on plain integer triples: a contextual element acts
-    through the integer rows of its matrix, a T/I map as x -> s x + t. Simple
-    transitivity is read off the seed's stabilizer (see _simply_transitive)
-    instead of restricting all 4n elements to the orbit; commutation is tested
-    on the generators over the orbit, and the generators of both groups must
-    map the orbit into itself.
+    Everything runs on plain integer triples: a contextual element U^k (UV)^t
+    or U^k (UW)^t acts through the group elements' action kernel (voicing._act),
+    a T/I map as x -> s x + t. Simple transitivity is read off the seed's
+    stabilizer (see _simply_transitive) instead of restricting all 4n elements
+    to the orbit; commutation is tested on the generators over the orbit, and
+    the generators of both groups must map the orbit into itself.
     """
     m = _require_group_modulus(seed.modulus)
     n = m.n
@@ -334,10 +312,11 @@ def check_duality(seed: Vec3) -> DualityReport:
     which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
     ti_images = _ti_images(origin, n)
     orbit = set(ti_images.values())
+    identity = _SLOTS[0]
 
     def ctx(k: int, t: int):
-        rows = _contextual_element(which, k, t, m).matrix().rows
-        return lambda w: _mat_vec_ints(rows, w, n)
+        a, b = (t, 0) if which == "UV" else (0, t)
+        return lambda w: _act(identity, k, a, b, w, n)
 
     def ti(s: int, t: int):
         return lambda w: _ti_image(w, s, t, n)
@@ -372,46 +351,35 @@ def check_duality(seed: Vec3) -> DualityReport:
     )
 
 
-ORBIT_LABELS = {
-    (0, 4, 7): "closed root position",
-    (4, 7, 0): "closed first inversion",
-    (7, 0, 4): "closed second inversion",
-    (0, 7, 4): "open root position",
-    (4, 0, 7): "open first inversion",
-    (7, 4, 0): "open second inversion",
-}
-
-
 def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int, int], dict[str, str]]:
     """Which locally-conjugated contextual operation each generator restricts to.
 
     For each of the six T/I orbits of the reorderings tau(0,4,7), compare each
     generator with tau X tau^-1 for X in {P, L, R} (the contextual operations
     on the dualistic root-position orbit) across all 24 orbit elements, on
-    plain integer triples. tau X tau^-1 is again a reflection,
-    sigma_conjugate_generator(tau, X). The match is required to be unique; an
-    ambiguous match raises.
+    plain integer triples through the action kernel. tau X tau^-1 is again a
+    reflection, sigma_conjugate_generator(tau, X). The match is required to be
+    unique; an ambiguous match raises.
     """
     m = as_modulus(modulus)
+    n = m.n
     base = Vec3.of(0, 4, 7, m).entries
+    identity = _SLOTS[0]
+
+    def act(g: Generator, w: tuple[int, int, int]) -> tuple[int, int, int]:
+        return _act(identity, 1, *_GENERATOR_EXPONENTS[g], w, n)
+
     # On the dualistic root-position orbit the three reflections realize
     # P, L, R; these serve as the reference contextual operations.
     contextual = {"P": Generator.W, "L": Generator.V, "R": Generator.U}
-    generator_rows = {g: generator_matrix(g, m).rows for g in Generator}
     table: dict[tuple[int, int, int], dict[str, str]] = {}
     for tau in ALL_PERMS:
         rep = tau.apply(base)
-        orbit = set(_ti_images(rep, m.n).values())
-        conjugates = {
-            name: generator_rows[sigma_conjugate_generator(tau, x)] for name, x in contextual.items()
-        }
+        orbit = set(_ti_images(rep, n).values())
+        conjugates = {name: sigma_conjugate_generator(tau, x) for name, x in contextual.items()}
         column: dict[str, str] = {}
-        for g, rows in generator_rows.items():
-            matches = [
-                name
-                for name, xrows in conjugates.items()
-                if all(_mat_vec_ints(rows, w, m.n) == _mat_vec_ints(xrows, w, m.n) for w in orbit)
-            ]
+        for g in Generator:
+            matches = [name for name, x in conjugates.items() if all(act(g, w) == act(x, w) for w in orbit)]
             if len(matches) != 1:
                 raise AssertionError(
                     f"generator {g} matches {matches!r} on orbit of {Vec3(rep, m)}; "

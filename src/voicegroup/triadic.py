@@ -23,8 +23,8 @@ import math
 from typing import Iterable
 
 from .modring import Modulus, _Value, _ascii_int, _integer, check_same_modulus
-from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _mat_vec_ints, _vec3
-from .voicing import _HOOK_POINTS, JElement, NotInGroup, _enumerate
+from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _vec3
+from .voicing import _HOOK_POINTS, _SLOTS, JElement, NotInGroup, _act, _enumerate
 from .extension import ExtElement
 
 
@@ -146,17 +146,18 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     every line of the orbit, so the orbit is every representative plus
     {0, h, 2h, ...}(1, 1, 1).
 
-    Each generator is read once as the integer rows of its matrix. The
-    closure costs O(12 |generators|) matrix actions on plain ints, then one
-    Vec3 is built per tuple of the result, O(|orbit|); an orbit has at most
-    12n tuples.
+    Each generator is read once as its (slots, k, m, n) coordinates, and
+    acts through the action kernel of the group elements. The closure costs
+    O(12 |generators|) actions on plain ints, then one Vec3 is built per
+    tuple of the result, O(|orbit|); an orbit has at most 12n tuples.
     """
     m = seed.modulus
     n = m.n
     actions = set()
     for g in generators:
         check_same_modulus(g.modulus, m)
-        actions.add(g.matrix().rows)
+        p = g.point
+        actions.add((_SLOTS[p], p & 1, g.m, g.n))
     x, y, z = seed.entries
     reps = {((x - z) % n, (y - z) % n): seed.entries}
     frontier = [seed.entries]
@@ -164,8 +165,8 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     while frontier:
         nxt = []
         for v in frontier:
-            for rows in actions:
-                w = _mat_vec_ints(rows, v, n)
+            for slots, k, a, b in actions:
+                w = _act(slots, k, a, b, v, n)
                 x, y, z = w
                 line = ((x - z) % n, (y - z) % n)
                 rep = reps.get(line)

@@ -26,7 +26,7 @@ import enum
 import math
 from typing import Iterable
 
-from .modring import Modulus, _Value, as_modulus, check_same_modulus
+from .modring import Modulus, _Value, _integer, as_modulus, check_same_modulus
 from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _mat3, _vec3
 
 
@@ -348,11 +348,12 @@ class JElement(_Element):
 
     def __new__(cls, k: int, m: int, n: int, modulus: Modulus | int) -> "JElement":
         modulus = _require_group_modulus(as_modulus(modulus))
+        k = _integer(k, "k")
         if k not in (0, 1):
             raise ValueError(f"k must be 0 or 1, got {k}")
         nn = modulus.n
-        # m and n are stored as plain ints in [0, n), whatever they arrive as
-        return cls._make(int(k), int(m) % nn, int(n) % nn, modulus)
+        # any integer type is stored as a plain int, m and n in [0, n); a float or a string is refused
+        return cls._make(k, _integer(m, "m") % nn, _integer(n, "n") % nn, modulus)
 
     @classmethod
     def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":

@@ -21,7 +21,6 @@ from voicegroup.linalg import (
     Perm3,
     TRANSPOSITION_13,
     Vec3,
-    mat_mul,
     scalar_affine,
 )
 from voicegroup.voicing import (
@@ -71,24 +70,9 @@ from voicegroup.datasets import FALLING_FIFTHS, GRAIL, WEBERN_ROW_1, WEBERN_ROW_
 M12 = Modulus(12)
 
 
-def _closure(mats):
-    seen = set(mats)
-    frontier = list(mats)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in mats:
-                c = mat_mul(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
-
-
-def test_criterion_01_group_order_and_normal_form_bijection(j12):
+def test_criterion_01_group_order_and_normal_form_bijection(j12, matrix_closure):
     gens = [generator_matrix(g, M12) for g in Generator]
-    closure = _closure(gens + [Mat3.identity(M12)])
+    closure = matrix_closure(gens + [Mat3.identity(M12)])
     assert len(closure) == 288
     encoded = {e.matrix() for e in j12}
     assert encoded == closure

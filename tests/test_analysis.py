@@ -107,6 +107,11 @@ def test_solve_step_matches_bruteforce(group):
         assert solve_step(src, dst, group) == solve_step_bruteforce(src, dst, group)
 
 
+def test_solve_step_rejects_an_unknown_group():
+    with pytest.raises(ValueError, match=r"^group must be one of \['J', 'extension', 'hook'\], got 'bogus'$"):
+        solve_step(Vec3.of(0, 4, 7, M12), Vec3.of(0, 3, 7, M12), group="bogus")
+
+
 @st.composite
 def planted_progressions(draw):
     """A seed with a drawn d | gcd(z - x, z - y, n), followed by 1-5 images

@@ -2,6 +2,7 @@ import argparse
 import ast
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -345,6 +346,40 @@ def test_hook_from_utt_rejects_unbalanced_brackets(capsys, utt):
     assert "cannot parse triadic transformation" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hook", "to-utt"], "error: to-utt needs --element\n"),
+        (["hook", "from-utt"], "error: from-utt needs --utt\n"),
+        (["orbit", "--seed", "1,2"], "error: expected three comma-separated entries, got '1,2'\n"),
+    ],
+)
+def test_missing_or_short_arguments_exit_1(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+def test_unreadable_progression_file_exits_1(capsys, tmp_path, command):
+    path = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, command, path)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "ambient, head",
+    [
+        ("aff", ["ambient: aff", "size: 576", "[[0,0,0],[0,0,0],[0,0,0]] + (0,0,0)", "[[0,0,0],[0,0,0],[0,0,0]] + (1,1,1)"]),
+        ("affx", ["ambient: affx", "size: 192", "[[1,0,0],[0,1,0],[0,0,1]] + (0,0,0)", "[[1,0,0],[0,1,0],[0,0,1]] + (1,1,1)"]),
+    ],
+)
+def test_affine_centralizer_text(capsys, ambient, head):
+    code, out, err = run(capsys, "centralizer", "--ambient", ambient)
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert lines[:4] == head and len(lines) == 2 + int(head[1].split()[1])
+
+
 def test_hook_rejects_non_hook_element(capsys):
     code, _, err = run(capsys, "hook", "to-utt", "--element", "(12)U")
     assert code == 2 and "error" in err
@@ -662,6 +697,31 @@ def test_library_has_no_assert_statements():
         assert lines == [], f"{path.name}: assert at lines {lines}"
 
 
+def _references(path, names):
+    """Line numbers where path names any of names: an import, a name or an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name in names)
+        or (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    ]
+
+
+def test_group_computations_use_no_matrix_kernel():
+    # structure and triadic act through the element coordinates (voicing._act and
+    # the point-product table); a matrix is built only when it is the answer.
+    kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix"}
+    for name in ("structure.py", "triadic.py"):
+        lines = _references(PACKAGE_DIR / name, kernels)
+        assert lines == [], f"{name}: matrix kernel at lines {lines}"
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name != "linalg.py":
+            lines = _references(path, {"_mat_vec_ints"})
+            assert lines == [], f"{path.name}: _mat_vec_ints at lines {lines}"
+
+
 @pytest.mark.parametrize(
     "entries",
     ["[[0.9,1,0],[1,0,0],[1,1,11]]", "[[true,1,0],[1,0,0],[1,1,11]]", '[[0,1,0],[1,0,0],[1,1,"11"]]'],
@@ -671,6 +731,41 @@ def test_normal_form_matrix_entries_must_be_integers(capsys, entries):
     code, out, err = run(capsys, "normal-form", "--matrix", entries)
     assert code == 1 and out == ""
     assert "cannot parse matrix" in err
+
+
+def _readme_cli_lines():
+    """The `voicegroup ...` lines of README's CLI block, as (argv, annotation):
+    the words up to a shell redirect, and the text after a `# ->` comment, if any."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
+        if words[:1] == ["voicegroup"]:
+            argv = words[1 : words.index(">")] if ">" in words else words[1:]
+            annotation = comment.strip()
+            out.append((argv, annotation[2:].strip() if annotation.startswith("->") else None))
+    return out
+
+
+README_CLI_LINES = _readme_cli_lines()
+
+
+def test_readme_cli_block_shows_every_subcommand():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv, _ in README_CLI_LINES} == set(commands.choices)
+    assert (["hook", "to-utt", "--element", "(13)W"], "<-,0,0>") in README_CLI_LINES
+
+
+@pytest.mark.parametrize("argv, annotation", README_CLI_LINES, ids=[" ".join(a) for a, _ in README_CLI_LINES])
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, grail_file, fifths_file, argv, annotation):
+    # the fixtures write the progression files the examples name into tmp_path
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out
+    if annotation is not None:
+        assert out.splitlines()[0] == annotation
 
 
 def _progression_file(tmp_path, text):

@@ -379,25 +379,10 @@ def test_enumeration_sizes(ext12):
         assert len([e for e in ext12 if e.point % 2 == k]) == 864
 
 
-def _bfs_matrix_closure(gens, modulus):
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mat_mul(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
-
-
-def test_enumeration_equals_bfs_closure(ext12):
+def test_enumeration_equals_bfs_closure(ext12, matrix_closure):
     gens = [generator_matrix(g, M12) for g in Generator]
     gens += [perm_matrix(Perm3.from_cycle(c), M12) for c in ("(12)", "(13)")]
-    closure = _bfs_matrix_closure(gens + [Mat3.identity(M12)], M12)
+    closure = matrix_closure(gens + [Mat3.identity(M12)])
     assert closure == {a.matrix() for a in ext12}
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import voicegroup.structure as structure
+import voicegroup.voicing as voicing
 from voicegroup.modring import BudgetExceeded, Modulus, solve_linear
 from voicegroup.linalg import (
     TRANSPOSITION_12,
@@ -18,7 +19,6 @@ from voicegroup.linalg import (
     scalar_affine,
 )
 from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix
-from voicegroup.extension import ExtElement
 from voicegroup.structure import (
     Ambient,
     DualityReport,
@@ -402,10 +402,12 @@ def test_duality_degenerate_seeds(entries):
 def test_duality_rejects_a_group_that_leaves_the_orbit(monkeypatch):
     # Every element of J preserves every T/I orbit, so only a wrong contextual
     # group can leave it: (12) (UV)^t sends (0,4,7) to (4,0,7), outside its orbit.
+    # The contextual elements act through the action kernel; moving the entries
+    # by (12) after it makes the group (12) U^k (UV)^t.
     monkeypatch.setattr(
         structure,
-        "_contextual_element",
-        lambda which, k, t, m: ExtElement(TRANSPOSITION_12, JElement(k, t, 0, m)),
+        "_act",
+        lambda slots, k, m, n, v, nn: voicing._act(TRANSPOSITION_12.slots, k, m, n, v, nn),
     )
     with pytest.raises(ValueError, match="not closed"):
         check_duality(Vec3.of(0, 4, 7, M12))

@@ -177,6 +177,20 @@ def test_public_constructors_take_keywords():
         (lambda: UTT("+", 7, " 5"), "t_minor must be an integer, got ' 5'"),
         (lambda: hook_from_normal_form_B(3, 2.5), "n must be an integer, got 2.5"),
         (lambda: hook_from_normal_form_B(3.5, 2), "p must be an integer, got 3.5"),
+        # the same holds for residues, elements, vectors, matrices and affine maps
+        (lambda: Residue(2.7, 12), "value must be an integer, got 2.7"),
+        (lambda: Residue("3", 12), "value must be an integer, got '3'"),
+        (lambda: Residue(3, 12) + 2.7, "operand must be an integer, got 2.7"),
+        (lambda: 2.7 * Residue(3, 12), "operand must be an integer, got 2.7"),
+        (lambda: JElement(0, 1.5, 2, 12), "m must be an integer, got 1.5"),
+        (lambda: JElement(0, 1, "2", 12), "n must be an integer, got '2'"),
+        (lambda: JElement(1.0, 0, 0, 12), "k must be an integer, got 1.0"),
+        (lambda: Vec3((1.9, 2, 3), 12), "entries[0] must be an integer, got 1.9"),
+        (lambda: Vec3.of(1, 2, "3", 12), "entries[2] must be an integer, got '3'"),
+        (lambda: Vec3.of(1, 2, 3, 12).shift(1.9), "c must be an integer, got 1.9"),
+        (lambda: Mat3(((1, 0, 0), (0, 1.5, 0), (0, 0, 1)), 12), "rows[1][1] must be an integer, got 1.5"),
+        (lambda: scalar_affine(1.5, 2.9, 12), "u must be an integer, got 1.5"),
+        (lambda: scalar_affine(1, 2.9, 12), "q must be an integer, got 2.9"),
     ],
 )
 def test_public_constructor_error_texts(build, message):
@@ -191,6 +205,20 @@ def test_triad_level_integers_take_any_integer_type():
     u = UTT("-", np.uint8(13), np.int32(-1))
     assert u == UTT("-", 1, 11) and type(u.t_major) is type(u.t_minor) is int
     assert hook_from_normal_form_B(np.int64(-3), np.int16(25)) == hook_from_normal_form_B(-3, 25)
+
+
+def test_value_integers_take_any_integer_type():
+    np = pytest.importorskip("numpy")
+    v = Vec3((np.int64(13), np.uint8(2), np.int32(-1)), 12)
+    assert v == Vec3.of(1, 2, 11, 12) and {type(x) for x in v.entries} == {int}
+    assert v.shift(np.int64(13)) == Vec3.of(2, 3, 0, 12)
+    a = Mat3([[np.int64(13), 0, 0], [0, np.int8(-1), 0], [0, 0, 1]], 12)
+    assert a.rows == ((1, 0, 0), (0, 11, 0), (0, 0, 1)) and type(a.rows[0][0]) is int
+    r = Residue(np.int64(5), 12) + np.int32(9)
+    assert r == Residue(2, 12) and type(r.value) is int
+    e = JElement(np.int64(1), np.int64(14), np.int16(-1), 12)
+    assert e == JElement(1, 2, 11, 12) and {type(x) for x in (e.point, e.m, e.n)} == {int}
+    assert scalar_affine(np.int64(5), np.uint8(15), 12) == scalar_affine(5, 3, 12)
 
 
 @pytest.mark.parametrize(

@@ -239,26 +239,11 @@ def test_enumerate_sizes(n, size):
     assert len(enumerate_J(n)) == size
 
 
-def _bfs_closure(mats, modulus):
-    seen = set(mats)
-    frontier = list(mats)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in mats:
-                c = mat_mul(a, g)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return seen
-
-
 @pytest.mark.parametrize("n", [7, 12])
-def test_enumeration_equals_bfs_closure(n):
+def test_enumeration_equals_bfs_closure(n, matrix_closure):
     m = Modulus(n)
     gens = [generator_matrix(g, m) for g in Generator]
-    closure = _bfs_closure(gens + [Mat3.identity(m)], m)
+    closure = matrix_closure(gens + [Mat3.identity(m)])
     assert closure == {e.matrix() for e in enumerate_J(m)}
 
 

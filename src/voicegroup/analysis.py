@@ -131,7 +131,7 @@ def solve_step(
         raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
     make, out = ExtElement._make, []
     for p, solutions in _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget):
-        out += [make(p, m, n, modulus) for m, n in solutions]
+        out += [make((p, m, n, modulus)) for m, n in solutions]
     return out
 
 
@@ -172,7 +172,7 @@ class UniformSolution:
 
     @property
     def element(self) -> ExtElement:
-        return ExtElement._make(_point(self.sigma, self.k), self.m, self.n, _require_group_modulus(self.modulus))
+        return ExtElement._make((_point(self.sigma, self.k), self.m, self.n, _require_group_modulus(self.modulus)))
 
     @property
     def matrix(self) -> Mat3:

@@ -66,29 +66,34 @@ class ExtElement(_Element):
     __slots__ = ()
 
     def __new__(cls, sigma: Perm3, j: JElement) -> "ExtElement":
-        return cls._make(_point(sigma, j.k), j.m, j.n, j.modulus)
+        k, m, n, modulus = j._c
+        return cls._make((_point(sigma, k), m, n, modulus))
 
     @property
     def sigma(self) -> Perm3:
-        return ALL_PERMS[self.point >> 1]
+        return ALL_PERMS[self._c[0] >> 1]
 
     @property
     def j(self) -> JElement:
-        return JElement._make(self.point & 1, self.m, self.n, self.modulus)
+        p, m, n, modulus = self._c
+        return JElement._make((p & 1, m, n, modulus))
 
     @classmethod
     def from_j(cls, j: JElement) -> "ExtElement":
-        return cls._make(j.k, j.m, j.n, j.modulus)
+        # the coordinates of j are those of the element at its point 0 or 1
+        return cls._make(j._c)
 
     @classmethod
     def from_sigma(cls, sigma: Perm3, modulus: Modulus | int) -> "ExtElement":
-        return cls._make(_point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus)))
+        return cls._make((_point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus))))
 
     def trace(self) -> Residue:
-        return Residue(_TRACES[self.point], self.modulus)
+        p, _, _, modulus = self._c
+        return Residue(_TRACES[p], modulus)
 
     def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.point >> 1, self.point & 1, self.m, self.n)
+        p, m, n, _ = self._c
+        return (p >> 1, p & 1, m, n)
 
 
 def ext_decode(m: Mat3) -> ExtElement:
@@ -127,12 +132,11 @@ def _translation_class(b: ExtElement) -> list[ExtElement]:
     _PRODUCTS[0][p], and multiplying by s^-1 on the right subtracts s; so the
     coset is spanned by the columns of A_p - 1, and no element is multiplied.
     """
-    m = b.modulus
+    p, bm, bn, m = b._c
     nn = m.n
-    p, bm, bn = b.point, b.m, b.n
     _, a11, a12, a21, a22, _, _ = _PRODUCTS[0][p]
     return [
-        ExtElement._make(p, (bm + dm) % nn, (bn + dn) % nn, m)
+        ExtElement._make((p, (bm + dm) % nn, (bn + dn) % nn, m))
         for dm, dn in _span((a11 - 1, a21), (a12, a22 - 1), nn)
     ]
 
@@ -149,10 +153,10 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
     """
     if within not in ("J", "extension"):
         raise ValueError(f"within must be 'J' or 'extension', got {within!r}")
-    m = a.modulus
+    m = a._c[3]
     out: set[ExtElement] = set()
     for p in range(2 if within == "J" else 12):
-        tau = ExtElement._make(p, 0, 0, m)
+        tau = ExtElement._make((p, 0, 0, m))
         b = tau * a * tau.inverse()
         if b not in out:  # T-classes partition the class
             out.update(_translation_class(b))
@@ -213,4 +217,4 @@ def parse_element(text: str, modulus: Modulus | int) -> ExtElement:
         if nn < 3:  # the first factor rejects the modulus, after its own text
             _require_group_modulus(m)
         p, x, y = _compose(p, x, y, q, a, b, nn)
-    return ExtElement._make(p, x, y, _require_group_modulus(m))
+    return ExtElement._make((p, x, y, _require_group_modulus(m)))

@@ -136,9 +136,10 @@ class _Value:
     no checks, for the library's own producers; cls._TRUSTED, that
     constructor and the fields it takes, through which pickle and copy
     rebuild a value; the repr, field by field; and equality and hash, on the
-    class and every field. Vec3, Mat3 and the group elements write their own
-    equality and hash, and the group elements their own repr. The public
-    constructor (__new__) reduces and checks its input, then calls cls._make.
+    class and every field. Vec3 and Mat3 write their own equality and hash,
+    and the group elements, whose one slot holds their coordinate tuple,
+    their own hash and repr. The public constructor (__new__) reduces and
+    checks its input, then calls cls._make.
     Setting or deleting an attribute raises dataclasses.FrozenInstanceError,
     imported only then, so that loading the library does not load
     dataclasses.
@@ -219,7 +220,8 @@ def as_modulus(m: Modulus | int) -> Modulus:
 
 
 def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:
-    if a is not b and a != b:
+    # two moduli are compared by n, not through _Value.__eq__; anything else, such as an int, is compared as it is
+    if a is not b and (a.n != b.n if type(a) is type(b) is Modulus else a != b):
         raise ValueError(f"mixed moduli: {a} vs {b}")
     return a
 
@@ -286,10 +288,13 @@ def euler_phi(n: int) -> int:
 
 
 def _prime_of(q: int) -> int:
-    for p in range(2, q + 1):
+    """The prime of a prime power q: its least factor up to isqrt(q), else q itself."""
+    for p in range(2, math.isqrt(q) + 1):
         if q % p == 0:
             return p
-    raise ValueError(f"not a prime power: {q}")
+    if q < 2:
+        raise ValueError(f"not a prime power: {q}")
+    return q
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

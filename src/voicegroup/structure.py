@@ -72,7 +72,7 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     """
     m = _require_group_modulus(as_modulus(modulus))
     halves = (0, m.n // 2) if m.n % 2 == 0 else (0,)
-    return [JElement._make(0, a, b, m) for a in halves for b in halves]
+    return [JElement._make((0, a, b, m)) for a in halves for b in halves]
 
 
 def _require_budget(m: Modulus, budget: int) -> None:

@@ -155,9 +155,9 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     n = m.n
     actions = set()
     for g in generators:
-        check_same_modulus(g.modulus, m)
-        p = g.point
-        actions.add((_SLOTS[p], p & 1, g.m, g.n))
+        p, a, b, modulus = g._c
+        check_same_modulus(modulus, m)
+        actions.add((_SLOTS[p], p & 1, a, b))
     x, y, z = seed.entries
     reps = {((x - z) % n, (y - z) % n): seed.entries}
     frontier = [seed.entries]
@@ -252,7 +252,8 @@ def all_utts() -> list[UTT]:
 def is_in_hook(e: ExtElement) -> bool:
     """Stabilizing root position forces sigma = id on the mode-preserving half
     and sigma = (13) on the mode-reversing half."""
-    return e.modulus.n == 12 and e.point in _HOOK_POINTS
+    p, _, _, modulus = e._c
+    return modulus.n == 12 and p in _HOOK_POINTS
 
 
 def _require_hook(e: ExtElement) -> None:
@@ -271,14 +272,15 @@ def rho(u: UTT) -> ExtElement:
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
     m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
-    return ExtElement._make(_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE)
+    return ExtElement._make((_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
 
 
 def rho_inverse(e: ExtElement) -> UTT:
     """Read <s, a, b> off a Hook element's normal form: its two root shifts (see _FIFTH)."""
     _require_hook(e)
-    k, n = e.k, e.n
-    shift = _FIFTH * e.m
+    p, m, n, _ = e._c
+    k = p & 1
+    shift = _FIFTH * m
     u = UTT("-" if k else "+", shift + _MINOR_THIRD * (n - k), shift + _MAJOR_THIRD * (n - k))
     if rho(u) != e:
         raise RuntimeError(f"rho({u}) = {rho(u)} does not equal {e}")
@@ -292,12 +294,13 @@ def hook_normal_form_B(e: ExtElement) -> tuple[int, int]:
     is the mode parity and p // 2 is minus the (UV) exponent.
     """
     _require_hook(e)
-    return (2 * ((-e.m) % 12) + e.k, e.n)
+    p, m, n, _ = e._c
+    return (2 * (-m % 12) + (p & 1), n)
 
 
 def hook_from_normal_form_B(p: int, n: int) -> ExtElement:
     q, k = divmod(_integer(p, "p") % 24, 2)
-    return ExtElement._make(_HOOK_POINTS[k], -q % 12, _integer(n, "n") % 12, _TWELVE)
+    return ExtElement._make((_HOOK_POINTS[k], -q % 12, _integer(n, "n") % 12, _TWELVE))
 
 
 def wreath_generators() -> tuple[ExtElement, ExtElement, ExtElement]:

@@ -228,62 +228,72 @@ def _matrix_rows(p: int, m: int, n: int, nn: int) -> tuple[tuple[int, int, int],
 
 
 class _Element(_Value):
-    """sigma U^k (UV)^m (UW)^n, stored as its point p and translation (m, n).
+    """sigma U^k (UV)^m (UW)^n, stored as one coordinate tuple
+    _c = (point, m, n, modulus): its point p, its translation (m, n) and its
+    modulus.
 
     The one storage of JElement (the points 0 and 1) and ExtElement (all
     twelve points), with every group operation written once, on the
-    point-product table. Values are immutable (see modring._Value); two are
-    equal, and hash equal, when their class, coordinates and modulus agree.
+    point-product table. The trusted constructor derived from the one slot
+    (see modring._Value) takes the coordinate tuple and stores it in one
+    write, and the library's own readers unpack _c once; point, m, n and
+    modulus are read-only views of it. Values are immutable; two are equal
+    when their class and coordinates agree (the derived comparison of _c,
+    which compares moduli by n), and equal values hash equal.
     """
 
-    __slots__ = ("point", "m", "n", "modulus")
+    __slots__ = ("_c",)
 
-    # hashed and compared in every orbit, listing and solution set: on the ints, not the derived key
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.point, self.m, self.n, self.modulus.n) == (other.point, other.m, other.n, other.modulus.n)
+    point = property(lambda self: self._c[0], doc="2i + k, for sigma = ALL_PERMS[i]")
+    m = property(lambda self: self._c[1], doc="the exponent of (UV), in [0, n)")
+    n = property(lambda self: self._c[2], doc="the exponent of (UW), in [0, n)")
+    modulus = property(lambda self: self._c[3], doc="the Modulus")
 
+    # hashed in every orbit, listing and solution set: on plain ints, not through Modulus.__hash__
     def __hash__(self):
-        return hash((self.point, self.m, self.n, self.modulus.n))
+        p, m, n, modulus = self._c
+        return hash((p, m, n, modulus.n))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({str(self)!r}, mod {self.modulus.n})"
+        return f"{type(self).__name__}({str(self)!r}, mod {self._c[3].n})"
 
     @property
     def k(self) -> int:
-        return self.point & 1
+        return self._c[0] & 1
 
     @classmethod
     def identity(cls, modulus: Modulus | int):
-        return cls._make(0, 0, 0, _require_group_modulus(as_modulus(modulus)))
+        return cls._make((0, 0, 0, _require_group_modulus(as_modulus(modulus))))
 
     def is_identity(self) -> bool:
-        return not (self.point or self.m or self.n)
+        p, m, n, _ = self._c
+        return not (p or m or n)
 
     def is_mode_reversing(self) -> bool:
-        return bool(self.point & 1)
+        return bool(self._c[0] & 1)
 
     def __mul__(self, other):
         cls = type(self)
         if type(other) is not cls:
             return NotImplemented
-        modulus = check_same_modulus(self.modulus, other.modulus)
-        p, m, n = _compose(self.point, self.m, self.n, other.point, other.m, other.n, modulus.n)
-        return cls._make(p, m, n, modulus)
+        p, m, n, modulus = self._c
+        q, m2, n2, other_modulus = other._c
+        p, m, n = _compose(p, m, n, q, m2, n2, check_same_modulus(modulus, other_modulus).n)
+        return cls._make((p, m, n, modulus))
 
     def inverse(self):
         """(p, t)^-1 = (p^-1, -(A t + c)), with A and c from the (p, p^-1) row."""
-        p = self.point
+        p, m, n, modulus = self._c
         q = _INVERSE_POINTS[p]
         _, a, b, c, d, e, f = _PRODUCTS[p][q]
-        nn, m, n = self.modulus.n, self.m, self.n
-        return type(self)._make(q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, self.modulus)
+        nn = modulus.n
+        return type(self)._make((q, -(a * m + b * n + e) % nn, -(c * m + d * n + f) % nn, modulus))
 
     def _powers(self) -> list[tuple[int, int, int]]:
         """The (point, m, n) of self, self^2, ..., self^s, folded on plain ints by
         _compose, for s the order of sigma (1, 2 or 3); self^s lies in J."""
-        p, m, n, nn = self.point, self.m, self.n, self.modulus.n
+        p, m, n, modulus = self._c
+        nn = modulus.n
         out = [(p, m, n)]
         q, a, b = p, m, n
         while q > 1:
@@ -296,39 +306,41 @@ class _Element(_Value):
         and x^(t div s) is the closed form _j_power; one element is built."""
         powers = self._powers()
         q, r = divmod(t, len(powers))
-        nn = self.modulus.n
+        modulus = self._c[3]
+        nn = modulus.n
         p, m, n = _j_power(*powers[-1], q, nn)
         if r:
             p, m, n = _compose(p, m, n, *powers[r - 1], nn)
-        return type(self)._make(p, m, n, self.modulus)
+        return type(self)._make((p, m, n, modulus))
 
     def order(self) -> int:
         """s times the order of x = self^s in J, for s the order of sigma: x is an
         involution when mode-reversing, else of the additive order of (m, n) in (Z/n)^2."""
         powers = self._powers()
         k, m, n = powers[-1]
-        nn = self.modulus.n
+        nn = self._c[3].n
         return len(powers) * (2 if k else nn // math.gcd(m, n, nn))
 
     def matrix(self) -> Mat3:
         """P_sigma M_{U^k} plus the translation row (-m, -n, m+n) in every row
         (columns are the images of the basis)."""
-        return _mat3(_matrix_rows(self.point, self.m, self.n, self.modulus.n), self.modulus)
+        p, m, n, modulus = self._c
+        return _mat3(_matrix_rows(p, m, n, modulus.n), modulus)
 
     def apply(self, v: Vec3) -> Vec3:
-        check_same_modulus(self.modulus, v.modulus)
-        p = self.point
-        return _vec3(_act(_SLOTS[p], p & 1, self.m, self.n, v.entries, v.modulus.n), v.modulus)
+        p, m, n, modulus = self._c
+        check_same_modulus(modulus, v.modulus)
+        return _vec3(_act(_SLOTS[p], p & 1, m, n, v.entries, v.modulus.n), v.modulus)
 
     def __str__(self) -> str:
-        p = self.point
+        p, m, n, _ = self._c
         parts = [ALL_PERMS[p >> 1].cycle_notation()] if p > 1 else []
         if p & 1:
             parts.append("U")
-        if self.m:
-            parts.append(f"(UV)^{self.m}")
-        if self.n:
-            parts.append(f"(UW)^{self.n}")
+        if m:
+            parts.append(f"(UV)^{m}")
+        if n:
+            parts.append(f"(UW)^{n}")
         return " ".join(parts) if parts else "Id"
 
 
@@ -353,14 +365,14 @@ class JElement(_Element):
             raise ValueError(f"k must be 0 or 1, got {k}")
         nn = modulus.n
         # any integer type is stored as a plain int, m and n in [0, n); a float or a string is refused
-        return cls._make(k, _integer(m, "m") % nn, _integer(n, "n") % nn, modulus)
+        return cls._make((k, _integer(m, "m") % nn, _integer(n, "n") % nn, modulus))
 
     @classmethod
     def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
         return cls(1, *_GENERATOR_EXPONENTS[g], modulus)
 
     def sort_key(self) -> tuple[int, int, int]:
-        return (self.point, self.m, self.n)
+        return self._c[:3]
 
 
 def _decode(cls, a: Mat3, points: int):
@@ -374,13 +386,13 @@ def _decode(cls, a: Mat3, points: int):
         return None
     base, first = _BASES[p][0], rows[0]
     m, n = (base[0] - first[0]) % nn, (base[1] - first[1]) % nn
-    return cls._make(p, m, n, a.modulus) if _matrix_rows(p, m, n, nn) == rows else None
+    return cls._make((p, m, n, a.modulus)) if _matrix_rows(p, m, n, nn) == rows else None
 
 
 def _enumerate(cls, points, modulus: Modulus | int) -> list:
     """Every element at the given points, in sort-key order."""
     m = _require_group_modulus(as_modulus(modulus))
-    return [cls._make(p, a, b, m) for p in points for a in range(m.n) for b in range(m.n)]
+    return [cls._make((p, a, b, m)) for p in points for a in range(m.n) for b in range(m.n)]
 
 
 def decode(a: Mat3) -> JElement:
@@ -399,7 +411,7 @@ def word_to_element(word: Iterable[Generator | str] | str, modulus: Modulus | in
     end. Any other letter raises ValueError.
     """
     m = _require_group_modulus(as_modulus(modulus))
-    return JElement._make(*_fold_word(word, m.n), m)
+    return JElement._make((*_fold_word(word, m.n), m))
 
 
 def _fold_word(word, nn: int) -> tuple[int, int, int]:

@@ -210,6 +210,18 @@ def _count_solves(monkeypatch, rows_seen=None):
     return calls
 
 
+@pytest.mark.parametrize("solve", [lambda prog: solve_uniform(prog, ALL_PERMS[0], 0), solve_uniform_all_cases])
+def test_uniform_solutions_that_miss_a_step_are_refused(monkeypatch, solve):
+    # only the identity case can realize these steps, with 7m + 3n = 1 mod 12; a solver
+    # that returns (m, n) = (5, 0) there is caught by the re-verification against every step
+    prog = Progression.of([(0, 4, 7), (1, 5, 8), (2, 6, 9)], 12)
+    assert {(s.sigma, s.k) for s in solve(prog)} == {(ALL_PERMS[0], 0)}
+    monkeypatch.setattr(analysis, "solve_linear", lambda rows, rhs, modulus, budget: [(5, 0)])
+    with pytest.raises(RuntimeError) as info:
+        solve(prog)
+    assert str(info.value) == "solver returned (UV)^5, which does not realize every step"
+
+
 _GROUP_CASES = {"J": [(Perm3.identity(), k) for k in (0, 1)], "extension": [(s, k) for s in ALL_PERMS for k in (0, 1)]}
 
 

@@ -722,6 +722,55 @@ def test_group_computations_use_no_matrix_kernel():
             assert lines == [], f"{path.name}: _mat_vec_ints at lines {lines}"
 
 
+def _element_make_calls(path):
+    """(line, whether it passes exactly one plain argument) for each call in path
+    that builds a group element through its trusted constructor: JElement._make or
+    ExtElement._make, cls._make or type(self)._make in the element modules, and a
+    name bound to any of these."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = {"JElement", "ExtElement"} | ({"cls"} if path.name in ("voicing.py", "extension.py") else set())
+
+    def is_make(node):
+        if not (isinstance(node, ast.Attribute) and node.attr == "_make"):
+            return False
+        owner = node.value
+        if isinstance(owner, ast.Call):  # type(self)._make
+            return isinstance(owner.func, ast.Name) and owner.func.id == "type" and "cls" in owners
+        return isinstance(owner, ast.Name) and owner.id in owners
+
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):  # make, out = X._make, []
+                    pairs = zip(target.elts, node.value.elts)
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name) and is_make(v)}
+    return [
+        (node.lineno, len(node.args) == 1 and not isinstance(node.args[0], ast.Starred) and not node.keywords)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (is_make(node.func) or (isinstance(node.func, ast.Name) and node.func.id in aliases))
+    ]
+
+
+def test_elements_are_built_from_one_coordinate_tuple():
+    # an element holds one slot, (point, m, n, modulus), and its trusted constructor is
+    # the one-field one that modring._Value derives; a call that still passes four
+    # fields would raise TypeError only on the path that runs it
+    from voicegroup.extension import ExtElement
+    from voicegroup.voicing import JElement, _Element
+
+    assert _Element.__slots__ == ("_c",)
+    for cls in (JElement, ExtElement):
+        assert cls.__dict__["__slots__"] == ()
+        assert cls._make.__code__ is Modulus._make.__code__ and cls._make.__qualname__ == f"{cls.__name__}._make"
+    calls = {path.name: _element_make_calls(path) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert sum(len(found) for found in calls.values()) >= 15
+    for name, found in calls.items():
+        lines = [line for line, one in found if not one]
+        assert lines == [], f"{name}: element _make without one coordinate tuple at lines {lines}"
+
+
 @pytest.mark.parametrize(
     "entries",
     ["[[0.9,1,0],[1,0,0],[1,1,11]]", "[[true,1,0],[1,0,0],[1,1,11]]", '[[0,1,0],[1,0,0],[1,1,"11"]]'],

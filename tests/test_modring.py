@@ -8,6 +8,7 @@ from voicegroup.modring import (
     BudgetExceeded,
     Modulus,
     Residue,
+    check_same_modulus,
     euler_phi,
     solve_linear,
     units,
@@ -41,6 +42,23 @@ def test_modulus_reads_numpy_integers_as_int():
         assert Modulus(n) == Modulus(12) and type(Modulus(n).n) is int
     sols = solve_linear([[np.int64(7), np.uint8(3)], np.array([9, 5])], np.array([11, -7]), np.int32(12))
     assert sols == [(2, 7), (5, 4), (8, 1), (11, 10)] and {type(x) for sol in sols for x in sol} == {int}
+
+
+def test_check_same_modulus_compares_n():
+    a, b = Modulus(12), Modulus(12)
+    assert a is not b and check_same_modulus(a, b) is a
+    with pytest.raises(ValueError, match="mixed moduli: 12 vs 13"):
+        check_same_modulus(a, Modulus(13))
+    # an int is not a Modulus, even when it equals n
+    for x, y in ((a, 12), (12, a)):
+        with pytest.raises(ValueError, match="mixed moduli: 12 vs 12"):
+            check_same_modulus(x, y)
+
+
+def test_euler_phi_of_a_large_prime_does_not_trial_divide_to_it():
+    # 10000000019 is prime: trial division stops at its square root, not at the prime
+    assert euler_phi(10000000019) == 10000000018
+    assert euler_phi(10000000019 * 4) == 10000000018 * 2
 
 
 def test_is_unit_examples():

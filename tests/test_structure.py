@@ -290,6 +290,14 @@ def test_counts_match_closed_form_with_lifted_budget(n):
     assert (count_GL3(n, budget=n**9), count_SL3(n, budget=n**9)) == _row_pair_counts(n)
 
 
+def test_order_formulas_at_a_large_prime():
+    # the product formula over F_p, for the prime p = 10000000019
+    p = 10000000019
+    gl = (p**3 - 1) * (p**3 - p) * (p**3 - p**2)
+    assert gl3_order_closed_form(p) == gl
+    assert sl3_order_closed_form(p) == gl // (p - 1)
+
+
 def test_count_budget():
     with pytest.raises(BudgetExceeded):
         count_GL3(7)

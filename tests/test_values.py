@@ -4,7 +4,10 @@ Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements and the
 triad records share one storage (modring._Value): a validating public
 constructor, and, derived from the declared slots, one
 trusted constructor for the library's own producers, frozen fields, equality,
-and pickle and copy through the trusted constructor.
+and pickle and copy through the trusted constructor. A group element has one
+slot, its coordinate tuple _c = (point, m, n, modulus), so its trusted
+constructor takes that tuple, and point, m, n and modulus are read-only views
+of it.
 """
 
 import copy
@@ -79,8 +82,8 @@ def test_parsed_element_pickles():
 
 
 _FIELDS = {
-    JElement: ("point", "m", "n", "modulus"),
-    ExtElement: ("point", "m", "n", "modulus"),
+    JElement: ("_c",),
+    ExtElement: ("_c",),
     Vec3: ("entries", "modulus"),
     Mat3: ("rows", "modulus"),
     Perm3: ("image",),
@@ -91,11 +94,13 @@ _FIELDS = {
     TriadClass: ("id", "voicing"),
     UTT: ("sign", "t_major", "t_minor"),
 }
+# the coordinates of a group element, in the order of its one slot _c
+_COORDINATES = {JElement: ("point", "m", "n", "modulus"), ExtElement: ("point", "m", "n", "modulus")}
 
 
 @pytest.mark.parametrize("value", _values(12), ids=lambda v: type(v).__name__)
 def test_values_are_frozen(value):
-    for name in _FIELDS[type(value)]:
+    for name in _FIELDS[type(value)] + _COORDINATES.get(type(value), ()):
         with pytest.raises(FrozenInstanceError):
             setattr(value, name, 0)
         with pytest.raises(FrozenInstanceError):
@@ -300,6 +305,9 @@ def test_trusted_constructor_is_derived_from_the_slots(value):
     again = cls._make(*fields)
     assert type(again) is cls and again == value and hash(again) == hash(value)
     assert cls._make.__qualname__ == f"{cls.__qualname__}._make"
+    if cls in _COORDINATES:  # the one slot holds the coordinates that the views read
+        assert value._c == tuple(getattr(value, name) for name in _COORDINATES[cls])
+        assert again._c is value._c
 
 
 @pytest.mark.parametrize("value, other", zip(_values(12), _others(12)), ids=lambda v: type(v).__name__)
@@ -310,6 +318,11 @@ def test_every_field_takes_part_in_equality(value, other):
     for i, name in enumerate(_FIELDS[cls]):
         assert getattr(other, name) != fields[i], name
         changed = cls._make(*fields[:i], getattr(other, name), *fields[i + 1 :])
+        assert changed != value and value != changed, name
+    for i, name in enumerate(_COORDINATES.get(cls, ())):  # each coordinate of an element's one slot
+        c = value._c
+        assert other._c[i] != c[i], name
+        changed = cls._make(c[:i] + other._c[i : i + 1] + c[i + 1 :])
         assert changed != value and value != changed, name
 
 

@@ -8,13 +8,18 @@ its successor t, and one case loop, _cases, answers it. At the point
 each other point gives one linear equation in (m, n) per step, solved
 exactly by modring.solve_linear. Each distinct equation is solved once: a
 step that recurs gives one equation, points with equal right-hand sides share
-one solve per query, and solve_linear drops repeated rows. solve_step
-runs the loop over one step and a group's points, solve_uniform over every
-step and one point, and solve_uniform_all_cases over every step and all
-twelve points. The affine maps between two progressions solve a linear
-system in the map's (u, q), once per covector w of the centralizer family
-(see voicing.py). A brute-force scan over the whole group is the oracle for
-the linear route.
+one solve per query, and solve_linear drops repeated rows of a system with
+two or more. solve_step runs the loop over one step and a group's points,
+solve_uniform over every step and one point, and solve_uniform_all_cases over
+every step and all twelve points; each uniform solution is checked against
+every distinct step before it is returned. The affine maps between two
+progressions solve a linear system in the map's (u, q), once per covector w
+of the centralizer family (see voicing.py). A brute-force scan over the whole
+group is the oracle for the linear route.
+
+The JSON and DOT network exports both render from one pass over the
+progression's plain triples (_network), which lists the distinct triples in
+first-seen order and each step as an edge between two of them.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ class Progression:
         cls, entries: Sequence[Sequence[int]], modulus: Modulus | int, cyclic: bool = False
     ) -> "Progression":
         m = as_modulus(modulus)
-        return cls(m, tuple(Vec3.of(*e, m) for e in entries), cyclic)
+        return cls(m, tuple(Vec3(e, m) for e in entries), cyclic)
 
     def steps(self) -> list[tuple[Vec3, Vec3]]:
         """Consecutive pairs, including the wrap-around pair when cyclic."""
@@ -71,7 +76,12 @@ class Progression:
         if not isinstance(data, dict) or "modulus" not in data or "tuples" not in data:
             raise ValueError("progression JSON needs 'modulus' and 'tuples'")
         # read as progression.schema.json declares: nothing is coerced, and a bool is not an int
+        extra = sorted(data.keys() - {"modulus", "tuples", "cyclic"})
+        if extra:
+            raise ValueError(f"unknown progression keys: {', '.join(map(repr, extra))}")
         modulus, tuples, cyclic = data["modulus"], data["tuples"], data.get("cyclic", False)
+        if not isinstance(tuples, list) or not all(isinstance(v, list) for v in tuples):
+            raise ValueError("tuples must be an array of arrays of integers")
         if not _is_int(modulus) or not all(_is_int(x) for v in tuples for x in v):
             raise ValueError("the modulus and the tuple entries must be integers")
         if not isinstance(cyclic, bool):
@@ -198,10 +208,11 @@ def _solve_uniform(prog: Progression, budget: int, sigma: Perm3 | None = None, k
     for p, solutions in _cases(steps, points, modulus, budget):
         sigma_p, k_p, slots = ALL_PERMS[p >> 1], p & 1, _SLOTS[p]
         for m, n in solutions:
-            s = UniformSolution(sigma_p, k_p, m, n, modulus)
-            if any(_act(slots, k_p, m, n, src, nn) != dst for src, dst in steps):
-                raise RuntimeError(f"solver returned {s}, which does not realize every step")
-            out.append(s)
+            for src, dst in steps:
+                if _act(slots, k_p, m, n, src, nn) != dst:
+                    s = UniformSolution(sigma_p, k_p, m, n, modulus)
+                    raise RuntimeError(f"solver returned {s}, which does not realize every step")
+            out.append(UniformSolution(sigma_p, k_p, m, n, modulus))
     return out
 
 
@@ -324,40 +335,43 @@ def find_rich_voicing_cycle(
     return None
 
 
-def export_network_json(prog: Progression, labels: Sequence[ExtElement] | None = None) -> dict:
-    """Graph document: tuples as nodes, one directed edge per step."""
+def _network(prog: Progression, labels: Sequence[ExtElement] | None) -> tuple[list[tuple], list[tuple]]:
+    """The progression network in one pass: its nodes, the distinct plain
+    triples in first-seen order, and one edge (from, to, label text or None)
+    per step. Triples are compared as plain entries, which is sound because a
+    progression has one modulus."""
     steps = prog.steps()
     if labels is not None and len(labels) != len(steps):
         raise ValueError(f"expected {len(steps)} labels (one per edge), got {len(labels)}")
-    nodes: list[Vec3] = []
-    index: dict[Vec3, int] = {}
+    index: dict[tuple, int] = {}
     for v in prog.tuples:
-        if v not in index:
-            index[v] = len(nodes)
-            nodes.append(v)
-    edges = []
-    for i, (src, dst) in enumerate(steps):
-        edge = {"from": index[src], "to": index[dst]}
-        if labels is not None:
-            edge["label"] = str(labels[i])
-        edges.append(edge)
+        index.setdefault(v.entries, len(index))
+    texts = [None] * len(steps) if labels is None else list(map(str, labels))
+    edges = [(index[src.entries], index[dst.entries], text) for (src, dst), text in zip(steps, texts)]
+    return list(index), edges
+
+
+def export_network_json(prog: Progression, labels: Sequence[ExtElement] | None = None) -> dict:
+    """Graph document: tuples as nodes, one directed edge per step."""
+    nodes, edges = _network(prog, labels)
     return {
         "modulus": prog.modulus.n,
         "cyclic": prog.cyclic,
-        "nodes": [list(v.entries) for v in nodes],
-        "edges": edges,
+        "nodes": [list(node) for node in nodes],
+        "edges": [
+            {"from": a, "to": b} if text is None else {"from": a, "to": b, "label": text} for a, b, text in edges
+        ],
     }
 
 
 def export_network_dot(prog: Progression, labels: Sequence[ExtElement] | None = None) -> str:
     """DOT rendering of the progression network, deterministically ordered."""
-    doc = export_network_json(prog, labels)
-    names = ["(" + ",".join(str(x) for x in node) + ")" for node in doc["nodes"]]
+    nodes, edges = _network(prog, labels)
+    names = ['"(' + ",".join(map(str, node)) + ')"' for node in nodes]
     lines = ["digraph progression {", "  rankdir=LR;"]
-    for name in names:
-        lines.append(f'  "{name}";')
-    for edge in doc["edges"]:
-        attr = f' [label="{edge["label"]}"]' if "label" in edge else ""
-        lines.append(f'  "{names[edge["from"]]}" -> "{names[edge["to"]]}"{attr};')
+    lines += [f"  {name};" for name in names]
+    for a, b, text in edges:
+        attr = "" if text is None else f' [label="{text}"]'
+        lines.append(f"  {names[a]} -> {names[b]}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -117,7 +117,7 @@ def _load_progression(path: str, args) -> Progression:
 
 def _cmd_normal_form(args) -> int:
     modulus = Modulus(args.mod)
-    if args.word:
+    if args.word is not None:
         cleaned = args.word.replace(" ", "")
         if not cleaned or any(c not in "UVW" for c in cleaned):
             raise CliError(f"word must consist of the letters U, V, W: {args.word!r}")

@@ -308,25 +308,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _pivot_op(x: int, y: int) -> tuple[int, int, int, int]:
-    """Coefficients (s, t, u, v) of a determinant-1 map (x, y) -> (g, 0).
-
-    The pair becomes (s*x + t*y, u*x + v*y) with g = gcd(x, y). When x
-    divides y the first entry is left alone, so the pivot only ever shrinks.
-    """
-    if y % x == 0:
-        return 1, 0, -(y // x), 1
-    g, s, t = _xgcd(x, y)
-    return s, t, -(y // g), x // g
-
-
 def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
     """Echelon the augmented rows [a_0 .. a_{d-1} | c] over Z/n, with row
     operations only, into Howell form; return (pivots, zero_rhs).
 
-    The last unknown is eliminated first. pivots[j] is the one row whose
-    leading unknown is x_j, scaled so that its pivot is g = gcd(pivot, n), or
-    None when x_j is free; a pivot that already divides n is kept as it is.
+    The last unknown is eliminated first. Each row with a nonzero x_j entry y
+    meets the pivot row p, whose entry is x: when x divides y, y is cleared
+    with p itself, which stays the pivot; otherwise one extended gcd gives a
+    determinant-1 map of the two rows that takes (x, y) to (gcd(x, y), 0).
+    pivots[j] is the one row whose leading unknown is x_j, scaled so that its
+    pivot is g = gcd(pivot, n), or None when x_j is free; a pivot that
+    already divides n is kept as it is.
     Each pivot row p also pushes its annihilator (n/g)*p, which vanishes at
     x_j, into the rows left to eliminate (Storjohann's Howell form) unless it
     is all zero, so every vector of the row span that vanishes on
@@ -343,10 +335,15 @@ def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
             elif p is None:
                 p = b
             else:
-                s, t, u, w = _pivot_op(p[j], b[j])
-                rest.append([(u * x + w * y) % n for x, y in zip(p, b)])
-                if t:  # the pivot row changes only when the pivot shrinks
-                    p = [(s * x + t * y) % n for x, y in zip(p, b)]
+                x, y = p[j], b[j]
+                if y % x:
+                    g, s, t = _xgcd(x, y)
+                    u, w = -(y // g), x // g
+                    rest.append([(u * e + w * f) % n for e, f in zip(p, b)])
+                    p = [(s * e + t * f) % n for e, f in zip(p, b)]
+                else:
+                    q = y // x
+                    rest.append([(f - q * e) % n for e, f in zip(p, b)])
         if p is not None:
             g = p[j]
             if n % g:
@@ -372,9 +369,10 @@ def solve_linear(
     """All solution vectors of rows.x == rhs over Z/n, sorted.
 
     Exact: each entry is read as an integer (any integer type; a float or a
-    string is refused with ValueError, not truncated), each augmented row is
-    reduced mod n and kept once, in order of first occurrence, so a repeated
-    equation is solved once; the row span, and so the answer, is unchanged.
+    string is refused with ValueError, not truncated), and each augmented row
+    is reduced mod n. Two or more rows are kept once each, in order of first
+    occurrence, so a repeated equation is solved once; the row span, and so
+    the answer, is unchanged.
     The distinct rows are brought to Howell form (see _howell) and solved by
     back-substitution from x_0 up. A pivot g on x_j leaves the g values
     r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the terms in
@@ -400,11 +398,12 @@ def solve_linear(
         raise ValueError(f"at most {MAX_UNKNOWNS} unknowns supported, got {d}")
     if len(rhs) != len(rows):
         raise ValueError("rhs length must match the number of rows")
-    if set(map(len, rows)) != {d}:
-        raise ValueError("all rows must have the same number of unknowns")
+    for row in rows:
+        if len(row) != d:
+            raise ValueError("all rows must have the same number of unknowns")
     mod_n = n.__rmod__  # x -> x % n
     try:
-        augmented = dict.fromkeys((*map(mod_n, map(index, row)), index(c) % n) for row, c in zip(rows, rhs))
+        augmented = [(*map(mod_n, map(index, row)), index(c) % n) for row, c in zip(rows, rhs)]
     except TypeError:
         # name the first entry that is not an integer
         for i, row in enumerate(rows):
@@ -413,7 +412,9 @@ def solve_linear(
         for i, c in enumerate(rhs):
             _integer(c, f"rhs[{i}]")
         raise
-    pivots, zero_rhs = _howell(list(augmented), n)
+    if len(augmented) > 1:
+        augmented = list(dict.fromkeys(augmented))
+    pivots, zero_rhs = _howell(augmented, n)
     for q in m.prime_powers():
         total = q**d
         if total > budget:

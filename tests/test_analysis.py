@@ -18,7 +18,7 @@ from voicegroup.linalg import (
 )
 from voicegroup.voicing import Generator, JElement, enumerate_J
 from voicegroup.extension import ExtElement, enumerate_extension, parse_element
-from voicegroup import analysis
+from voicegroup import analysis, datasets
 from voicegroup.analysis import (
     Progression,
     export_network_dot,
@@ -584,3 +584,56 @@ def test_export_json_grail():
 def test_export_label_length_mismatch():
     with pytest.raises(ValueError):
         export_network_json(GRAIL, [rich_element(12)])
+    for export in (export_network_json, export_network_dot):
+        with pytest.raises(ValueError, match=r"^expected 6 labels \(one per edge\), got 1$"):
+            export(GRAIL, [rich_element(12)])
+
+
+def _network_document(prog, labels):
+    """The reference network document: nodes de-duplicated as Vec3 values in
+    first-seen order, one edge per step of prog.steps()."""
+    steps = prog.steps()
+    nodes, index = [], {}
+    for v in prog.tuples:
+        if v not in index:
+            index[v] = len(nodes)
+            nodes.append(v)
+    edges = []
+    for i, (src, dst) in enumerate(steps):
+        edge = {"from": index[src], "to": index[dst]}
+        if labels is not None:
+            edge["label"] = str(labels[i])
+        edges.append(edge)
+    return {"modulus": prog.modulus.n, "cyclic": prog.cyclic, "nodes": [list(v.entries) for v in nodes], "edges": edges}
+
+
+def _dot_from_document(doc):
+    """The reference DOT text, rendered from the network document."""
+    names = ["(" + ",".join(str(x) for x in node) + ")" for node in doc["nodes"]]
+    lines = ["digraph progression {", "  rankdir=LR;"]
+    for name in names:
+        lines.append(f'  "{name}";')
+    for edge in doc["edges"]:
+        attr = f' [label="{edge["label"]}"]' if "label" in edge else ""
+        lines.append(f'  "{names[edge["from"]]}" -> "{names[edge["to"]]}"{attr};')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+_EXPORTED = {name: v for name, v in vars(datasets).items() if isinstance(v, Progression)} | {
+    "repeated tuple": Progression.of([(0, 4, 7), (4, 7, 11), (0, 4, 7), (4, 7, 11), (7, 11, 2)], 12, cyclic=True),
+    "one tuple": Progression.of([(0, 4, 7)], 12),
+    "one tuple, cyclic": Progression.of([(0, 4, 7)], 12, cyclic=True),
+}
+
+
+@pytest.mark.parametrize("labelling", ["none", "repeated", "distinct"])
+@pytest.mark.parametrize("name", sorted(_EXPORTED))
+def test_exports_match_the_document_derivation(name, labelling):
+    prog = _EXPORTED[name]
+    count = len(prog.steps())
+    distinct = enumerate_extension(prog.modulus)[:count]
+    labels = {"none": None, "repeated": [rich_element(prog.modulus)] * count, "distinct": distinct}[labelling]
+    doc = _network_document(prog, labels)
+    assert export_network_json(prog, labels) == doc
+    assert export_network_dot(prog, labels) == _dot_from_document(doc)

@@ -85,6 +85,14 @@ def test_normal_form_parse_error_exit_1(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_normal_form_refuses_an_empty_word(capsys, fmt):
+    # an empty --word is given, not missing, so it must not fall through to --matrix
+    code, out, err = run(capsys, "normal-form", "--word", "", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: word must consist of the letters U, V, W: ''\n"
+
+
 def test_normal_form_not_in_group_exit_2(capsys):
     code, _, err = run(capsys, "normal-form", "--matrix", "[[1,1,1],[1,1,1],[1,1,1]]")
     assert code == 2 and "error" in err
@@ -834,6 +842,10 @@ def _progression_file(tmp_path, text):
         '{"modulus": 12, "tuples": [[0,true,7],[4,7,11]]}',
         '{"modulus": "12", "tuples": [[0,4,7],[4,7,11]]}',
         '{"modulus": 12.5, "tuples": [[0,4,7],[4,7,11]]}',
+        '{"modulus": 12, "tuples": [[0,4,7],[1,5,8]], "foo": 1}',
+        '{"modulus": 12, "tuples": [[0,4],[1,5,8]]}',
+        '{"modulus": 12, "tuples": [[0,4,7,1],[1,5,8]]}',
+        '{"modulus": 12, "tuples": [5]}',
     ],
 )
 def test_progression_files_must_match_their_schema(capsys, tmp_path, command, text):
@@ -842,3 +854,5 @@ def test_progression_files_must_match_their_schema(capsys, tmp_path, command, te
     code, out, err = run(capsys, command, _progression_file(tmp_path, text))
     assert code == 1 and out == ""
     assert "malformed progression file" in err
+    # the message names the problem, not the Python call that tripped over it
+    assert "positional argument" not in err and "not iterable" not in err

@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves lazily to its module's object."""
 
+import ast
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +83,43 @@ def test_not_in_group_errors_share_one_base():
     for error in (NotInJ, NotInExtension, NotInHook):
         assert issubclass(error, NotInGroup)
     assert issubclass(NotInGroup, ValueError)
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level function, class or assignment
+    whose name starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _referenced_name(node):
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_every_private_module_name_is_referenced():
+    # a private helper that nothing in the package uses any more is dead code
+    package = Path(voicegroup.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    references = [(module, _referenced_name(node), node) for module, tree in trees.items() for node in ast.walk(tree)]
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for name, definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(n == name and (m != module or id(node) not in own) for m, n, node in references):
+                unused.append(f"{module}: {name}")
+    assert unused == []

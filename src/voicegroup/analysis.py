@@ -24,31 +24,28 @@ first-seen order and each step as an edge between two of them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .modring import DEFAULT_BUDGET, Modulus, _is_int, as_modulus, check_same_modulus, solve_linear
+from .modring import DEFAULT_BUDGET, Modulus, _Value, _is_int, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3, mat_mul
 from .voicing import _HOOK_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
 from .voicing import _point, _require_group_modulus
 from .extension import ExtElement, enumerate_extension
 
 
-@dataclass(frozen=True)
-class Progression:
+class Progression(_Value):
     """An ordered, optionally cyclic, sequence of voicings over one modulus."""
 
-    modulus: Modulus
-    tuples: tuple[Vec3, ...]
-    cyclic: bool = False
+    __slots__ = ("modulus", "tuples", "cyclic")
 
-    def __post_init__(self):
-        if not self.tuples:
+    def __new__(cls, modulus: Modulus, tuples: tuple[Vec3, ...], cyclic: bool = False) -> "Progression":
+        if not tuples:
             raise ValueError("progression must contain at least one tuple")
-        for v in self.tuples:
-            check_same_modulus(self.modulus, v.modulus)
+        for v in tuples:
+            check_same_modulus(modulus, v.modulus)
+        return cls._make(modulus, tuples, cyclic)
 
     @classmethod
     def of(
@@ -87,10 +84,6 @@ class Progression:
         if not isinstance(cyclic, bool):
             raise ValueError(f"cyclic must be true or false, got {cyclic!r}")
         return cls.of(tuples, modulus, cyclic)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Progression":
-        return cls.from_jsonable(json.loads(text))
 
 
 # Each group's points (see voicing.py) in sort-key order, so that solutions
@@ -339,14 +332,20 @@ def _network(prog: Progression, labels: Sequence[ExtElement] | None) -> tuple[li
     """The progression network in one pass: its nodes, the distinct plain
     triples in first-seen order, and one edge (from, to, label text or None)
     per step. Triples are compared as plain entries, which is sound because a
-    progression has one modulus."""
+    progression has one modulus; each distinct label object is formatted once."""
     steps = prog.steps()
     if labels is not None and len(labels) != len(steps):
         raise ValueError(f"expected {len(steps)} labels (one per edge), got {len(labels)}")
     index: dict[tuple, int] = {}
     for v in prog.tuples:
         index.setdefault(v.entries, len(index))
-    texts = [None] * len(steps) if labels is None else list(map(str, labels))
+    if labels is None:
+        texts = [None] * len(steps)
+    else:
+        # one label object often sits on every edge: format each distinct object once
+        distinct = {id(g): g for g in labels}
+        text_of = {key: str(g) for key, g in distinct.items()}
+        texts = [text_of[id(g)] for g in labels]
     edges = [(index[src.entries], index[dst.entries], text) for (src, dst), text in zip(steps, texts)]
     return list(index), edges
 

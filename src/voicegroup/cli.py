@@ -67,7 +67,7 @@ def _parse_vec(text: str, modulus: Modulus) -> Vec3:
 def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
     try:
         rows = json.loads(text)
-        matrix = Mat3.of(rows, modulus)
+        matrix = Mat3(rows, modulus)
         # Mat3 refuses a float or a string entry; a bool is an integer to it, but not to JSON
         if not all(_is_int(x) for row in rows for x in row):
             raise ValueError("entries must be integers")

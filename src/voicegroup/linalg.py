@@ -49,18 +49,6 @@ class Vec3(_Value):
     def of(cls, x: int, y: int, z: int, modulus: Modulus | int) -> "Vec3":
         return cls((x, y, z), modulus)
 
-    @property
-    def x(self) -> int:
-        return self.entries[0]
-
-    @property
-    def y(self) -> int:
-        return self.entries[1]
-
-    @property
-    def z(self) -> int:
-        return self.entries[2]
-
     def shift(self, c: int) -> "Vec3":
         """Add the constant c to every component."""
         n, c = self.modulus.n, _integer(c, "c")
@@ -88,7 +76,11 @@ class Mat3(_Value):
     __slots__ = ("rows", "modulus")
 
     def __new__(cls, rows: Sequence[Sequence[int]], modulus: Modulus | int) -> "Mat3":
-        if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        try:
+            square = len(rows) == 3 and all(len(r) == 3 for r in rows)
+        except TypeError:  # rows, or a row, that is not a sequence
+            square = False
+        if not square:
             raise ValueError("expected a 3x3 matrix")
         modulus = as_modulus(modulus)
         n = modulus.n
@@ -109,10 +101,6 @@ class Mat3(_Value):
 
     def __hash__(self):
         return hash((self.rows, self.modulus.n))
-
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[int]], modulus: Modulus | int) -> "Mat3":
-        return cls(tuple(tuple(r) for r in rows), modulus)
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "Mat3":

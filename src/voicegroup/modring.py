@@ -1,6 +1,7 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
-Provides residues, unit detection, prime-power splitting of the modulus, and
+Provides residues, unit detection, prime-power splitting of the modulus (by
+trial division, then Brent's rho with Miller-Rabin proofs, both bounded), and
 an exact solver for linear systems over Z/n. The solver reads its entries as
 integers, reduces the equations mod n and keeps each distinct one once,
 brings them to Howell form with extended-gcd row operations only, so the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
+from itertools import count
 from operator import attrgetter, index, mul
 from typing import Sequence
 
@@ -55,28 +57,114 @@ def _integer(x: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
+# Trial division takes the primes below _TRIAL_BOUND, so a cofactor below its
+# square is prime. Miller-Rabin on the first 12 prime bases decides primality
+# exactly below _MR_EXACT (Sorenson and Webster); above it a cofactor that
+# every base passes is refused, not guessed. Brent's rho splits the rest, a
+# factor p in about sqrt(p) steps: _RHO_STEPS reaches factors near 10^12.
+_TRIAL_BOUND = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT = 3317044064679887385961981
+_RHO_STEPS = 1 << 22
+
+
 @lru_cache(maxsize=None)
 def _prime_power_factors(n: int) -> tuple[int, ...]:
-    """Prime-power factors of n, ordered by increasing prime: 12 -> (4, 3)."""
+    """Prime-power factors of n, ordered by increasing prime: 12 -> (4, 3).
+
+    Trial division up to _TRIAL_BOUND; then each part of the cofactor that is
+    not proven prime is replaced by its root if it is a perfect power, else
+    split by Brent's rho. Raises BudgetExceeded, naming n, when a split
+    needs more than _RHO_STEPS steps or a part above _MR_EXACT cannot be
+    proven prime."""
     factors = []
     rest = n
-    p = 2
-    while p * p <= rest:
+    for p in range(2, _TRIAL_BOUND):  # a composite p never divides: its primes are gone
+        if p * p > rest:
+            break
         if rest % p == 0:
             q = 1
             while rest % p == 0:
                 rest //= p
                 q *= p
             factors.append(q)
-        p += 1
-    if rest > 1:
-        factors.append(rest)
+    primes, parts = set(), [rest] if rest > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND or _is_probable_prime(m):
+            if m >= _MR_EXACT:
+                raise BudgetExceeded(f"modulus {n} has a factor {m} above {_MR_EXACT} that cannot be proven prime")
+            primes.add(m)
+        elif (r := _root(m)) < m:  # m = r^a, whose primes are r's
+            parts.append(r)
+        else:
+            d = _rho(m, n)
+            parts += (d, m // d)
+    for p in sorted(primes):
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        factors.append(q)
     return tuple(factors)
+
+
+def _is_probable_prime(m: int) -> bool:
+    """Whether the odd m > 37 is a strong probable prime to each of _MR_BASES;
+    below _MR_EXACT that proves m prime."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(m: int, n: int) -> int:
+    """A proper factor of the composite m, which has no prime below
+    _TRIAL_BOUND: Brent's variant of Pollard's rho on x -> x^2 + c, one gcd
+    per batch of 64 steps. Raises BudgetExceeded, naming the modulus n, before
+    the steps taken over every c would pass _RHO_STEPS."""
+    steps = 0
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise BudgetExceeded(f"factoring modulus {n} needs more than {_RHO_STEPS} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys, prod = y, 1
+                for _ in range(min(64, r - k)):
+                    y = (y * y + c) % m
+                    prod = prod * (x - y) % m
+                g = math.gcd(prod, m)
+                k += 64
+            r *= 2
+        if g == m:  # the batch passed a factor: step through it one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
 
 
 def _trusted_constructor(cls, setters):
     """The trusted constructor of cls: store the fields given, in slot order,
-    with no checks. Unrolled for 1 to 4 fields, as a loop over the setters
+    with no checks. Unrolled for 1 to 3 fields, as a loop over the setters
     would cost each construction more."""
     new = object.__new__
     if len(setters) == 1:
@@ -106,19 +194,8 @@ def _trusted_constructor(cls, setters):
             s2(v, c)
             return v
 
-    elif len(setters) == 4:
-        s0, s1, s2, s3 = setters
-
-        def make(a, b, c, d):
-            v = new(cls)
-            s0(v, a)
-            s1(v, b)
-            s2(v, c)
-            s3(v, d)
-            return v
-
     else:
-        raise TypeError(f"{cls.__name__} has {len(setters)} fields; a value class takes 1 to 4")
+        raise TypeError(f"{cls.__name__} has {len(setters)} fields; a value class takes 1 to 3")
     # pickle finds a constructor by its qualified name
     make.__name__, make.__qualname__, make.__module__ = "_make", f"{cls.__qualname__}._make", cls.__module__
     return make
@@ -127,8 +204,8 @@ def _trusted_constructor(cls, setters):
 class _Value:
     """Slotted immutable storage, shared by Modulus and Residue here, the
     vectors, matrices, permutations and affine maps (linalg.py), the group
-    elements (voicing.py), and the Hook elements and triad records
-    (triadic.py).
+    elements (voicing.py), the triad records and triadic transformations
+    (triadic.py), and progressions (analysis.py).
 
     A class declares its fields as __slots__, and everything else is derived
     from them when the class is defined, base slots first: cls._make, the
@@ -288,13 +365,34 @@ def euler_phi(n: int) -> int:
 
 
 def _prime_of(q: int) -> int:
-    """The prime of a prime power q: its least factor up to isqrt(q), else q itself."""
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            return p
+    """The prime p of a prime power q = p^a: its least factor below
+    _TRIAL_BOUND, else its least root."""
     if q < 2:
         raise ValueError(f"not a prime power: {q}")
+    for p in range(2, min(math.isqrt(q), _TRIAL_BOUND - 1) + 1):
+        if q % p == 0:
+            return p
+    return _root(q)
+
+
+def _root(q: int) -> int:
+    """The least r with r^a == q for some a >= 1, for q with no prime below
+    _TRIAL_BOUND > 2^9, so that a < q.bit_length() / 9."""
+    for a in range(q.bit_length() // 9, 1, -1):
+        r = _iroot(q, a)
+        if r**a == q:
+            return r
     return q
+
+
+def _iroot(q: int, a: int) -> int:
+    """floor(q^(1/a)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // a)
+    while True:
+        s = ((a - 1) * r + q // r ** (a - 1)) // a
+        if s >= r:
+            return r
+        r = s
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -224,14 +224,12 @@ class UTT(_Value):
             mode = Mode.MINOR if mode is Mode.MAJOR else Mode.MAJOR
         return TriadId(t.root + shift, mode)
 
-    def compose(self, other: "UTT") -> "UTT":
+    def __mul__(self, other: "UTT") -> "UTT":
         """self after other (other is applied first)."""
         sign = "+" if self.sign == other.sign else "-"
         if other.sign == "+":
             return UTT(sign, other.t_major + self.t_major, other.t_minor + self.t_minor)
         return UTT(sign, other.t_major + self.t_minor, other.t_minor + self.t_major)
-
-    __mul__ = compose
 
     def inverse(self) -> "UTT":
         if self.sign == "+":

@@ -86,7 +86,7 @@ _LETTERS = {**_GENERATOR_EXPONENTS, **{g.name: e for g, e in _GENERATOR_EXPONENT
 
 def generator_matrix(g: Generator, modulus: Modulus | int) -> Mat3:
     """Matrix of a generator, entries normalized mod n."""
-    return Mat3.of(_GENERATOR_ROWS[g], as_modulus(modulus))
+    return Mat3(_GENERATOR_ROWS[g], modulus)
 
 
 def generator_for_pair(r: int, s: int) -> Generator:
@@ -269,9 +269,6 @@ class _Element(_Value):
         p, m, n, _ = self._c
         return not (p or m or n)
 
-    def is_mode_reversing(self) -> bool:
-        return bool(self._c[0] & 1)
-
     def __mul__(self, other):
         cls = type(self)
         if type(other) is not cls:
@@ -366,10 +363,6 @@ class JElement(_Element):
         nn = modulus.n
         # any integer type is stored as a plain int, m and n in [0, n); a float or a string is refused
         return cls._make((k, _integer(m, "m") % nn, _integer(n, "n") % nn, modulus))
-
-    @classmethod
-    def from_generator(cls, g: Generator, modulus: Modulus | int) -> "JElement":
-        return cls(1, *_GENERATOR_EXPONENTS[g], modulus)
 
     def sort_key(self) -> tuple[int, int, int]:
         return self._c[:3]

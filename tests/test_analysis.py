@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -16,7 +17,7 @@ from voicegroup.linalg import (
     mat_vec,
     scalar_affine,
 )
-from voicegroup.voicing import Generator, JElement, enumerate_J
+from voicegroup.voicing import Generator, JElement, _Element, enumerate_J, word_to_element
 from voicegroup.extension import ExtElement, enumerate_extension, parse_element
 from voicegroup import analysis, datasets
 from voicegroup.analysis import (
@@ -64,7 +65,7 @@ def test_progression_validation():
 
 def test_progression_json_round_trip():
     text = '{"modulus": 12, "cyclic": true, "tuples": [[3,7,10],[2,6,11]]}'
-    p = Progression.from_json(text)
+    p = Progression.from_jsonable(json.loads(text))
     assert p.cyclic and p.modulus.n == 12
     assert Progression.from_jsonable(p.to_jsonable()) == p
     with pytest.raises(ValueError):
@@ -110,6 +111,15 @@ def test_solve_step_matches_bruteforce(group):
 def test_solve_step_rejects_an_unknown_group():
     with pytest.raises(ValueError, match=r"^group must be one of \['J', 'extension', 'hook'\], got 'bogus'$"):
         solve_step(Vec3.of(0, 4, 7, M12), Vec3.of(0, 3, 7, M12), group="bogus")
+    with pytest.raises(ValueError, match="^unknown group 'bogus'$"):
+        solve_step_bruteforce(Vec3.of(0, 4, 7, M12), Vec3.of(0, 3, 7, M12), "bogus")
+
+
+def test_solve_step_over_a_large_modulus_reaches_its_budget():
+    # n = 10000000019 * 10000000033: factoring it by trial division hung before the budget was read
+    v = Vec3.of(0, 1, 3, 100000000520000000627)
+    with pytest.raises(BudgetExceeded, match=r"^10000000019\^2 = 100000000380000000361 candidates exceeds budget 10000000$"):
+        solve_step(v, v, "J")
 
 
 @st.composite
@@ -457,14 +467,18 @@ def test_expansion_morphism_mod_7():
 
 
 def test_noninvertible_morphisms_still_commute():
-    labels = [ExtElement.from_j(JElement.from_generator(g, M12)) for g in Generator]
+    labels = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
     assert verify_morphism_commutation(scalar_affine(10, 0, M12), labels)
 
 
 def test_nondiagonal_translation_fails_commutation():
     f = AffineMap(Mat3.identity(M12), Vec3.of(1, 0, 0, M12))
-    v = ExtElement.from_j(JElement.from_generator(Generator.V, M12))
+    u, v = (ExtElement.from_j(word_to_element([g], M12)) for g in (Generator.U, Generator.V))
     assert not verify_morphism_commutation(f, [v])
+    assert not verify_morphism_commutation(f, [u])
+    # a linear part that does not commute with U fails before the translation is read
+    g = AffineMap(Mat3(((1, 0, 0), (0, 2, 0), (0, 0, 1)), M12), Vec3.of(0, 0, 0, M12))
+    assert not verify_morphism_commutation(g, [u])
 
 
 def test_morphism_results_commute_with_step_solutions():
@@ -562,6 +576,8 @@ def test_hexatonic_rich_cycle_found_by_search():
     for i, v in enumerate(cycle):
         assert frozenset(v.entries) == HEXATONIC_CHORDS[i]
         assert rich(v) == cycle[(i + 1) % 6]
+    # no ordering of C major is carried by RICH to C# major and back
+    assert find_rich_voicing_cycle([{0, 4, 7}, {1, 5, 8}], 12) is None
 
 
 def test_export_dot():
@@ -629,11 +645,16 @@ _EXPORTED = {name: v for name, v in vars(datasets).items() if isinstance(v, Prog
 
 @pytest.mark.parametrize("labelling", ["none", "repeated", "distinct"])
 @pytest.mark.parametrize("name", sorted(_EXPORTED))
-def test_exports_match_the_document_derivation(name, labelling):
+def test_exports_match_the_document_derivation(name, labelling, monkeypatch):
     prog = _EXPORTED[name]
     count = len(prog.steps())
     distinct = enumerate_extension(prog.modulus)[:count]
     labels = {"none": None, "repeated": [rich_element(prog.modulus)] * count, "distinct": distinct}[labelling]
     doc = _network_document(prog, labels)
+    formatted = []
+    text = _Element.__str__
+    monkeypatch.setattr(_Element, "__str__", lambda e: formatted.append(e) or text(e))
     assert export_network_json(prog, labels) == doc
+    # each distinct label object is formatted once: a label repeated on every edge, once in all
+    assert len(formatted) == {"none": 0, "repeated": min(count, 1), "distinct": count}[labelling]
     assert export_network_dot(prog, labels) == _dot_from_document(doc)

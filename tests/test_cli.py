@@ -575,6 +575,22 @@ def test_orbit_into_closed_pipe_exits_cleanly():
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # 7 * 1428571429 * 10000000019 and 10000000019 * 10000000033: trial division hung on both
+        (["count", "gl3", "--mod", "100000000220000000057"], "error: 7^9 = 40353607 candidates exceeds budget"),
+        (["centralizer", "--ambient", "gl3", "--mod", "100000000520000000627"], "error: 10000000019^9 = "),
+    ],
+)
+def test_large_moduli_are_factored_before_the_budget_refuses_them(argv, error):
+    proc = subprocess.run(
+        [sys.executable, "-m", "voicegroup.cli", *argv], capture_output=True, text=True, env=_child_env(), timeout=10
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith(error)
+
+
 def test_importing_the_cli_loads_no_numpy():
     code = "import sys, voicegroup, voicegroup.cli; print('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=120)
@@ -645,7 +661,7 @@ print(code)
         (["hook", "to-utt", "--element", "(13)W"], ""),
         (["hook", "from-utt", "--utt", "<+,1,0>"], ""),
         # these return the report records (CentralizerReport, DualityReport,
-        # UniformSolution, Progression), which are still dataclasses
+        # UniformSolution), which are still dataclasses
         (["center"], "dataclasses,inspect"),
         (["count", "gl3"], "dataclasses,inspect"),
         (["centralizer", "--ambient", "aff"], "dataclasses,inspect"),
@@ -788,6 +804,14 @@ def test_normal_form_matrix_entries_must_be_integers(capsys, entries):
     code, out, err = run(capsys, "normal-form", "--matrix", entries)
     assert code == 1 and out == ""
     assert "cannot parse matrix" in err
+
+
+@pytest.mark.parametrize("text", ["5", "[[1,2,3],[4,5,6],7]", "null"])
+def test_normal_form_matrix_must_be_three_rows_of_three(capsys, text):
+    # Mat3 refuses these itself; a TypeError text ("'int' object is not iterable") leaked through before
+    code, out, err = run(capsys, "normal-form", "--matrix", text, "--mod", "7")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse matrix {text!r}: expected a 3x3 matrix\n"
 
 
 def _readme_cli_lines():

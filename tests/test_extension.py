@@ -105,11 +105,11 @@ def test_action_kernel_matches_matrix_action(n, data):
 
 def test_multiply_examples():
     t13 = Perm3.from_cycle("(13)")
-    u = ExtElement(t13, JElement.from_generator(Generator.U, M12))
+    u = ExtElement(t13, word_to_element([Generator.U], M12))
     squared = u * u
     assert squared.sigma.is_identity()
     assert squared.j == JElement(0, 11, 0, M12)  # (UV)^-1
-    w = ExtElement(t13, JElement.from_generator(Generator.W, M12))
+    w = ExtElement(t13, word_to_element([Generator.W], M12))
     prod = w * u
     assert prod.sigma.is_identity()
     assert prod.j == JElement(0, 0, 11, M12)  # (UW)^-1
@@ -125,7 +125,7 @@ def test_multiply_matches_matrix_oracle_randomized(ext12):
 
 
 def test_multiply_matches_matrix_oracle_on_generating_closure():
-    gens = [ExtElement.from_j(JElement.from_generator(g, M12)) for g in Generator]
+    gens = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
     gens += [ExtElement.from_sigma(Perm3.from_cycle(c), M12) for c in ("(12)", "(13)")]
     closure = list(gens)
     seen = set(gens)
@@ -261,13 +261,13 @@ def test_sort_key_reads_the_permutation_index():
 
 
 def test_decode_examples():
-    d = ext_decode(Mat3.of([[5, 0, 3], [4, 1, 3], [5, 1, 2]], M7))
+    d = ext_decode(Mat3([[5, 0, 3], [4, 1, 3], [5, 1, 2]], M7))
     assert d == ExtElement(Perm3.from_cycle("(12)"), JElement(1, 3, 0, M7))
-    d2 = ext_decode(Mat3.of([[0, 1, 0], [0, 0, 1], [6, 1, 1]], M7))
+    d2 = ext_decode(Mat3([[0, 1, 0], [0, 0, 1], [6, 1, 1]], M7))
     assert d2 == ExtElement(Perm3.from_cycle("(13)"), JElement(1, 1, 0, M7))
     assert ext_decode(Mat3.identity(M12)).is_identity()
     with pytest.raises(NotInExtension):
-        ext_decode(Mat3.of([[1, 1, 1], [1, 1, 1], [1, 1, 1]], M12))
+        ext_decode(Mat3([[1, 1, 1], [1, 1, 1], [1, 1, 1]], M12))
     # residues n - 1 lift to -1: the decoded element equals and hashes as the parsed one
     a = parse_element("(132) U (UV)^1008 (UW)^3", 1009)
     d3 = ext_decode(a.matrix())
@@ -301,7 +301,7 @@ def _six_sigma_oracle(a):
                 want = ((1 - m, -n, m + n), (-m, 1 - n, m + n), (-m, -n, 1 + m + n))
             else:
                 want = ((-m, 1 - n, m + n), (1 - m, -n, m + n), (1 - m, 1 - n, -1 + m + n))
-            if Mat3.of(want, a.modulus) == rows:
+            if Mat3(want, a.modulus) == rows:
                 return ExtElement(sigma, JElement(k, m, n, a.modulus))
     return None
 
@@ -349,14 +349,14 @@ def test_decode_verdict_on_perturbed_members_matches_oracle(n, sigma, k, data):
         # membership check on the rebuilt matrix can reject it
         for row in rows:
             row[j] += delta
-    _assert_decoders_agree_with_oracle(Mat3.of(rows, Modulus(n)))
+    _assert_decoders_agree_with_oracle(Mat3(rows, Modulus(n)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 60), st.data())
 def test_decode_verdict_on_random_matrices_matches_oracle(n, data):
     rows = [[data.draw(st.integers(0, n - 1)) for _ in range(3)] for _ in range(3)]
-    _assert_decoders_agree_with_oracle(Mat3.of(rows, Modulus(n)))
+    _assert_decoders_agree_with_oracle(Mat3(rows, Modulus(n)))
 
 
 def test_row_difference_patterns_are_distinct_mod_every_n():
@@ -437,7 +437,7 @@ def test_conjugacy_class_matches_scan_on_every_element(n, within):
 
 
 def _conjugators(within, modulus):
-    gens = [ExtElement.from_j(JElement.from_generator(g, modulus)) for g in Generator]
+    gens = [ExtElement.from_j(word_to_element([g], modulus)) for g in Generator]
     if within == "extension":
         gens += [ExtElement.from_sigma(Perm3.from_cycle(c), modulus) for c in ("(12)", "(13)")]
     return gens

@@ -21,7 +21,7 @@ from voicegroup.voicing import Generator, generator_matrix
 
 
 def rand_mat(rng, n):
-    return Mat3.of([[rng.randrange(n) for _ in range(3)] for _ in range(3)], Modulus(n))
+    return Mat3([[rng.randrange(n) for _ in range(3)] for _ in range(3)], Modulus(n))
 
 
 def test_vec_normalization_and_display():
@@ -76,7 +76,7 @@ def test_generator_determinants():
 
 
 def test_non_invertible_scalar():
-    d6 = Mat3.of([[6, 0, 0], [0, 6, 0], [0, 0, 6]], Modulus(12))
+    d6 = Mat3([[6, 0, 0], [0, 6, 0], [0, 0, 6]], Modulus(12))
     assert determinant(d6).value == 0
     assert not is_invertible(d6)
 
@@ -88,8 +88,8 @@ def test_is_invertible_matches_unit_determinant(n):
     got = [is_invertible(a) for a in mats]
     assert got == [determinant(a).is_unit() for a in mats]
     # both answers occur: a unimodular and a singular matrix at every n
-    assert is_invertible(Mat3.of([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n)))
-    assert not is_invertible(Mat3.of([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n)))
+    assert is_invertible(Mat3([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n)))
+    assert not is_invertible(Mat3([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n)))
 
 
 def test_group_inverses_found_by_search(j12):

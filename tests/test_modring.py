@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voicegroup.modring as modring
 from voicegroup.modring import (
     BudgetExceeded,
     Modulus,
@@ -56,9 +57,62 @@ def test_check_same_modulus_compares_n():
 
 
 def test_euler_phi_of_a_large_prime_does_not_trial_divide_to_it():
-    # 10000000019 is prime: trial division stops at its square root, not at the prime
+    # 10000000019 is prime: neither factoring nor _prime_of trial-divides up to it or its square root
     assert euler_phi(10000000019) == 10000000018
     assert euler_phi(10000000019 * 4) == 10000000018 * 2
+    assert euler_phi(10000000019**2) == 10000000019 * 10000000018
+
+
+def _trial_division(n):
+    """The prime-power factors of n by trial division up to the square root of
+    the cofactor: the factoring used before rho, kept as the oracle."""
+    factors = []
+    rest = n
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            factors.append(q)
+        p += 1
+    if rest > 1:
+        factors.append(rest)
+    return tuple(factors)
+
+
+def test_factoring_agrees_with_trial_division():
+    factor = modring._prime_power_factors.__wrapped__  # uncached, so the cache is not filled
+    assert [n for n in range(2, 10**5 + 1) if factor(n) != _trial_division(n)] == []
+
+
+def test_factoring_agrees_with_sympy_on_planted_products():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(18)
+    planted = [7 * 1428571429 * 10000000019, 10000000019 * 10000000033, 12 * (2**31 - 1) * (2**61 - 1)]
+    planted.append(sympy.prevprime(10**12) * sympy.nextprime(10**12))  # the largest split rho is sized for
+    for _ in range(40):
+        # one prime up to 10^12 and up to two up to 10^8, each to a power up to 3
+        primes = {sympy.nextprime(rng.randrange(10 ** rng.randint(1, 12)))}
+        primes |= {sympy.nextprime(rng.randrange(10 ** rng.randint(1, 8))) for _ in range(rng.randint(0, 2))}
+        planted.append(math.prod(p ** rng.randint(1, 3) for p in primes))
+    for n in planted:
+        want = tuple(p**e for p, e in sorted(sympy.factorint(n).items()))
+        assert modring._prime_power_factors.__wrapped__(n) == want, n
+        assert [modring._prime_of(q) for q in want] == sorted(sympy.factorint(n)), n
+
+
+def test_factoring_refuses_what_it_cannot_finish(monkeypatch):
+    factor = modring._prime_power_factors.__wrapped__
+    # 2^89 - 1 is prime, but above 3.3*10^24 the twelve Miller-Rabin bases prove nothing
+    with pytest.raises(BudgetExceeded, match=f"^modulus {2 * (2**89 - 1)} has a factor {2**89 - 1} above "):
+        factor(2 * (2**89 - 1))
+    # rho's steps are bounded: a split that needs more is refused, naming the modulus
+    monkeypatch.setattr(modring, "_RHO_STEPS", 1000)
+    n = 10000000019 * 10000000033
+    with pytest.raises(BudgetExceeded, match=f"^factoring modulus {n} needs more than 1000 rho steps$"):
+        factor(n)
 
 
 def test_is_unit_examples():

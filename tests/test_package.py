@@ -1,6 +1,8 @@
 """The package namespace: every public name resolves lazily to its module's object."""
 
 import ast
+import contextlib
+import io
 from importlib import import_module
 from pathlib import Path
 
@@ -74,6 +76,26 @@ def test_retired_spellings_are_gone(name, module):
     assert not hasattr(import_module(f"voicegroup.{module}"), name)
 
 
+# Duplicate methods and properties retired in 0.1.0, as (class, name); the
+# README names the one surviving spelling of each.
+_RETIRED_ATTRIBUTES = [
+    ("linalg", "Mat3", "of"),
+    ("linalg", "Vec3", "x"),
+    ("linalg", "Vec3", "y"),
+    ("linalg", "Vec3", "z"),
+    ("triadic", "UTT", "compose"),
+    ("analysis", "Progression", "from_json"),
+    ("voicing", "JElement", "from_generator"),
+    ("voicing", "JElement", "is_mode_reversing"),
+    ("extension", "ExtElement", "is_mode_reversing"),
+]
+
+
+@pytest.mark.parametrize("module, cls, name", _RETIRED_ATTRIBUTES)
+def test_retired_attributes_are_gone(module, cls, name):
+    assert not hasattr(getattr(import_module(f"voicegroup.{module}"), cls), name)
+
+
 def test_library_modules_are_attributes_of_the_package():
     for module in set(voicegroup._EXPORTS.values()):
         assert getattr(voicegroup, module) is import_module(f"voicegroup.{module}")
@@ -123,3 +145,32 @@ def test_every_private_module_name_is_referenced():
             if not any(n == name and (m != module or id(node) not in own) for m, n, node in references):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def _readme_quick_tour() -> str:
+    """The python block under README's "Library quick tour" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_tour_prints_what_its_comments_say():
+    # Each top-level print must produce the text its trailing comment starts
+    # with, whitespace normalised; the one loop, over the Grail's solutions,
+    # prints one line per solution.
+    source = _readme_quick_tour()
+    lines = source.splitlines()
+    namespace, prints, loops = {}, 0, 0
+    for node in ast.parse(source).body:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(ast.Module(body=[node], type_ignores=[]), "<README quick tour>", "exec"), namespace)
+        printed = out.getvalue().splitlines()
+        if isinstance(node, ast.For):
+            assert len(printed) == 4
+            loops += 1
+        elif printed:
+            comment = lines[node.lineno - 1].partition("#")[2]
+            assert len(printed) == 1 and printed[0].strip()
+            assert " ".join(comment.split()).startswith(" ".join(printed[0].split())), (printed[0], comment)
+            prints += 1
+    assert (prints, loops) == (4, 1)

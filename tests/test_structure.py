@@ -74,7 +74,7 @@ def test_monoid_centralizer_true_size_and_closed_form():
     assert report.ambient is Ambient.M3
     assert report.size == 48
     assert set(report.elements) == monoid_centralizer_closed_form(12)
-    witness = Mat3.of([[0, 6, 6], [0, 6, 6], [0, 6, 6]], M12)
+    witness = Mat3([[0, 6, 6], [0, 6, 6], [0, 6, 6]], M12)
     assert witness in report.elements
     assert witness not in diagonal_product_family(12)
     family = diagonal_product_family(12)
@@ -83,7 +83,7 @@ def test_monoid_centralizer_true_size_and_closed_form():
 
 
 def test_monoid_centralizer_membership_example():
-    assert Mat3.of([[7, 0, 6], [6, 1, 6], [6, 0, 7]], M12) in centralizer_in_M3(12).elements
+    assert Mat3([[7, 0, 6], [6, 1, 6], [6, 0, 7]], M12) in centralizer_in_M3(12).elements
 
 
 def commutator_rows(n):
@@ -114,7 +114,7 @@ def _solved_centralizer(n):
     """The monoid centralizer as the exact solutions of the commutator equations, sorted by rows."""
     rows = commutator_rows(n)
     solutions = solve_linear(rows, [0] * len(rows), n, budget=n**9)
-    return tuple(Mat3.of((s[0:3], s[3:6], s[6:9]), n) for s in solutions)
+    return tuple(Mat3((s[0:3], s[3:6], s[6:9]), n) for s in solutions)
 
 
 @pytest.mark.parametrize("n", [4, 6, 12])
@@ -165,7 +165,7 @@ def test_gl_centralizer():
     assert report.ambient is Ambient.GL3
     assert report.size == 16
     assert set(report.elements) == diagonal_product_family(12, invertible_only=True)
-    assert Mat3.of([[11, 0, 6], [6, 5, 6], [6, 0, 11]], M12) in report.elements
+    assert Mat3([[11, 0, 6], [6, 5, 6], [6, 0, 11]], M12) in report.elements
     assert all(is_invertible(c) for c in report.elements)
     monoid = set(centralizer_in_M3(12).elements)
     assert set(report.elements) == {c for c in monoid if is_invertible(c)}
@@ -303,11 +303,15 @@ def test_count_budget():
         count_GL3(7)
 
 
-def test_indices():
+def test_indices(monkeypatch):
     assert index_of_J(12, "GL3") == 3_354_624
     assert index_of_J(12, "SL3") == 838_656
     with pytest.raises(ValueError):
         index_of_J(12, "PSL3")
+    # the self-check: an order that 2n^2 does not divide is refused
+    monkeypatch.setattr(structure, "count_GL3", lambda m, budget: 289)
+    with pytest.raises(ArithmeticError, match=r"^\|ambient\| = 289 is not divisible by 2n\^2 = 288; counting bug upstream$"):
+        index_of_J(12, "GL3")
 
 
 def test_ti_group_size():
@@ -466,6 +470,10 @@ def test_duality_counterexample():
     uv = JElement(0, 1, 0, M12)
     uv7 = JElement(0, 7, 0, M12)
     assert restrict_to_orbit(uv, orbit) == restrict_to_orbit(uv7, orbit)
+    # a matrix acts as its element does; an orbit the action leaves is refused
+    assert restrict_to_orbit(uv.matrix(), orbit) == restrict_to_orbit(uv, orbit)
+    with pytest.raises(ValueError, match=r"^orbit is not closed under the action: \(0,4,10\) -> \(1,5,11\)$"):
+        restrict_to_orbit(scalar_affine(1, 1, M12), orbit[:1])
 
 
 def test_duality_uses_other_generator_when_z_minus_y_generates():

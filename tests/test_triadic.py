@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voicegroup.triadic as triadic
 from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
@@ -38,9 +39,9 @@ E13W = parse_element("(13) W", 12)
 
 
 def ext_gens():
-    from voicegroup.voicing import Generator, JElement as J
+    from voicegroup.voicing import Generator, word_to_element
 
-    gens = [ExtElement.from_j(J.from_generator(g, M12)) for g in Generator]
+    gens = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
     gens += [ExtElement.from_sigma(Perm3.from_cycle(c), M12) for c in ("(12)", "(13)")]
     return gens
 
@@ -55,9 +56,9 @@ def mode_preserving_gens():
 
 
 def j_gens():
-    from voicegroup.voicing import Generator, JElement as J
+    from voicegroup.voicing import Generator, word_to_element
 
-    return [ExtElement.from_j(J.from_generator(g, M12)) for g in Generator]
+    return [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
 
 
 def hook_gens():
@@ -85,6 +86,8 @@ def test_classify_examples():
     assert got.id == TriadId(0, Mode.MAJOR) and got.voicing.is_identity()
     assert classify(Vec3.of(8, 4, 5, M12)) is None
     assert classify(Vec3.of(0, 0, 7, M12)) is None
+    with pytest.raises(ValueError, match="^triad classification is defined over Z/12$"):
+        classify(Vec3.of(0, 4, 7, 7))
 
 
 def test_classify_inverts_root_position():
@@ -263,8 +266,7 @@ def test_utt_compose_matches_pointwise_action():
     for _ in range(300):
         a = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
         b = UTT(rng.choice("+-"), rng.randrange(12), rng.randrange(12))
-        composed = a.compose(b)
-        assert a * b == composed
+        composed = a * b
         for t in triads:
             assert composed.apply(t) == a.apply(b.apply(t))
 
@@ -319,8 +321,8 @@ def test_rho_action_on_all_root_position_triads():
 def test_rho_matrix_matches_basis_inversion_route():
     # independent derivation: the images of the root-position basis
     # (0,4,7), (0,3,7), (1,5,8) determine the matrix via the inverse basis
-    basis_inverse = Mat3.of([[7, 1, 3], [9, 11, 4], [1, 0, 0]], M12)
-    basis = Mat3.of([[0, 0, 1], [4, 3, 5], [7, 7, 8]], M12)
+    basis_inverse = Mat3([[7, 1, 3], [9, 11, 4], [1, 0, 0]], M12)
+    basis = Mat3([[0, 0, 1], [4, 3, 5], [7, 7, 8]], M12)
     assert mat_mul(basis, basis_inverse) == Mat3.identity(M12)
     for u in all_utts():
         images = [
@@ -329,7 +331,7 @@ def test_rho_matrix_matches_basis_inversion_route():
             u.apply(TriadId(1, Mode.MAJOR)),
         ]
         cols = [root_position_tuple(t).entries for t in images]
-        image_matrix = Mat3.of(tuple(zip(*cols)), M12)
+        image_matrix = Mat3(tuple(zip(*cols)), M12)
         assert mat_mul(image_matrix, basis_inverse) == rho(u).matrix()
 
 
@@ -341,9 +343,13 @@ def test_rho_is_injective_homomorphism_sampled():
         assert rho(a * b) == rho(a) * rho(b)
 
 
-def test_rho_inverse_round_trip():
+def test_rho_inverse_round_trip(monkeypatch):
     for u in all_utts():
         assert rho_inverse(rho(u)) == u
+    # the self-check: a reading that rho does not map back to e is refused
+    monkeypatch.setattr(triadic, "rho", lambda u: E13W)
+    with pytest.raises(RuntimeError, match=r"^rho\(<-,9,8>\) = \(13\) U \(UW\)\^1 does not equal \(13\) U$"):
+        rho_inverse(E13U)
 
 
 def test_rho_inverse_and_normal_form_B_check_hook_membership(ext12):
@@ -377,8 +383,8 @@ def test_hook_membership_characterization(ext12, hooks):
 
 
 def test_hook_halves(hooks):
-    plus = [h for h in hooks if not h.is_mode_reversing()]
-    minus = [h for h in hooks if h.is_mode_reversing()]
+    plus = [h for h in hooks if h.k == 0]
+    minus = [h for h in hooks if h.k == 1]
     assert len(plus) == len(minus) == 144
     assert all(h.sigma.is_identity() for h in plus)
     assert all(h.sigma == TRANSPOSITION_13 for h in minus)
@@ -408,7 +414,7 @@ def test_normal_form_B_unique_and_parity(hooks):
         assert (p, n) not in seen
         seen[(p, n)] = h
         assert hook_from_normal_form_B(p, n) == h
-        assert (p % 2 == 1) == h.is_mode_reversing()
+        assert p % 2 == h.k
     assert len(seen) == 288
     assert hook_normal_form_B(E13U) == (1, 0)
     assert hook_normal_form_B(E13W) == (1, 1)

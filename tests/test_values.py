@@ -1,7 +1,7 @@
 """The value contract shared by the slotted immutable classes.
 
-Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements and the
-triad records share one storage (modring._Value): a validating public
+Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements, the
+triad records, the triadic transformations and progressions share one storage (modring._Value): a validating public
 constructor, and, derived from the declared slots, one
 trusted constructor for the library's own producers, frozen fields, equality,
 and pickle and copy through the trusted constructor. A group element has one
@@ -11,6 +11,7 @@ of it.
 """
 
 import copy
+import dataclasses
 import pickle
 import re
 from dataclasses import FrozenInstanceError
@@ -54,6 +55,7 @@ def _values(modulus):
         TriadId(13, Mode.MINOR),
         TriadClass(TriadId(0, Mode.MAJOR), Perm3((3, 2, 1))),
         UTT("-", 13, -1),
+        Progression.of([(0, 4, 7), (2, 5, 9)], m, cyclic=True),
     ]
 
 
@@ -93,6 +95,7 @@ _FIELDS = {
     TriadId: ("root", "mode"),
     TriadClass: ("id", "voicing"),
     UTT: ("sign", "t_major", "t_minor"),
+    Progression: ("modulus", "tuples", "cyclic"),
 }
 # the coordinates of a group element, in the order of its one slot _c
 _COORDINATES = {JElement: ("point", "m", "n", "modulus"), ExtElement: ("point", "m", "n", "modulus")}
@@ -142,6 +145,8 @@ def test_reprs_are_pinned():
         "TriadId(root=1, mode=<Mode.MINOR: 'minor'>)",
         "TriadClass(id=TriadId(root=0, mode=<Mode.MAJOR: 'major'>), voicing=Perm3(image=(3, 2, 1)))",
         "UTT(sign='-', t_major=1, t_minor=11)",
+        "Progression(modulus=Modulus(n=12), tuples=(Vec3(entries=(0, 4, 7), modulus=Modulus(n=12)), "
+        "Vec3(entries=(2, 5, 9), modulus=Modulus(n=12))), cyclic=True)",
     ]
 
 
@@ -152,6 +157,9 @@ def test_public_constructors_take_keywords():
     assert TriadId(root=13, mode=Mode.MAJOR) == TriadId(1, Mode.MAJOR)
     assert TriadClass(id=TriadId(0, Mode.MINOR), voicing=Perm3((1, 2, 3))).id.mode is Mode.MINOR
     assert UTT(sign="+", t_major=13, t_minor=-1) == UTT("+", 1, 11)
+    v = Vec3.of(0, 4, 7, m)
+    assert Progression(modulus=m, tuples=(v,), cyclic=True) == Progression(m, (v,), True)
+    assert Progression(m, (v,)) == Progression(m, (v,), cyclic=False) == Progression.of([(0, 4, 7)], m)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +204,12 @@ def test_public_constructors_take_keywords():
         (lambda: Mat3(((1, 0, 0), (0, 1.5, 0), (0, 0, 1)), 12), "rows[1][1] must be an integer, got 1.5"),
         (lambda: scalar_affine(1.5, 2.9, 12), "u must be an integer, got 1.5"),
         (lambda: scalar_affine(1, 2.9, 12), "q must be an integer, got 2.9"),
+        # a matrix that is not a sequence of three rows of three is refused by Mat3 itself
+        (lambda: Mat3(5, 12), "expected a 3x3 matrix"),
+        (lambda: Mat3([[1, 2, 3], [4, 5, 6], 7], 12), "expected a 3x3 matrix"),
+        (lambda: Mat3((r for r in ((1, 0, 0), (0, 1, 0), (0, 0, 1))), 12), "expected a 3x3 matrix"),
+        (lambda: Progression(Modulus(12), ()), "progression must contain at least one tuple"),
+        (lambda: Progression(Modulus(12), (Vec3.of(0, 4, 7, 13),)), "mixed moduli: 12 vs 13"),
     ],
 )
 def test_public_constructor_error_texts(build, message):
@@ -233,7 +247,7 @@ def test_value_integers_take_any_integer_type():
         lambda: Vec3((1, 2, 3, 4), Modulus(12)),
         lambda: Mat3(((1, 0, 0), (0, 1, 0)), Modulus(12)),
         lambda: Mat3(((1, 0), (0, 1), (0, 0)), Modulus(12)),
-        lambda: Mat3.of([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], 12),
+        lambda: Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], 12),
         lambda: Perm3((1, 1, 2)),
         lambda: Perm3((1, 2, 3, 4)),
         lambda: AffineMap(Mat3.identity(12), Vec3.of(0, 0, 0, 7)),
@@ -289,6 +303,7 @@ def _others(modulus):
         TriadId(2, Mode.MAJOR),
         TriadClass(TriadId(5, Mode.MINOR), Perm3((1, 2, 3))),
         UTT("+", 2, 3),
+        Progression.of([(1, 2, 3)], Modulus(13)),
     ]
 
 
@@ -326,29 +341,33 @@ def test_every_field_takes_part_in_equality(value, other):
         assert changed != value and value != changed, name
 
 
-def test_value_class_takes_one_to_four_fields():
+def test_value_class_takes_one_to_three_fields():
     class Two(_Value):
         __slots__ = ("a", "b")
 
-    class Four(Two):
-        __slots__ = ("c", "d")
+    class Three(Two):
+        __slots__ = ("c",)
 
-    x = Four._make(1, 2, 3, 4)
-    assert Four._TRUSTED[1] == ("a", "b", "c", "d") and (x.a, x.b, x.c, x.d) == (1, 2, 3, 4)
+    x = Three._make(1, 2, 3)
+    assert Three._TRUSTED[1] == ("a", "b", "c") and (x.a, x.b, x.c) == (1, 2, 3)
+    with pytest.raises(TypeError, match=r"^Four has 4 fields; a value class takes 1 to 3$"):
+
+        class Four(_Value):
+            __slots__ = ("a", "b", "c", "d")
+
     with pytest.raises(TypeError):
 
-        class Five(_Value):
-            __slots__ = ("a", "b", "c", "d", "e")
+        class FourAlongTheMro(Three):
+            __slots__ = ("d",)
 
-    with pytest.raises(TypeError):
 
-        class FiveAlongTheMro(Four):
-            __slots__ = ("e",)
+def test_progression_is_a_value_not_a_dataclass():
+    assert issubclass(Progression, _Value) and not dataclasses.is_dataclass(Progression)
 
 
 def test_no_trusted_constructor_is_public():
     assert not [name for name in voicegroup.__all__ if name.startswith("_")]
-    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, Modulus, Residue, TriadId, TriadClass, UTT):
+    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, Modulus, Residue, TriadId, TriadClass, UTT, Progression):
         assert cls._TRUSTED[0].__name__ not in voicegroup.__all__
 
 
@@ -382,7 +401,7 @@ def _reduced(value) -> bool:
 def test_trusted_producers_store_what_the_public_constructors_would():
     m = Modulus(12)
     v, w = Vec3.of(11, 4, 7, m), Vec3.of(5, 9, 1, m)
-    a = Mat3.of([[11, 2, 7], [3, 0, 5], [10, 10, 1]], m)
+    a = Mat3([[11, 2, 7], [3, 0, 5], [10, 10, 1]], m)
     elements = enumerate_extension(m)[::37]
     produced = [mat_mul(a, a), mat_vec(a, v), v.shift(-13), v + w, v - w, Mat3.identity(m), j_reflection(1, 2, v)]
     produced += [rich(v), scalar_affine(-1, -5, m)]

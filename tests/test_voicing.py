@@ -55,6 +55,8 @@ def test_j_reflection_rejects_bad_indices():
         j_reflection(0, 1, v)
     with pytest.raises(ValueError):
         generator_for_pair(1, 1)
+    with pytest.raises(ValueError, match=r"^entry indices must be in \{1,2,3\}, got \(1,4\)$"):
+        generator_for_pair(1, 4)
 
 
 def test_normal_form_matrix_examples():

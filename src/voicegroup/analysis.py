@@ -40,11 +40,14 @@ class Progression(_Value):
 
     __slots__ = ("modulus", "tuples", "cyclic")
 
-    def __new__(cls, modulus: Modulus, tuples: tuple[Vec3, ...], cyclic: bool = False) -> "Progression":
+    def __new__(cls, modulus: Modulus, tuples: Iterable[Vec3], cyclic: bool = False) -> "Progression":
+        tuples = tuple(tuples)
         if not tuples:
             raise ValueError("progression must contain at least one tuple")
         for v in tuples:
             check_same_modulus(modulus, v.modulus)
+        if not isinstance(cyclic, bool):
+            raise ValueError(f"cyclic must be true or false, got {cyclic!r}")
         return cls._make(modulus, tuples, cyclic)
 
     @classmethod

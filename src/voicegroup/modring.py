@@ -8,7 +8,9 @@ brings them to Howell form with extended-gcd row operations only, so the
 unknowns never move, and lists the solutions by back-substitution in
 increasing order, so its cost follows the number of solutions. Its budget
 still bounds the q^d search space of each prime-power factor q, so a search
-too large to enumerate is refused with BudgetExceeded. Integers read from
+too large to enumerate is refused with BudgetExceeded. Nothing is cached: a
+modulus is factored on each call that needs its primes, and the budget gate
+needs them only when n^d exceeds the budget. Integers read from
 text go through one reader that takes ASCII digits only. The slotted
 immutable storage that every value class of the library shares (_Value) is
 defined here, in the lowest layer.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
 from itertools import count
 from operator import attrgetter, index, mul
 from typing import Sequence
@@ -68,9 +69,9 @@ _MR_EXACT = 3317044064679887385961981
 _RHO_STEPS = 1 << 22
 
 
-@lru_cache(maxsize=None)
-def _prime_power_factors(n: int) -> tuple[int, ...]:
-    """Prime-power factors of n, ordered by increasing prime: 12 -> (4, 3).
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """(p, q) for each prime-power factor q = p^a of n, by increasing prime p:
+    12 -> [(2, 4), (3, 3)].
 
     Trial division up to _TRIAL_BOUND; then each part of the cofactor that is
     not proven prime is replaced by its root if it is a perfect power, else
@@ -87,7 +88,7 @@ def _prime_power_factors(n: int) -> tuple[int, ...]:
             while rest % p == 0:
                 rest //= p
                 q *= p
-            factors.append(q)
+            factors.append((p, q))
     primes, parts = set(), [rest] if rest > 1 else []
     while parts:
         m = parts.pop()
@@ -105,8 +106,8 @@ def _prime_power_factors(n: int) -> tuple[int, ...]:
         while rest % p == 0:
             rest //= p
             q *= p
-        factors.append(q)
-    return tuple(factors)
+        factors.append((p, q))
+    return factors
 
 
 def _is_probable_prime(m: int) -> bool:
@@ -280,7 +281,8 @@ class Modulus(_Value):
         return _modulus(value)
 
     def prime_powers(self) -> tuple[int, ...]:
-        return _prime_power_factors(self.n)
+        """The prime-power factors of n, by increasing prime: 12 -> (4, 3)."""
+        return tuple(q for _, q in _prime_powers(self.n))
 
     def __index__(self) -> int:
         return self.n
@@ -357,22 +359,30 @@ def units(modulus: Modulus | int) -> list[Residue]:
 
 def euler_phi(n: int) -> int:
     """Euler totient via the prime-power factorization (used as a units() oracle)."""
-    total = 1
-    for q in _prime_power_factors(n):
-        p = _prime_of(q)
-        total *= q - q // p
-    return total
+    return math.prod(q - q // p for p, q in _prime_powers(n))
 
 
-def _prime_of(q: int) -> int:
-    """The prime p of a prime power q = p^a: its least factor below
-    _TRIAL_BOUND, else its least root."""
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    for p in range(2, min(math.isqrt(q), _TRIAL_BOUND - 1) + 1):
-        if q % p == 0:
-            return p
-    return _root(q)
+def _budget_gate(n: int, e: int, budget: int, zero_rhs: Sequence[int] = ()) -> bool:
+    """Whether a system over Z/n is unsolvable, checked against the budget
+    on the q^e candidates of each prime-power factor q of n.
+
+    The factors are taken by increasing prime, and the first with
+    q^e > budget raises BudgetExceeded, unless the system is already
+    unsolvable modulo an earlier factor: some rhs of zero_rhs, the all-zero
+    rows' right-hand sides reduced mod n, is not divisible by it. When
+    n^e <= budget no factor q <= n can raise, so n is not factored; then a
+    reduced rhs is 0 modulo every factor exactly when it is 0.
+    """
+    if n**e <= budget:
+        return any(zero_rhs)
+    for _, q in _prime_powers(n):
+        total = q**e
+        if total > budget:
+            raise BudgetExceeded(f"{q}^{e} = {total} candidates exceeds budget {budget}")
+        for c in zero_rhs:
+            if c % q:
+                return True
+    return False
 
 
 def _root(q: int) -> int:
@@ -483,10 +493,11 @@ def solve_linear(
     taken in increasing order, and the first with q^d > budget raises
     BudgetExceeded, unless the system is already unsolvable modulo an earlier
     factor (some all-zero row has rhs not divisible by it), in which case the
-    result is [].
+    result is []. n is factored only when n^d > budget: below that no factor
+    can exceed the budget, and the system is unsolvable exactly when some
+    all-zero row has rhs not 0.
     """
-    m = as_modulus(modulus)
-    n = m.n
+    n = as_modulus(modulus).n
     if not rows:
         raise ValueError("system must have at least one row")
     d = len(rows[0])
@@ -513,13 +524,8 @@ def solve_linear(
     if len(augmented) > 1:
         augmented = list(dict.fromkeys(augmented))
     pivots, zero_rhs = _howell(augmented, n)
-    for q in m.prime_powers():
-        total = q**d
-        if total > budget:
-            raise BudgetExceeded(f"{q}^{d} = {total} candidates exceeds budget {budget}")
-        for c in zero_rhs:
-            if c % q:
-                return []
+    if _budget_gate(n, d, budget, zero_rhs):
+        return []
     # x_0 runs over an arithmetic progression, and x_1, for each x_0, over one
     # that starts at (c - a*x_0) % n // g
     p = pivots[0]

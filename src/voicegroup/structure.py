@@ -21,14 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modring import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    Modulus,
-    as_modulus,
-    euler_phi,
-    _prime_of,
-)
+from .modring import DEFAULT_BUDGET, Modulus, as_modulus, euler_phi, _budget_gate, _prime_powers
 from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, is_invertible, mat_vec, scalar_affine, _affine, _mat3, _vec3
 from .voicing import _GENERATOR_EXPONENTS, _SLOTS, Generator, JElement, _act, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
@@ -75,13 +68,6 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     return [JElement._make((0, a, b, m)) for a in halves for b in halves]
 
 
-def _require_budget(m: Modulus, budget: int) -> None:
-    """Raise BudgetExceeded at the first prime-power factor q of n with q^9 > budget."""
-    for q in m.prime_powers():
-        if q**9 > budget:
-            raise BudgetExceeded(f"{q}^9 = {q**9} candidates exceeds budget {budget}")
-
-
 def centralizer_in_M3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> CentralizerReport:
     """Monoid centralizer in all 3x3 matrices, sorted by rows.
 
@@ -91,7 +77,7 @@ def centralizer_in_M3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> C
     each prime-power factor q, so n = 7 needs a budget of at least 7**9.
     """
     m = as_modulus(modulus)
-    _require_budget(m, budget)
+    _budget_gate(m.n, 9, budget)
     mats = tuple(sorted(monoid_centralizer_closed_form(m), key=lambda a: a.rows))
     return CentralizerReport(Ambient.M3, mats, len(mats))
 
@@ -160,7 +146,7 @@ def count_GL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
     The budget bounds the q^9 matrices over each prime-power factor q.
     """
     m = as_modulus(modulus)
-    _require_budget(m, budget)
+    _budget_gate(m.n, 9, budget)
     return gl3_order_closed_form(m)
 
 
@@ -170,18 +156,15 @@ def count_SL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
     The budget bounds the q^9 matrices over each prime-power factor q.
     """
     m = as_modulus(modulus)
-    _require_budget(m, budget)
+    _budget_gate(m.n, 9, budget)
     return sl3_order_closed_form(m)
 
 
 def gl3_order_closed_form(modulus: Modulus | int) -> int:
     """Product formula over prime powers p^a: p^(9a) (1-1/p)(1-1/p^2)(1-1/p^3)."""
-    m = as_modulus(modulus)
-    total = 1
-    for q in m.prime_powers():
-        p = _prime_of(q)
-        total *= q**9 // p**6 * (p - 1) * (p**2 - 1) * (p**3 - 1)
-    return total
+    return math.prod(
+        q**9 // p**6 * (p - 1) * (p**2 - 1) * (p**3 - 1) for p, q in _prime_powers(as_modulus(modulus).n)
+    )
 
 
 def sl3_order_closed_form(modulus: Modulus | int) -> int:
@@ -191,8 +174,11 @@ def sl3_order_closed_form(modulus: Modulus | int) -> int:
 
 
 def index_of_J(modulus: Modulus | int, ambient: str, budget: int = DEFAULT_BUDGET) -> int:
-    """Index of the 2n^2-element voicing group in GL3 or SL3; division must be exact."""
-    m = as_modulus(modulus)
+    """Index of the 2n^2-element voicing group in GL3 or SL3; division must be exact.
+
+    Over Z/2 the voicing group collapses to 4 elements, not 2n^2 = 8, so
+    n = 2 is refused as the normal forms refuse it."""
+    m = _require_group_modulus(as_modulus(modulus))
     if ambient.upper() == "GL3":
         order = count_GL3(m, budget)
     elif ambient.upper() == "SL3":

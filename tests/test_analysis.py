@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voicegroup.modring as modring
 from voicegroup.modring import BudgetExceeded, Modulus
 from voicegroup.linalg import (
     ALL_PERMS,
@@ -61,6 +62,16 @@ def test_progression_validation():
     assert p.steps() == []
     p2 = Progression.of([(0, 4, 7), (1, 5, 8)], 12, cyclic=True)
     assert len(p2.steps()) == 2
+    # any iterable of tuples is stored as a tuple, so it hashes and compares as one
+    v, w = p2.tuples
+    listed = Progression(M12, [v, w])
+    assert listed == Progression(M12, (v, w)) and hash(listed) == hash(Progression(M12, (v, w)))
+    assert type(listed.tuples) is tuple
+    # cyclic is a bool, as from_jsonable reads it: "false" is refused, not read as true
+    with pytest.raises(ValueError, match="^cyclic must be true or false, got 'false'$"):
+        Progression(M12, (v, w), "false")
+    with pytest.raises(ValueError, match="^cyclic must be true or false, got 1$"):
+        Progression.of([(0, 4, 7)], 12, cyclic=1)
 
 
 def test_progression_json_round_trip():
@@ -70,6 +81,22 @@ def test_progression_json_round_trip():
     assert Progression.from_jsonable(p.to_jsonable()) == p
     with pytest.raises(ValueError):
         Progression.from_jsonable({"tuples": [[0, 0, 0]]})
+
+
+def test_progression_queries_factor_no_modulus(monkeypatch):
+    # every solve here has n^2 <= the default budget, so the budget gate needs no primes
+    calls = []
+    factor = modring._prime_powers
+    monkeypatch.setattr(modring, "_prime_powers", lambda n: calls.append(n) or factor(n))
+    progressions = [p for p in vars(datasets).values() if isinstance(p, Progression)]
+    for prog in progressions:
+        solve_uniform_all_cases(prog)
+        for src, dst in prog.steps():
+            solve_step(src, dst)
+            solve_step(src, dst, group="J")
+    assert find_affine_morphisms(WEBERN_ROW_1, WEBERN_ROW_2, restrict_to_centralizer=True)
+    assert find_affine_morphisms(SCHOENBERG_OCTATONIC, SCHOENBERG_JET_SHARK)
+    assert calls == []
 
 
 def test_solve_step_contains_rich_edge():

@@ -482,6 +482,13 @@ def test_integers_from_outside_take_ascii_digits_only(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", [["count", "gl3"], ["count", "sl3"], ["center"], ["normal-form", "--word", "U"]])
+def test_modulus_2_is_refused_where_the_voicing_group_collapses(capsys, command):
+    code, out, err = run(capsys, *command, "--mod", "2")
+    assert code == 1 and out == ""
+    assert "voicing-group normal forms need modulus >= 3" in err
+
+
 def test_solve_cyclic_flag_changes_result(capsys, tmp_path):
     path = tmp_path / "open.json"
     path.write_text('{"modulus": 12, "tuples": [[0,4,7],[1,5,8]]}')

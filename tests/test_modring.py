@@ -57,7 +57,7 @@ def test_check_same_modulus_compares_n():
 
 
 def test_euler_phi_of_a_large_prime_does_not_trial_divide_to_it():
-    # 10000000019 is prime: neither factoring nor _prime_of trial-divides up to it or its square root
+    # 10000000019 is prime: factoring trial-divides neither up to it nor up to its square root
     assert euler_phi(10000000019) == 10000000018
     assert euler_phi(10000000019 * 4) == 10000000018 * 2
     assert euler_phi(10000000019**2) == 10000000019 * 10000000018
@@ -83,8 +83,7 @@ def _trial_division(n):
 
 
 def test_factoring_agrees_with_trial_division():
-    factor = modring._prime_power_factors.__wrapped__  # uncached, so the cache is not filled
-    assert [n for n in range(2, 10**5 + 1) if factor(n) != _trial_division(n)] == []
+    assert [n for n in range(2, 10**5 + 1) if Modulus(n).prime_powers() != _trial_division(n)] == []
 
 
 def test_factoring_agrees_with_sympy_on_planted_products():
@@ -98,13 +97,12 @@ def test_factoring_agrees_with_sympy_on_planted_products():
         primes |= {sympy.nextprime(rng.randrange(10 ** rng.randint(1, 8))) for _ in range(rng.randint(0, 2))}
         planted.append(math.prod(p ** rng.randint(1, 3) for p in primes))
     for n in planted:
-        want = tuple(p**e for p, e in sorted(sympy.factorint(n).items()))
-        assert modring._prime_power_factors.__wrapped__(n) == want, n
-        assert [modring._prime_of(q) for q in want] == sorted(sympy.factorint(n)), n
+        want = [(p, p**e) for p, e in sorted(sympy.factorint(n).items())]
+        assert modring._prime_powers(n) == want, n
 
 
 def test_factoring_refuses_what_it_cannot_finish(monkeypatch):
-    factor = modring._prime_power_factors.__wrapped__
+    factor = modring._prime_powers
     # 2^89 - 1 is prime, but above 3.3*10^24 the twelve Miller-Rabin bases prove nothing
     with pytest.raises(BudgetExceeded, match=f"^modulus {2 * (2**89 - 1)} has a factor {2**89 - 1} above "):
         factor(2 * (2**89 - 1))
@@ -316,6 +314,54 @@ def test_budget_bounds_the_search_space_per_factor():
     # the budget is checked first for the first factor, even if unsolvable there
     with pytest.raises(BudgetExceeded, match=r"2\^3 = 8 "):
         solve_linear([[2, 0, 0]], [1], 14, budget=7)
+
+
+def gated_oracle(rows, rhs, n, budget):
+    """The budget rule as a loop over every prime-power factor, by increasing
+    prime: the first q with q^d > budget refuses, unless the system is already
+    unsolvable modulo an earlier factor."""
+    d = len(rows[0])
+    for q in Modulus(n).prime_powers():
+        if q**d > budget:
+            return f"BudgetExceeded: {q}^{d} = {q**d} candidates exceeds budget {budget}"
+        if not enumerate_solutions(rows, rhs, q):
+            return []
+    return enumerate_solutions(rows, rhs, n)
+
+
+@st.composite
+def gated_systems(draw):
+    """A system, some with an inconsistent all-zero row, and a budget next to
+    n^d or to q^d for a prime-power factor q of n, or a small one."""
+    rows, rhs, n = draw(linear_systems())
+    if draw(st.booleans()):
+        rows.append([0] * len(rows[0]))
+        rhs.append(draw(st.integers(1, n - 1)))
+    d = len(rows[0])
+    edge = draw(st.sampled_from([n, *Modulus(n).prime_powers()])) ** d
+    budget = draw(st.sampled_from([edge - 1, edge, edge + 1]) | st.integers(1, 400))
+    return rows, rhs, n, budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(gated_systems())
+def test_budget_gate_matches_the_loop_over_every_factor(system):
+    rows, rhs, n, budget = system
+    try:
+        got = solve_linear(rows, rhs, n, budget=budget)
+    except BudgetExceeded as exc:
+        got = f"BudgetExceeded: {exc}"
+    assert got == gated_oracle(rows, rhs, n, budget)
+
+
+def test_a_budget_of_n_to_the_d_needs_no_primes():
+    # 2^89 - 1 is prime but cannot be proven so; a budget >= n^2 solves without factoring n
+    n = 2 * (2**89 - 1)
+    assert solve_linear([[1, 0], [0, 1]], [3, 4], n, budget=n**2) == [(3, 4)]
+    assert solve_linear([[1, 0], [0, 1], [0, 0]], [3, 4, 5], n, budget=n**2) == []
+    # below n^2 the gate needs the primes, and factoring refuses
+    with pytest.raises(BudgetExceeded, match=f"^modulus {n} has a factor {2**89 - 1} above "):
+        solve_linear([[1, 0], [0, 1]], [3, 4], n, budget=n**2 - 1)
 
 
 @pytest.mark.parametrize("n", [360, 1009, 1024])

@@ -147,6 +147,26 @@ def test_every_private_module_name_is_referenced():
     assert unused == []
 
 
+_FUNCTOOLS_CACHES = {"lru_cache", "cache", "cached_property"}
+
+
+def test_no_module_caches_through_functools():
+    # an unbounded cache would hide a slow algorithm, so none is imported or applied
+    found = []
+    for path in sorted(Path(voicegroup.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
+        aliases = {a.asname or a.name for node in imports for a in node.names if a.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [a.name for a in node.names if a.name in _FUNCTOOLS_CACHES | {"*"}]
+                found += [f"{path.name}:{node.lineno} imports {name}" for name in names]
+            elif isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES:
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    found.append(f"{path.name}:{node.lineno} applies functools.{node.attr}")
+    assert found == []
+
+
 def _readme_quick_tour() -> str:
     """The python block under README's "Library quick tour" heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -314,6 +314,14 @@ def test_indices(monkeypatch):
         index_of_J(12, "GL3")
 
 
+@pytest.mark.parametrize("ambient", ["GL3", "SL3"])
+def test_index_refuses_modulus_2(ambient):
+    # over Z/2 the voicing group has 4 elements, not 2n^2 = 8, so there is no 2n^2 index to give
+    with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
+        index_of_J(2, ambient)
+    assert gl3_order_closed_form(2) == 168
+
+
 def test_ti_group_size():
     assert len(ti_group(12)) == 24
     assert len({(f.linear.rows, f.translation.entries) for f in ti_group(12)}) == 24

@@ -30,9 +30,9 @@ from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, _Value, _is_int, as_modulus, check_same_modulus, solve_linear
 from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3, mat_mul
-from .voicing import _HOOK_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
+from .voicing import _GROUP_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
 from .voicing import _point, _require_group_modulus
-from .extension import ExtElement, enumerate_extension
+from .extension import ExtElement
 
 
 class Progression(_Value):
@@ -89,11 +89,6 @@ class Progression(_Value):
         return cls.of(tuples, modulus, cyclic)
 
 
-# Each group's points (see voicing.py) in sort-key order, so that solutions
-# listed point by point, each point sorted by (m, n), come out sorted.
-_GROUP_POINTS = {"J": (0, 1), "extension": tuple(range(12)), "hook": _HOOK_POINTS}
-
-
 def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int):
     """Yield (p, solutions) for each point p of `points`, in order, whose case
     can realize every step; steps are (src, dst) pairs of plain triples,
@@ -104,7 +99,7 @@ def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Mod
     rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
     # (U^k(src), dst) for k = 0, 1, U^0(src) being src itself; the point
     # (sigma, k) reads sigma's slots off U^k(src)
-    images = (steps, [(_act(_SLOTS[0], 1, 0, 0, src, nn), dst) for src, dst in steps])
+    images = (steps, [(_act(1, 0, 0, src, nn), dst) for src, dst in steps])
     solved = {}  # rhs -> its solutions, for the points that share a rhs
     for p in points:
         a, b, c = _SLOTS[p]
@@ -122,6 +117,15 @@ def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Mod
             yield p, solutions
 
 
+def _points(group: str, modulus: Modulus) -> Iterable[int]:
+    """The points of a named group (see voicing.py), ascending, so that solutions
+    listed point by point, each point sorted by (m, n), come out in sort-key
+    order. The Hook group is defined over Z/12 only."""
+    if group == "hook" and modulus.n != 12:
+        raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
+    return _GROUP_POINTS[group]
+
+
 def solve_step(
     src: Vec3, dst: Vec3, group: str = "extension", budget: int = DEFAULT_BUDGET
 ) -> list[ExtElement]:
@@ -133,29 +137,17 @@ def solve_step(
     modulus = _require_group_modulus(check_same_modulus(src.modulus, dst.modulus))
     if group not in _GROUP_POINTS:
         raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
-    if group == "hook" and modulus.n != 12:
-        raise ValueError(f"the Hook group is defined over Z/12 only, got modulus {modulus.n}")
     make, out = ExtElement._make, []
-    for p, solutions in _cases([(src.entries, dst.entries)], _GROUP_POINTS[group], modulus, budget):
+    for p, solutions in _cases([(src.entries, dst.entries)], _points(group, modulus), modulus, budget):
         out += [make((p, m, n, modulus)) for m, n in solutions]
     return out
 
 
 def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:
-    """Oracle for solve_step: filter the fully enumerated group."""
-    if group == "extension":
-        candidates = enumerate_extension(src.modulus)
-    elif group == "J":
-        candidates = _enumerate(ExtElement, (0, 1), src.modulus)
-    elif group == "hook":
-        from .triadic import hook_elements  # only this oracle needs triadic
-
-        candidates = hook_elements()
-    else:
+    """Oracle for solve_step: filter the fully enumerated group, listed in sort-key order."""
+    if group not in _GROUP_POINTS:
         raise ValueError(f"unknown group {group!r}")
-    out = [g for g in candidates if g.apply(src) == dst]
-    out.sort(key=ExtElement.sort_key)
-    return out
+    return [g for g in _enumerate(ExtElement, _points(group, src.modulus), src.modulus) if g.apply(src) == dst]
 
 
 @dataclass(frozen=True, init=False)
@@ -199,13 +191,13 @@ def _solve_uniform(prog: Progression, budget: int, sigma: Perm3 | None = None, k
     nn = modulus.n
     # a step that recurs, as in a cycling progression, is one condition: solve and verify it once
     steps = list(dict.fromkeys((src.entries, dst.entries) for src, dst in prog.steps()))
-    points = range(12) if sigma is None else (_point(sigma, k),)
+    points = _GROUP_POINTS["extension"] if sigma is None else (_point(sigma, k),)
     out = []
     for p, solutions in _cases(steps, points, modulus, budget):
-        sigma_p, k_p, slots = ALL_PERMS[p >> 1], p & 1, _SLOTS[p]
+        sigma_p, k_p = ALL_PERMS[p >> 1], p & 1
         for m, n in solutions:
             for src, dst in steps:
-                if _act(slots, k_p, m, n, src, nn) != dst:
+                if _act(p, m, n, src, nn) != dst:
                     s = UniformSolution(sigma_p, k_p, m, n, modulus)
                     raise RuntimeError(f"solver returned {s}, which does not realize every step")
             out.append(UniformSolution(sigma_p, k_p, m, n, modulus))

@@ -33,6 +33,7 @@ from .modring import Modulus, Residue, as_modulus
 from .linalg import _PERM_IMAGES, ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
+    _GROUP_POINTS,
     _LETTERS,
     _PRODUCTS,
     JElement,
@@ -98,7 +99,7 @@ class ExtElement(_Element):
 
 def ext_decode(m: Mat3) -> ExtElement:
     """The unique (sigma, j) with P_sigma * M_j == m, read off its row differences."""
-    e = _decode(ExtElement, m, 12)
+    e = _decode(ExtElement, m, _GROUP_POINTS["extension"])
     if e is None:
         raise NotInExtension(f"matrix {m} is not in the extended voicing group mod {m.modulus.n}")
     return e
@@ -106,7 +107,7 @@ def ext_decode(m: Mat3) -> ExtElement:
 
 def enumerate_extension(modulus: Modulus | int) -> list[ExtElement]:
     """All 6 * 2n^2 elements, in sort-key order."""
-    return _enumerate(ExtElement, range(12), modulus)
+    return _enumerate(ExtElement, _GROUP_POINTS["extension"], modulus)
 
 
 def _span(g1: tuple[int, int], g2: tuple[int, int], n: int) -> list[tuple[int, int]]:
@@ -155,7 +156,7 @@ def conjugacy_class(a: ExtElement, within: str = "extension") -> set[ExtElement]
         raise ValueError(f"within must be 'J' or 'extension', got {within!r}")
     m = a._c[3]
     out: set[ExtElement] = set()
-    for p in range(2 if within == "J" else 12):
+    for p in _GROUP_POINTS[within]:
         tau = ExtElement._make((p, 0, 0, m))
         b = tau * a * tau.inverse()
         if b not in out:  # T-classes partition the class

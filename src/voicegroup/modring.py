@@ -362,7 +362,7 @@ def euler_phi(n: int) -> int:
     return math.prod(q - q // p for p, q in _prime_powers(n))
 
 
-def _budget_gate(n: int, e: int, budget: int, zero_rhs: Sequence[int] = ()) -> bool:
+def _budget_gate(n: int, e: int, budget: int, zero_rhs: Sequence[int] = (), pairs: list | None = None) -> bool:
     """Whether a system over Z/n is unsolvable, checked against the budget
     on the q^e candidates of each prime-power factor q of n.
 
@@ -371,11 +371,13 @@ def _budget_gate(n: int, e: int, budget: int, zero_rhs: Sequence[int] = ()) -> b
     unsolvable modulo an earlier factor: some rhs of zero_rhs, the all-zero
     rows' right-hand sides reduced mod n, is not divisible by it. When
     n^e <= budget no factor q <= n can raise, so n is not factored; then a
-    reduced rhs is 0 modulo every factor exactly when it is 0.
+    reduced rhs is 0 modulo every factor exactly when it is 0. A caller that
+    already holds the (p, q) pairs of _prime_powers(n) passes them, and n is
+    not factored again.
     """
     if n**e <= budget:
         return any(zero_rhs)
-    for _, q in _prime_powers(n):
+    for _, q in _prime_powers(n) if pairs is None else pairs:
         total = q**e
         if total > budget:
             raise BudgetExceeded(f"{q}^{e} = {total} candidates exceeds budget {budget}")

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modring import DEFAULT_BUDGET, Modulus, as_modulus, euler_phi, _budget_gate, _prime_powers
+from .modring import DEFAULT_BUDGET, Modulus, as_modulus, _budget_gate, _prime_powers
 from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, is_invertible, mat_vec, scalar_affine, _affine, _mat3, _vec3
-from .voicing import _GENERATOR_EXPONENTS, _SLOTS, Generator, JElement, _act, _require_group_modulus
+from .voicing import _GENERATOR_EXPONENTS, Generator, JElement, _act, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
 
@@ -140,37 +140,49 @@ def centralizer_in_Aff(
     return CentralizerReport(ambient, maps, len(maps))
 
 
+def _gated_prime_powers(modulus: Modulus | int, budget: int) -> list[tuple[int, int]]:
+    """The (p, q) pairs of n, factored once and passed through the budget gate
+    on the q^9 matrices over each prime-power factor q."""
+    n = as_modulus(modulus).n
+    pairs = _prime_powers(n)
+    _budget_gate(n, 9, budget, pairs=pairs)
+    return pairs
+
+
 def count_GL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
-    """|GL(3, Z/n)|, from gl3_order_closed_form.
+    """|GL(3, Z/n)|, from the product formula of gl3_order_closed_form.
 
     The budget bounds the q^9 matrices over each prime-power factor q.
     """
-    m = as_modulus(modulus)
-    _budget_gate(m.n, 9, budget)
-    return gl3_order_closed_form(m)
+    return _gl3_order(_gated_prime_powers(modulus, budget))
 
 
 def count_SL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> int:
-    """|SL(3, Z/n)|, from sl3_order_closed_form.
+    """|SL(3, Z/n)|, from the product formula of sl3_order_closed_form.
 
     The budget bounds the q^9 matrices over each prime-power factor q.
     """
-    m = as_modulus(modulus)
-    _budget_gate(m.n, 9, budget)
-    return sl3_order_closed_form(m)
+    return _sl3_order(_gated_prime_powers(modulus, budget))
+
+
+def _gl3_order(pairs: list[tuple[int, int]]) -> int:
+    return math.prod(q**9 // p**6 * (p - 1) * (p**2 - 1) * (p**3 - 1) for p, q in pairs)
+
+
+def _sl3_order(pairs: list[tuple[int, int]]) -> int:
+    return math.prod(q**8 // p**5 * (p**2 - 1) * (p**3 - 1) for p, q in pairs)
 
 
 def gl3_order_closed_form(modulus: Modulus | int) -> int:
-    """Product formula over prime powers p^a: p^(9a) (1-1/p)(1-1/p^2)(1-1/p^3)."""
-    return math.prod(
-        q**9 // p**6 * (p - 1) * (p**2 - 1) * (p**3 - 1) for p, q in _prime_powers(as_modulus(modulus).n)
-    )
+    """Product formula over prime powers q = p^a: q^9 (1-1/p)(1-1/p^2)(1-1/p^3)."""
+    return _gl3_order(_prime_powers(as_modulus(modulus).n))
 
 
 def sl3_order_closed_form(modulus: Modulus | int) -> int:
-    """|SL| = |GL| / phi(n): the determinant maps GL(3, Z/n) onto the units."""
-    m = as_modulus(modulus)
-    return gl3_order_closed_form(m) // euler_phi(m.n)
+    """|SL| = |GL| / phi(n): the determinant maps GL(3, Z/n) onto the units. Over
+    each prime power q = p^a, phi(q) = q (1-1/p), so the factor is
+    q^8 (1-1/p^2)(1-1/p^3)."""
+    return _sl3_order(_prime_powers(as_modulus(modulus).n))
 
 
 def index_of_J(modulus: Modulus | int, ambient: str, budget: int = DEFAULT_BUDGET) -> int:
@@ -298,11 +310,10 @@ def check_duality(seed: Vec3) -> DualityReport:
     which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
     ti_images = _ti_images(origin, n)
     orbit = set(ti_images.values())
-    identity = _SLOTS[0]
 
     def ctx(k: int, t: int):
         a, b = (t, 0) if which == "UV" else (0, t)
-        return lambda w: _act(identity, k, a, b, w, n)
+        return lambda w: _act(k, a, b, w, n)  # the point of U^k is k
 
     def ti(s: int, t: int):
         return lambda w: _ti_image(w, s, t, n)
@@ -345,15 +356,15 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
     on the dualistic root-position orbit) across all 24 orbit elements, on
     plain integer triples through the action kernel. tau X tau^-1 is again a
     reflection, sigma_conjugate_generator(tau, X). The match is required to be
-    unique; an ambiguous match raises.
+    unique; an ambiguous match, as at n = 3, 4 or 7, raises ValueError, and
+    n = 2 is refused as the normal forms refuse it.
     """
-    m = as_modulus(modulus)
+    m = _require_group_modulus(as_modulus(modulus))
     n = m.n
     base = Vec3.of(0, 4, 7, m).entries
-    identity = _SLOTS[0]
 
     def act(g: Generator, w: tuple[int, int, int]) -> tuple[int, int, int]:
-        return _act(identity, 1, *_GENERATOR_EXPONENTS[g], w, n)
+        return _act(1, *_GENERATOR_EXPONENTS[g], w, n)  # the point of U is 1
 
     # On the dualistic root-position orbit the three reflections realize
     # P, L, R; these serve as the reference contextual operations.
@@ -367,7 +378,7 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
         for g in Generator:
             matches = [name for name, x in conjugates.items() if all(act(g, w) == act(x, w) for w in orbit)]
             if len(matches) != 1:
-                raise AssertionError(
+                raise ValueError(
                     f"generator {g} matches {matches!r} on orbit of {Vec3(rep, m)}; "
                     "expected exactly one"
                 )

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .modring import Modulus, _Value, _ascii_int, _integer, check_same_modulus
 from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _vec3
-from .voicing import _HOOK_POINTS, _SLOTS, JElement, NotInGroup, _act, _enumerate
+from .voicing import _GROUP_POINTS, JElement, NotInGroup, _act, _enumerate
 from .extension import ExtElement
 
 
@@ -146,7 +146,7 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     every line of the orbit, so the orbit is every representative plus
     {0, h, 2h, ...}(1, 1, 1).
 
-    Each generator is read once as its (slots, k, m, n) coordinates, and
+    Each generator is read once as its (point, m, n) coordinates, and
     acts through the action kernel of the group elements. The closure costs
     O(12 |generators|) actions on plain ints, then one Vec3 is built per
     tuple of the result, O(|orbit|); an orbit has at most 12n tuples.
@@ -157,7 +157,7 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     for g in generators:
         p, a, b, modulus = g._c
         check_same_modulus(modulus, m)
-        actions.add((_SLOTS[p], p & 1, a, b))
+        actions.add((p, a, b))
     x, y, z = seed.entries
     reps = {((x - z) % n, (y - z) % n): seed.entries}
     frontier = [seed.entries]
@@ -165,8 +165,8 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     while frontier:
         nxt = []
         for v in frontier:
-            for slots, k, a, b in actions:
-                w = _act(slots, k, a, b, v, n)
+            for p, a, b in actions:
+                w = _act(p, a, b, v, n)
                 x, y, z = w
                 line = ((x - z) % n, (y - z) % n)
                 rep = reps.get(line)
@@ -251,7 +251,7 @@ def is_in_hook(e: ExtElement) -> bool:
     """Stabilizing root position forces sigma = id on the mode-preserving half
     and sigma = (13) on the mode-reversing half."""
     p, _, _, modulus = e._c
-    return modulus.n == 12 and p in _HOOK_POINTS
+    return modulus.n == 12 and p in _GROUP_POINTS["hook"]
 
 
 def _require_hook(e: ExtElement) -> None:
@@ -261,7 +261,7 @@ def _require_hook(e: ExtElement) -> None:
 
 def hook_elements() -> list[ExtElement]:
     """All 288 elements: (UV)^m (UW)^n and (13) U (UV)^m (UW)^n."""
-    return _enumerate(ExtElement, _HOOK_POINTS, _TWELVE)
+    return _enumerate(ExtElement, _GROUP_POINTS["hook"], _TWELVE)
 
 
 def rho(u: UTT) -> ExtElement:
@@ -270,7 +270,7 @@ def rho(u: UTT) -> ExtElement:
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
     m = _FIFTH_INVERSE * (u.t_major - _MINOR_THIRD * d)
-    return ExtElement._make((_HOOK_POINTS[k], m % 12, (d + k) % 12, _TWELVE))
+    return ExtElement._make((_GROUP_POINTS["hook"][k], m % 12, (d + k) % 12, _TWELVE))
 
 
 def rho_inverse(e: ExtElement) -> UTT:
@@ -298,7 +298,7 @@ def hook_normal_form_B(e: ExtElement) -> tuple[int, int]:
 
 def hook_from_normal_form_B(p: int, n: int) -> ExtElement:
     q, k = divmod(_integer(p, "p") % 24, 2)
-    return ExtElement._make((_HOOK_POINTS[k], -q % 12, _integer(n, "n") % 12, _TWELVE))
+    return ExtElement._make((_GROUP_POINTS["hook"][k], -q % 12, _integer(n, "n") % 12, _TWELVE))
 
 
 def wreath_generators() -> tuple[ExtElement, ExtElement, ExtElement]:

@@ -142,9 +142,10 @@ def _point(sigma: Perm3, k: int) -> int:
     return 2 * _PERM_INDEX[sigma.image] + k
 
 
-# The Hook group (see triadic.py) is the elements at the points of Id and (13) U,
-# in sort-key order: _HOOK_POINTS[k] is the point with reflection bit k.
-_HOOK_POINTS = (_point(Perm3.identity(), 0), _point(TRANSPOSITION_13, 1))
+# The points of each named group, ascending, which is sort-key order: a group is
+# every element at its points. J is Id and U, the extension all twelve, and the
+# Hook group (see triadic.py) Id and (13) U, so that its point k has reflection bit k.
+_GROUP_POINTS = {"J": (0, 1), "extension": range(12), "hook": (0, _point(TRANSPOSITION_13, 1))}
 
 
 _CONJUGATION = [_conjugation_row(sigma) for sigma in ALL_PERMS]
@@ -327,7 +328,7 @@ class _Element(_Value):
     def apply(self, v: Vec3) -> Vec3:
         p, m, n, modulus = self._c
         check_same_modulus(modulus, v.modulus)
-        return _vec3(_act(_SLOTS[p], p & 1, m, n, v.entries, v.modulus.n), v.modulus)
+        return _vec3(_act(p, m, n, v.entries, v.modulus.n), v.modulus)
 
     def __str__(self) -> str:
         p, m, n, _ = self._c
@@ -368,14 +369,14 @@ class JElement(_Element):
         return self._c[:3]
 
 
-def _decode(cls, a: Mat3, points: int):
-    """The element of cls among the first `points` points whose matrix is a, or
-    None: the row differences name the point, the first row gives (m, n), and
-    rebuilding the rows on plain ints confirms it before the element is built."""
+def _decode(cls, a: Mat3, points):
+    """The element of cls at one of the points whose matrix is a, or None: the
+    row differences name the point, the first row gives (m, n), and rebuilding
+    the rows on plain ints confirms it before the element is built."""
     nn = _require_group_modulus(a.modulus).n
     rows = a.rows
     p = _BY_DIFFERENCES.get(_row_differences(rows, nn))
-    if p is None or p >= points:
+    if p not in points:
         return None
     base, first = _BASES[p][0], rows[0]
     m, n = (base[0] - first[0]) % nn, (base[1] - first[1]) % nn
@@ -390,7 +391,7 @@ def _enumerate(cls, points, modulus: Modulus | int) -> list:
 
 def decode(a: Mat3) -> JElement:
     """Invert JElement.matrix; raises NotInJ if no (k, m, n) matches."""
-    e = _decode(JElement, a, 2)
+    e = _decode(JElement, a, _GROUP_POINTS["J"])
     if e is None:
         raise NotInJ(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
     return e
@@ -421,20 +422,20 @@ def _fold_word(word, nn: int) -> tuple[int, int, int]:
     return k, x % nn, y % nn
 
 
-def _act(slots: tuple[int, int, int], k: int, m: int, n: int, v: tuple[int, int, int], nn: int):
-    """sigma U^k (UV)^m (UW)^n on a plain triple mod nn: the one action kernel.
+def _act(p: int, m: int, n: int, v: tuple[int, int, int], nn: int):
+    """The element (p, (m, n)) on a plain triple mod nn: the one action kernel.
 
     U^k (UV)^m (UW)^n shifts every entry by m(z-x) + n(z-y), after U when
-    k = 1; sigma then moves the entries, slot i taking entry slots[i]
-    (Perm3.slots).
+    k = p & 1 is 1; sigma then moves the entries, slot i taking entry
+    _SLOTS[p][i] (Perm3.slots).
     """
     x, y, z = v
     c = m * (z - x) + n * (z - y)
-    w = (y + c, x + c, x + y - z + c) if k else (x + c, y + c, z + c)
-    a, b, d = slots
+    w = (y + c, x + c, x + y - z + c) if p & 1 else (x + c, y + c, z + c)
+    a, b, d = _SLOTS[p]
     return (w[a] % nn, w[b] % nn, w[d] % nn)
 
 
 def enumerate_J(modulus: Modulus | int) -> list[JElement]:
     """All 2*n^2 normal forms, in sort-key order."""
-    return _enumerate(JElement, (0, 1), modulus)
+    return _enumerate(JElement, _GROUP_POINTS["J"], modulus)

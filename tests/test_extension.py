@@ -97,7 +97,7 @@ def test_action_kernel_matches_matrix_action(n, data):
         for k in (0, 1):
             g = ExtElement(sigma, JElement(k, m, nn, n))
             want = mat_vec(g.matrix(), Vec3(v, Modulus(n)))
-            assert _act(sigma.slots, k, m, nn, v, n) == want.entries
+            assert _act(g.point, m, nn, v, n) == want.entries
             assert g.apply(Vec3(v, Modulus(n))) == want
             if sigma.is_identity():
                 assert g.j.apply(Vec3(v, Modulus(n))) == want
@@ -487,6 +487,9 @@ def test_conjugacy_classes_of_u():
     assert conjugacy_class(e, within="extension") == {e}
     with pytest.raises(ValueError):
         conjugacy_class(u, within="nonsense")
+    # the Hook group has a name in voicing's table, but no class is taken within it
+    with pytest.raises(ValueError, match=r"^within must be 'J' or 'extension', got 'hook'$"):
+        conjugacy_class(u, within="hook")
 
 
 def test_gl_centralizer_is_stable_under_permutation_conjugation():

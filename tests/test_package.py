@@ -167,6 +167,42 @@ def test_no_module_caches_through_functools():
     assert found == []
 
 
+def _imported_names(node):
+    """The dotted names an import statement reads: each module, and for a
+    from-import each imported name under its module."""
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(f"{node.module or ''}.{a.name}" for a in node.names)]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    return []
+
+
+def test_group_points_have_one_table_and_the_kernel_takes_the_point():
+    # voicing maps each group name to its points; analysis reads them there, not
+    # off triadic, and no module past voicing splits a point into its slots
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in Path(voicegroup.__file__).parent.glob("*.py")}
+    tables = [
+        module
+        for module, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "_GROUP_POINTS"
+    ]
+    assert tables == ["voicing.py"]
+    triadic = [
+        node.lineno
+        for node in ast.walk(trees["analysis.py"])
+        if any("triadic" in name.split(".") for name in _imported_names(node))
+    ]
+    assert triadic == []
+    slots = [
+        f"{module}:{node.lineno}"
+        for module in ("structure.py", "triadic.py")
+        for node in ast.walk(trees[module])
+        if _referenced_name(node) == "_SLOTS"
+    ]
+    assert slots == []
+
+
 def _readme_quick_tour() -> str:
     """The python block under README's "Library quick tour" heading."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

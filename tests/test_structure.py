@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import voicegroup.modring as modring
 import voicegroup.structure as structure
 import voicegroup.voicing as voicing
 from voicegroup.modring import BudgetExceeded, Modulus, solve_linear
@@ -314,6 +315,27 @@ def test_indices(monkeypatch):
         index_of_J(12, "GL3")
 
 
+@pytest.mark.parametrize("n", [6, 12, 20])
+@pytest.mark.parametrize("lift", [0, -1])
+def test_each_count_factors_its_modulus_once(monkeypatch, n, lift):
+    # at budget n^9 the gate needs no primes and at n^9 - 1 it reads them;
+    # either way the order formula takes the one factorization
+    calls = []
+    factor = modring._prime_powers
+    for module in (modring, structure):
+        monkeypatch.setattr(module, "_prime_powers", lambda m: calls.append(m) or factor(m))
+    budget = n**9 + lift
+    for count in (
+        lambda: count_GL3(n, budget),
+        lambda: count_SL3(n, budget),
+        lambda: index_of_J(n, "GL3", budget),
+        lambda: index_of_J(n, "SL3", budget),
+    ):
+        calls.clear()
+        count()
+        assert calls == [n]
+
+
 @pytest.mark.parametrize("ambient", ["GL3", "SL3"])
 def test_index_refuses_modulus_2(ambient):
     # over Z/2 the voicing group has 4 elements, not 2n^2 = 8, so there is no 2n^2 index to give
@@ -422,12 +444,12 @@ def test_duality_degenerate_seeds(entries):
 def test_duality_rejects_a_group_that_leaves_the_orbit(monkeypatch):
     # Every element of J preserves every T/I orbit, so only a wrong contextual
     # group can leave it: (12) (UV)^t sends (0,4,7) to (4,0,7), outside its orbit.
-    # The contextual elements act through the action kernel; moving the entries
-    # by (12) after it makes the group (12) U^k (UV)^t.
+    # The contextual elements act through the action kernel at the point of U^k;
+    # moving it to the point of (12) U^k makes the group (12) U^k (UV)^t.
     monkeypatch.setattr(
         structure,
         "_act",
-        lambda slots, k, m, n, v, nn: voicing._act(TRANSPOSITION_12.slots, k, m, n, v, nn),
+        lambda p, m, n, v, nn: voicing._act(voicing._point(TRANSPOSITION_12, p & 1), m, n, v, nn),
     )
     with pytest.raises(ValueError, match="not closed"):
         check_duality(Vec3.of(0, 4, 7, M12))
@@ -513,8 +535,18 @@ EXPECTED_TABLE = {
 
 
 def test_orbit_restriction_table_raises_on_an_ambiguous_match():
-    with pytest.raises(AssertionError, match=r"matches \['L', 'R'\] on orbit of \(0,4,0\)"):
+    # refused input is a ValueError, as in every other group function
+    with pytest.raises(ValueError, match=r"matches \['L', 'R'\] on orbit of \(0,4,0\)"):
         orbit_restriction_table(7)
+    with pytest.raises(ValueError, match=r"^generator U matches \['P', 'R'\] on orbit of \(0,1,1\); expected exactly one$"):
+        orbit_restriction_table(3)
+    with pytest.raises(ValueError, match=r"^generator V matches \['P', 'L'\] on orbit of \(0,0,3\); expected exactly one$"):
+        orbit_restriction_table(4)
+
+
+def test_orbit_restriction_table_refuses_modulus_2():
+    with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
+        orbit_restriction_table(2)
 
 
 def test_orbit_restriction_table():

@@ -2,7 +2,8 @@
 
 A progression is an ordered list of voicings over one modulus. Every query
 asks which elements sigma U^k (UV)^m (UW)^n carry a tuple s = (x, y, z) to
-its successor t, and one case loop, _cases, answers it. At the point
+its successor t, and one case loop, _cases, answers it, returning its
+(point, solutions) pairs as a list. At the point
 (sigma, k) this holds exactly when t - sigma(U^k(s)) = (m(z-x) + n(z-y)) *
 (1,1,1): a point whose difference is not constant-diagonal is skipped, and
 each other point gives one linear equation in (m, n) per step, solved
@@ -89,18 +90,22 @@ class Progression(_Value):
         return cls.of(tuples, modulus, cyclic)
 
 
-def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int):
-    """Yield (p, solutions) for each point p of `points`, in order, whose case
-    can realize every step; steps are (src, dst) pairs of plain triples,
-    reduced mod n. The rows depend only on the sources, so each query builds
-    them once, and points with equal right-hand sides share one solve and one
-    solution list, which callers only read."""
+def _cases(
+    steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Modulus, budget: int
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The (p, solutions) pairs, as a list, for each point p of `points`, in
+    order, whose case can realize every step; steps are (src, dst) pairs of
+    plain triples, reduced mod n. The rows depend only on the sources, so
+    each query builds them once, and points with equal right-hand sides share
+    one solve and one solution list, which callers only read."""
     nn = modulus.n
     rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
     # (U^k(src), dst) for k = 0, 1, U^0(src) being src itself; the point
-    # (sigma, k) reads sigma's slots off U^k(src)
-    images = (steps, [(_act(1, 0, 0, src, nn), dst) for src, dst in steps])
+    # (sigma, k) reads sigma's slots off U^k(src). U(x, y, z) is
+    # (y, x, x + y - z), left unreduced: only differences mod n are read.
+    images = (steps, [((y, x, x + y - z), dst) for (x, y, z), dst in steps])
     solved = {}  # rhs -> its solutions, for the points that share a rhs
+    out = []
     for p in points:
         a, b, c = _SLOTS[p]
         rhs = []
@@ -114,7 +119,8 @@ def _cases(steps: list[tuple[tuple, tuple]], points: Iterable[int], modulus: Mod
             solutions = solved.get(rhs)
             if solutions is None:
                 solutions = solved[rhs] = solve_linear(rows, rhs, modulus, budget)
-            yield p, solutions
+            out.append((p, solutions))
+    return out
 
 
 def _points(group: str, modulus: Modulus) -> Iterable[int]:
@@ -145,6 +151,7 @@ def solve_step(
 
 def solve_step_bruteforce(src: Vec3, dst: Vec3, group: str = "extension") -> list[ExtElement]:
     """Oracle for solve_step: filter the fully enumerated group, listed in sort-key order."""
+    check_same_modulus(src.modulus, dst.modulus)
     if group not in _GROUP_POINTS:
         raise ValueError(f"unknown group {group!r}")
     return [g for g in _enumerate(ExtElement, _points(group, src.modulus), src.modulus) if g.apply(src) == dst]

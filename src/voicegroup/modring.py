@@ -6,7 +6,10 @@ an exact solver for linear systems over Z/n. The solver reads its entries as
 integers, reduces the equations mod n and keeps each distinct one once,
 brings them to Howell form with extended-gcd row operations only, so the
 unknowns never move, and lists the solutions by back-substitution in
-increasing order, so its cost follows the number of solutions. Its budget
+increasing order, so its cost follows the number of solutions. A system in
+two unknowns, the shape of every query the analysis layer makes ((m, n) of
+a progression step, (u, q) of an affine map), is echeloned on scalars by
+_howell2, with the same row operations as the generic _howell. Its budget
 still bounds the q^d search space of each prime-power factor q, so a search
 too large to enumerate is refused with BudgetExceeded. Nothing is cached: a
 modulus is factored on each call that needs its primes, and the budget gate
@@ -470,6 +473,68 @@ def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
     return pivots, [b[d] for b in rows]
 
 
+def _howell2(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
+    """_howell for two unknowns, on scalars: the same row operations in the
+    same order, so the same (pivots, zero_rhs), with each row held as its
+    entries and no list built per row operation. Once x_1 is eliminated a
+    row's x_1 entry is 0, so the second pass carries (x_0 entry, rhs) only.
+    """
+    p, rest = None, []
+    for row in rows:
+        a, b, c = row
+        if not b:
+            rest.append((a, c))
+        elif p is None:
+            p = row
+        else:
+            pa, pb, pc = p
+            if b % pb:
+                g, s, t = _xgcd(pb, b)
+                u, w = -(b // g), pb // g
+                rest.append(((u * pa + w * a) % n, (u * pc + w * c) % n))
+                p = ((s * pa + t * a) % n, g, (s * pc + t * c) % n)
+            else:
+                q = b // pb
+                rest.append(((a - q * pa) % n, (c - q * pc) % n))
+    pivots = [None, None]
+    if p is not None:
+        pa, g, pc = p
+        if n % g:
+            g, s, _ = _xgcd(g, n)
+            pivots[1] = (s * pa % n, g, s * pc % n)
+        else:
+            pivots[1] = p
+        h = -(n // g)
+        a, c = h * pa % n, h * pc % n
+        if a or c:
+            rest.append((a, c))
+    p, zero_rhs = None, []
+    for a, c in rest:
+        if not a:
+            zero_rhs.append(c)
+        elif p is None:
+            p = a, c
+        else:
+            pa, pc = p
+            if a % pa:
+                g, s, t = _xgcd(pa, a)
+                zero_rhs.append((pa // g * c - a // g * pc) % n)
+                p = g, (s * pc + t * c) % n
+            else:
+                zero_rhs.append((c - a // pa * pc) % n)
+    if p is not None:
+        g, pc = p
+        if n % g:
+            g, s, _ = _xgcd(g, n)
+            pivots[0] = (g, 0, s * pc % n)
+        else:
+            pivots[0] = (g, 0, pc)
+        c = -(n // g) * pc % n
+        if c:
+            zero_rhs.append(c)
+    return pivots, zero_rhs
+
+
 def solve_linear(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
@@ -484,12 +549,14 @@ def solve_linear(
     occurrence, so a repeated equation is solved once; the row span, and so
     the answer, is unchanged.
     The distinct rows are brought to Howell form (see _howell) and solved by
-    back-substitution from x_0 up. A pivot g on x_j leaves the g values
-    r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the terms in
-    x_0 .. x_{j-1}, and a free unknown all n values. The Howell form lets
-    every partial solution extend, so the solutions come out in increasing
-    order and the cost follows their number: x_0 and x_1 are listed in closed
-    form, at O(1) integer work per solution.
+    back-substitution from x_0 up. Two unknowns, the shape of every system
+    the analysis layer solves, are echeloned on scalars (_howell2), with the
+    same row operations and so the same form. A pivot g on x_j leaves the g
+    values r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the
+    terms in x_0 .. x_{j-1}, and a free unknown all n values. The Howell form
+    lets every partial solution extend, so the solutions come out in
+    increasing order and the cost follows their number: x_0 and x_1 are
+    listed in closed form, at O(1) integer work per solution.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
@@ -525,7 +592,7 @@ def solve_linear(
         raise
     if len(augmented) > 1:
         augmented = list(dict.fromkeys(augmented))
-    pivots, zero_rhs = _howell(augmented, n)
+    pivots, zero_rhs = _howell2(augmented, n) if d == 2 else _howell(augmented, n)
     if _budget_gate(n, d, budget, zero_rhs):
         return []
     # x_0 runs over an arithmetic progression, and x_1, for each x_0, over one

@@ -8,10 +8,12 @@ default.
 
 The duality check compares a contextual dihedral group with the
 transposition/inversion group on the seed's T/I orbit, in O(n) and on plain
-integer triples. A transitive group acts simply transitively exactly when
-every element fixing the seed fixes the whole orbit, so only the seed's
-stabilizer is tested against the orbit; commutation is tested on the
-generators.
+integer triples. The contextual group is generated by U and the first of
+UV, UW and (UV)(UW)^-1 whose shift of the seed (z - x, z - y or y - x) is a
+unit mod n, or by U and UV when none is. A transitive group acts simply
+transitively exactly when every element fixing the seed fixes the whole
+orbit, so only the seed's stabilizer is tested against the orbit;
+commutation is tested on the generators.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ class DualityReport:
 
     seed: Vec3
     orbit_size: int
-    contextual_generator: str  # "UV" or "UW": the translation-like generator used
+    contextual_generator: str  # "UV", "UW" or "(UV)(UW)^-1": the translation-like generator used
     simply_transitive_contextual: bool
     simply_transitive_TI: bool
     mutually_commuting: bool
@@ -294,36 +296,47 @@ def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
     return True
 
 
+# The translation-like generators (UV)^a (UW)^b of a contextual group, by
+# name: each shifts (x, y, z) by a(z - x) + b(z - y), that is by z - x,
+# z - y and y - x.
+_CONTEXTUAL_GENERATORS = (("UV", 1, 0), ("UW", 0, 1), ("(UV)(UW)^-1", 1, -1))
+
+
 def check_duality(seed: Vec3) -> DualityReport:
     """Compare the contextual and T/I groups on the seed's T/I orbit, in O(n).
 
-    Everything runs on plain integer triples: a contextual element U^k (UV)^t
-    or U^k (UW)^t acts through the group elements' action kernel (voicing._act),
-    a T/I map as x -> s x + t. Simple transitivity is read off the seed's
-    stabilizer (see _simply_transitive) instead of restricting all 4n elements
-    to the orbit; commutation is tested on the generators over the orbit, and
-    the generators of both groups must map the orbit into itself.
+    The contextual group is U^k T^t, T being the first of UV, UW and
+    (UV)(UW)^-1 (see _CONTEXTUAL_GENERATORS) whose shift of the seed is a unit
+    mod n, or UV when none is; its name is the report's contextual_generator.
+    Everything runs on plain integer triples: a contextual element acts
+    through the group elements' action kernel (voicing._act), a T/I map as
+    x -> s x + t. Simple transitivity is read off the seed's stabilizer (see
+    _simply_transitive) instead of restricting all 4n elements to the orbit;
+    commutation is tested on the generators over the orbit, and the
+    generators of both groups must map the orbit into itself.
     """
     m = _require_group_modulus(seed.modulus)
     n = m.n
     x, y, z = origin = seed.entries
-    which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
+    which, a, b = next(
+        (g for g in _CONTEXTUAL_GENERATORS if math.gcd(g[1] * (z - x) + g[2] * (z - y), n) == 1),
+        _CONTEXTUAL_GENERATORS[0],
+    )
     ti_images = _ti_images(origin, n)
     orbit = set(ti_images.values())
 
     def ctx(k: int, t: int):
-        a, b = (t, 0) if which == "UV" else (0, t)
-        return lambda w: _act(k, a, b, w, n)  # the point of U^k is k
+        return lambda w: _act(k, a * t, b * t, w, n)  # the point of U^k is k
 
     def ti(s: int, t: int):
         return lambda w: _ti_image(w, s, t, n)
 
-    ctx_gens = (ctx(0, 1), ctx(1, 0))  # UV (or UW) and U
+    ctx_gens = (ctx(0, 1), ctx(1, 0))  # the translation-like generator and U
     ti_gens = (ti(1, 1), ti(-1, 0))  # x+1 and -x
     if any(g(w) not in orbit for g in ctx_gens + ti_gens for w in orbit):
         raise ValueError(f"the T/I orbit of {seed} is not closed under the generators")
 
-    # U^k (UV)^t seed: walk the translation-like generator, flipping each point by U
+    # U^k T^t seed: walk the translation-like generator T, flipping each point by U
     step, flip = ctx_gens
     ctx_images, v = {}, origin
     for t in range(n):

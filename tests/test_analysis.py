@@ -142,6 +142,38 @@ def test_solve_step_rejects_an_unknown_group():
         solve_step_bruteforce(Vec3.of(0, 4, 7, M12), Vec3.of(0, 3, 7, M12), "bogus")
 
 
+def test_solve_step_and_its_oracle_refuse_mixed_moduli():
+    # the oracle refuses what the solver refuses, so it can pin the refusal
+    src, dst = Vec3.of(0, 4, 7, 12), Vec3.of(0, 4, 0, 7)
+    for solve in (solve_step, solve_step_bruteforce):
+        with pytest.raises(ValueError, match="^mixed moduli: 12 vs 7$"):
+            solve(src, dst, "J")
+
+
+_PROGRESSIONS = [v for v in vars(datasets).values() if isinstance(v, Progression)]
+_PAIRS = [(WEBERN_ROW_1, WEBERN_ROW_2), (SCHOENBERG_OCTATONIC, SCHOENBERG_JET_SHARK), (HYMN_TO_THE_SUN, WITHOUT_A_SONG)]
+
+
+def test_every_progression_query_solves_two_unknowns_without_the_generic_echelon(monkeypatch):
+    # each system the analysis layer solves has two unknowns, (m, n) or (u, q)
+    def generic(rows, n):
+        raise AssertionError(f"generic echelon reached with {len(rows[0]) - 1} unknowns")
+
+    monkeypatch.setattr(modring, "_howell", generic)
+    assert len(_PROGRESSIONS) == 8
+    for prog in _PROGRESSIONS:
+        solve_uniform_all_cases(prog)
+        for src, dst in prog.steps():
+            for group in ("J", "extension") + (("hook",) if prog.modulus.n == 12 else ()):
+                solve_step(src, dst, group)
+        find_affine_morphisms(prog, prog, restrict_to_centralizer=True)
+    for a, b in _PAIRS:
+        assert find_affine_morphisms(a, b)
+        assert find_affine_morphisms(a, b, restrict_to_centralizer=True)
+    with pytest.raises(AssertionError, match="^generic echelon reached with 3 unknowns$"):
+        modring.solve_linear([[1, 2, 3]], [0], 12)
+
+
 def test_solve_step_over_a_large_modulus_reaches_its_budget():
     # n = 10000000019 * 10000000033: factoring it by trial division hung before the budget was read
     v = Vec3.of(0, 1, 3, 100000000520000000627)

@@ -246,6 +246,57 @@ def test_solve_linear_matches_enumeration_property(system):
 
 
 @st.composite
+def two_unknown_systems(draw):
+    """A system in two unknowns, the shape of every query the library makes:
+    1-6 rows over n in [2, 60] with entries in +-200, some with an all-zero
+    row, an all-zero column, a row repeated (its entries shifted by n or not)
+    or an all-zero right-hand side."""
+    n = draw(st.integers(2, 60))
+    r = draw(st.integers(1, 6))
+    entry = st.integers(-200, 200)
+    rows = [draw(st.lists(entry, min_size=2, max_size=2)) for _ in range(r)]
+    rhs = draw(st.lists(entry, min_size=r, max_size=r))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, r - 1))] = [0, 0]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, 1))
+        for row in rows:
+            row[j] = 0
+    if r > 1 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(r)))[:2]
+        shift = st.sampled_from((-n, 0, n))
+        rows[k], rhs[k] = [x + draw(shift) for x in rows[i]], rhs[i] + draw(shift)
+    if draw(st.booleans()):
+        rhs = [0] * r
+    return rows, rhs, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_unknown_systems(), st.integers(1, 400))
+def test_two_unknowns_echelon_on_scalars_as_the_generic_route_does(system, budget):
+    rows, rhs, n = system
+
+    def outcome(budget):
+        try:
+            return solve_linear(rows, rhs, n, budget=budget)
+        except BudgetExceeded as exc:
+            return f"BudgetExceeded: {exc}"
+
+    scalar = outcome(n**2), outcome(budget)
+    assert scalar[0] == enumerate_solutions(rows, rhs, n)
+    # the generic echelon, reached by routing two unknowns through it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modring, "_howell2", modring._howell)
+        assert (outcome(n**2), outcome(budget)) == scalar
+    # the same row operations in the same order: the same pivots and zero rows
+    augmented = list(dict.fromkeys((a % n, b % n, c % n) for (a, b), c in zip(rows, rhs)))
+    pivots, zero_rhs = modring._howell2(augmented, n)
+    generic_pivots, generic_zero_rhs = modring._howell(augmented, n)
+    assert [p and tuple(p) for p in pivots] == [p and tuple(p) for p in generic_pivots]
+    assert zero_rhs == generic_zero_rhs
+
+
+@st.composite
 def systems_with_many_rhs(draw):
     """One coefficient matrix with several right-hand sides, as a query that
     factors its rows once and solves every rhs against them would see."""

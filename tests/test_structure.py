@@ -359,19 +359,30 @@ def test_duality_dual_pairs():
         assert report.is_dual_pair
 
 
+# each translation-like generator (UV)^a (UW)^b by name, with its shift of (x, y, z)
+_GENERATORS = {
+    "UV": (1, 0, lambda x, y, z: z - x),
+    "UW": (0, 1, lambda x, y, z: z - y),
+    "(UV)(UW)^-1": (1, -1, lambda x, y, z: y - x),
+}
+
+
+def _contextual_elements(which, m):
+    """The 2n elements U^k T^t, t = 0 .. n-1 for k = 0 and then k = 1."""
+    a, b, _ = _GENERATORS[which]
+    return [JElement(k, a * t, b * t, m) for k in (0, 1) for t in range(m.n)]
+
+
 def _duality_oracle(seed):
     """The report from restricting all 2n contextual elements and all 2n T/I maps."""
     m = seed.modulus
     n = m.n
-    x, y, z = seed.entries
-    which = "UV" if math.gcd(z - x, n) == 1 or math.gcd(z - y, n) != 1 else "UW"
+    # the first generator whose shift of the seed is a unit, else UV
+    units = [name for name, (_, _, shift) in _GENERATORS.items() if math.gcd(shift(*seed.entries), n) == 1]
+    which = units[0] if units else "UV"
     orbit = ti_orbit(seed)
     orbit_set = set(orbit)
-    contextual = [
-        JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
-        for k in (0, 1)
-        for t in range(n)
-    ]
+    contextual = _contextual_elements(which, m)
     ctx_restrictions = [restrict_to_orbit(g, orbit) for g in contextual]
     ctx_transitive = {g.apply(seed) for g in contextual} == orbit_set
     ctx_simply = ctx_transitive and len(set(ctx_restrictions)) == len(orbit)
@@ -379,7 +390,7 @@ def _duality_oracle(seed):
     ti_restrictions = [restrict_to_orbit(f, orbit) for f in ti]
     ti_transitive = {f(seed) for f in ti} == orbit_set
     ti_simply = ti_transitive and len(set(ti_restrictions)) == len(orbit)
-    # generators sit at positions 1 and n of both lists: UV (or UW) and U, x+1 and -x
+    # generators sit at positions 1 and n of both lists: the translation-like one and U, x+1 and -x
     commuting = all(
         tuple(c[i] for i in t) == tuple(t[i] for i in c)
         for c in (ctx_restrictions[1], ctx_restrictions[n])
@@ -459,12 +470,7 @@ def _commute_elementwise(seed, which):
     """Every restricted contextual element against every restricted T/I map."""
     m = seed.modulus
     orbit = ti_orbit(seed)
-    contextual = [
-        JElement(k, t, 0, m) if which == "UV" else JElement(k, 0, t, m)
-        for k in (0, 1)
-        for t in range(m.n)
-    ]
-    ctx = {restrict_to_orbit(g, orbit) for g in contextual}
+    ctx = {restrict_to_orbit(g, orbit) for g in _contextual_elements(which, m)}
     ti = {restrict_to_orbit(f, orbit) for f in ti_group(m)}
     return all(
         tuple(c[t[i]] for i in range(len(orbit))) == tuple(t[c[i]] for i in range(len(orbit)))
@@ -512,6 +518,26 @@ def test_duality_uses_other_generator_when_z_minus_y_generates():
     report = check_duality(Vec3.of(0, 5, 4, M12))
     assert report.contextual_generator == "UW"
     assert report.is_dual_pair
+
+
+@pytest.mark.parametrize("n", [7, 8, 10, 12])
+def test_duality_census_of_trichords(n):
+    # (0, a, b) is dual exactly when one of its intervals a, b, b - a is a unit
+    # mod n: the contextual generator with that shift is then simply transitive
+    m = Modulus(n)
+    dual = []
+    for a in range(1, n):
+        for b in range(a + 1, n):
+            report = check_duality(Vec3.of(0, a, b, m))
+            assert report.is_dual_pair == any(math.gcd(i, n) == 1 for i in (a, b, b - a)), (a, b)
+            dual.append(report.is_dual_pair)
+    if n == 12:
+        assert (sum(dual), len(dual)) == (42, 55)
+        # the eight trichords whose only unit interval is b - a
+        for a, b in ((1, 3), (1, 4), (1, 9), (1, 10), (5, 8), (5, 9), (7, 9), (7, 10)):
+            report = check_duality(Vec3.of(0, a, b, m))
+            assert report.contextual_generator == "(UV)(UW)^-1"
+            assert report.is_dual_pair
 
 
 def test_restriction_kernel_size(j12):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 
 from .modring import Modulus, Residue, as_modulus
-from .linalg import _PERM_IMAGES, ALL_PERMS, Mat3, Perm3
+from .linalg import _CYCLE_IMAGES, ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
     _GROUP_POINTS,
@@ -177,8 +177,8 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-# The point of each cycle, keyed by its digits: '13' -> the point of (13).
-_CYCLE_POINTS = {text[1:-1]: _point(Perm3(image), 0) for text, image in _PERM_IMAGES.items() if text != "id"}
+# The point of each cycle, keyed by its digits in every rotation: '13' and '31' -> the point of (13).
+_CYCLE_POINTS = {text[1:-1]: _point(Perm3(image), 0) for text, image in _CYCLE_IMAGES.items()}
 
 
 def parse_element(text: str, modulus: Modulus | int) -> ExtElement:

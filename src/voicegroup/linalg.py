@@ -167,6 +167,14 @@ _PERM_IMAGES = {
     "(123)": (2, 3, 1),
     "(132)": (3, 1, 2),
 }
+# Every rotation of a cycle names the same permutation: '(21)' is (12), and
+# '(231)' and '(312)' are (123). The canonical cycles above stay the printed form.
+_CYCLE_IMAGES = {
+    f"({text[1 + i:-1]}{text[1:1 + i]})": image
+    for text, image in _PERM_IMAGES.items()
+    if text != "id"
+    for i in range(len(text) - 2)
+}
 # Slot i of sigma(v) holds entry sigma^-1(i + 1) - 1 of v: one index triple per image.
 _SLOTS = {image: tuple(image.index(i) for i in (1, 2, 3)) for image in _PERM_IMAGES.values()}
 
@@ -188,14 +196,16 @@ class Perm3(_Value):
 
     @classmethod
     def from_cycle(cls, text: str) -> "Perm3":
-        """Parse cycle notation: '(13)', '(123)'; 'id', '()' and 'e' are the identity.
-        Whitespace anywhere in the text is ignored, as in element text."""
+        """Parse cycle notation: '(13)', '(123)', or any rotation of a cycle such
+        as '(31)' or '(231)'; 'id', '()' and 'e' are the identity. Whitespace
+        anywhere in the text is ignored, as in element text."""
         key = "".join(text.split())
         if key in ("id", "()", "e", ""):
             return cls.identity()
-        if key in _PERM_IMAGES:
-            return cls(_PERM_IMAGES[key])
-        raise ValueError(f"cannot parse permutation {text!r}")
+        image = _CYCLE_IMAGES.get(key)
+        if image is None:
+            raise ValueError(f"cannot parse permutation {text!r}")
+        return _perm3(image)
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]

@@ -311,9 +311,14 @@ def check_duality(seed: Vec3) -> DualityReport:
     Everything runs on plain integer triples: a contextual element acts
     through the group elements' action kernel (voicing._act), a T/I map as
     x -> s x + t. Simple transitivity is read off the seed's stabilizer (see
-    _simply_transitive) instead of restricting all 4n elements to the orbit;
-    commutation is tested on the generators over the orbit, and the
-    generators of both groups must map the orbit into itself.
+    _simply_transitive) instead of restricting all 4n elements to the orbit.
+    Each of the four generators (T, U, x+1 and -x) is evaluated once per orbit
+    point into an image table; the closure check (the generators of both
+    groups must map the orbit into itself), the U^k T^t walk and the
+    generator-pair commutation test read those tables. With trivial
+    stabilizers that is 7 |orbit| kernel calls: 3 |orbit| through _act (T, U
+    and the identity's stabilizer check) and 4 |orbit| through _ti_image (the
+    T/I images of the seed, x+1, -x and the identity's check).
     """
     m = _require_group_modulus(seed.modulus)
     n = m.n
@@ -331,24 +336,27 @@ def check_duality(seed: Vec3) -> DualityReport:
     def ti(s: int, t: int):
         return lambda w: _ti_image(w, s, t, n)
 
-    ctx_gens = (ctx(0, 1), ctx(1, 0))  # the translation-like generator and U
-    ti_gens = (ti(1, 1), ti(-1, 0))  # x+1 and -x
-    if any(g(w) not in orbit for g in ctx_gens + ti_gens for w in orbit):
+    # Each generator evaluated once per orbit point: the translation-like
+    # generator T and U (the points of U^0 and U^1), then x+1 and -x.
+    step = {w: _act(0, a, b, w, n) for w in orbit}
+    flip = {w: _act(1, 0, 0, w, n) for w in orbit}
+    shift = {w: _ti_image(w, 1, 1, n) for w in orbit}
+    negate = {w: _ti_image(w, -1, 0, n) for w in orbit}
+    if any(image not in orbit for g in (step, flip, shift, negate) for image in g.values()):
         raise ValueError(f"the T/I orbit of {seed} is not closed under the generators")
 
     # U^k T^t seed: walk the translation-like generator T, flipping each point by U
-    step, flip = ctx_gens
     ctx_images, v = {}, origin
     for t in range(n):
         ctx_images[0, t] = v
-        ctx_images[1, t] = flip(v)
-        v = step(v)
+        ctx_images[1, t] = flip[v]
+        v = step[v]
     ctx_simply = _simply_transitive(origin, orbit, ctx_images, lambda key: ctx(*key))
     ti_simply = _simply_transitive(origin, orbit, ti_images, lambda key: ti(*key))
 
     # Each restriction is a homomorphism into Sym(orbit), so the restricted groups
     # commute exactly when their generators do.
-    commuting = all(c(f(w)) == f(c(w)) for c in ctx_gens for f in ti_gens for w in orbit)
+    commuting = all(c[f[w]] == f[c[w]] for c in (step, flip) for f in (shift, negate) for w in orbit)
     ok = len(orbit) == 2 * n and ctx_simply and ti_simply and commuting
     return DualityReport(
         seed=seed,
@@ -366,18 +374,18 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
 
     For each of the six T/I orbits of the reorderings tau(0,4,7), compare each
     generator with tau X tau^-1 for X in {P, L, R} (the contextual operations
-    on the dualistic root-position orbit) across all 24 orbit elements, on
-    plain integer triples through the action kernel. tau X tau^-1 is again a
-    reflection, sigma_conjugate_generator(tau, X). The match is required to be
-    unique; an ambiguous match, as at n = 3, 4 or 7, raises ValueError, and
-    n = 2 is refused as the normal forms refuse it.
+    on the dualistic root-position orbit) across all |orbit| orbit elements
+    (2n of them: 24 at n = 12, 40 at n = 20), on plain integer triples through
+    the action kernel. tau X tau^-1 is again a reflection,
+    sigma_conjugate_generator(tau, X), so each of U, V and W is evaluated once
+    per orbit point and the image lists are compared: 3 |orbit| kernel calls
+    per orbit. The match is required to be unique; an ambiguous match, as at
+    n = 3, 4 or 7, raises ValueError, and n = 2 is refused as the normal forms
+    refuse it.
     """
     m = _require_group_modulus(as_modulus(modulus))
     n = m.n
     base = Vec3.of(0, 4, 7, m).entries
-
-    def act(g: Generator, w: tuple[int, int, int]) -> tuple[int, int, int]:
-        return _act(1, *_GENERATOR_EXPONENTS[g], w, n)  # the point of U is 1
 
     # On the dualistic root-position orbit the three reflections realize
     # P, L, R; these serve as the reference contextual operations.
@@ -386,10 +394,12 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
     for tau in ALL_PERMS:
         rep = tau.apply(base)
         orbit = set(_ti_images(rep, n).values())
+        # the point of U is 1; each list walks the same set, so in the same order
+        images = {g: [_act(1, a, b, w, n) for w in orbit] for g, (a, b) in _GENERATOR_EXPONENTS.items()}
         conjugates = {name: sigma_conjugate_generator(tau, x) for name, x in contextual.items()}
         column: dict[str, str] = {}
         for g in Generator:
-            matches = [name for name, x in conjugates.items() if all(act(g, w) == act(x, w) for w in orbit)]
+            matches = [name for name, x in conjugates.items() if images[g] == images[x]]
             if len(matches) != 1:
                 raise ValueError(
                     f"generator {g} matches {matches!r} on orbit of {Vec3(rep, m)}; "

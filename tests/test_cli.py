@@ -148,6 +148,13 @@ def test_solve_grail_json_schema(capsys, grail_file):
     assert len(payload["solutions"]) == 4
 
 
+@pytest.mark.parametrize("rotated, cycle", [("(21)", "(12)"), ("(321)", "(132)")])
+def test_solve_reads_a_rotated_sigma_as_its_cycle(capsys, grail_file, rotated, cycle):
+    rotated_run = run(capsys, "solve", grail_file, "--sigma", rotated, "--k", "1")
+    assert rotated_run == run(capsys, "solve", grail_file, "--sigma", cycle, "--k", "1")
+    assert rotated_run[0] == 0
+
+
 def test_solve_falling_fifths_defaults_to_all_cases(capsys, fifths_file):
     code, out, _ = run(capsys, "solve", fifths_file, "--mod", "7")
     assert code == 0

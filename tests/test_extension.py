@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -556,15 +558,45 @@ def test_parse_examples():
     # exponents are ASCII digits, as str writes them; another script's 3 is not an exponent
     with pytest.raises(ValueError, match=r"^cannot parse element '\(UV\)\^\u0663' at position 4$"):
         parse_element("(UV)^\u0663", M12)
-    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(31\)'$"):
-        parse_element("U (3 1)", M12)
+    # a rotated cycle names the same permutation; digits that name none are refused
+    assert parse_element("U (3 1)", M12) == parse_element("U (13)", M12)
+    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(33\)'$"):
+        parse_element("U (3 3)", M12)
     # a run of mixed whitespace ends a factor; a bad token is reported where it starts
     with pytest.raises(ValueError, match=r"^cannot parse element 'U \\t x' at position 4$"):
         parse_element("U \t x", M12)
     with pytest.raises(ValueError, match=r"^cannot parse element '\(13\)\\xa0\\n\(UV\)\^2\\t Q' at position 14$"):
         parse_element("(13)\xa0\n(UV)^2\t Q", M12)
-    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(21\)'$"):
-        parse_element("U\t\u2003( 2\t1 )", M12)
+    assert parse_element("U\t\u2003( 2\t1 )", M12) == parse_element("U (12)", M12)
+    with pytest.raises(ValueError, match=r"^cannot parse permutation '\(22\)'$"):
+        parse_element("U\t\u2003( 2\t2 )", M12)
+
+
+def _cycle_image(text):
+    """(sigma(1), sigma(2), sigma(3)) for a cycle '(abc)': a -> b -> c -> a."""
+    digits = [int(d) for d in text[1:-1]]
+    image = [1, 2, 3]
+    for a, b in zip(digits, digits[1:] + digits[:1]):
+        image[a - 1] = b
+    return tuple(image)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" + "".join(d) + ")" for r in (2, 3) for d in itertools.permutations("123", r)]
+)
+def test_every_rotation_of_a_cycle_names_its_permutation(text):
+    sigma = Perm3.from_cycle(text)
+    assert sigma.image == _cycle_image(text)
+    canonical = sigma.cycle_notation()
+    assert canonical in ("(12)", "(13)", "(23)", "(123)", "(132)")
+    assert sigma == Perm3.from_cycle(canonical)
+    assert str(parse_element(f"{text} U", M12)) == str(parse_element(f"{canonical} U", M12)) == f"{canonical} U"
+
+
+@pytest.mark.parametrize("text", ["(11)", "(1234)", "(12)(13)"])
+def test_from_cycle_refuses_what_names_no_single_cycle(text):
+    with pytest.raises(ValueError, match=rf"^cannot parse permutation '{re.escape(text)}'$"):
+        Perm3.from_cycle(text)
 
 
 @pytest.mark.parametrize(

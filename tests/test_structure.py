@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ import voicegroup.structure as structure
 import voicegroup.voicing as voicing
 from voicegroup.modring import BudgetExceeded, Modulus, solve_linear
 from voicegroup.linalg import (
+    ALL_PERMS,
     TRANSPOSITION_12,
     AffineMap,
     Mat3,
@@ -17,9 +19,10 @@ from voicegroup.linalg import (
     determinant,
     is_invertible,
     mat_mul,
+    mat_vec,
     scalar_affine,
 )
-from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix
+from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix, sigma_conjugate_generator
 from voicegroup.structure import (
     Ambient,
     DualityReport,
@@ -573,6 +576,75 @@ def test_orbit_restriction_table_raises_on_an_ambiguous_match():
 def test_orbit_restriction_table_refuses_modulus_2():
     with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
         orbit_restriction_table(2)
+
+
+def _restriction_table_oracle(n):
+    """The table by comparing every generator with every candidate pairwise, through matrices."""
+    m = Modulus(n)
+    contextual = {"P": Generator.W, "L": Generator.V, "R": Generator.U}
+    table = {}
+    for tau in ALL_PERMS:
+        rep = tau.apply(Vec3.of(0, 4, 7, m))
+        orbit = ti_orbit(rep)
+        column = {}
+        for g in Generator:
+            matches = [
+                name
+                for name, x in contextual.items()
+                if all(
+                    mat_vec(generator_matrix(g, m), w)
+                    == mat_vec(generator_matrix(sigma_conjugate_generator(tau, x), m), w)
+                    for w in orbit
+                )
+            ]
+            if len(matches) != 1:
+                raise ValueError(f"generator {g} matches {matches!r} on orbit of {rep}; expected exactly one")
+            column[g.name] = matches[0]
+        table[rep.entries] = column
+    return table
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_orbit_restriction_table_matches_pairwise_oracle(n):
+    try:
+        expected = _restriction_table_oracle(n)
+    except ValueError as refusal:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+            orbit_restriction_table(n)
+    else:
+        assert orbit_restriction_table(n) == expected
+
+
+def _count_kernel_calls(monkeypatch):
+    """Wrap structure's two action kernels in counters."""
+    calls = {"_act": 0, "_ti_image": 0}
+    for name in calls:
+        kernel = getattr(structure, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(structure, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entries, n", [((0, 4, 7), 12), ((0, 3, 11), 15)])
+def test_duality_evaluates_each_generator_once_per_orbit_point(monkeypatch, entries, n):
+    # T and U through _act, x+1 and -x through _ti_image, once each per point;
+    # the seed's T/I images and the identity's stabilizer check add one |orbit| each
+    calls = _count_kernel_calls(monkeypatch)
+    report = check_duality(Vec3.of(*entries, Modulus(n)))
+    assert report.is_dual_pair
+    assert calls["_act"] <= 3 * report.orbit_size
+    assert calls["_ti_image"] <= 4 * report.orbit_size
+
+
+def test_orbit_restriction_table_evaluates_each_generator_once_per_orbit_point(monkeypatch):
+    # six orbits of 24 points, three generators each
+    calls = _count_kernel_calls(monkeypatch)
+    orbit_restriction_table(12)
+    assert calls["_act"] == 6 * 24 * 3
 
 
 def test_orbit_restriction_table():

@@ -70,7 +70,6 @@ _EXPORTS = {
             "check_duality",
             "count_GL3",
             "count_SL3",
-            "diagonal_product_family",
             "index_of_J",
             "monoid_centralizer_closed_form",
             "orbit_restriction_table",

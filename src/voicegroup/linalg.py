@@ -43,7 +43,8 @@ class Vec3(_Value):
         return self.entries == other.entries and self.modulus.n == other.modulus.n
 
     def __hash__(self):
-        return hash((self.entries, self.modulus.n))
+        # equal values have equal entries; __eq__ alone compares the modulus
+        return hash(self.entries)
 
     @classmethod
     def of(cls, x: int, y: int, z: int, modulus: Modulus | int) -> "Vec3":
@@ -100,7 +101,8 @@ class Mat3(_Value):
         return self.rows == other.rows and self.modulus.n == other.modulus.n
 
     def __hash__(self):
-        return hash((self.rows, self.modulus.n))
+        # equal values have equal entries; __eq__ alone compares the modulus
+        return hash(self.rows)
 
     @classmethod
     def identity(cls, modulus: Modulus | int) -> "Mat3":
@@ -192,7 +194,7 @@ class Perm3(_Value):
 
     @classmethod
     def identity(cls) -> "Perm3":
-        return cls((1, 2, 3))
+        return _perm3((1, 2, 3))
 
     @classmethod
     def from_cycle(cls, text: str) -> "Perm3":

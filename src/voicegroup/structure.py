@@ -21,10 +21,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, as_modulus, _budget_gate, _prime_powers
-from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, is_invertible, mat_vec, scalar_affine, _affine, _mat3, _vec3
+from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, mat_vec, scalar_affine, _affine, _mat3, _vec3
 from .voicing import _GENERATOR_EXPONENTS, Generator, JElement, _act, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
@@ -70,48 +71,41 @@ def center_of_J(modulus: Modulus | int) -> list[JElement]:
     return [JElement._make((0, a, b, m)) for a in halves for b in halves]
 
 
+def _centralizer_family(scalars: Sequence[int], m: Modulus) -> tuple[Mat3, ...]:
+    """diag(a) + (n/2)*ones*w^T for each a in scalars and each covector w of
+    the family (voicing._centralizer_covectors), sorted by rows.
+
+    Distinct (a, w) give distinct matrices: the off-diagonal entries (n/2)*w
+    fix w, and then the diagonal fixes a. Every w has even weight, so
+    (n/2)(w . ones) = 0 mod n and the determinant is a^3 mod n: a member is
+    invertible exactly when a is a unit.
+    """
+    n = m.n
+    mats = [_mat3(_centralizer_rows(a, w, n), m) for a in scalars for w in _centralizer_covectors(n)]
+    return tuple(sorted(mats, key=attrgetter("rows")))
+
+
 def centralizer_in_M3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> CentralizerReport:
     """Monoid centralizer in all 3x3 matrices, sorted by rows.
 
-    This is monoid_centralizer_closed_form, which has 48 elements over Z/12;
-    see it for the explicit description and diagonal_product_family for the
-    smaller diag(u)-product family. The budget bounds the q^9 matrices over
-    each prime-power factor q, so n = 7 needs a budget of at least 7**9.
+    These are the matrices of monoid_centralizer_closed_form, which has 48
+    elements over Z/12. The budget bounds the q^9 matrices over each
+    prime-power factor q, so n = 7 needs a budget of at least 7**9.
     """
     m = as_modulus(modulus)
     _budget_gate(m.n, 9, budget)
-    mats = tuple(sorted(monoid_centralizer_closed_form(m), key=lambda a: a.rows))
+    mats = _centralizer_family(range(m.n), m)
     return CentralizerReport(Ambient.M3, mats, len(mats))
 
 
 def centralizer_in_GL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> CentralizerReport:
-    """Group centralizer: the invertible part of the monoid centralizer."""
-    monoid = centralizer_in_M3(modulus, budget)
-    mats = tuple(a for a in monoid.elements if is_invertible(a))
+    """Group centralizer: the members of the monoid centralizer whose scalar a
+    is a unit (their determinant is a^3), sorted by rows, under the same
+    budget."""
+    m = as_modulus(modulus)
+    _budget_gate(m.n, 9, budget)
+    mats = _centralizer_family([a for a in range(m.n) if math.gcd(a, m.n) == 1], m)
     return CentralizerReport(Ambient.GL3, mats, len(mats))
-
-
-def diagonal_product_family(modulus: Modulus | int, invertible_only: bool = False) -> set[Mat3]:
-    """The products diag(u) * (central involution), u ranging over Z/n.
-
-    For even n the central involutions are Id, (UV)^(n/2), (UW)^(n/2) and
-    their product, the matrices I + (n/2)*ones*w^T for the even-weight
-    covectors w; for odd n only Id, leaving the scalar matrices. So a product
-    is diag(u) + (n/2)*ones*w^T for odd u and diag(u) for even u. Over Z/12
-    this yields 30 distinct matrices (16 invertible ones for unit u). Note:
-    for even n this is a proper subset of the full monoid commutant, which
-    also contains diag(a) + (n/2)*ones*w^T for even a; the invertible parts
-    agree. See monoid_centralizer_closed_form.
-    """
-    m = _require_group_modulus(as_modulus(modulus))
-    n = m.n
-    zero = (0, 0, 0)
-    return {
-        _mat3(_centralizer_rows(u, w if u % 2 else zero, n), m)
-        for u in range(n)
-        if not invertible_only or math.gcd(u, n) == 1
-        for w in _centralizer_covectors(n)
-    }
 
 
 def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
@@ -123,7 +117,7 @@ def monoid_centralizer_closed_form(modulus: Modulus | int) -> set[Mat3]:
     elements (4n for even n, n for odd n).
     """
     m = as_modulus(modulus)
-    return {_mat3(_centralizer_rows(a, w, m.n), m) for a in range(m.n) for w in _centralizer_covectors(m.n)}
+    return set(_centralizer_family(range(m.n), m))
 
 
 def centralizer_in_Aff(
@@ -276,20 +270,21 @@ class DualityReport:
     is_dual_pair: bool
 
 
-def _simply_transitive(seed, orbit: set, images: dict, action) -> bool:
+def _simply_transitive(seed, orbit: set, images: dict, action, identity) -> bool:
     """Whether a finite group acts simply transitively on the orbit through seed.
 
-    `images` maps each group element to its image of seed, and `action(g)` is
-    g as a function on the orbit. If the group is transitive, its image in
-    Sym(orbit) has |G|/|K| elements, where the pointwise stabilizer K of the
-    orbit lies in Stab(seed), and |orbit| = |G|/|Stab(seed)|. So it acts simply
-    transitively exactly when every element fixing seed fixes the whole orbit:
-    |Stab(seed)| * |orbit| = |G| further checks.
+    `images` maps each group element to its image of seed, `action(g)` is g
+    as a function on the orbit, and `identity` is the identity's key. If the
+    group is transitive, its image in Sym(orbit) has |G|/|K| elements, where
+    the pointwise stabilizer K of the orbit lies in Stab(seed), and
+    |orbit| = |G|/|Stab(seed)|. So it acts simply transitively exactly when
+    every element fixing seed fixes the whole orbit: (|Stab(seed)| - 1) *
+    |orbit| further checks, the identity needing none.
     """
     if set(images.values()) != orbit:
         return False
     for g, image in images.items():
-        if image == seed:
+        if image == seed and g != identity:
             act = action(g)
             if any(act(w) != w for w in orbit):
                 return False
@@ -316,9 +311,9 @@ def check_duality(seed: Vec3) -> DualityReport:
     point into an image table; the closure check (the generators of both
     groups must map the orbit into itself), the U^k T^t walk and the
     generator-pair commutation test read those tables. With trivial
-    stabilizers that is 7 |orbit| kernel calls: 3 |orbit| through _act (T, U
-    and the identity's stabilizer check) and 4 |orbit| through _ti_image (the
-    T/I images of the seed, x+1, -x and the identity's check).
+    stabilizers that is 5 |orbit| kernel calls: 2 |orbit| through _act (T
+    and U) and 3 |orbit| through _ti_image (the T/I images of the seed, x+1
+    and -x); the identity is not run over the orbit.
     """
     m = _require_group_modulus(seed.modulus)
     n = m.n
@@ -351,8 +346,8 @@ def check_duality(seed: Vec3) -> DualityReport:
         ctx_images[0, t] = v
         ctx_images[1, t] = flip[v]
         v = step[v]
-    ctx_simply = _simply_transitive(origin, orbit, ctx_images, lambda key: ctx(*key))
-    ti_simply = _simply_transitive(origin, orbit, ti_images, lambda key: ti(*key))
+    ctx_simply = _simply_transitive(origin, orbit, ctx_images, lambda key: ctx(*key), (0, 0))
+    ti_simply = _simply_transitive(origin, orbit, ti_images, lambda key: ti(*key), (1, 0))
 
     # Each restriction is a homomorphism into Sym(orbit), so the restricted groups
     # commute exactly when their generators do.

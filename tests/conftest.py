@@ -1,9 +1,9 @@
 import pytest
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import mat_mul
+from voicegroup.linalg import Mat3, mat_mul
 from voicegroup.extension import enumerate_extension
-from voicegroup.voicing import enumerate_J
+from voicegroup.voicing import JElement, enumerate_J
 from voicegroup.triadic import hook_elements
 
 
@@ -48,3 +48,17 @@ def _matrix_closure(mats):
 @pytest.fixture(scope="session")
 def matrix_closure():
     return _matrix_closure
+
+
+@pytest.fixture(scope="session")
+def diagonal_products12():
+    """The 30 products diag(u) * c over Z/12, u in Z/12 and c one of the four
+    central involutions Id, (UV)^6, (UW)^6 and (UV)^6 (UW)^6: the family once
+    stated as the monoid centralizer, built here by matrix products."""
+    m = Modulus(12)
+    involutions = [JElement(0, a, b, m).matrix() for a in (0, 6) for b in (0, 6)]
+    return {
+        mat_mul(Mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m), c)
+        for u in range(12)
+        for c in involutions
+    }

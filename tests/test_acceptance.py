@@ -21,6 +21,7 @@ from voicegroup.linalg import (
     Perm3,
     TRANSPOSITION_13,
     Vec3,
+    is_invertible,
     scalar_affine,
 )
 from voicegroup.voicing import (
@@ -39,7 +40,6 @@ from voicegroup.structure import (
     check_duality,
     count_GL3,
     count_SL3,
-    diagonal_product_family,
     index_of_J,
     monoid_centralizer_closed_form,
     orbit_restriction_table,
@@ -104,10 +104,10 @@ def test_criterion_03_center():
     print("criterion 3: PASS - center is the Klein 4-group {Id,(UV)^6,(UW)^6,(UV)^6(UW)^6}")
 
 
-def test_criterion_04a_group_level_centralizers():
+def test_criterion_04a_group_level_centralizers(diagonal_products12):
     gl = centralizer_in_GL3(12)
     assert gl.size == 16
-    assert set(gl.elements) == diagonal_product_family(12, invertible_only=True)
+    assert set(gl.elements) == {a for a in diagonal_products12 if is_invertible(a)}
     affx = centralizer_in_Aff(12, invertible_only=True)
     assert affx.size == 192
     print("criterion 4a: PASS - group centralizers: 16 matrices, 192 affine maps")
@@ -134,7 +134,7 @@ def _commutant_by_enumeration(q):
     return mats[keep]
 
 
-def test_criterion_04b_monoid_centralizer_stated_sizes():
+def test_criterion_04b_monoid_centralizer_stated_sizes(diagonal_products12):
     """Monoid-level clause of criterion 4: 48 matrices and 576 affine maps.
 
     The sizes first stated for this clause, 30 matrices (the diag(u)
@@ -170,15 +170,14 @@ def test_criterion_04b_monoid_centralizer_stated_sizes():
     assert got == oracle
     assert got == monoid_centralizer_closed_form(12)
 
-    family = diagonal_product_family(12)
-    assert len(family) == 30 and family < got
+    assert len(diagonal_products12) == 30 and diagonal_products12 < got
     shifts = {
         Mat3([[a * (i == j) + 6 * w[j] for j in range(3)] for i in range(3)], M12)
         for a in range(0, 12, 2)
         for w in ((0, 1, 1), (1, 0, 1), (1, 1, 0))
     }
     assert len(shifts) == 18
-    assert got - family == shifts
+    assert got - diagonal_products12 == shifts
 
     witness = np.full((3, 3), 6) * np.array([0, 1, 1])
     for rows in _UVW_ROWS:

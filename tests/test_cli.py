@@ -749,8 +749,9 @@ def _references(path, names):
 
 def test_group_computations_use_no_matrix_kernel():
     # structure and triadic act through the element coordinates (voicing._act and
-    # the point-product table); a matrix is built only when it is the answer.
-    kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix"}
+    # the point-product table); a matrix is built only when it is the answer, and
+    # no determinant is taken (a centralizer member's is the cube of its scalar).
+    kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix", "is_invertible", "determinant", "_det_int"}
     for name in ("structure.py", "triadic.py"):
         lines = _references(PACKAGE_DIR / name, kernels)
         assert lines == [], f"{name}: matrix kernel at lines {lines}"

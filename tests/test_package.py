@@ -65,6 +65,7 @@ _RETIRED = {
     "hook_generator_13U": "triadic",
     "hook_generator_13W": "triadic",
     "rho_matrix": "triadic",
+    "diagonal_product_family": "structure",
 }
 
 

@@ -21,6 +21,7 @@ from voicegroup.linalg import (
     mat_mul,
     mat_vec,
     scalar_affine,
+    _det_int,
 )
 from voicegroup.voicing import Generator, JElement, enumerate_J, generator_matrix, sigma_conjugate_generator
 from voicegroup.structure import (
@@ -33,7 +34,6 @@ from voicegroup.structure import (
     check_duality,
     count_GL3,
     count_SL3,
-    diagonal_product_family,
     gl3_order_closed_form,
     index_of_J,
     monoid_centralizer_closed_form,
@@ -73,17 +73,16 @@ def test_center_contained_in_gl_centralizer():
 # family accounts for only 30 of them; the other 18 are the rank-one shifts
 # diag(a) + 6*ones*w^T with a even, e.g. rows ((0,6,6),(0,6,6),(0,6,6)),
 # which are easy to miss but commute with every generator (hand-checkable).
-def test_monoid_centralizer_true_size_and_closed_form():
+def test_monoid_centralizer_true_size_and_closed_form(diagonal_products12):
     report = centralizer_in_M3(12)
     assert report.ambient is Ambient.M3
     assert report.size == 48
     assert set(report.elements) == monoid_centralizer_closed_form(12)
     witness = Mat3([[0, 6, 6], [0, 6, 6], [0, 6, 6]], M12)
     assert witness in report.elements
-    assert witness not in diagonal_product_family(12)
-    family = diagonal_product_family(12)
-    assert len(family) == 30
-    assert family < set(report.elements)
+    assert witness not in diagonal_products12
+    assert len(diagonal_products12) == 30
+    assert diagonal_products12 < set(report.elements)
 
 
 def test_monoid_centralizer_membership_example():
@@ -164,15 +163,35 @@ def test_monoid_centralizer_closed_under_multiplication():
             assert mat_mul(a, b) in cent
 
 
-def test_gl_centralizer():
+def test_gl_centralizer(diagonal_products12):
     report = centralizer_in_GL3(12)
     assert report.ambient is Ambient.GL3
     assert report.size == 16
-    assert set(report.elements) == diagonal_product_family(12, invertible_only=True)
+    assert set(report.elements) == {c for c in diagonal_products12 if is_invertible(c)}
     assert Mat3([[11, 0, 6], [6, 5, 6], [6, 0, 11]], M12) in report.elements
     assert all(is_invertible(c) for c in report.elements)
     monoid = set(centralizer_in_M3(12).elements)
     assert set(report.elements) == {c for c in monoid if is_invertible(c)}
+
+
+# every listed member is diag(a) + (n/2)*ones*w^T; its determinant is a^3, so
+# the group centralizer is the members with a unit scalar a
+@pytest.mark.parametrize("n", range(2, 61))
+def test_centralizer_family_determinant_is_the_cube_of_its_scalar(n):
+    family = centralizer_in_M3(n, budget=n**9).elements
+    assert len(set(family)) == (4 * n if n % 2 == 0 else n)
+    for c in family:
+        a = (c.rows[0][0] - c.rows[1][0]) % n  # row 0 is a e_0 + (n/2) w, row 1 is (n/2) w off its diagonal
+        assert _det_int(c.rows) % n == a**3 % n
+
+
+# the route before the closed form: the monoid listing filtered by determinant
+@pytest.mark.parametrize("n", range(3, 61))
+def test_gl_centralizer_is_the_invertible_part_of_the_monoid_listing(n):
+    monoid = centralizer_in_M3(n, budget=n**9)
+    report = centralizer_in_GL3(n, budget=n**9)
+    assert report.elements == tuple(a for a in monoid.elements if is_invertible(a))
+    assert report.size == len(report.elements)
 
 
 def test_centralizer_determinants_are_cubes():
@@ -632,12 +651,12 @@ def _count_kernel_calls(monkeypatch):
 @pytest.mark.parametrize("entries, n", [((0, 4, 7), 12), ((0, 3, 11), 15)])
 def test_duality_evaluates_each_generator_once_per_orbit_point(monkeypatch, entries, n):
     # T and U through _act, x+1 and -x through _ti_image, once each per point;
-    # the seed's T/I images and the identity's stabilizer check add one |orbit| each
+    # the seed's T/I images add one |orbit|, and the identity is never run
     calls = _count_kernel_calls(monkeypatch)
     report = check_duality(Vec3.of(*entries, Modulus(n)))
     assert report.is_dual_pair
-    assert calls["_act"] <= 3 * report.orbit_size
-    assert calls["_ti_image"] <= 4 * report.orbit_size
+    assert calls["_act"] == 2 * report.orbit_size
+    assert calls["_ti_image"] == 3 * report.orbit_size
 
 
 def test_orbit_restriction_table_evaluates_each_generator_once_per_orbit_point(monkeypatch):

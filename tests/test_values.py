@@ -120,6 +120,12 @@ def test_values_equal_across_distinct_moduli():
         assert len({x, y}) == 1
 
 
+def test_same_entries_over_different_moduli_differ():
+    for x, y in ((Vec3.of(0, 4, 7, 12), Vec3.of(0, 4, 7, 13)), (Mat3.identity(12), Mat3.identity(13))):
+        assert x != y and len({x, y}) == 2
+        assert {x: 0}.get(y) is None
+
+
 def test_values_of_different_kinds_differ():
     v = Vec3.of(0, 4, 7, 12)
     assert v != (0, 4, 7) and (0, 4, 7) != v

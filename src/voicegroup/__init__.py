@@ -34,7 +34,6 @@ _EXPORTS = {
             "Vec3",
             "determinant",
             "is_invertible",
-            "mat_mul",
             "mat_vec",
             "perm_matrix",
             "scalar_affine",

@@ -30,7 +30,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, _Value, _is_int, as_modulus, check_same_modulus, solve_linear
-from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3, mat_mul
+from .linalg import ALL_PERMS, AffineMap, Mat3, Perm3, TRANSPOSITION_13, Vec3, _affine, _mat3, _vec3
 from .voicing import _GROUP_POINTS, _SLOTS, JElement, _act, _centralizer_covectors, _centralizer_rows, _enumerate
 from .voicing import _point, _require_group_modulus
 from .extension import ExtElement
@@ -293,7 +293,7 @@ def verify_morphism_commutation(f: AffineMap, labels: Iterable[ExtElement]) -> b
     b = f.translation
     for g in labels:
         mat = g.matrix()
-        if mat_mul(a, mat) != mat_mul(mat, a):
+        if a @ mat != mat @ a:
             return False
         if mat @ b != b:
             return False

@@ -5,6 +5,12 @@ Vectors are columns and matrices act on the left. Permutations follow the
 convention that the rightmost function is applied first, and sigma moves the
 entry in slot j to slot sigma(j): sigma(x1,x2,x3) = (x_{sigma^-1 1},
 x_{sigma^-1 2}, x_{sigma^-1 3}).
+
+Each operation has one spelling. Matrices multiply and act through @: a @ b
+is the product and a @ v the action on a column vector, both on the one
+kernel _mat_vec_ints. Every other value that acts on a Vec3 (a permutation,
+an affine map, a group element) does so through .apply(v). mat_vec(a, v) is
+a @ v under its older name.
 """
 
 from __future__ import annotations
@@ -56,10 +62,14 @@ class Vec3(_Value):
         return _vec3(tuple((v + c) % n for v in self.entries), self.modulus)
 
     def __add__(self, other: "Vec3") -> "Vec3":
+        if type(other) is not Vec3:
+            return NotImplemented
         n = check_same_modulus(self.modulus, other.modulus).n
         return _vec3(tuple((a + b) % n for a, b in zip(self.entries, other.entries)), self.modulus)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
+        if type(other) is not Vec3:
+            return NotImplemented
         n = check_same_modulus(self.modulus, other.modulus).n
         return _vec3(tuple((a - b) % n for a, b in zip(self.entries, other.entries)), self.modulus)
 
@@ -109,11 +119,15 @@ class Mat3(_Value):
         return _mat3(((1, 0, 0), (0, 1, 0), (0, 0, 1)), as_modulus(modulus))
 
     def __matmul__(self, other):
-        if isinstance(other, Mat3):
-            return mat_mul(self, other)
-        if isinstance(other, Vec3):
-            return mat_vec(self, other)
-        return NotImplemented
+        """self @ v, the action on a Vec3, or self @ b, the product with a Mat3,
+        whose row i is the action of b's columns on row i of self."""
+        if type(other) not in (Vec3, Mat3):
+            return NotImplemented
+        n = check_same_modulus(self.modulus, other.modulus).n
+        if type(other) is Vec3:
+            return _vec3(_mat_vec_ints(self.rows, other.entries, n), self.modulus)
+        columns = tuple(zip(*other.rows))
+        return _mat3(tuple(_mat_vec_ints(columns, row, n) for row in self.rows), self.modulus)
 
     def trace(self) -> Residue:
         return Residue(sum(self.rows[i][i] for i in range(3)), self.modulus)
@@ -125,14 +139,6 @@ class Mat3(_Value):
 _mat3 = Mat3._make  # three row tuples of ints already in [0, n)
 
 
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    """Row i of ab is the matrix-action kernel of b's columns on row i of a."""
-    check_same_modulus(a.modulus, b.modulus)
-    n = a.modulus.n
-    columns = tuple(zip(*b.rows))
-    return _mat3(tuple(_mat_vec_ints(columns, row, n) for row in a.rows), a.modulus)
-
-
 def _mat_vec_ints(rows, v: tuple[int, int, int], n: int) -> tuple[int, int, int]:
     """rows . v mod n on plain integer rows and triples: the one matrix-action kernel."""
     (a, b, c), (d, e, f), (g, h, i) = rows
@@ -141,8 +147,8 @@ def _mat_vec_ints(rows, v: tuple[int, int, int], n: int) -> tuple[int, int, int]
 
 
 def mat_vec(a: Mat3, v: Vec3) -> Vec3:
-    check_same_modulus(a.modulus, v.modulus)
-    return _vec3(_mat_vec_ints(a.rows, v.entries, a.modulus.n), a.modulus)
+    """a @ v."""
+    return a @ v
 
 
 def _det_int(rows) -> int:
@@ -210,10 +216,14 @@ class Perm3(_Value):
         return _perm3(image)
 
     def __call__(self, i: int) -> int:
+        if _integer(i, "i") not in (1, 2, 3):
+            raise ValueError(f"a permutation of {{1,2,3}} is defined at 1, 2 and 3, got {i!r}")
         return self.image[i - 1]
 
     def __mul__(self, other: "Perm3") -> "Perm3":
         """Composition, rightmost first: (self*other)(i) = self(other(i))."""
+        if type(other) is not Perm3:
+            return NotImplemented
         image = self.image
         return _perm3(tuple(image[i - 1] for i in other.image))
 
@@ -225,12 +235,9 @@ class Perm3(_Value):
     def inverse(self) -> "Perm3":
         return _perm3(tuple(i + 1 for i in self.slots))
 
-    def apply(self, triple):
-        """Left action on 3-tuples: entry in slot j moves to slot sigma(j)."""
-        if isinstance(triple, Vec3):
-            return _vec3(self.apply(triple.entries), triple.modulus)
-        a, b, c = self.slots
-        return (triple[a], triple[b], triple[c])
+    def apply(self, v: Vec3) -> Vec3:
+        """Left action on Vec3: the entry in slot j moves to slot sigma(j)."""
+        return _vec3(_permute(self, v.entries), v.modulus)
 
     def is_identity(self) -> bool:
         return self.image == (1, 2, 3)
@@ -254,6 +261,14 @@ class Perm3(_Value):
 
 
 _perm3 = Perm3._make  # an image tuple that is already a permutation
+
+
+def _permute(sigma: Perm3, triple: tuple) -> tuple:
+    """sigma applied to a bare 3-tuple of any items, such as the rows of a matrix."""
+    a, b, c = sigma.slots
+    return (triple[a], triple[b], triple[c])
+
+
 ALL_PERMS: tuple[Perm3, ...] = tuple(Perm3(img) for img in _PERM_IMAGES.values())
 TRANSPOSITION_12 = Perm3((2, 1, 3))
 TRANSPOSITION_13 = Perm3((3, 2, 1))
@@ -261,10 +276,10 @@ TRANSPOSITION_23 = Perm3((1, 3, 2))
 
 
 def perm_matrix(sigma: Perm3, modulus: Modulus | int) -> Mat3:
-    """Matrix with columns e_{sigma(1)}, e_{sigma(2)}, e_{sigma(3)}."""
-    m = as_modulus(modulus)
-    rows = tuple(tuple(1 if sigma(j + 1) == i + 1 else 0 for j in range(3)) for i in range(3))
-    return _mat3(rows, m)
+    """Matrix with columns e_{sigma(1)}, e_{sigma(2)}, e_{sigma(3)}: the rows of
+    the identity, permuted by sigma."""
+    e = Mat3.identity(modulus)
+    return _mat3(_permute(sigma, e.rows), e.modulus)
 
 
 class AffineMap(_Value):
@@ -280,8 +295,8 @@ class AffineMap(_Value):
     def modulus(self) -> Modulus:
         return self.linear.modulus
 
-    def __call__(self, v: Vec3) -> Vec3:
-        return mat_vec(self.linear, v) + self.translation
+    def apply(self, v: Vec3) -> Vec3:
+        return self.linear @ v + self.translation
 
     def is_componentwise(self) -> bool:
         """True for maps x -> u*x + q applied in every coordinate."""

@@ -22,10 +22,10 @@ import enum
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, as_modulus, _budget_gate, _prime_powers
-from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, mat_vec, scalar_affine, _affine, _mat3, _vec3
+from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, scalar_affine, _affine, _mat3, _permute, _vec3
 from .voicing import _GENERATOR_EXPONENTS, Generator, JElement, _act, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
@@ -226,24 +226,17 @@ def ti_orbit(seed: Vec3) -> list[Vec3]:
     return [_vec3(w, seed.modulus) for w in sorted(set(images.values()))]
 
 
-def restrict_to_orbit(action, orbit: Sequence[Vec3]) -> tuple[int, ...]:
+def restrict_to_orbit(action: Callable[[Vec3], Vec3], orbit: Sequence[Vec3]) -> tuple[int, ...]:
     """The permutation (as an index tuple) an action induces on the orbit.
 
-    `action` is anything mapping Vec3 to Vec3 (Mat3, AffineMap, group element).
+    `action` is a function from Vec3 to Vec3: `g.apply` for a group element,
+    `f.apply` for an AffineMap, `m.__matmul__` for a Mat3.
     Raises ValueError if the orbit is not closed under the action.
     """
     index = {v: i for i, v in enumerate(orbit)}
-
-    def image(v: Vec3) -> Vec3:
-        if isinstance(action, Mat3):
-            return mat_vec(action, v)
-        if isinstance(action, AffineMap):
-            return action(v)
-        return action.apply(v)
-
     out = []
     for v in orbit:
-        w = image(v)
+        w = action(v)
         if w not in index:
             raise ValueError(f"orbit is not closed under the action: {v} -> {w}")
         out.append(index[w])
@@ -387,7 +380,7 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
     contextual = {"P": Generator.W, "L": Generator.V, "R": Generator.U}
     table: dict[tuple[int, int, int], dict[str, str]] = {}
     for tau in ALL_PERMS:
-        rep = tau.apply(base)
+        rep = _permute(tau, base)
         orbit = set(_ti_images(rep, n).values())
         # the point of U is 1; each list walks the same set, so in the same order
         images = {g: [_act(1, a, b, w, n) for w in orbit] for g, (a, b) in _GENERATOR_EXPONENTS.items()}

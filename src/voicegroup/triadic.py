@@ -226,6 +226,8 @@ class UTT(_Value):
 
     def __mul__(self, other: "UTT") -> "UTT":
         """self after other (other is applied first)."""
+        if type(other) is not UTT:
+            return NotImplemented
         sign = "+" if self.sign == other.sign else "-"
         if other.sign == "+":
             return UTT(sign, other.t_major + self.t_major, other.t_minor + self.t_minor)

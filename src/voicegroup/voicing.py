@@ -27,7 +27,7 @@ import math
 from typing import Iterable
 
 from .modring import Modulus, _Value, _integer, as_modulus, check_same_modulus
-from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _mat3, _vec3
+from .linalg import ALL_PERMS, TRANSPOSITION_13, Mat3, Perm3, Vec3, _mat3, _permute, _vec3
 
 
 class NotInGroup(ValueError):
@@ -198,7 +198,7 @@ def _j_power(k: int, m: int, n: int, t: int, nn: int) -> tuple[int, int, int]:
 # P_sigma M_{U^k} for each point; the matrix of (p, (m, n)) adds the row (-m, -n, m+n) to every row.
 # The row differences name p, and the twelve patterns have entries -1, 0, 1 and stay distinct mod n >= 3.
 _BASES = tuple(
-    sigma.apply(rows) for sigma in ALL_PERMS for rows in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), _GENERATOR_ROWS[Generator.U])
+    _permute(sigma, rows) for sigma in ALL_PERMS for rows in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), _GENERATOR_ROWS[Generator.U])
 )
 _SLOTS = tuple(sigma.slots for sigma in ALL_PERMS for _ in (0, 1))
 
@@ -303,7 +303,7 @@ class _Element(_Value):
         """self^t = (self^s)^(t div s) * self^(t mod s), where x = self^s lies in J
         and x^(t div s) is the closed form _j_power; one element is built."""
         powers = self._powers()
-        q, r = divmod(t, len(powers))
+        q, r = divmod(_integer(t, "t"), len(powers))
         modulus = self._c[3]
         nn = modulus.n
         p, m, n = _j_power(*powers[-1], q, nn)

@@ -1,7 +1,7 @@
 import pytest
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import Mat3, mat_mul
+from voicegroup.linalg import Mat3
 from voicegroup.extension import enumerate_extension
 from voicegroup.voicing import JElement, enumerate_J
 from voicegroup.triadic import hook_elements
@@ -28,7 +28,7 @@ def hooks():
 
 
 def _matrix_closure(mats):
-    """The matrices the given ones generate under mat_mul, by breadth-first
+    """The matrices the given ones generate under @, by breadth-first
     search; with the identity among them, the monoid they generate. The
     enumeration oracle of the group listings, independent of the normal form."""
     seen = set(mats)
@@ -37,7 +37,7 @@ def _matrix_closure(mats):
         nxt = []
         for a in frontier:
             for g in mats:
-                c = mat_mul(a, g)
+                c = a @ g
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -58,7 +58,7 @@ def diagonal_products12():
     m = Modulus(12)
     involutions = [JElement(0, a, b, m).matrix() for a in (0, 6) for b in (0, 6)]
     return {
-        mat_mul(Mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m), c)
+        Mat3(((u, 0, 0), (0, u, 0), (0, 0, u)), m) @ c
         for u in range(12)
         for c in involutions
     }

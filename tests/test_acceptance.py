@@ -323,7 +323,7 @@ def test_criterion_10_rich_and_webern():
     assert set().union(*(v.entries for v in cycle)) == {1, 2, 4, 5, 7, 8, 10, 11}
     down_two = scalar_affine(1, -2, M12)
     for src, dst in zip(WEBERN_ROW_1.tuples, WEBERN_ROW_2.tuples):
-        assert down_two(src) == dst
+        assert down_two.apply(src) == dst
     assert verify_morphism_commutation(down_two, [e])
     assert down_two in find_affine_morphisms(WEBERN_ROW_1, WEBERN_ROW_2)
     print("criterion 10: PASS - RICH reproduces the enchained rows, octatonic closure, x-2 morphism")
@@ -337,8 +337,8 @@ def test_criterion_11_duality():
     assert not report.is_dual_pair
     assert not report.simply_transitive_contextual
     orbit_ = ti_orbit(Vec3.of(0, 4, 10, M12))
-    assert restrict_to_orbit(JElement(0, 1, 0, M12), orbit_) == restrict_to_orbit(
-        JElement(0, 7, 0, M12), orbit_
+    assert restrict_to_orbit(JElement(0, 1, 0, M12).apply, orbit_) == restrict_to_orbit(
+        JElement(0, 7, 0, M12).apply, orbit_
     )
     print("criterion 11: PASS - dual pairs at (0,4,7) and (0,4,1); (0,4,10) fails with witness")
 

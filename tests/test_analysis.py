@@ -560,7 +560,7 @@ def _affine_scan(a, b):
     """Oracle: every componentwise map x -> u*x + q, in (u, q) order, kept if it sends a to b."""
     n = a.modulus.n
     candidates = [scalar_affine(u, q, a.modulus) for u in range(n) for q in range(n)]
-    return [f for f in candidates if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))]
+    return [f for f in candidates if all(f.apply(src) == dst for src, dst in zip(a.tuples, b.tuples))]
 
 
 @pytest.mark.parametrize(
@@ -590,7 +590,7 @@ def test_affine_morphisms_match_scan_on_random_pairs(n):
             # the image under a planted map; every third u is a zero divisor (or 0 mod 7)
             u = rng.randrange(n) if trial % 3 else rng.choice([0, 2, 3, 4, 6, 8]) % n
             planted = scalar_affine(u, rng.randrange(n), n)
-            b = Progression(a.modulus, tuple(planted(v) for v in a.tuples))
+            b = Progression(a.modulus, tuple(planted.apply(v) for v in a.tuples))
             assert planted in find_affine_morphisms(a, b)
         assert find_affine_morphisms(a, b) == _affine_scan(a, b)
 
@@ -598,7 +598,7 @@ def test_affine_morphisms_match_scan_on_random_pairs(n):
 def _centralizer_scan(a, b):
     """Oracle: the listed affine centralizer family, in its order, kept where it sends a to b."""
     maps = centralizer_in_Aff(a.modulus, budget=10**12).elements
-    return [f for f in maps if all(f(src) == dst for src, dst in zip(a.tuples, b.tuples))]
+    return [f for f in maps if all(f.apply(src) == dst for src, dst in zip(a.tuples, b.tuples))]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 8, 9, 12, 16])
@@ -614,7 +614,7 @@ def test_widened_morphisms_match_centralizer_scan(n):
         else:
             # the image under a planted family member, componentwise or not
             planted = rng.choice(family)
-            b = Progression(a.modulus, tuple(planted(v) for v in a.tuples))
+            b = Progression(a.modulus, tuple(planted.apply(v) for v in a.tuples))
             assert planted in find_affine_morphisms(a, b, restrict_to_centralizer=True)
         wide = find_affine_morphisms(a, b, restrict_to_centralizer=True)
         assert wide == _centralizer_scan(a, b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, mat_mul, mat_vec, perm_matrix
+from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, _permute, mat_vec, perm_matrix
 from voicegroup.voicing import (
     Generator,
     JElement,
@@ -47,7 +47,7 @@ def test_sigma_conjugate_generator_matches_matrix_conjugation():
         p = perm_matrix(sigma, M12)
         p_inv = perm_matrix(sigma.inverse(), M12)
         for g in Generator:
-            conjugated = mat_mul(mat_mul(p, generator_matrix(g, M12)), p_inv)
+            conjugated = p @ generator_matrix(g, M12) @ p_inv
             assert conjugated == generator_matrix(sigma_conjugate_generator(sigma, g), M12)
 
 
@@ -55,7 +55,7 @@ def _conjugation_oracle(sigma, j):
     """P_sigma M_j P_sigma^-1 as a matrix product."""
     p = perm_matrix(sigma, j.modulus)
     p_inv = perm_matrix(sigma.inverse(), j.modulus)
-    return mat_mul(mat_mul(p, j.matrix()), p_inv)
+    return p @ j.matrix() @ p_inv
 
 
 def _conjugate_j(sigma, j):
@@ -123,7 +123,7 @@ def test_multiply_matches_matrix_oracle_randomized(ext12):
     rng = random.Random(2)
     for _ in range(10_000):
         a, b = rng.choice(ext12), rng.choice(ext12)
-        assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
+        assert (a * b).matrix() == a.matrix() @ b.matrix()
 
 
 def test_multiply_matches_matrix_oracle_on_generating_closure():
@@ -144,7 +144,7 @@ def test_multiply_matches_matrix_oracle_on_generating_closure():
                 break
     for a in closure:
         for b in closure:
-            assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
+            assert (a * b).matrix() == a.matrix() @ b.matrix()
 
 
 def _element_product_matrix(a):
@@ -163,8 +163,8 @@ def test_multiply_and_inverse_match_generator_matrix_products(n, data):
         for _ in range(2)
     )
     ma = _element_product_matrix(a)
-    assert _element_product_matrix(a * b) == mat_mul(ma, _element_product_matrix(b))
-    assert mat_mul(ma, _element_product_matrix(a.inverse())) == Mat3.identity(mod)
+    assert _element_product_matrix(a * b) == ma @ _element_product_matrix(b)
+    assert ma @ _element_product_matrix(a.inverse()) == Mat3.identity(mod)
 
 
 def test_inverses(ext12):
@@ -221,7 +221,7 @@ def _mat_power(mat, t):
     """mat**t for t >= 0 by repeated matrix multiplication."""
     acc = Mat3.identity(mat.modulus)
     for _ in range(t):
-        acc = mat_mul(acc, mat)
+        acc = acc @ mat
     return acc
 
 
@@ -241,7 +241,7 @@ def test_power_matches_repeated_matrix_product(n, sigma, k, m, nn, t):
     if t >= 0:
         assert power == _mat_power(ma, t)
     else:
-        assert mat_mul(power, _mat_power(ma, -t)) == Mat3.identity(Modulus(n))
+        assert power @ _mat_power(ma, -t) == Mat3.identity(Modulus(n))
 
 
 def test_huge_powers_reduce_by_the_order():
@@ -251,6 +251,24 @@ def test_huge_powers_reduce_by_the_order():
             a = ExtElement(sigma, JElement(k, rng.randrange(1009), rng.randrange(1009), Modulus(1009)))
             assert a ** 10**18 == a ** (10**18 % a.order())
             assert a ** -(10**18) == (a ** (10**18 % a.order())).inverse()
+
+
+@pytest.mark.parametrize(
+    "element, t",
+    [(JElement(0, 1, 0, M12), 2.0), (parse_element("(123) U (UV)", 12), 2.5)],
+    ids=["JElement-float", "ExtElement-float"],
+)
+def test_powers_refuse_a_non_integer_exponent(element, t):
+    with pytest.raises(ValueError, match=rf"^t must be an integer, got {t}$"):
+        element ** t
+
+
+def test_powers_store_plain_int_coordinates_for_any_integer_exponent():
+    np = pytest.importorskip("numpy")
+    for a in (JElement(0, 1, 0, M12), parse_element("(123) U (UV)", 12)):
+        power = a ** np.int64(3)
+        assert power == a ** 3
+        assert [type(c) for c in power._c[:3]] == [int, int, int]
 
 
 def test_sort_key_reads_the_permutation_index():
@@ -285,8 +303,8 @@ def _product_matrix(sigma, k, m, n, modulus):
     """P_sigma U^k (UV)^m (UW)^n as a product of permutation and generator matrices."""
     u, v, w = (generator_matrix(g, modulus) for g in Generator)
     acc = perm_matrix(sigma, modulus)
-    for factor in [u] * k + [mat_mul(u, v)] * m + [mat_mul(u, w)] * n:
-        acc = mat_mul(acc, factor)
+    for factor in [u] * k + [u @ v] * m + [u @ w] * n:
+        acc = acc @ factor
     return acc
 
 
@@ -296,7 +314,7 @@ def _six_sigma_oracle(a):
     matrix written out entrywise."""
     nn = a.modulus.n
     for sigma in ALL_PERMS:
-        rows = Mat3(sigma.inverse().apply(a.rows), a.modulus)
+        rows = Mat3(_permute(sigma.inverse(), a.rows), a.modulus)
         for k in (0, 1):
             m, n = (1 - k - rows.rows[0][0]) % nn, (k - rows.rows[0][1]) % nn
             if k == 0:
@@ -501,7 +519,7 @@ def test_gl_centralizer_is_stable_under_permutation_conjugation():
         for sigma in ALL_PERMS:
             p = perm_matrix(sigma, M12)
             p_inv = perm_matrix(sigma.inverse(), M12)
-            assert mat_mul(mat_mul(p, c), p_inv) in cent
+            assert p @ c @ p_inv in cent
 
 
 def test_order_examples():
@@ -516,7 +534,7 @@ def _order_by_powers(mat):
     ident = Mat3.identity(mat.modulus)
     acc, t = mat, 1
     while acc != ident:
-        acc = mat_mul(acc, mat)
+        acc = acc @ mat
         t += 1
     return t
 
@@ -669,7 +687,7 @@ def _token_text_and_matrix(token, mod):
         # involution; every J element's order divides 2n, so the exponent is read mod 2n
         base = Mat3.identity(mod)
         for c in word if e >= 0 else reversed(word):
-            base = mat_mul(base, generator_matrix(Generator[c], mod))
+            base = base @ generator_matrix(Generator[c], mod)
         text = f"({word})^{e}" if spelled or e != 1 else f"({word})"
         return text, _mat_power(base, abs(e) % (2 * mod.n))
     return "Id", Mat3.identity(mod)
@@ -683,7 +701,7 @@ def test_parse_matches_product_of_factor_matrices(n, tokens):
     for token, spaces in tokens:
         piece, mat = _token_text_and_matrix(token, mod)
         text += piece + spaces
-        want = mat_mul(want, mat)
+        want = want @ mat
     assert parse_element(text, mod).matrix() == want
 
 

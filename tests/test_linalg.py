@@ -10,14 +10,16 @@ from voicegroup.linalg import (
     Mat3,
     Perm3,
     Vec3,
+    _mat_vec_ints,
+    _permute,
     determinant,
     is_invertible,
-    mat_mul,
     mat_vec,
     perm_matrix,
     scalar_affine,
 )
-from voicegroup.voicing import Generator, generator_matrix
+from voicegroup.voicing import Generator, JElement, generator_matrix
+from voicegroup.extension import ExtElement
 
 
 def rand_mat(rng, n):
@@ -40,7 +42,7 @@ def test_identity_is_neutral():
     e = Mat3.identity(m)
     for g in Generator:
         gm = generator_matrix(g, m)
-        assert mat_mul(e, gm) == gm == mat_mul(gm, e)
+        assert e @ gm == gm == gm @ e
     v = Vec3.of(3, 7, 10, m)
     assert mat_vec(e, v) == v
 
@@ -48,7 +50,7 @@ def test_identity_is_neutral():
 def test_mat_vec_example():
     m = Modulus(12)
     u = generator_matrix(Generator.U, m)
-    assert mat_mul(u, u) == Mat3.identity(m)
+    assert u @ u == Mat3.identity(m)
     assert mat_vec(u, Vec3.of(0, 4, 7, m)) == Vec3.of(4, 0, 9, m)
 
 
@@ -56,7 +58,7 @@ def test_mat_vec_example():
 def test_mat_mul_associative(seed, n):
     rng = random.Random(seed)
     a, b, c = (rand_mat(rng, n) for _ in range(3))
-    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+    assert (a @ b) @ c == a @ (b @ c)
 
 
 @pytest.mark.parametrize("n", [7, 12])
@@ -65,7 +67,7 @@ def test_det_multiplicative_on_random_pairs(n):
     for _ in range(1000):
         a = rand_mat(rng, n)
         b = rand_mat(rng, n)
-        assert determinant(mat_mul(a, b)).value == (determinant(a) * determinant(b)).value
+        assert determinant(a @ b).value == (determinant(a) * determinant(b)).value
 
 
 def test_generator_determinants():
@@ -97,21 +99,25 @@ def test_group_inverses_found_by_search(j12):
     e = Mat3.identity(Modulus(12))
     mats = {j: j.matrix() for j in j12[:40]}
     for j, mat in mats.items():
-        inverses = [other for other in j12 if mat_mul(mat, other.matrix()) == e]
+        inverses = [other for other in j12 if mat @ other.matrix() == e]
         assert inverses == [j.inverse()]
 
 
 def test_perm_composition_and_inverse():
     s = Perm3.from_cycle("(123)")
     t = Perm3.from_cycle("(12)")
-    assert (s * t).apply((1, 2, 3)) == s.apply(t.apply((1, 2, 3)))
+    v = Vec3.of(1, 2, 3, 12)
+    assert (s * t).apply(v) == s.apply(t.apply(v))
     for p in ALL_PERMS:
         assert (p * p.inverse()).is_identity()
 
 
 def test_perm_apply_example():
-    assert Perm3.from_cycle("(123)").apply((10, 20, 30)) == (30, 10, 20)
-    assert Perm3.identity().apply((1, 2, 3)) == (1, 2, 3)
+    assert Perm3.from_cycle("(123)").apply(Vec3.of(10, 20, 30, 31)) == Vec3.of(30, 10, 20, 31)
+    assert Perm3.identity().apply(Vec3.of(1, 2, 3, 12)) == Vec3.of(1, 2, 3, 12)
+    # the bare-triple form, which permutes the rows of a matrix
+    assert _permute(Perm3.from_cycle("(123)"), (10, 20, 30)) == (30, 10, 20)
+    assert _permute(Perm3.identity(), ("a", "b", "c")) == ("a", "b", "c")
 
 
 def test_perm_matrix_examples():
@@ -124,7 +130,7 @@ def test_perm_matrix_is_homomorphism():
     m = Modulus(12)
     for a in ALL_PERMS:
         for b in ALL_PERMS:
-            assert mat_mul(perm_matrix(a, m), perm_matrix(b, m)) == perm_matrix(a * b, m)
+            assert perm_matrix(a, m) @ perm_matrix(b, m) == perm_matrix(a * b, m)
 
 
 def test_perm_matrix_implements_apply():
@@ -132,6 +138,13 @@ def test_perm_matrix_implements_apply():
     v = Vec3.of(3, 7, 10, m)
     for p in ALL_PERMS:
         assert mat_vec(perm_matrix(p, m), v) == p.apply(v)
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_perm_is_defined_on_one_two_three_only(i):
+    with pytest.raises(ValueError, match=rf"^a permutation of {{1,2,3}} is defined at 1, 2 and 3, got {i}$"):
+        Perm3((2, 1, 3))(i)
+    assert [Perm3((2, 1, 3))(j) for j in (1, 2, 3)] == [2, 1, 3]
 
 
 def test_perm_parse_rejects_garbage():
@@ -143,11 +156,11 @@ def test_perm_parse_rejects_garbage():
 
 def test_scalar_affine_examples():
     m = Modulus(12)
-    assert scalar_affine(7, 7, m)(Vec3.of(1, 6, 10, m)) == Vec3.of(2, 1, 5, m)
-    assert scalar_affine(1, 10, m)(Vec3.of(8, 4, 5, m)) == Vec3.of(6, 2, 3, m)
+    assert scalar_affine(7, 7, m).apply(Vec3.of(1, 6, 10, m)) == Vec3.of(2, 1, 5, m)
+    assert scalar_affine(1, 10, m).apply(Vec3.of(8, 4, 5, m)) == Vec3.of(6, 2, 3, m)
     ident = scalar_affine(1, 0, m)
     v = Vec3.of(5, 9, 2, m)
-    assert ident(v) == v
+    assert ident.apply(v) == v
 
 
 def test_affine_compose_applies_right_first():
@@ -159,15 +172,43 @@ def test_affine_compose_applies_right_first():
         v = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), m)
         # f after g is x -> F(Gx + g) + f = FG x + (F g + f)
         composite = AffineMap(f.linear @ g.linear, f.linear @ g.translation + f.translation)
-        assert composite(v) == f(g(v))
+        assert composite.apply(v) == f.apply(g.apply(v))
 
 
 def test_modulus_mismatch_is_hard_error():
     a = generator_matrix(Generator.U, Modulus(12))
     b = generator_matrix(Generator.U, Modulus(7))
     with pytest.raises(ValueError):
-        mat_mul(a, b)
+        a @ b
     with pytest.raises(ValueError):
         mat_vec(a, Vec3.of(0, 0, 0, 7))
     with pytest.raises(ValueError):
         AffineMap(a, Vec3.of(0, 0, 0, 7))
+
+
+def _product_ints(a, b, n):
+    """The row-by-column product of two integer 3x3 row tuples mod n."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) % n for j in range(3)) for i in range(3))
+
+
+@given(st.integers(3, 60), st.data())
+def test_every_action_is_the_matrix_kernel_on_its_matrix(n, data):
+    # one spelling per operation: .apply(v) for every value that acts, @ for
+    # matrices; each agrees with _mat_vec_ints on the rows of its matrix
+    residue = st.integers(0, n - 1)
+    triple = st.tuples(residue, residue, residue)
+    m = Modulus(n)
+    j = JElement(data.draw(st.integers(0, 1)), data.draw(residue), data.draw(residue), m)
+    g = ExtElement(data.draw(st.sampled_from(ALL_PERMS)), j)
+    f = AffineMap(Mat3(data.draw(st.tuples(triple, triple, triple)), m), Vec3(data.draw(triple), m))
+    sigma = data.draw(st.sampled_from(ALL_PERMS))
+    a, b = (Mat3(data.draw(st.tuples(triple, triple, triple)), m) for _ in range(2))
+    v = Vec3(data.draw(triple), m)
+    x = v.entries
+    assert g.apply(v).entries == _mat_vec_ints(g.matrix().rows, x, n)
+    assert j.apply(v).entries == _mat_vec_ints(j.matrix().rows, x, n)
+    linear = _mat_vec_ints(f.linear.rows, x, n)
+    assert f.apply(v).entries == tuple((y + t) % n for y, t in zip(linear, f.translation.entries))
+    assert sigma.apply(v).entries == _mat_vec_ints(perm_matrix(sigma, m).rows, x, n)
+    assert (a @ v).entries == _mat_vec_ints(a.rows, x, n)
+    assert (a @ b).rows == _product_ints(a.rows, b.rows, n)

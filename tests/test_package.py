@@ -66,6 +66,7 @@ _RETIRED = {
     "hook_generator_13W": "triadic",
     "rho_matrix": "triadic",
     "diagonal_product_family": "structure",
+    "mat_mul": "linalg",
 }
 
 
@@ -89,12 +90,16 @@ _RETIRED_ATTRIBUTES = [
     ("voicing", "JElement", "from_generator"),
     ("voicing", "JElement", "is_mode_reversing"),
     ("extension", "ExtElement", "is_mode_reversing"),
+    ("linalg", "AffineMap", "__call__"),
 ]
 
 
 @pytest.mark.parametrize("module, cls, name", _RETIRED_ATTRIBUTES)
 def test_retired_attributes_are_gone(module, cls, name):
-    assert not hasattr(getattr(import_module(f"voicegroup.{module}"), cls), name)
+    klass = getattr(import_module(f"voicegroup.{module}"), cls)
+    assert not any(name in vars(base) for base in klass.__mro__)
+    # every class has type's methods, __call__ among them, so hasattr reads only the others
+    assert name in vars(type) or not hasattr(klass, name)
 
 
 def test_library_modules_are_attributes_of_the_package():
@@ -165,6 +170,21 @@ def test_no_module_caches_through_functools():
             elif isinstance(node, ast.Attribute) and node.attr in _FUNCTOOLS_CACHES:
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
                     found.append(f"{path.name}:{node.lineno} applies functools.{node.attr}")
+    assert found == []
+
+
+def test_matrices_multiply_and_act_only_through_matmul():
+    # a @ b and a @ v are the library's one matrix product and action;
+    # mat_vec(a, v) is kept, as a @ v, for callers outside the library
+    package = Path(voicegroup.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno} names {name}"
+            for node in ast.walk(tree)
+            if (name := _referenced_name(node)) in ("mat_mul", "mat_vec")
+        ]
     assert found == []
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import voicegroup.triadic as triadic
 from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators, main
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_mul, mat_vec
+from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_vec
 from voicegroup.voicing import JElement
 from voicegroup.extension import ExtElement, parse_element
 from voicegroup.triadic import (
@@ -323,7 +323,7 @@ def test_rho_matrix_matches_basis_inversion_route():
     # (0,4,7), (0,3,7), (1,5,8) determine the matrix via the inverse basis
     basis_inverse = Mat3([[7, 1, 3], [9, 11, 4], [1, 0, 0]], M12)
     basis = Mat3([[0, 0, 1], [4, 3, 5], [7, 7, 8]], M12)
-    assert mat_mul(basis, basis_inverse) == Mat3.identity(M12)
+    assert basis @ basis_inverse == Mat3.identity(M12)
     for u in all_utts():
         images = [
             u.apply(TriadId(0, Mode.MAJOR)),
@@ -332,7 +332,7 @@ def test_rho_matrix_matches_basis_inversion_route():
         ]
         cols = [root_position_tuple(t).entries for t in images]
         image_matrix = Mat3(tuple(zip(*cols)), M12)
-        assert mat_mul(image_matrix, basis_inverse) == rho(u).matrix()
+        assert image_matrix @ basis_inverse == rho(u).matrix()
 
 
 def test_rho_is_injective_homomorphism_sampled():

@@ -27,7 +27,6 @@ from voicegroup.linalg import (
     Mat3,
     Perm3,
     Vec3,
-    mat_mul,
     mat_vec,
     perm_matrix,
     scalar_affine,
@@ -135,6 +134,22 @@ def test_values_of_different_kinds_differ():
     m = Modulus(12)
     assert m != 12 and Residue(3, m) != 3 and Residue(3, m) != Residue(3, Modulus(13))
     assert UTT("+", 0, 0) != ("+", 0, 0) and TriadId(0, Mode.MAJOR) != TriadId(0, Mode.MINOR)
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda: Perm3((2, 1, 3)) * 2,
+        lambda: UTT("+", 1, 2) * 3,
+        lambda: Vec3.of(1, 2, 3, 12) + 1,
+        lambda: Vec3.of(1, 2, 3, 12) - (1, 2, 3),
+    ],
+    ids=["Perm3-mul-int", "UTT-mul-int", "Vec3-add-int", "Vec3-sub-tuple"],
+)
+def test_operators_refuse_a_foreign_operand_with_type_error(operation):
+    # the operator returns NotImplemented, so Python raises its own TypeError
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        operation()
 
 
 def test_reprs_are_pinned():
@@ -409,7 +424,7 @@ def test_trusted_producers_store_what_the_public_constructors_would():
     v, w = Vec3.of(11, 4, 7, m), Vec3.of(5, 9, 1, m)
     a = Mat3([[11, 2, 7], [3, 0, 5], [10, 10, 1]], m)
     elements = enumerate_extension(m)[::37]
-    produced = [mat_mul(a, a), mat_vec(a, v), v.shift(-13), v + w, v - w, Mat3.identity(m), j_reflection(1, 2, v)]
+    produced = [a @ a, mat_vec(a, v), v.shift(-13), v + w, v - w, Mat3.identity(m), j_reflection(1, 2, v)]
     produced += [rich(v), scalar_affine(-1, -5, m)]
     produced += [p * q for p in ALL_PERMS for q in ALL_PERMS] + [p.inverse() for p in ALL_PERMS]
     produced += [p.apply(v) for p in ALL_PERMS] + [perm_matrix(p, m) for p in ALL_PERMS]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voicegroup.modring import Modulus
-from voicegroup.linalg import ALL_PERMS, Mat3, Vec3, mat_mul, mat_vec, perm_matrix, Perm3
+from voicegroup.linalg import ALL_PERMS, Mat3, Vec3, mat_vec, perm_matrix, Perm3
 from voicegroup.voicing import (
     _MOD2_FIXED_COVECTORS,
     Generator,
@@ -130,7 +130,7 @@ def test_multiplication_matches_matrix_oracle_sample(j12):
     rng = random.Random(11)
     for _ in range(2000):
         a, b = rng.choice(j12), rng.choice(j12)
-        assert (a * b).matrix() == mat_mul(a.matrix(), b.matrix())
+        assert (a * b).matrix() == a.matrix() @ b.matrix()
 
 
 def test_inverse_and_order_examples():
@@ -196,7 +196,7 @@ def test_word_to_element_matches_product_of_generator_matrices(n, letters):
     mod = Modulus(n)
     want = Mat3.identity(mod)
     for letter in letters:
-        want = mat_mul(want, generator_matrix(Generator[letter] if isinstance(letter, str) else letter, mod))
+        want = want @ generator_matrix(Generator[letter] if isinstance(letter, str) else letter, mod)
     assert word_to_element(letters, mod).matrix() == want
     if all(isinstance(letter, str) for letter in letters):
         assert word_to_element("".join(letters), mod).matrix() == want

@@ -2,21 +2,23 @@
 
 A progression is an ordered list of voicings over one modulus. Every query
 asks which elements sigma U^k (UV)^m (UW)^n carry a tuple s = (x, y, z) to
-its successor t, and one case loop, _cases, answers it, returning its
-(point, solutions) pairs as a list. At the point
-(sigma, k) this holds exactly when t - sigma(U^k(s)) = (m(z-x) + n(z-y)) *
-(1,1,1): a point whose difference is not constant-diagonal is skipped, and
-each other point gives one linear equation in (m, n) per step, solved
-exactly by modring.solve_linear. Each distinct equation is solved once: a
-step that recurs gives one equation, points with equal right-hand sides share
-one solve per query, and solve_linear drops repeated rows of a system with
-two or more. solve_step runs the loop over one step and a group's points,
-solve_uniform over every step and one point, and solve_uniform_all_cases over
-every step and all twelve points; each uniform solution is checked against
-every distinct step before it is returned. The affine maps between two
-progressions solve a linear system in the map's (u, q), once per covector w
-of the centralizer family (see voicing.py). A brute-force scan over the whole
-group is the oracle for the linear route.
+its successor t. At the point (sigma, k) this holds exactly when
+t - sigma(U^k(s)) = (m(z-x) + n(z-y)) * (1,1,1): a point whose difference is
+not constant-diagonal is skipped, and each other point gives one linear
+equation in (m, n) per step, solved exactly by modring.solve_linear. Each
+distinct equation is solved once: a step that recurs gives one equation,
+points with equal right-hand sides share one solve per query, and
+solve_linear drops repeated rows of a system with two or more.
+solve_step, the one-step query, is one scalar pass over a group's points: one
+coefficient row, and per point one integer rhs d, solved once per distinct d.
+The multi-step queries go through one case loop, _cases, which returns its
+(point, solutions) pairs as a list: solve_uniform runs it over every step and
+one point, and solve_uniform_all_cases over every step and all twelve points;
+each uniform solution is checked against every distinct step before it is
+returned. The affine maps between two progressions solve a linear system in
+the map's (u, q), once per covector w of the centralizer family (see
+voicing.py). A brute-force scan over the whole group is the oracle for the
+linear route.
 
 The JSON and DOT network exports both render from one pass over the
 progression's plain triples (_network), which lists the distinct triples in
@@ -95,9 +97,11 @@ def _cases(
 ) -> list[tuple[int, list[tuple[int, int]]]]:
     """The (p, solutions) pairs, as a list, for each point p of `points`, in
     order, whose case can realize every step; steps are (src, dst) pairs of
-    plain triples, reduced mod n. The rows depend only on the sources, so
-    each query builds them once, and points with equal right-hand sides share
-    one solve and one solution list, which callers only read."""
+    plain triples, reduced mod n. This serves the multi-step (uniform)
+    queries; solve_step reads its one step in a scalar pass of its own. The
+    rows depend only on the sources, so each query builds them once, and
+    points with equal right-hand sides share one solve and one solution list,
+    which callers only read."""
     nn = modulus.n
     rows = [[(z - x) % nn, (z - y) % nn] for (x, y, z), _ in steps]
     # (U^k(src), dst) for k = 0, 1, U^0(src) being src itself; the point
@@ -137,14 +141,32 @@ def solve_step(
 ) -> list[ExtElement]:
     """All elements g of the chosen group with g(src) == dst, in sort-key order.
 
-    Each (sigma, k) case is a one-equation linear system in (m, n); the empty
-    list is a valid result. The Hook group is defined over Z/12 only.
+    Each (sigma, k) case is a one-equation linear system in (m, n): the one
+    row ((z - x) % n, (z - y) % n) of src = (x, y, z), and the rhs d, the
+    constant difference of dst and sigma U^k(src), read in one scalar pass
+    over the group's points. A point whose difference is not constant is
+    skipped, and each distinct d is solved once. The empty list is a valid
+    result. The Hook group is defined over Z/12 only.
     """
     modulus = _require_group_modulus(check_same_modulus(src.modulus, dst.modulus))
     if group not in _GROUP_POINTS:
         raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
-    make, out = ExtElement._make, []
-    for p, solutions in _cases([(src.entries, dst.entries)], _points(group, modulus), modulus, budget):
+    points = _points(group, modulus)
+    nn = modulus.n
+    x, y, z = s = src.entries
+    t0, t1, t2 = dst.entries
+    row = ((z - x) % nn, (z - y) % nn)
+    images = (s, (y, x, x + y - z))  # U^k(src) for k = 0, 1, as in _cases
+    make, solved, out = ExtElement._make, {}, []  # solved: rhs d -> its solutions
+    for p in points:
+        a, b, c = _SLOTS[p]
+        w = images[p & 1]
+        d = (t0 - w[a]) % nn
+        if (t1 - w[b]) % nn != d or (t2 - w[c]) % nn != d:
+            continue
+        solutions = solved.get(d)
+        if solutions is None:
+            solutions = solved[d] = solve_linear([row], (d,), modulus, budget)
         out += [make((p, m, n, modulus)) for m, n in solutions]
     return out
 

@@ -237,6 +237,8 @@ class Perm3(_Value):
 
     def apply(self, v: Vec3) -> Vec3:
         """Left action on Vec3: the entry in slot j moves to slot sigma(j)."""
+        if type(v) is not Vec3:
+            raise TypeError(f"Perm3.apply expects a Vec3, got {type(v).__name__}")
         return _vec3(_permute(self, v.entries), v.modulus)
 
     def is_identity(self) -> bool:

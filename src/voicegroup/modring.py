@@ -8,13 +8,14 @@ brings them to Howell form with extended-gcd row operations only, so the
 unknowns never move, and lists the solutions by back-substitution in
 increasing order, so its cost follows the number of solutions. A system in
 two unknowns, the shape of every query the analysis layer makes ((m, n) of
-a progression step, (u, q) of an affine map), is echeloned on scalars by
-_howell2, with the same row operations as the generic _howell. Its budget
-still bounds the q^d search space of each prime-power factor q, so a search
-too large to enumerate is refused with BudgetExceeded. Nothing is cached: a
-modulus is factored on each call that needs its primes, and the budget gate
-needs them only when n^d exceeds the budget. Integers read from
-text go through one reader that takes ASCII digits only. The slotted
+a progression step, (u, q) of an affine map), is read into scalar triples
+and echeloned on scalars by _howell2, with the same row operations as the
+generic _howell. Its budget still bounds the q^d search space of each
+prime-power factor q, so a search too large to enumerate is refused with
+BudgetExceeded. Nothing is cached: a modulus is factored on each call that
+needs its primes, and the budget gate needs them only when n^d exceeds the
+budget. Integers read from text go through one reader that takes ASCII
+digits only. The slotted
 immutable storage that every value class of the library shares (_Value) is
 defined here, in the lowest layer.
 """
@@ -310,8 +311,9 @@ def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:
 
 class Residue(_Value):
     """An integer reduced to [0, n) for a fixed modulus. The value, and an
-    operand that is not a Residue, are read as Modulus reads n: a float or a
-    string is refused, not truncated or parsed."""
+    operand that is not a library value, are read as Modulus reads n: a float
+    or a string is refused, not truncated or parsed. Another library value
+    (a Vec3, say) gives NotImplemented, so Python raises its TypeError."""
 
     __slots__ = ("value", "modulus")
 
@@ -322,22 +324,29 @@ class Residue(_Value):
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.modulus.n) == 1
 
-    def _coerce(self, other) -> int:
+    def _coerce(self, other) -> int | None:
+        """other read as an integer, or None for another library value, such
+        as a Vec3, which a residue does not combine with."""
         if isinstance(other, Residue):
             check_same_modulus(self.modulus, other.modulus)
             return other.value
+        if isinstance(other, _Value):
+            return None
         return _integer(other, "operand")
 
     def __add__(self, other) -> "Residue":
-        return Residue(self.value + self._coerce(other), self.modulus)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Residue(self.value + c, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Residue":
-        return Residue(self.value - self._coerce(other), self.modulus)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Residue(self.value - c, self.modulus)
 
     def __mul__(self, other) -> "Residue":
-        return Residue(self.value * self._coerce(other), self.modulus)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Residue(self.value * c, self.modulus)
 
     __rmul__ = __mul__
 
@@ -550,7 +559,8 @@ def solve_linear(
     the answer, is unchanged.
     The distinct rows are brought to Howell form (see _howell) and solved by
     back-substitution from x_0 up. Two unknowns, the shape of every system
-    the analysis layer solves, are echeloned on scalars (_howell2), with the
+    the analysis layer solves, are read straight into scalar triples
+    (a, b, c), one per row, and echeloned on scalars (_howell2), with the
     same row operations and so the same form. A pivot g on x_j leaves the g
     values r/g + t*(n/g) for t in [0, g), where r is its row's rhs less the
     terms in x_0 .. x_{j-1}, and a free unknown all n values. The Howell form
@@ -579,9 +589,12 @@ def solve_linear(
     for row in rows:
         if len(row) != d:
             raise ValueError("all rows must have the same number of unknowns")
-    mod_n = n.__rmod__  # x -> x % n
     try:
-        augmented = [(*map(mod_n, map(index, row)), index(c) % n) for row, c in zip(rows, rhs)]
+        if d == 2:
+            augmented = [(index(a) % n, index(b) % n, index(c) % n) for (a, b), c in zip(rows, rhs)]
+        else:
+            mod_n = n.__rmod__  # x -> x % n
+            augmented = [(*map(mod_n, map(index, row)), index(c) % n) for row, c in zip(rows, rhs)]
     except TypeError:
         # name the first entry that is not an integer
         for i, row in enumerate(rows):

@@ -218,6 +218,8 @@ class UTT(_Value):
         return cls(parts[0], _ascii_int(parts[1]), _ascii_int(parts[2]))
 
     def apply(self, t: TriadId) -> TriadId:
+        if type(t) is not TriadId:
+            raise TypeError(f"UTT.apply expects a TriadId, got {type(t).__name__}")
         shift = self.t_major if t.mode is Mode.MAJOR else self.t_minor
         mode = t.mode
         if self.sign == "-":

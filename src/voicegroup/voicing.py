@@ -326,6 +326,8 @@ class _Element(_Value):
         return _mat3(_matrix_rows(p, m, n, modulus.n), modulus)
 
     def apply(self, v: Vec3) -> Vec3:
+        if type(v) is not Vec3:
+            raise TypeError(f"{type(self).__name__}.apply expects a Vec3, got {type(v).__name__}")
         p, m, n, modulus = self._c
         check_same_modulus(modulus, v.modulus)
         return _vec3(_act(p, m, n, v.entries, v.modulus.n), v.modulus)

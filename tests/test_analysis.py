@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +243,69 @@ def test_solve_step_matches_bruteforce_for_every_divisor_of_60():
             target = s.inverse().apply(dst)
             scanned += [ExtElement(s.sigma, j) for j, w in zip(js, j_images) if w == target]
         assert solve_step(src, dst, "extension") == scanned != []
+
+
+def _step_through_the_case_loop(src, dst, group, budget):
+    """solve_step's answer through the multi-step case loop, listed point by
+    point: the route solve_step took before it read its one step in a pass of
+    its own. A refusal comes back as its text."""
+    modulus = src.modulus
+    try:
+        cases = analysis._cases([(src.entries, dst.entries)], analysis._points(group, modulus), modulus, budget)
+    except BudgetExceeded as e:
+        return str(e)
+    return [ExtElement._make((p, m, n, modulus)) for p, solutions in cases for m, n in solutions]
+
+
+def _step_or_refusal(src, dst, group, budget):
+    try:
+        return solve_step(src, dst, group, budget)
+    except BudgetExceeded as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("n", range(3, 61))
+def test_solve_step_matches_the_case_loop_and_the_group_filter(n):
+    # one seed per divisor class g = gcd(z - x, z - y, n), and three targets:
+    # an image under a random element, the seed shifted by a constant (feasible
+    # at the identity with any rhs, so solvable or not) and a random triple
+    rng = random.Random(f"one-step grid {n}")
+    groups = ["J", "extension", "hook"] if n == 12 else ["J", "extension"]
+    budgets = (1, 16, 20, n * n, modring.DEFAULT_BUDGET)
+    outcomes = set()
+    for g in (g for g in range(1, n + 1) if n % g == 0):
+        z = rng.randrange(n)
+        src = Vec3.of(z - g, z - g * rng.randrange(n), z, n)
+        assert math.gcd(src.entries[2] - src.entries[0], src.entries[2] - src.entries[1], n) == g
+        element = ExtElement(rng.choice(ALL_PERMS), JElement(rng.randrange(2), rng.randrange(n), rng.randrange(n), n))
+        dsts = [mat_vec(element.matrix(), src), src.shift(rng.randrange(n)), Vec3.of(*rng.choices(range(n), k=3), n)]
+        for dst in dsts:
+            for group in groups:
+                scanned = solve_step_bruteforce(src, dst, group) if n <= 24 else None
+                for budget in budgets:
+                    got = _step_or_refusal(src, dst, group, budget)
+                    assert got == _step_through_the_case_loop(src, dst, group, budget)
+                    if isinstance(got, str):
+                        outcomes.add("refused")
+                        continue
+                    outcomes.add("listed" if got else "empty")
+                    if scanned is not None:
+                        assert got == scanned
+    assert outcomes == {"refused", "listed", "empty"}
+
+
+def test_solve_step_is_unsolvable_mod_4_before_the_budget_reads_5():
+    # mod 20 the row of (0, 4, 8) is (8, 4): a rhs that 4 does not divide is
+    # unsolvable mod 4, so the answer is [] before 5^2 > 20 is read
+    src = Vec3.of(0, 4, 8, 20)
+    unsolvable, solvable = src.shift(1), src.shift(4)
+    for budget in (20, 24):
+        assert solve_step(src, unsolvable, "J", budget) == []
+        assert _step_through_the_case_loop(src, unsolvable, "J", budget) == []
+        message = f"5^2 = 25 candidates exceeds budget {budget}"
+        assert _step_through_the_case_loop(src, solvable, "J", budget) == message
+        with pytest.raises(BudgetExceeded, match=f"^{re.escape(message)}$"):
+            solve_step(src, solvable, "J", budget)
 
 
 # Voicings with repeated entries mod 12 and mod 6: several (sigma, k) cases of

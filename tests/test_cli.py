@@ -582,9 +582,10 @@ def test_orbit_into_closed_pipe_exits_cleanly():
         stderr=subprocess.PIPE,
         env=_child_env(),
     )
-    assert proc.stdout.readline() == b"size: 12108\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
+    with proc.stderr:
+        assert proc.stdout.readline() == b"size: 12108\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err
 

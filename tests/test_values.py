@@ -143,13 +143,43 @@ def test_values_of_different_kinds_differ():
         lambda: UTT("+", 1, 2) * 3,
         lambda: Vec3.of(1, 2, 3, 12) + 1,
         lambda: Vec3.of(1, 2, 3, 12) - (1, 2, 3),
+        lambda: Residue(3, Modulus(12)) * Vec3.of(1, 2, 3, 12),
+        lambda: Vec3.of(1, 2, 3, 12) * Residue(3, Modulus(12)),
+        lambda: Residue(3, Modulus(12)) + Vec3.of(1, 2, 3, 12),
+        lambda: Vec3.of(1, 2, 3, 12) - Residue(3, Modulus(12)),
     ],
-    ids=["Perm3-mul-int", "UTT-mul-int", "Vec3-add-int", "Vec3-sub-tuple"],
+    ids=[
+        "Perm3-mul-int",
+        "UTT-mul-int",
+        "Vec3-add-int",
+        "Vec3-sub-tuple",
+        "Residue-mul-Vec3",
+        "Vec3-mul-Residue",
+        "Residue-add-Vec3",
+        "Vec3-sub-Residue",
+    ],
 )
 def test_operators_refuse_a_foreign_operand_with_type_error(operation):
     # the operator returns NotImplemented, so Python raises its own TypeError
     with pytest.raises(TypeError, match="unsupported operand type"):
         operation()
+
+
+@pytest.mark.parametrize(
+    "action, expected",
+    [
+        (lambda: Perm3((2, 1, 3)).apply((1, 2, 3)), "Perm3.apply expects a Vec3, got tuple"),
+        (lambda: JElement(0, 1, 0, 12).apply((1, 2, 3)), "JElement.apply expects a Vec3, got tuple"),
+        (lambda: parse_element("(12) U", 12).apply((1, 2, 3)), "ExtElement.apply expects a Vec3, got tuple"),
+        (lambda: UTT("+", 1, 2).apply(3), "UTT.apply expects a TriadId, got int"),
+        (lambda: UTT("+", 1, 2).apply(Vec3.of(0, 4, 7, 12)), "UTT.apply expects a TriadId, got Vec3"),
+        (lambda: AffineMap(Mat3.identity(12), Vec3.of(0, 0, 0, 12)).apply((1, 2, 3)), "unsupported operand type"),
+    ],
+    ids=["Perm3", "JElement", "ExtElement", "UTT-int", "UTT-Vec3", "AffineMap"],
+)
+def test_apply_on_what_a_value_does_not_act_on_raises_type_error(action, expected):
+    with pytest.raises(TypeError, match=re.escape(expected)):
+        action()
 
 
 def test_reprs_are_pinned():

@@ -390,11 +390,12 @@ def export_network_json(prog: Progression, labels: Sequence[ExtElement] | None =
 def export_network_dot(prog: Progression, labels: Sequence[ExtElement] | None = None) -> str:
     """DOT rendering of the progression network, deterministically ordered."""
     nodes, edges = _network(prog, labels)
-    names = ['"(' + ",".join(map(str, node)) + ')"' for node in nodes]
+    names = ['"(%d,%d,%d)"' % node for node in nodes]
     lines = ["digraph progression {", "  rankdir=LR;"]
-    lines += [f"  {name};" for name in names]
-    for a, b, text in edges:
-        attr = "" if text is None else f' [label="{text}"]'
-        lines.append(f"  {names[a]} -> {names[b]}{attr};")
+    lines += ["  %s;" % name for name in names]
+    lines += [
+        "  %s -> %s;" % (names[a], names[b]) if text is None else '  %s -> %s [label="%s"];' % (names[a], names[b], text)
+        for a, b, text in edges
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -31,6 +31,15 @@ class Vec3(_Value):
     def __new__(cls, entries: Sequence[int], modulus: Modulus | int) -> "Vec3":
         modulus = as_modulus(modulus)
         n = modulus.n
+        # a tuple or list of three entries, the common input, is read
+        # straight-line; anything else, or a failure, takes the general path
+        # below, which names the entry at fault
+        if (type(entries) is tuple or type(entries) is list) and len(entries) == 3:
+            x, y, z = entries
+            try:
+                return _vec3((index(x) % n, index(y) % n, index(z) % n), modulus)
+            except TypeError:
+                pass
         try:
             e = tuple(index(v) % n for v in entries)
         except TypeError:

@@ -4,7 +4,8 @@ Provides residues, unit detection, prime-power splitting of the modulus (by
 trial division, then Brent's rho with Miller-Rabin proofs, both bounded), and
 an exact solver for linear systems over Z/n. The solver reads its entries as
 integers, reduces the equations mod n and keeps each distinct one once,
-brings them to Howell form with extended-gcd row operations only, so the
+brings them to Howell form with row operations only, each from a Bezout
+pair that math.gcd and a modular inverse give in closed form, so the
 unknowns never move, and lists the solutions by back-substitution in
 increasing order, so its cost follows the number of solutions. A system in
 two unknowns, the shape of every query the analysis layer makes ((m, n) of
@@ -344,6 +345,10 @@ class Residue(_Value):
         c = self._coerce(other)
         return NotImplemented if c is None else Residue(self.value - c, self.modulus)
 
+    def __rsub__(self, other) -> "Residue":
+        c = self._coerce(other)
+        return NotImplemented if c is None else Residue(c - self.value, self.modulus)
+
     def __mul__(self, other) -> "Residue":
         c = self._coerce(other)
         return NotImplemented if c is None else Residue(self.value * c, self.modulus)
@@ -420,14 +425,13 @@ def _iroot(q: int, a: int) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        k, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - k * s1
-        t0, t1 = t1, t0 - k * t1
-    return a, s0, t0
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a >= 0 and b > 0, in
+    closed form: a/g is a unit mod b/g, so s is its inverse there, in
+    [0, b/g), and t follows exactly. Any Bezout pair serves the echelons:
+    each gives a determinant-1 map of two rows."""
+    g = math.gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
 
 
 def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
@@ -436,8 +440,9 @@ def _howell(rows: list[Sequence[int]], n: int) -> tuple[list, list[int]]:
 
     The last unknown is eliminated first. Each row with a nonzero x_j entry y
     meets the pivot row p, whose entry is x: when x divides y, y is cleared
-    with p itself, which stays the pivot; otherwise one extended gcd gives a
-    determinant-1 map of the two rows that takes (x, y) to (gcd(x, y), 0).
+    with p itself, which stays the pivot; otherwise a Bezout pair of (x, y)
+    (_xgcd) gives a determinant-1 map of the two rows that takes (x, y) to
+    (gcd(x, y), 0).
     pivots[j] is the one row whose leading unknown is x_j, scaled so that its
     pivot is g = gcd(pivot, n), or None when x_j is free; a pivot that
     already divides n is kept as it is.
@@ -566,7 +571,9 @@ def solve_linear(
     terms in x_0 .. x_{j-1}, and a free unknown all n values. The Howell form
     lets every partial solution extend, so the solutions come out in
     increasing order and the cost follows their number: x_0 and x_1 are
-    listed in closed form, at O(1) integer work per solution.
+    listed in closed form, at O(1) integer work per solution. x_1 takes one
+    value per x_0 when its pivot is 1, with no inner range, and otherwise
+    its g values share one range of multiples of n/g.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
@@ -609,7 +616,8 @@ def solve_linear(
     if _budget_gate(n, d, budget, zero_rhs):
         return []
     # x_0 runs over an arithmetic progression, and x_1, for each x_0, over one
-    # that starts at (c - a*x_0) % n // g
+    # that starts at (c - a*x_0) % n // g: one value when g == 1, else the
+    # same g shifts by multiples of n/g
     p = pivots[0]
     first = range(n) if p is None else range(p[d] // p[0], n, n // p[0])
     if d == 1:
@@ -619,8 +627,11 @@ def solve_linear(
         out = [(u, v) for u in first for v in range(n)]
     else:
         a, g, c = p[0], p[1], p[d]
-        step = n // g
-        out = [(u, v) for u in first for v in range((c - a * u) % n // g, n, step)]
+        if g == 1:
+            out = [(u, (c - a * u) % n) for u in first]
+        else:
+            shifts = range(0, n, n // g)
+            out = [(u, r + v) for u in first for r in ((c - a * u) % n // g,) for v in shifts]
     for j in range(2, d):
         p = pivots[j]
         if p is None:

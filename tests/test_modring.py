@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -142,6 +143,16 @@ def test_residue_arithmetic():
     assert (-a).value == 5
     with pytest.raises(ValueError):
         a + Residue(1, Modulus(7))
+
+
+def test_an_integer_minus_a_residue_is_a_residue():
+    r = Residue(3, 12)
+    assert 5 - r == Residue(2, 12) and 1 - r == Residue(10, 12) and -7 - r == Residue(2, 12)
+    # as the other reflected operators already did
+    assert 5 + r == Residue(8, 12) and 5 * r == Residue(3, 12)
+    np = pytest.importorskip("numpy")
+    d = np.int64(5) - r
+    assert d == Residue(2, 12) and type(d) is Residue and type(d.value) is int
 
 
 def test_crt_split_examples():
@@ -294,6 +305,59 @@ def test_two_unknowns_echelon_on_scalars_as_the_generic_route_does(system, budge
     generic_pivots, generic_zero_rhs = modring._howell(augmented, n)
     assert [p and tuple(p) for p in pivots] == [p and tuple(p) for p in generic_pivots]
     assert zero_rhs == generic_zero_rhs
+
+
+def test_xgcd_gives_a_bezout_pair():
+    m = 2**89 - 1  # a Mersenne prime
+    pairs = [(a, b) for a in range(61) for b in range(1, 61)]
+    pairs += [(2**90 + 1, m), (6 * m, 4 * m), (2**90, 3**57), (0, 2**90), (3**57 * m, m)]
+    for a, b in pairs:
+        g, s, t = modring._xgcd(a, b)
+        assert s * a + t * b == g == math.gcd(a, b), (a, b)
+
+
+def test_every_one_row_system_matches_enumeration():
+    """Every system [(a, b)], (c,) over n = 2..12, the shape of each
+    solve_step query: at the default budget against the enumeration, and at
+    budget n, which q^2 exceeds for some prime-power factor q of each such n,
+    against the gate's rule read off the enumeration modulo each factor."""
+    seen = set()
+    for n in range(2, 13):
+        factors = _trial_division(n)
+        for a, b, c in itertools.product(range(n), repeat=3):
+            rows, rhs = [(a, b)], (c,)
+            expected = enumerate_solutions(rows, rhs, n)
+            assert solve_linear(rows, rhs, n) == expected, (n, a, b, c)
+            # by increasing prime: the first factor with q^2 > n refuses, unless
+            # the system is unsolvable modulo a factor before it
+            for q in factors:
+                if q * q > n:
+                    gate = f"BudgetExceeded: {q}^2 = {q * q} candidates exceeds budget {n}"
+                    break
+                if not enumerate_solutions(rows, rhs, q):
+                    gate = []
+                    break
+            try:
+                got = solve_linear(rows, rhs, n, budget=n)
+            except BudgetExceeded as exc:
+                got = f"BudgetExceeded: {exc}"
+            assert got == gate, (n, a, b, c)
+            pivots, _ = modring._howell2([(a, b, c)], n)
+            seen.add("x1 free" if pivots[1] is None else f"x1 pivot {'1' if pivots[1][1] == 1 else '> 1'}")
+            seen.add("x0 free" if pivots[0] is None else "x0 pivot")
+            seen.add("solvable" if expected else "unsolvable")
+            seen.add("refused" if isinstance(gate, str) else "unsolvable mod a factor" if gate == [] else "listed")
+    assert seen == {
+        "x1 free",
+        "x1 pivot 1",
+        "x1 pivot > 1",
+        "x0 free",
+        "x0 pivot",
+        "solvable",
+        "unsolvable",
+        "refused",
+        "unsolvable mod a factor",
+    }
 
 
 @st.composite

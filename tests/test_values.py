@@ -246,11 +246,22 @@ def test_public_constructors_take_keywords():
         (lambda: Residue("3", 12), "value must be an integer, got '3'"),
         (lambda: Residue(3, 12) + 2.7, "operand must be an integer, got 2.7"),
         (lambda: 2.7 * Residue(3, 12), "operand must be an integer, got 2.7"),
+        (lambda: 2.7 - Residue(3, 12), "operand must be an integer, got 2.7"),
         (lambda: JElement(0, 1.5, 2, 12), "m must be an integer, got 1.5"),
         (lambda: JElement(0, 1, "2", 12), "n must be an integer, got '2'"),
         (lambda: JElement(1.0, 0, 0, 12), "k must be an integer, got 1.0"),
         (lambda: Vec3((1.9, 2, 3), 12), "entries[0] must be an integer, got 1.9"),
         (lambda: Vec3.of(1, 2, "3", 12), "entries[2] must be an integer, got '3'"),
+        # a list or tuple of three is read straight-line; a failure there names the entry as any input does
+        (lambda: Vec3([1, "2", 3], 12), "entries[1] must be an integer, got '2'"),
+        (lambda: Vec3([1, 2, None], 12), "entries[2] must be an integer, got None"),
+        (lambda: Vec3("123", 12), "entries[0] must be an integer, got '1'"),
+        # an entry that is not an integer is named before the length is checked
+        (lambda: Vec3([1, 2, 3, "x"], 12), "entries[3] must be an integer, got 'x'"),
+        (lambda: Vec3(["a", 2], 12), "entries[0] must be an integer, got 'a'"),
+        (lambda: Vec3([1, 2], 12), "expected 3 entries, got 2"),
+        (lambda: Vec3([1, 2, 3, 4], 12), "expected 3 entries, got 4"),
+        (lambda: Vec3((v for v in (1, 2)), 12), "expected 3 entries, got 2"),
         (lambda: Vec3.of(1, 2, 3, 12).shift(1.9), "c must be an integer, got 1.9"),
         (lambda: Mat3(((1, 0, 0), (0, 1.5, 0), (0, 0, 1)), 12), "rows[1][1] must be an integer, got 1.5"),
         (lambda: scalar_affine(1.5, 2.9, 12), "u must be an integer, got 1.5"),
@@ -296,6 +307,11 @@ def test_value_integers_take_any_integer_type():
     [
         lambda: Vec3((1, 2), Modulus(12)),
         lambda: Vec3((1, 2, 3, 4), Modulus(12)),
+        lambda: Vec3([1, 2], 12),
+        lambda: Vec3([1, 2, 3, 4], 12),
+        lambda: Vec3((v for v in (1, 2, 3, 4)), 12),
+        lambda: Vec3([1, "2", 3], 12),
+        lambda: Vec3("123", 12),
         lambda: Mat3(((1, 0, 0), (0, 1, 0)), Modulus(12)),
         lambda: Mat3(((1, 0), (0, 1), (0, 0)), Modulus(12)),
         lambda: Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], 12),
@@ -303,7 +319,21 @@ def test_value_integers_take_any_integer_type():
         lambda: Perm3((1, 2, 3, 4)),
         lambda: AffineMap(Mat3.identity(12), Vec3.of(0, 0, 0, 7)),
     ],
-    ids=["vec-2", "vec-4", "mat-2-rows", "mat-2-columns", "mat-ragged", "perm-repeat", "perm-4", "affine-moduli"],
+    ids=[
+        "vec-2",
+        "vec-4",
+        "vec-list-2",
+        "vec-list-4",
+        "vec-generator-4",
+        "vec-list-string",
+        "vec-string-3",
+        "mat-2-rows",
+        "mat-2-columns",
+        "mat-ragged",
+        "perm-repeat",
+        "perm-4",
+        "affine-moduli",
+    ],
 )
 def test_public_constructors_reject_malformed_input(build):
     with pytest.raises(ValueError):
@@ -334,6 +364,10 @@ def test_triad_class_checks_its_fields(build, message):
 
 def test_public_constructors_reduce_entries():
     assert Vec3((-1, 12, 25), Modulus(12)).entries == (11, 0, 1)
+    # a tuple or list is read straight-line, any other iterable of three entries as before
+    assert Vec3([-1, 12, 25], 12) == Vec3((v for v in (-1, 12, 25)), 12) == Vec3(range(-1, 26, 13), 12)
+    v = Vec3([True, False, 14], 12)
+    assert v.entries == (1, 0, 2) and {type(x) for x in v.entries} == {int}
     assert Mat3([[-1, 0, 0], [0, 13, 0], [0, 0, 1]], Modulus(12)).rows == ((11, 0, 0), (0, 1, 0), (0, 0, 1))
     assert Perm3([2, 1, 3]).image == (2, 1, 3)
 

@@ -31,25 +31,18 @@ class Vec3(_Value):
     def __new__(cls, entries: Sequence[int], modulus: Modulus | int) -> "Vec3":
         modulus = as_modulus(modulus)
         n = modulus.n
-        # a tuple or list of three entries, the common input, is read
-        # straight-line; anything else, or a failure, takes the general path
-        # below, which names the entry at fault
-        if (type(entries) is tuple or type(entries) is list) and len(entries) == 3:
-            x, y, z = entries
+        # the entries are read once, so a one-shot iterator is named at
+        # fault like a list; a non-integer entry is named before the count
+        e = entries if type(entries) is tuple else tuple(entries)
+        if len(e) == 3:
+            x, y, z = e
             try:
                 return _vec3((index(x) % n, index(y) % n, index(z) % n), modulus)
             except TypeError:
                 pass
-        try:
-            e = tuple(index(v) % n for v in entries)
-        except TypeError:
-            # name the first entry that is not an integer
-            for i, v in enumerate(entries):
-                _integer(v, f"entries[{i}]")
-            raise
-        if len(e) != 3:
-            raise ValueError(f"expected 3 entries, got {len(e)}")
-        return _vec3(e, modulus)
+        for i, v in enumerate(e):
+            _integer(v, f"entries[{i}]")
+        raise ValueError(f"expected 3 entries, got {len(e)}")
 
     # hashed and compared in every orbit and solution set: on the ints, not the derived key
     def __eq__(self, other):

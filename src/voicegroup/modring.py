@@ -573,7 +573,7 @@ def solve_linear(
     increasing order and the cost follows their number: x_0 and x_1 are
     listed in closed form, at O(1) integer work per solution. x_1 takes one
     value per x_0 when its pivot is 1, with no inner range, and otherwise
-    its g values share one range of multiples of n/g.
+    its g values n/g apart.
 
     The budget bounds the search space: the prime-power factors q of n are
     taken in increasing order, and the first with q^d > budget raises
@@ -616,8 +616,8 @@ def solve_linear(
     if _budget_gate(n, d, budget, zero_rhs):
         return []
     # x_0 runs over an arithmetic progression, and x_1, for each x_0, over one
-    # that starts at (c - a*x_0) % n // g: one value when g == 1, else the
-    # same g shifts by multiples of n/g
+    # that starts at (c - a*x_0) % n // g: one value when g == 1, else g
+    # values n/g apart
     p = pivots[0]
     first = range(n) if p is None else range(p[d] // p[0], n, n // p[0])
     if d == 1:
@@ -630,8 +630,8 @@ def solve_linear(
         if g == 1:
             out = [(u, (c - a * u) % n) for u in first]
         else:
-            shifts = range(0, n, n // g)
-            out = [(u, r + v) for u in first for r in ((c - a * u) % n // g,) for v in shifts]
+            step = n // g
+            out = [(u, v) for u in first for v in range((c - a * u) % n // g, n, step)]
     for j in range(2, d):
         p = pivots[j]
         if p is None:

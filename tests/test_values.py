@@ -252,7 +252,7 @@ def test_public_constructors_take_keywords():
         (lambda: JElement(1.0, 0, 0, 12), "k must be an integer, got 1.0"),
         (lambda: Vec3((1.9, 2, 3), 12), "entries[0] must be an integer, got 1.9"),
         (lambda: Vec3.of(1, 2, "3", 12), "entries[2] must be an integer, got '3'"),
-        # a list or tuple of three is read straight-line; a failure there names the entry as any input does
+        # the entries are read once, so every iterable names the entry at fault, a one-shot iterator too
         (lambda: Vec3([1, "2", 3], 12), "entries[1] must be an integer, got '2'"),
         (lambda: Vec3([1, 2, None], 12), "entries[2] must be an integer, got None"),
         (lambda: Vec3("123", 12), "entries[0] must be an integer, got '1'"),
@@ -262,6 +262,8 @@ def test_public_constructors_take_keywords():
         (lambda: Vec3([1, 2], 12), "expected 3 entries, got 2"),
         (lambda: Vec3([1, 2, 3, 4], 12), "expected 3 entries, got 4"),
         (lambda: Vec3((v for v in (1, 2)), 12), "expected 3 entries, got 2"),
+        (lambda: Vec3((v for v in (1, 2.5, 3)), 12), "entries[1] must be an integer, got 2.5"),
+        (lambda: Vec3(iter([1, "2", 3, 4]), 12), "entries[1] must be an integer, got '2'"),
         (lambda: Vec3.of(1, 2, 3, 12).shift(1.9), "c must be an integer, got 1.9"),
         (lambda: Mat3(((1, 0, 0), (0, 1.5, 0), (0, 0, 1)), 12), "rows[1][1] must be an integer, got 1.5"),
         (lambda: scalar_affine(1.5, 2.9, 12), "u must be an integer, got 1.5"),
@@ -364,7 +366,7 @@ def test_triad_class_checks_its_fields(build, message):
 
 def test_public_constructors_reduce_entries():
     assert Vec3((-1, 12, 25), Modulus(12)).entries == (11, 0, 1)
-    # a tuple or list is read straight-line, any other iterable of three entries as before
+    # a tuple, a list or any other iterable of three entries gives the same value
     assert Vec3([-1, 12, 25], 12) == Vec3((v for v in (-1, 12, 25)), 12) == Vec3(range(-1, 26, 13), 12)
     v = Vec3([True, False, 14], 12)
     assert v.entries == (1, 0, 2) and {type(x) for x in v.entries} == {int}

@@ -148,6 +148,10 @@ def solve_step(
     skipped, and each distinct d is solved once. The empty list is a valid
     result. The Hook group is defined over Z/12 only.
     """
+    if type(src) is not Vec3:
+        raise TypeError(f"solve_step expects a Vec3 src, got {type(src).__name__}")
+    if type(dst) is not Vec3:
+        raise TypeError(f"solve_step expects a Vec3 dst, got {type(dst).__name__}")
     modulus = _require_group_modulus(check_same_modulus(src.modulus, dst.modulus))
     if group not in _GROUP_POINTS:
         raise ValueError(f"group must be one of {sorted(_GROUP_POINTS)}, got {group!r}")
@@ -253,6 +257,8 @@ def solve_uniform_all_cases(prog: Progression, budget: int = DEFAULT_BUDGET) -> 
 def rich(v: Vec3) -> Vec3:
     """Retrograde inversion enchaining: keep the last two entries in front,
     close with the reflected first entry."""
+    if type(v) is not Vec3:
+        raise TypeError(f"rich expects a Vec3, got {type(v).__name__}")
     x, y, z = v.entries
     return _vec3((y, z, (y + z - x) % v.modulus.n), v.modulus)
 
@@ -330,9 +336,15 @@ def find_rich_voicing_cycle(
     Tries every ordering of the first chord as the starting voicing and
     iterates RICH; succeeds when each image realizes the next chord (as a
     pitch-class set) and the orbit closes after exactly len(chords) steps.
+    An empty sequence, or a first chord that is not three pitch classes,
+    raises ValueError; a later chord that no voicing realizes gives None.
     """
     m = as_modulus(modulus)
     sets = [frozenset(c) for c in chords]
+    if not sets:
+        raise ValueError("chords is empty: a cycle needs at least one chord")
+    if len(sets[0]) != 3:
+        raise ValueError(f"the first chord {sorted(sets[0])} has {len(sets[0])} pitch classes; a voicing needs 3")
     for start in permutations(sorted(sets[0])):
         v = Vec3.of(*start, m)
         cycle = [v]

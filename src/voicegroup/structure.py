@@ -6,14 +6,11 @@ The budget still bounds the q^9 matrices over each prime-power factor q, so
 prime-power factor q >= 7 (such as 7, 9 or 36) needs a budget above the
 default.
 
-The duality check compares a contextual dihedral group with the
-transposition/inversion group on the seed's T/I orbit, in O(n) and on plain
-integer triples. The contextual group is generated by U and the first of
-UV, UW and (UV)(UW)^-1 whose shift of the seed (z - x, z - y or y - x) is a
-unit mod n, or by U and UV when none is. A transitive group acts simply
-transitively exactly when every element fixing the seed fixes the whole
-orbit, so only the seed's stabilizer is tested against the orbit;
-commutation is tested on the generators.
+The duality check and the restriction table are closed forms in the
+seed's intervals, O(1) whatever n is, and walk no orbit; their docstrings
+carry the proofs. The seed (0, a, b) and its T/I orbit form a dual pair
+with a dihedral contextual group exactly when a, b or b - a is a unit mod
+n: the Lewinian duality for trichords containing a generator of Z/n.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Callable, Sequence
 
 from .modring import DEFAULT_BUDGET, Modulus, as_modulus, _budget_gate, _prime_powers
 from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, scalar_affine, _affine, _mat3, _permute, _vec3
-from .voicing import _GENERATOR_EXPONENTS, Generator, JElement, _act, _require_group_modulus
+from .voicing import Generator, JElement, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
 
@@ -209,21 +206,14 @@ def ti_group(modulus: Modulus | int) -> list[AffineMap]:
     return maps
 
 
-def _ti_image(v: tuple[int, int, int], s: int, t: int, n: int) -> tuple[int, int, int]:
-    """The T/I map x -> s x + t, applied to every component of a plain integer triple."""
-    x, y, z = v
-    return ((s * x + t) % n, (s * y + t) % n, (s * z + t) % n)
-
-
-def _ti_images(v: tuple[int, int, int], n: int) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """The image of v under each T/I map, keyed by (s, t)."""
-    return {(s, t): _ti_image(v, s, t, n) for s in (1, -1) for t in range(n)}
-
-
 def ti_orbit(seed: Vec3) -> list[Vec3]:
     """The orbit of seed under the T/I group, deterministically ordered."""
-    images = _ti_images(seed.entries, seed.modulus.n)
-    return [_vec3(w, seed.modulus) for w in sorted(set(images.values()))]
+    if type(seed) is not Vec3:
+        raise TypeError(f"ti_orbit expects a Vec3, got {type(seed).__name__}")
+    x, y, z = seed.entries
+    n = seed.modulus.n
+    images = {((s * x + t) % n, (s * y + t) % n, (s * z + t) % n) for s in (1, -1) for t in range(n)}
+    return [_vec3(w, seed.modulus) for w in sorted(images)]
 
 
 def restrict_to_orbit(action: Callable[[Vec3], Vec3], orbit: Sequence[Vec3]) -> tuple[int, ...]:
@@ -251,7 +241,9 @@ class DualityReport:
     transitive on it, and elementwise commutation between them. Together
     (for finite simply transitive commuting actions) these force each group
     to be the full centralizer of the other in the symmetric group on the
-    orbit, so the report's conjunction is the dual-pair certificate.
+    orbit (Fiore and Satyendra, "Generalized contextual groups", Music
+    Theory Online 11(3), 2005), so the report's conjunction is the dual-pair
+    certificate. check_duality reads every field off the seed's intervals.
     """
 
     seed: Vec3
@@ -263,116 +255,85 @@ class DualityReport:
     is_dual_pair: bool
 
 
-def _simply_transitive(seed, orbit: set, images: dict, action, identity) -> bool:
-    """Whether a finite group acts simply transitively on the orbit through seed.
-
-    `images` maps each group element to its image of seed, `action(g)` is g
-    as a function on the orbit, and `identity` is the identity's key. If the
-    group is transitive, its image in Sym(orbit) has |G|/|K| elements, where
-    the pointwise stabilizer K of the orbit lies in Stab(seed), and
-    |orbit| = |G|/|Stab(seed)|. So it acts simply transitively exactly when
-    every element fixing seed fixes the whole orbit: (|Stab(seed)| - 1) *
-    |orbit| further checks, the identity needing none.
-    """
-    if set(images.values()) != orbit:
-        return False
-    for g, image in images.items():
-        if image == seed and g != identity:
-            act = action(g)
-            if any(act(w) != w for w in orbit):
-                return False
-    return True
-
-
-# The translation-like generators (UV)^a (UW)^b of a contextual group, by
-# name: each shifts (x, y, z) by a(z - x) + b(z - y), that is by z - x,
-# z - y and y - x.
-_CONTEXTUAL_GENERATORS = (("UV", 1, 0), ("UW", 0, 1), ("(UV)(UW)^-1", 1, -1))
+# The translation-like generators of a contextual group, by name, in the order
+# of their shifts of (x, y, z): UV by z - x, UW by z - y, (UV)(UW)^-1 by y - x.
+_CONTEXTUAL_GENERATORS = ("UV", "UW", "(UV)(UW)^-1")
 
 
 def check_duality(seed: Vec3) -> DualityReport:
-    """Compare the contextual and T/I groups on the seed's T/I orbit, in O(n).
+    """Compare the contextual and T/I groups on the seed's T/I orbit, in O(1).
 
-    The contextual group is U^k T^t, T being the first of UV, UW and
-    (UV)(UW)^-1 (see _CONTEXTUAL_GENERATORS) whose shift of the seed is a unit
-    mod n, or UV when none is; its name is the report's contextual_generator.
-    Everything runs on plain integer triples: a contextual element acts
-    through the group elements' action kernel (voicing._act), a T/I map as
-    x -> s x + t. Simple transitivity is read off the seed's stabilizer (see
-    _simply_transitive) instead of restricting all 4n elements to the orbit.
-    Each of the four generators (T, U, x+1 and -x) is evaluated once per orbit
-    point into an image table; the closure check (the generators of both
-    groups must map the orbit into itself), the U^k T^t walk and the
-    generator-pair commutation test read those tables. With trivial
-    stabilizers that is 5 |orbit| kernel calls: 2 |orbit| through _act (T
-    and U) and 3 |orbit| through _ti_image (the T/I images of the seed, x+1
-    and -x); the identity is not run over the orbit.
+    For the seed (x, y, z) mod n >= 3 let d1 = z - x, d2 = z - y and
+    d3 = y - x, and write 1 for (1, 1, 1). The contextual group is <U, T>,
+    T being the first of UV, UW and (UV)(UW)^-1 whose shift of the seed (d1,
+    d2 or d3) is a unit mod n, or UV when none is; its name is the report's
+    contextual_generator. Every field is read off the intervals:
+
+    - orbit_size is n when 2 d1 = 2 d2 = 0 mod n, and 2n otherwise: no
+      translation but the identity fixes the seed, and the inversion
+      x -> t - x fixes it exactly when t = 2x = 2y = 2z.
+    - simply_transitive_TI is orbit_size == 2n. The 2n T/I maps act on their
+      own orbit transitively, so regularly when no map but the identity
+      fixes the seed; an inversion that fixes the seed moves seed + c 1 to
+      seed - c 1, another point for c = 1 since n >= 3.
+    - mutually_commuting is always True. A T/I map x -> ux + q on every
+      entry is u Id + q 1, which commutes with every linear map that fixes
+      1, as every element of J does.
+    - simply_transitive_contextual and is_dual_pair both say that some di is
+      a unit. If one is, T moves the seed along its whole line seed + Z/n 1,
+      and U acts on the seed as the inversion v -> (x + y) 1 - v, which
+      keeps it on that line only if 2 d1 = 2 d2 = 2 d3 = 0, impossible for a
+      unit when n >= 3. So the 2n elements U^k T^t send the seed to 2n
+      distinct points: the group acts regularly on the 2n-point orbit, and
+      all four conditions hold. If no di is a unit, T = UV shifts by d1 and
+      g = gcd(d1, n) >= 2, so the contextual orbit has at most 2n/g <= n
+      points, fewer than the T/I orbit unless g = 2 and orbit_size = n.
+      Then 2 d1 = 0 makes d1 = n/2 = 2, so n = 4, and U seed = seed + d3 1
+      with d3 even lies in the coset seed + {0, 2} 1 that T already covers.
+      Either way the contextual group is not transitive on the orbit.
+
+    The contextual group keeps the T/I orbit: U acts on any tuple w as the
+    inversion v -> (w1 + w2) 1 - v and T as a translation, both T/I maps.
+    n = 2 is refused as the normal forms refuse it.
     """
-    m = _require_group_modulus(seed.modulus)
-    n = m.n
-    x, y, z = origin = seed.entries
-    which, a, b = next(
-        (g for g in _CONTEXTUAL_GENERATORS if math.gcd(g[1] * (z - x) + g[2] * (z - y), n) == 1),
-        _CONTEXTUAL_GENERATORS[0],
-    )
-    ti_images = _ti_images(origin, n)
-    orbit = set(ti_images.values())
-
-    def ctx(k: int, t: int):
-        return lambda w: _act(k, a * t, b * t, w, n)  # the point of U^k is k
-
-    def ti(s: int, t: int):
-        return lambda w: _ti_image(w, s, t, n)
-
-    # Each generator evaluated once per orbit point: the translation-like
-    # generator T and U (the points of U^0 and U^1), then x+1 and -x.
-    step = {w: _act(0, a, b, w, n) for w in orbit}
-    flip = {w: _act(1, 0, 0, w, n) for w in orbit}
-    shift = {w: _ti_image(w, 1, 1, n) for w in orbit}
-    negate = {w: _ti_image(w, -1, 0, n) for w in orbit}
-    if any(image not in orbit for g in (step, flip, shift, negate) for image in g.values()):
-        raise ValueError(f"the T/I orbit of {seed} is not closed under the generators")
-
-    # U^k T^t seed: walk the translation-like generator T, flipping each point by U
-    ctx_images, v = {}, origin
-    for t in range(n):
-        ctx_images[0, t] = v
-        ctx_images[1, t] = flip[v]
-        v = step[v]
-    ctx_simply = _simply_transitive(origin, orbit, ctx_images, lambda key: ctx(*key), (0, 0))
-    ti_simply = _simply_transitive(origin, orbit, ti_images, lambda key: ti(*key), (1, 0))
-
-    # Each restriction is a homomorphism into Sym(orbit), so the restricted groups
-    # commute exactly when their generators do.
-    commuting = all(c[f[w]] == f[c[w]] for c in (step, flip) for f in (shift, negate) for w in orbit)
-    ok = len(orbit) == 2 * n and ctx_simply and ti_simply and commuting
+    if type(seed) is not Vec3:
+        raise TypeError(f"check_duality expects a Vec3, got {type(seed).__name__}")
+    n = _require_group_modulus(seed.modulus).n
+    x, y, z = seed.entries
+    d1, d2 = z - x, z - y
+    unit = next((i for i, d in enumerate((d1, d2, y - x)) if math.gcd(d, n) == 1), None)
+    orbit_size = n if 2 * d1 % n == 2 * d2 % n == 0 else 2 * n
+    dual = unit is not None
     return DualityReport(
         seed=seed,
-        orbit_size=len(orbit),
-        contextual_generator=which,
-        simply_transitive_contextual=ctx_simply,
-        simply_transitive_TI=ti_simply,
-        mutually_commuting=commuting,
-        is_dual_pair=ok,
+        orbit_size=orbit_size,
+        contextual_generator=_CONTEXTUAL_GENERATORS[unit or 0],
+        simply_transitive_contextual=dual,
+        simply_transitive_TI=orbit_size == 2 * n,
+        mutually_commuting=True,
+        is_dual_pair=dual,
     )
 
 
 def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int, int], dict[str, str]]:
     """Which locally-conjugated contextual operation each generator restricts to.
 
-    For each of the six T/I orbits of the reorderings tau(0,4,7), compare each
-    generator with tau X tau^-1 for X in {P, L, R} (the contextual operations
-    on the dualistic root-position orbit) across all |orbit| orbit elements
-    (2n of them: 24 at n = 12, 40 at n = 20), on plain integer triples through
-    the action kernel. tau X tau^-1 is again a reflection,
-    sigma_conjugate_generator(tau, X), so each of U, V and W is evaluated once
-    per orbit point and the image lists are compared: 3 |orbit| kernel calls
-    per orbit. The match is required to be unique; an ambiguous match, as at
-    n = 3, 4 or 7, raises ValueError, and n = 2 is refused as the normal forms
-    refuse it.
+    For each of the six T/I orbits of the reorderings tau(0,4,7), generator
+    g matches X in {P, L, R} (the contextual operations on the dualistic
+    root-position orbit, realized there by W, V and U) when g agrees on the
+    whole orbit with tau X tau^-1, again a reflection,
+    sigma_conjugate_generator(tau, X). That is read off the orbit's
+    representative in O(1). Two distinct reflections J^{ab} and J^{ac}
+    share one index a, and J^{ab} v - J^{ac} v = (v_b - v_c)(1, 1, 1), so
+    they agree on v exactly when v_b = v_c, which every T/I map keeps. So g
+    matches X when it is tau X tau^-1, or when the two voices outside their
+    shared index are equal in tau(0,4,7) mod n: exactly at n = 3, 4 and 7,
+    the moduli dividing an interval of (0, 4, 7). The match is required to
+    be unique; the first ambiguous one, taking tau in ALL_PERMS order, g in
+    Generator order and the matches in P, L, R order, raises ValueError, and
+    n = 2 is refused as the normal forms refuse it.
     """
     m = _require_group_modulus(as_modulus(modulus))
-    n = m.n
     base = Vec3.of(0, 4, 7, m).entries
 
     # On the dualistic root-position orbit the three reflections realize
@@ -381,13 +342,12 @@ def orbit_restriction_table(modulus: Modulus | int = 12) -> dict[tuple[int, int,
     table: dict[tuple[int, int, int], dict[str, str]] = {}
     for tau in ALL_PERMS:
         rep = _permute(tau, base)
-        orbit = set(_ti_images(rep, n).values())
-        # the point of U is 1; each list walks the same set, so in the same order
-        images = {g: [_act(1, a, b, w, n) for w in orbit] for g, (a, b) in _GENERATOR_EXPONENTS.items()}
-        conjugates = {name: sigma_conjugate_generator(tau, x) for name, x in contextual.items()}
+        conjugates = {name: set(sigma_conjugate_generator(tau, x).pair) for name, x in contextual.items()}
         column: dict[str, str] = {}
         for g in Generator:
-            matches = [name for name, x in conjugates.items() if images[g] == images[x]]
+            own = set(g.pair)
+            # the voices outside the shared index: none when the conjugate is g, else two to compare
+            matches = [name for name, pair in conjugates.items() if len({rep[i - 1] for i in pair ^ own}) < 2]
             if len(matches) != 1:
                 raise ValueError(
                     f"generator {g} matches {matches!r} on orbit of {Vec3(rep, m)}; "

@@ -114,6 +114,8 @@ def classify(v: Vec3) -> TriadClass | None:
     root-position tuple to v (consonant triads have three distinct pitch
     classes, so the permutation is unique).
     """
+    if type(v) is not Vec3:
+        raise TypeError(f"classify expects a Vec3, got {type(v).__name__}")
     if v.modulus.n != 12:
         raise ValueError("triad classification is defined over Z/12")
     pcs = set(v.entries)
@@ -151,6 +153,8 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     O(12 |generators|) actions on plain ints, then one Vec3 is built per
     tuple of the result, O(|orbit|); an orbit has at most 12n tuples.
     """
+    if type(seed) is not Vec3:
+        raise TypeError(f"orbit expects a Vec3 seed, got {type(seed).__name__}")
     m = seed.modulus
     n = m.n
     actions = set()

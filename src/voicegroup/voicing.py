@@ -101,6 +101,8 @@ def generator_for_pair(r: int, s: int) -> Generator:
 
 def j_reflection(r: int, s: int, v: Vec3) -> Vec3:
     """Reflect every entry of v across the axis of entries r and s: e -> -e + v_r + v_s."""
+    if type(v) is not Vec3:
+        raise TypeError(f"j_reflection expects a Vec3, got {type(v).__name__}")
     if r == s:
         raise ValueError("reflection needs two distinct entry indices")
     if not {r, s} <= {1, 2, 3}:

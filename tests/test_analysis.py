@@ -702,7 +702,23 @@ def test_hexatonic_rich_cycle_found_by_search():
         assert rich(v) == cycle[(i + 1) % 6]
     # no ordering of C major is carried by RICH to C# major and back
     assert find_rich_voicing_cycle([{0, 4, 7}, {1, 5, 8}], 12) is None
+    # nor, without an error, to a later chord of two pitch classes
+    assert find_rich_voicing_cycle([{0, 4, 7}, {1, 5}], 12) is None
 
+
+
+@pytest.mark.parametrize(
+    "chords, expected",
+    [
+        ([], "chords is empty: a cycle needs at least one chord"),
+        ([{0, 4}, {4, 7, 0}], "the first chord [0, 4] has 2 pitch classes; a voicing needs 3"),
+        ([{0, 4, 7, 11}], "the first chord [0, 4, 7, 11] has 4 pitch classes; a voicing needs 3"),
+    ],
+    ids=["empty", "dyad", "tetrachord"],
+)
+def test_rich_cycle_search_refuses_a_malformed_first_chord(chords, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        find_rich_voicing_cycle(chords, 12)
 
 def test_export_dot():
     dot = export_network_dot(WEBERN_ROW_1, [rich_element(12)] * 5)

@@ -749,9 +749,11 @@ def _references(path, names):
 
 
 def test_group_computations_use_no_matrix_kernel():
-    # structure and triadic act through the element coordinates (voicing._act and
-    # the point-product table); a matrix is built only when it is the answer, and
-    # no determinant is taken (a centralizer member's is the cube of its scalar).
+    # triadic acts through the element coordinates (voicing._act and the
+    # point-product table), and structure reads its duality verdicts and
+    # restriction table off the seed's intervals, acting on nothing; a matrix is
+    # built only when it is the answer, and no determinant is taken (a
+    # centralizer member's is the cube of its scalar).
     kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix", "is_invertible", "determinant", "_det_int"}
     for name in ("structure.py", "triadic.py"):
         lines = _references(PACKAGE_DIR / name, kernels)

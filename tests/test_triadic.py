@@ -109,6 +109,22 @@ def test_classify_voicing_reconstructs_input():
         assert got.voicing.apply(root_position_tuple(t)) == v
 
 
+
+def test_classify_on_every_tuple_mod_12():
+    # the 144 voiced consonant triads, each a reordering of a root-position tuple,
+    # give their (triad, reordering); the other 1584 tuples are no triad
+    voiced = {
+        perm.apply(root_position_tuple(t)).entries: (t, perm) for t in all_triads() for perm in ALL_PERMS
+    }
+    assert len(voiced) == 144
+    m = Modulus(12)
+    for entries in itertools.product(range(12), repeat=3):
+        got = classify(Vec3(entries, m))
+        if entries in voiced:
+            assert (got.id, got.voicing) == voiced[entries], entries
+        else:
+            assert got is None, entries
+
 def test_orbit_sizes():
     seed = Vec3.of(0, 4, 7, M12)
     assert len(orbit(ext_gens(), seed)) == 144

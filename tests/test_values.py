@@ -19,7 +19,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import voicegroup
-from voicegroup.analysis import Progression, find_affine_morphisms, rich
+from voicegroup.analysis import Progression, find_affine_morphisms, rich, solve_step
 from voicegroup.extension import ExtElement, enumerate_extension, parse_element
 from voicegroup.linalg import (
     ALL_PERMS,
@@ -32,7 +32,7 @@ from voicegroup.linalg import (
     scalar_affine,
 )
 from voicegroup.modring import Modulus, Residue, _Value, solve_linear, units
-from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, ti_orbit
+from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, check_duality, ti_orbit
 from voicegroup.triadic import UTT, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
 from voicegroup.voicing import JElement, j_reflection, word_to_element
@@ -181,6 +181,27 @@ def test_apply_on_what_a_value_does_not_act_on_raises_type_error(action, expecte
     with pytest.raises(TypeError, match=re.escape(expected)):
         action()
 
+
+
+# the functions that read a Vec3 argument's entries or modulus refuse anything
+# else with TypeError, as .apply does, not with an AttributeError from inside
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda t, v: check_duality(t), "check_duality expects a Vec3, got tuple"),
+        (lambda t, v: ti_orbit(t), "ti_orbit expects a Vec3, got tuple"),
+        (lambda t, v: orbit([word_to_element("U", 12)], t), "orbit expects a Vec3 seed, got tuple"),
+        (lambda t, v: classify(t), "classify expects a Vec3, got tuple"),
+        (lambda t, v: solve_step(t, v), "solve_step expects a Vec3 src, got tuple"),
+        (lambda t, v: solve_step(v, t), "solve_step expects a Vec3 dst, got tuple"),
+        (lambda t, v: rich(t), "rich expects a Vec3, got tuple"),
+        (lambda t, v: j_reflection(1, 2, t), "j_reflection expects a Vec3, got tuple"),
+    ],
+    ids=["check_duality", "ti_orbit", "orbit", "classify", "solve_step-src", "solve_step-dst", "rich", "j_reflection"],
+)
+def test_functions_of_a_vec3_refuse_a_tuple_with_type_error(call, expected):
+    with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
+        call((0, 4, 7), Vec3.of(0, 4, 7, 12))
 
 def test_reprs_are_pinned():
     assert [repr(v) for v in _values(12)] == [

@@ -619,6 +619,50 @@ def test_orbit_restriction_table_matches_pairwise_oracle(n):
         assert orbit_restriction_table(n) == expected
 
 
+def _count_kernel_calls(monkeypatch):
+    """Wrap the action kernels of voicing and linalg in counters: the J action
+    behind every group element, the T/I maps, the permutations and mat_vec."""
+    import voicegroup.linalg as linalg
+    import voicegroup.voicing as voicing
+
+    calls = {}
+    for owner, name in (
+        (voicing, "_act"),
+        (linalg, "mat_vec"),
+        (linalg.AffineMap, "apply"),
+        (linalg.Perm3, "apply"),
+    ):
+        key = f"{getattr(owner, '__name__', owner)}.{name}"
+        calls[key] = 0
+        kernel = getattr(owner, name)
+
+        def counted(*args, key=key, kernel=kernel):
+            calls[key] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("entries, n", [((0, 4, 7), 12), ((0, 3, 11), 15)])
+def test_duality_evaluates_each_generator_once_per_orbit_point(monkeypatch, entries, n):
+    # the old walk ran T and U once per orbit point and x+1, -x and the seed's
+    # T/I images once each; the closed form runs no generator at any point
+    calls = _count_kernel_calls(monkeypatch)
+    report = check_duality(Vec3.of(*entries, Modulus(n)))
+    assert report.is_dual_pair
+    assert report.orbit_size == 2 * n
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_orbit_restriction_table_evaluates_each_generator_once_per_orbit_point(monkeypatch):
+    # six orbits of 24 points, three generators each, were walked once per point;
+    # the table is now read off the six representatives with no action at all
+    calls = _count_kernel_calls(monkeypatch)
+    assert orbit_restriction_table(12) == EXPECTED_TABLE
+    assert calls == dict.fromkeys(calls, 0)
+
+
 def test_duality_and_restriction_table_walk_no_orbit():
     # both answers are closed forms in the seed's intervals: a walk over the 2n
     # points of an orbit mod a 13-digit prime would not finish

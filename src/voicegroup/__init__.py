@@ -22,7 +22,6 @@ _EXPORTS = {
         "modring": (
             "BudgetExceeded",
             "Modulus",
-            "Residue",
             "solve_linear",
             "units",
         ),

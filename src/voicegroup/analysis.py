@@ -43,7 +43,8 @@ class Progression(_Value):
 
     __slots__ = ("modulus", "tuples", "cyclic")
 
-    def __new__(cls, modulus: Modulus, tuples: Iterable[Vec3], cyclic: bool = False) -> "Progression":
+    def __new__(cls, modulus: Modulus | int, tuples: Iterable[Vec3], cyclic: bool = False) -> "Progression":
+        modulus = as_modulus(modulus)
         tuples = tuple(tuples)
         if not tuples:
             raise ValueError("progression must contain at least one tuple")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 
-from .modring import Modulus, Residue, as_modulus
+from .modring import Modulus, as_modulus
 from .linalg import _CYCLE_IMAGES, ALL_PERMS, Mat3, Perm3
 from .voicing import (
     _BASES,
@@ -88,9 +88,9 @@ class ExtElement(_Element):
     def from_sigma(cls, sigma: Perm3, modulus: Modulus | int) -> "ExtElement":
         return cls._make((_point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus))))
 
-    def trace(self) -> Residue:
+    def trace(self) -> int:
         p, _, _, modulus = self._c
-        return Residue(_TRACES[p], modulus)
+        return _TRACES[p] % modulus.n  # the table holds -1 for U
 
     def sort_key(self) -> tuple[int, int, int, int]:
         p, m, n, _ = self._c

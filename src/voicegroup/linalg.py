@@ -19,7 +19,7 @@ import math
 from operator import index
 from typing import Sequence
 
-from .modring import Modulus, Residue, _Value, _integer, as_modulus, check_same_modulus
+from .modring import Modulus, _Value, _integer, as_modulus, check_same_modulus
 
 
 class Vec3(_Value):
@@ -131,8 +131,9 @@ class Mat3(_Value):
         columns = tuple(zip(*other.rows))
         return _mat3(tuple(_mat_vec_ints(columns, row, n) for row in self.rows), self.modulus)
 
-    def trace(self) -> Residue:
-        return Residue(sum(self.rows[i][i] for i in range(3)), self.modulus)
+    def trace(self) -> int:
+        """The sum of the diagonal, as an int in [0, n)."""
+        return sum(self.rows[i][i] for i in range(3)) % self.modulus.n
 
     def __str__(self) -> str:
         return "[" + ",".join("[" + ",".join(str(v) for v in r) + "]" for r in self.rows) + "]"
@@ -159,9 +160,9 @@ def _det_int(rows) -> int:
     return r * (v * z - w * y) - s * (u * z - w * x) + t * (u * y - v * x)
 
 
-def determinant(a: Mat3) -> Residue:
-    """Cofactor-expansion determinant mod n."""
-    return Residue(_det_int(a.rows), a.modulus)
+def determinant(a: Mat3) -> int:
+    """Cofactor-expansion determinant, as an int in [0, n)."""
+    return _det_int(a.rows) % a.modulus.n
 
 
 def is_invertible(a: Mat3) -> bool:

@@ -1,10 +1,11 @@
 """Exact arithmetic in Z/n with a runtime modulus.
 
-Provides residues, unit detection, prime-power splitting of the modulus (by
-trial division, then Brent's rho with Miller-Rabin proofs, both bounded), and
-an exact solver for linear systems over Z/n. The solver reads its entries as
-integers, reduces the equations mod n and keeps each distinct one once,
-brings them to Howell form with row operations only, each from a Bezout
+Provides the modulus, the units of Z/n, prime-power splitting of the modulus
+(by trial division, then Brent's rho with Miller-Rabin proofs, both bounded),
+and an exact solver for linear systems over Z/n. A residue is a plain int in
+[0, n); no class wraps it. The solver reads its entries as integers, reduces
+the equations mod n and keeps each distinct one once, brings them to Howell
+form with row operations only, each from a Bezout
 pair that math.gcd and a modular inverse give in closed form, so the
 unknowns never move, and lists the solutions by back-substitution in
 increasing order, so its cost follows the number of solutions. A system in
@@ -208,9 +209,9 @@ def _trusted_constructor(cls, setters):
 
 
 class _Value:
-    """Slotted immutable storage, shared by Modulus and Residue here, the
-    vectors, matrices, permutations and affine maps (linalg.py), the group
-    elements (voicing.py), the triad records and triadic transformations
+    """Slotted immutable storage, shared by Modulus here, the vectors,
+    matrices, permutations and affine maps (linalg.py), the group elements
+    (voicing.py), the triad records and triadic transformations
     (triadic.py), and progressions (analysis.py).
 
     A class declares its fields as __slots__, and everything else is derived
@@ -310,68 +311,10 @@ def check_same_modulus(a: Modulus, b: Modulus) -> Modulus:
     return a
 
 
-class Residue(_Value):
-    """An integer reduced to [0, n) for a fixed modulus. The value, and an
-    operand that is not a library value, are read as Modulus reads n: a float
-    or a string is refused, not truncated or parsed. Another library value
-    (a Vec3, say) gives NotImplemented, so Python raises its TypeError."""
-
-    __slots__ = ("value", "modulus")
-
-    def __new__(cls, value: int, modulus: Modulus | int) -> "Residue":
-        modulus = as_modulus(modulus)
-        return _residue(_integer(value, "value") % modulus.n, modulus)
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.modulus.n) == 1
-
-    def _coerce(self, other) -> int | None:
-        """other read as an integer, or None for another library value, such
-        as a Vec3, which a residue does not combine with."""
-        if isinstance(other, Residue):
-            check_same_modulus(self.modulus, other.modulus)
-            return other.value
-        if isinstance(other, _Value):
-            return None
-        return _integer(other, "operand")
-
-    def __add__(self, other) -> "Residue":
-        c = self._coerce(other)
-        return NotImplemented if c is None else Residue(self.value + c, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Residue":
-        c = self._coerce(other)
-        return NotImplemented if c is None else Residue(self.value - c, self.modulus)
-
-    def __rsub__(self, other) -> "Residue":
-        c = self._coerce(other)
-        return NotImplemented if c is None else Residue(c - self.value, self.modulus)
-
-    def __mul__(self, other) -> "Residue":
-        c = self._coerce(other)
-        return NotImplemented if c is None else Residue(self.value * c, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-_residue = Residue._make  # an int already in [0, n)
-
-
-def units(modulus: Modulus | int) -> list[Residue]:
-    """All residues coprime to n, in increasing order; len == Euler phi(n)."""
-    m = as_modulus(modulus)
-    return [_residue(v, m) for v in range(m.n) if math.gcd(v, m.n) == 1]
+def units(modulus: Modulus | int) -> list[int]:
+    """The ints in [0, n) coprime to n, in increasing order; len == Euler phi(n)."""
+    n = as_modulus(modulus).n
+    return [v for v in range(n) if math.gcd(v, n) == 1]
 
 
 def euler_phi(n: int) -> int:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -67,20 +69,43 @@ def test_det_multiplicative_on_random_pairs(n):
     for _ in range(1000):
         a = rand_mat(rng, n)
         b = rand_mat(rng, n)
-        assert determinant(a @ b).value == (determinant(a) * determinant(b)).value
+        assert determinant(a @ b) == determinant(a) * determinant(b) % n
 
 
 def test_generator_determinants():
     for n in (7, 12):
         for g in Generator:
-            assert determinant(generator_matrix(g, Modulus(n))).value == 1
-    assert determinant(Mat3.identity(Modulus(12))).value == 1
+            assert determinant(generator_matrix(g, Modulus(n))) == 1
+    assert determinant(Mat3.identity(Modulus(12))) == 1
 
 
 def test_non_invertible_scalar():
     d6 = Mat3([[6, 0, 0], [0, 6, 0], [0, 0, 6]], Modulus(12))
-    assert determinant(d6).value == 0
+    assert determinant(d6) == 0
     assert not is_invertible(d6)
+
+
+def _leibniz(rows, n):
+    """The determinant as the signed sum over the six permutations, mod n."""
+    total = 0
+    for p in itertools.permutations(range(3)):
+        inversions = sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3))
+        total += (-1) ** inversions * math.prod(rows[i][p[i]] for i in range(3))
+    return total % n
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12, 13, 24, 1009])
+def test_trace_and_determinant_are_ints_in_range(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        rows = [[rng.randrange(-2 * n, 2 * n) for _ in range(3)] for _ in range(3)]
+        a = Mat3(rows, n)
+        t, d = a.trace(), determinant(a)
+        assert type(t) is int and 0 <= t < n
+        assert type(d) is int and 0 <= d < n
+        # the oracles read the unreduced rows, not the matrix
+        assert t == (rows[0][0] + rows[1][1] + rows[2][2]) % n
+        assert d == _leibniz(rows, n)
 
 
 @pytest.mark.parametrize("n", range(2, 31))
@@ -88,7 +113,7 @@ def test_is_invertible_matches_unit_determinant(n):
     rng = random.Random(n)
     mats = [rand_mat(rng, n) for _ in range(200)]
     got = [is_invertible(a) for a in mats]
-    assert got == [determinant(a).is_unit() for a in mats]
+    assert got == [math.gcd(determinant(a), n) == 1 for a in mats]
     # both answers occur: a unimodular and a singular matrix at every n
     assert is_invertible(Mat3([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n)))
     assert not is_invertible(Mat3([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n)))

@@ -44,12 +44,13 @@ def test_unknown_names_raise_attribute_error():
 
 
 # Spellings retired in 0.1.0, each with its one surviving spelling in the README.
-# The last six were never exported.
+# affine_compose through rho_matrix were never exported.
 _RETIRED = {
     "crt_combine": "modring",
     "crt_split": "modring",
     "is_unit": "modring",
     "normalize": "modring",
+    "Residue": "modring",
     "solve_homogeneous": "modring",
     "identity": "linalg",
     "normal_form_matrix": "voicing",

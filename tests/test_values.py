@@ -1,6 +1,6 @@
 """The value contract shared by the slotted immutable classes.
 
-Modulus, Residue, Vec3, Mat3, Perm3, AffineMap, the group elements, the
+Modulus, Vec3, Mat3, Perm3, AffineMap, the group elements, the
 triad records, the triadic transformations and progressions share one storage (modring._Value): a validating public
 constructor, and, derived from the declared slots, one
 trusted constructor for the library's own producers, frozen fields, equality,
@@ -31,7 +31,7 @@ from voicegroup.linalg import (
     perm_matrix,
     scalar_affine,
 )
-from voicegroup.modring import Modulus, Residue, _Value, solve_linear, units
+from voicegroup.modring import Modulus, _Value, solve_linear, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, check_duality, ti_orbit
 from voicegroup.triadic import UTT, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
@@ -50,7 +50,6 @@ def _values(modulus):
         Perm3((2, 3, 1)),
         AffineMap(Mat3(((5, 0, 0), (0, 5, 0), (0, 0, 5)), m), Vec3((3, 3, 3), m)),
         m,
-        Residue(-5, m),
         TriadId(13, Mode.MINOR),
         TriadClass(TriadId(0, Mode.MAJOR), Perm3((3, 2, 1))),
         UTT("-", 13, -1),
@@ -90,7 +89,6 @@ _FIELDS = {
     Perm3: ("image",),
     AffineMap: ("linear", "translation"),
     Modulus: ("n",),
-    Residue: ("value", "modulus"),
     TriadId: ("root", "mode"),
     TriadClass: ("id", "voicing"),
     UTT: ("sign", "t_major", "t_minor"),
@@ -132,7 +130,7 @@ def test_values_of_different_kinds_differ():
     assert Perm3((1, 2, 3)) != (1, 2, 3)
     assert Vec3.of(0, 4, 7, 12) != Vec3.of(0, 4, 7, 13)
     m = Modulus(12)
-    assert m != 12 and Residue(3, m) != 3 and Residue(3, m) != Residue(3, Modulus(13))
+    assert m != 12 and m != Modulus(13)
     assert UTT("+", 0, 0) != ("+", 0, 0) and TriadId(0, Mode.MAJOR) != TriadId(0, Mode.MINOR)
 
 
@@ -143,20 +141,12 @@ def test_values_of_different_kinds_differ():
         lambda: UTT("+", 1, 2) * 3,
         lambda: Vec3.of(1, 2, 3, 12) + 1,
         lambda: Vec3.of(1, 2, 3, 12) - (1, 2, 3),
-        lambda: Residue(3, Modulus(12)) * Vec3.of(1, 2, 3, 12),
-        lambda: Vec3.of(1, 2, 3, 12) * Residue(3, Modulus(12)),
-        lambda: Residue(3, Modulus(12)) + Vec3.of(1, 2, 3, 12),
-        lambda: Vec3.of(1, 2, 3, 12) - Residue(3, Modulus(12)),
     ],
     ids=[
         "Perm3-mul-int",
         "UTT-mul-int",
         "Vec3-add-int",
         "Vec3-sub-tuple",
-        "Residue-mul-Vec3",
-        "Vec3-mul-Residue",
-        "Residue-add-Vec3",
-        "Vec3-sub-Residue",
     ],
 )
 def test_operators_refuse_a_foreign_operand_with_type_error(operation):
@@ -213,7 +203,6 @@ def test_reprs_are_pinned():
         "AffineMap(linear=Mat3(rows=((5, 0, 0), (0, 5, 0), (0, 0, 5)), modulus=Modulus(n=12)), "
         "translation=Vec3(entries=(3, 3, 3), modulus=Modulus(n=12)))",
         "Modulus(n=12)",
-        "Residue(value=7, modulus=Modulus(n=12))",
         "TriadId(root=1, mode=<Mode.MINOR: 'minor'>)",
         "TriadClass(id=TriadId(root=0, mode=<Mode.MAJOR: 'major'>), voicing=Perm3(image=(3, 2, 1)))",
         "UTT(sign='-', t_major=1, t_minor=11)",
@@ -225,7 +214,6 @@ def test_reprs_are_pinned():
 def test_public_constructors_take_keywords():
     m = Modulus(n=12)
     assert m == Modulus(12) and m.n == 12
-    assert Residue(value=-1, modulus=m) == Residue(11, m)
     assert TriadId(root=13, mode=Mode.MAJOR) == TriadId(1, Mode.MAJOR)
     assert TriadClass(id=TriadId(0, Mode.MINOR), voicing=Perm3((1, 2, 3))).id.mode is Mode.MINOR
     assert UTT(sign="+", t_major=13, t_minor=-1) == UTT("+", 1, 11)
@@ -262,12 +250,7 @@ def test_public_constructors_take_keywords():
         (lambda: UTT("+", 7, " 5"), "t_minor must be an integer, got ' 5'"),
         (lambda: hook_from_normal_form_B(3, 2.5), "n must be an integer, got 2.5"),
         (lambda: hook_from_normal_form_B(3.5, 2), "p must be an integer, got 3.5"),
-        # the same holds for residues, elements, vectors, matrices and affine maps
-        (lambda: Residue(2.7, 12), "value must be an integer, got 2.7"),
-        (lambda: Residue("3", 12), "value must be an integer, got '3'"),
-        (lambda: Residue(3, 12) + 2.7, "operand must be an integer, got 2.7"),
-        (lambda: 2.7 * Residue(3, 12), "operand must be an integer, got 2.7"),
-        (lambda: 2.7 - Residue(3, 12), "operand must be an integer, got 2.7"),
+        # the same holds for elements, vectors, matrices and affine maps
         (lambda: JElement(0, 1.5, 2, 12), "m must be an integer, got 1.5"),
         (lambda: JElement(0, 1, "2", 12), "n must be an integer, got '2'"),
         (lambda: JElement(1.0, 0, 0, 12), "k must be an integer, got 1.0"),
@@ -318,8 +301,7 @@ def test_value_integers_take_any_integer_type():
     assert v.shift(np.int64(13)) == Vec3.of(2, 3, 0, 12)
     a = Mat3([[np.int64(13), 0, 0], [0, np.int8(-1), 0], [0, 0, 1]], 12)
     assert a.rows == ((1, 0, 0), (0, 11, 0), (0, 0, 1)) and type(a.rows[0][0]) is int
-    r = Residue(np.int64(5), 12) + np.int32(9)
-    assert r == Residue(2, 12) and type(r.value) is int
+    assert units(np.int64(12)) == [1, 5, 7, 11] and {type(x) for x in units(np.uint8(12))} == {int}
     e = JElement(np.int64(1), np.int64(14), np.int16(-1), 12)
     assert e == JElement(1, 2, 11, 12) and {type(x) for x in (e.point, e.m, e.n)} == {int}
     assert scalar_affine(np.int64(5), np.uint8(15), 12) == scalar_affine(5, 3, 12)
@@ -365,9 +347,12 @@ def test_public_constructors_reject_malformed_input(build):
 
 def test_public_constructors_take_an_int_modulus():
     m = Modulus(12)
-    assert Residue(3, 12) == Residue(3, m) and Residue(value=-1, modulus=12) == Residue(11, m)
     assert Vec3((1, 2, 15), 12) == Vec3((1, 2, 3), m)
     assert Mat3(((1, 0, 0), (0, 1, 0), (0, 0, 13)), 12) == Mat3.identity(m)
+    v = Vec3.of(0, 4, 7, m)
+    assert Progression(12, [v]) == Progression(m, [v]) and Progression(12, [v]).modulus == m
+    with pytest.raises(ValueError, match=r"^mixed moduli: 13 vs 12$"):
+        Progression(13, [v])
     with pytest.raises(ValueError, match=r"^modulus must be an integer >= 2, got 1$"):
         Vec3((1, 2, 3), 1)
 
@@ -407,7 +392,6 @@ def _others(modulus):
         Perm3((1, 2, 3)),
         AffineMap(Mat3.identity(m), Vec3((1, 1, 1), m)),
         Modulus(13),
-        Residue(3, Modulus(13)),
         TriadId(2, Mode.MAJOR),
         TriadClass(TriadId(5, Mode.MINOR), Perm3((1, 2, 3))),
         UTT("+", 2, 3),
@@ -475,7 +459,7 @@ def test_progression_is_a_value_not_a_dataclass():
 
 def test_no_trusted_constructor_is_public():
     assert not [name for name in voicegroup.__all__ if name.startswith("_")]
-    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, Modulus, Residue, TriadId, TriadClass, UTT, Progression):
+    for cls in (JElement, ExtElement, Vec3, Mat3, Perm3, AffineMap, Modulus, TriadId, TriadClass, UTT, Progression):
         assert cls._TRUSTED[0].__name__ not in voicegroup.__all__
 
 
@@ -495,8 +479,6 @@ def _reduced(value) -> bool:
         return _reduced(value.linear) and _reduced(value.translation) and value.translation.modulus == value.linear.modulus
     if isinstance(value, ExtElement):
         return value.point in range(12) and _ints((value.m, value.n, 0), value.modulus.n)
-    if isinstance(value, Residue):
-        return type(value.value) is int and 0 <= value.value < value.modulus.n
     if isinstance(value, TriadId):
         return value.root in range(12) and type(value.root) is int and isinstance(value.mode, Mode)
     if isinstance(value, TriadClass):
@@ -526,6 +508,6 @@ def test_trusted_producers_store_what_the_public_constructors_would():
     morphisms = find_affine_morphisms(prog, image, restrict_to_centralizer=True)
     assert scalar_affine(5, 1, m) in morphisms
     produced += morphisms
-    produced += units(m) + units(Modulus(7)) + all_triads() + all_utts() + [rho_inverse(h) for h in hooks]
+    produced += all_triads() + all_utts() + [rho_inverse(h) for h in hooks]
     produced += [classify(x) for x in ti_orbit(Vec3.of(0, 4, 7, m))] + [u * v for u in all_utts()[::29] for v in all_utts()[::31]]
     assert [x for x in produced if not _reduced(x)] == []

@@ -49,6 +49,8 @@ class Progression(_Value):
         if not tuples:
             raise ValueError("progression must contain at least one tuple")
         for v in tuples:
+            if type(v) is not Vec3:
+                raise TypeError(f"Progression expects Vec3 tuples, got {type(v).__name__}")
             check_same_modulus(modulus, v.modulus)
         if not isinstance(cyclic, bool):
             raise ValueError(f"cyclic must be true or false, got {cyclic!r}")

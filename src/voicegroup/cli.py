@@ -1,9 +1,8 @@
-"""Command-line frontend.
-
-Exit codes: 0 success, 1 parse/usage error, 2 matrix not in the group,
-3 search budget exceeded. Permutations are written in comma-free cycle
-notation ('(12)', '(13)'), vectors with commas ('0,4,7'); matrices and
-progression files are JSON.
+"""Command-line frontend: each subcommand returns its document, and `main`
+prints it as text or JSON and maps each error to its exit code (0 success,
+1 parse/usage error, 2 matrix not in the group, 3 search budget exceeded).
+Permutations are written in comma-free cycle notation ('(12)', '(13)'),
+vectors with commas ('0,4,7'); matrices and progression files are JSON.
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ EXIT_BUDGET = 3
 MAX_RICH_STEPS = 10_000
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_PARSE):
-        super().__init__(message)
-        self.code = code
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with the parse-error code."""
 
@@ -57,11 +50,11 @@ def _int_option(text: str) -> int:
 def _parse_vec(text: str, modulus: Modulus) -> Vec3:
     parts = text.split(",")
     if len(parts) != 3:
-        raise CliError(f"expected three comma-separated entries, got {text!r}")
+        raise ValueError(f"expected three comma-separated entries, got {text!r}")
     try:
         return Vec3.of(*map(_ascii_int, parts), modulus)
     except ValueError as exc:
-        raise CliError(f"cannot parse vector {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse vector {text!r}: {exc}") from exc
 
 
 def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
@@ -73,7 +66,7 @@ def _parse_matrix(text: str, modulus: Modulus) -> Mat3:
             raise ValueError("entries must be integers")
         return matrix
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise CliError(f"cannot parse matrix {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse matrix {text!r}: {exc}") from exc
 
 
 def _element_payload(e: ExtElement) -> dict:
@@ -89,8 +82,8 @@ def _element_payload(e: ExtElement) -> dict:
 
 
 def _emit(args, payload: Callable[[], dict], text_lines: Callable[[], list[str]]) -> None:
-    """Print the JSON payload or the text lines, as --format says; only the
-    one printed is built."""
+    """Print the document a handler returns: its JSON payload or its text
+    lines, as --format says; only the one printed is built."""
     if args.format == "json":
         print(json.dumps(payload(), indent=2))
     else:
@@ -105,27 +98,26 @@ def _load_progression(path: str, args) -> Progression:
         with open(path, "r", encoding="utf-8") as fh:
             prog = Progression.from_jsonable(json.load(fh))
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise CliError(f"malformed progression file {path}: {exc}")
+        raise ValueError(f"malformed progression file {path}: {exc}")
     if args.mod is not None and args.mod != prog.modulus.n:
-        raise CliError(f"--mod {args.mod} does not match the modulus {prog.modulus.n} of {path}")
+        raise ValueError(f"--mod {args.mod} does not match the modulus {prog.modulus.n} of {path}")
     if getattr(args, "cyclic", False) and not prog.cyclic:
         prog = Progression(prog.modulus, prog.tuples, cyclic=True)
     return prog
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> tuple:
     modulus = Modulus(args.mod)
     if args.word is not None:
         cleaned = args.word.replace(" ", "")
         if not cleaned or any(c not in "UVW" for c in cleaned):
-            raise CliError(f"word must consist of the letters U, V, W: {args.word!r}")
+            raise ValueError(f"word must consist of the letters U, V, W: {args.word!r}")
         element = ExtElement.from_j(word_to_element(cleaned, modulus))
     else:
         element = ext_decode(_parse_matrix(args.matrix, modulus))
-    _emit(args, lambda: _element_payload(element), lambda: [str(element), f"matrix: {element.matrix()}"])
-    return EXIT_OK
+    return lambda: _element_payload(element), lambda: [str(element), f"matrix: {element.matrix()}"]
 
 
 def _solve_case(prog: Progression, args) -> list:
@@ -137,7 +129,7 @@ def _solve_case(prog: Progression, args) -> list:
     return solve_uniform(prog, sigma, args.k if args.k is not None else 0, args.budget)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple:
     from .analysis import solve_uniform_all_cases
 
     prog = _load_progression(args.progression, args)
@@ -145,8 +137,7 @@ def _cmd_solve(args) -> int:
         solutions = solve_uniform_all_cases(prog, args.budget)
     else:
         solutions = _solve_case(prog, args)
-    _emit(
-        args,
+    return (
         lambda: {
             "modulus": prog.modulus.n,
             "cyclic": prog.cyclic,
@@ -154,10 +145,9 @@ def _cmd_solve(args) -> int:
         },
         lambda: [f"{s}  matrix: {s.matrix}" for s in solutions] or ["no solutions"],
     )
-    return EXIT_OK
 
 
-def _cmd_centralizer(args) -> int:
+def _cmd_centralizer(args) -> tuple:
     from .structure import Ambient, centralizer_in_Aff, centralizer_in_GL3, centralizer_in_M3
 
     modulus = Modulus(args.mod)
@@ -175,17 +165,15 @@ def _cmd_centralizer(args) -> int:
             return head + [str(m) for m in report.elements]
         return head + [f"{f.linear} + {f.translation}" for f in report.elements]
 
-    _emit(args, report.to_jsonable, lines)
-    return EXIT_OK
+    return report.to_jsonable, lines
 
 
-def _cmd_center(args) -> int:
+def _cmd_center(args) -> tuple:
     from .structure import center_of_J
 
     modulus = Modulus(args.mod)
     elements = center_of_J(modulus)
-    _emit(
-        args,
+    return (
         lambda: {
             "modulus": modulus.n,
             "size": len(elements),
@@ -193,21 +181,18 @@ def _cmd_center(args) -> int:
         },
         lambda: [f"size: {len(elements)}"] + [str(e) for e in elements],
     )
-    return EXIT_OK
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple:
     from .structure import index_of_J
 
     modulus = Modulus(args.mod)
     index = index_of_J(modulus, args.ambient.upper(), args.budget)
     count = index * 2 * modulus.n**2  # index_of_J checked that the division is exact
-    _emit(
-        args,
+    return (
         lambda: {"ambient": args.ambient, "modulus": modulus.n, "order": count, "voicing_group_index": index},
         lambda: [f"|{args.ambient.upper()}(3,Z/{modulus.n})| = {count}", f"index of voicing group: {index}"],
     )
-    return EXIT_OK
 
 
 # The generators of each orbit group, as element texts read by parse_element.
@@ -224,15 +209,14 @@ def _orbit_generators(group: str, modulus: Modulus) -> list[ExtElement]:
     return [parse_element(text, modulus) for text in _ORBIT_GENERATORS[group]]
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple:
     from .triadic import orbit
 
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
     generators = _orbit_generators(args.group, modulus)
     result = sorted(orbit(generators, seed), key=lambda v: v.entries)
-    _emit(
-        args,
+    return (
         lambda: {
             "modulus": modulus.n,
             "group": args.group,
@@ -242,38 +226,31 @@ def _cmd_orbit(args) -> int:
         },
         lambda: [f"size: {len(result)}"] + [str(v) for v in result],
     )
-    return EXIT_OK
 
 
-def _cmd_hook(args) -> int:
+def _cmd_hook(args) -> tuple:
     from .triadic import UTT, rho, rho_inverse
 
     if args.direction == "to-utt":
         if not args.element:
-            raise CliError("to-utt needs --element")
+            raise ValueError("to-utt needs --element")
         element = parse_element(args.element, Modulus(12))
         utt = rho_inverse(element)
-        _emit(args, lambda: {"element": str(element), "utt": str(utt)}, lambda: [str(utt)])
-    else:
-        if not args.utt:
-            raise CliError("from-utt needs --utt")
-        utt = UTT.parse(args.utt)
-        h = rho(utt)
-        _emit(
-            args,
-            lambda: {"utt": str(utt), **_element_payload(h)},
-            lambda: [str(h), f"matrix: {h.matrix()}"],
-        )
-    return EXIT_OK
+        return lambda: {"element": str(element), "utt": str(utt)}, lambda: [str(utt)]
+    if not args.utt:
+        raise ValueError("from-utt needs --utt")
+    utt = UTT.parse(args.utt)
+    h = rho(utt)
+    return lambda: {"utt": str(utt), **_element_payload(h)}, lambda: [str(h), f"matrix: {h.matrix()}"]
 
 
-def _cmd_rich(args) -> int:
+def _cmd_rich(args) -> tuple:
     from .analysis import orbit_of_element, rich_element
 
     if args.steps is not None and args.steps < 0:
-        raise CliError(f"--steps must be non-negative, got {args.steps}")
+        raise ValueError(f"--steps must be non-negative, got {args.steps}")
     if args.steps is not None and args.steps > MAX_RICH_STEPS:
-        raise CliError(f"--steps must be at most {MAX_RICH_STEPS}, got {args.steps}")
+        raise ValueError(f"--steps must be at most {MAX_RICH_STEPS}, got {args.steps}")
     modulus = Modulus(args.mod)
     seed = _parse_vec(args.seed, modulus)
     element = rich_element(modulus)
@@ -282,8 +259,7 @@ def _cmd_rich(args) -> int:
         shown = [cycle[i % len(cycle)] for i in range(args.steps + 1)]
     else:
         shown = cycle
-    _emit(
-        args,
+    return (
         lambda: {
             "modulus": modulus.n,
             "seed": list(seed.entries),
@@ -292,10 +268,9 @@ def _cmd_rich(args) -> int:
         },
         lambda: [f"cycle length: {len(cycle)}", " -> ".join(str(v) for v in shown)],
     )
-    return EXIT_OK
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args) -> tuple | None:
     from .analysis import export_network_dot, export_network_json
 
     prog = _load_progression(args.progression, args)
@@ -304,10 +279,9 @@ def _cmd_export_dot(args) -> int:
         solutions = _solve_case(prog, args)
         if not solutions:
             print("no solutions", file=sys.stderr)
-            return EXIT_OK
+            return None
         labels = [solutions[0].element] * len(prog.steps())
-    _emit(args, lambda: export_network_json(prog, labels), lambda: export_network_dot(prog, labels).splitlines())
-    return EXIT_OK
+    return lambda: export_network_json(prog, labels), lambda: export_network_dot(prog, labels).splitlines()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,17 +361,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        document = args.func(args)
+        if document is not None:
+            _emit(args, *document)
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # The reader closed the pipe (e.g. `| head`); send the rest of the
         # buffered output, flushed again at exit, to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except NotInGroup as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_IN_GROUP

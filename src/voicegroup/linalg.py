@@ -275,9 +275,7 @@ def _permute(sigma: Perm3, triple: tuple) -> tuple:
 
 
 ALL_PERMS: tuple[Perm3, ...] = tuple(Perm3(img) for img in _PERM_IMAGES.values())
-TRANSPOSITION_12 = Perm3((2, 1, 3))
 TRANSPOSITION_13 = Perm3((3, 2, 1))
-TRANSPOSITION_23 = Perm3((1, 3, 2))
 
 
 def perm_matrix(sigma: Perm3, modulus: Modulus | int) -> Mat3:

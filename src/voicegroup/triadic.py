@@ -159,6 +159,8 @@ def orbit(generators: Iterable[ExtElement], seed: Vec3) -> set[Vec3]:
     n = m.n
     actions = set()
     for g in generators:
+        if type(g) is not ExtElement and type(g) is not JElement:
+            raise TypeError(f"orbit expects group elements as generators, got {type(g).__name__}")
         p, a, b, modulus = g._c
         check_same_modulus(modulus, m)
         actions.add((p, a, b))

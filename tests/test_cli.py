@@ -867,6 +867,31 @@ def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, grail_file, fift
         assert out.splitlines()[0] == annotation
 
 
+def _formats(command):
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (option,) = [a for a in commands.choices[command]._actions if a.dest == "format"]
+    return option.choices
+
+
+README_CLI_FORMATS = [(argv, fmt) for argv, _ in README_CLI_LINES for fmt in _formats(argv[0])]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt", README_CLI_FORMATS, ids=[f"{' '.join(a)} --format {f}" for a, f in README_CLI_FORMATS]
+)
+def test_handlers_return_the_document_that_main_prints(capsys, tmp_path, monkeypatch, grail_file, fifths_file, argv, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv = [*argv, "--format", fmt]
+    args = build_parser().parse_args(argv)
+    document = args.func(args)
+    # a handler prints nothing itself: main is the one place that writes stdout
+    assert capsys.readouterr() == ("", "")
+    assert isinstance(document, tuple) and len(document) == 2
+    payload, text_lines = document
+    expected = json.dumps(payload(), indent=2) + "\n" if fmt == "json" else "\n".join(text_lines()) + "\n"
+    assert run(capsys, *argv) == (0, expected, "")
+
+
 def _progression_file(tmp_path, text):
     path = tmp_path / "p.json"
     path.write_text(text)

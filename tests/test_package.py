@@ -68,6 +68,9 @@ _RETIRED = {
     "rho_matrix": "triadic",
     "diagonal_product_family": "structure",
     "mat_mul": "linalg",
+    "TRANSPOSITION_12": "linalg",
+    "TRANSPOSITION_23": "linalg",
+    "CliError": "cli",
 }
 
 

@@ -181,13 +181,18 @@ def test_apply_on_what_a_value_does_not_act_on_raises_type_error(action, expecte
         (lambda t, v: check_duality(t), "check_duality expects a Vec3, got tuple"),
         (lambda t, v: ti_orbit(t), "ti_orbit expects a Vec3, got tuple"),
         (lambda t, v: orbit([word_to_element("U", 12)], t), "orbit expects a Vec3 seed, got tuple"),
+        (lambda t, v: orbit([t], v), "orbit expects group elements as generators, got tuple"),
         (lambda t, v: classify(t), "classify expects a Vec3, got tuple"),
         (lambda t, v: solve_step(t, v), "solve_step expects a Vec3 src, got tuple"),
         (lambda t, v: solve_step(v, t), "solve_step expects a Vec3 dst, got tuple"),
         (lambda t, v: rich(t), "rich expects a Vec3, got tuple"),
         (lambda t, v: j_reflection(1, 2, t), "j_reflection expects a Vec3, got tuple"),
+        (lambda t, v: Progression(12, [t]), "Progression expects Vec3 tuples, got tuple"),
     ],
-    ids=["check_duality", "ti_orbit", "orbit", "classify", "solve_step-src", "solve_step-dst", "rich", "j_reflection"],
+    ids=[
+        "check_duality", "ti_orbit", "orbit", "orbit-generator", "classify", "solve_step-src", "solve_step-dst", "rich",
+        "j_reflection", "Progression",
+    ],
 )
 def test_functions_of_a_vec3_refuse_a_tuple_with_type_error(call, expected):
     with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):

@@ -32,7 +32,6 @@ _EXPORTS = {
             "Perm3",
             "Vec3",
             "determinant",
-            "is_invertible",
             "mat_vec",
             "perm_matrix",
             "scalar_affine",
@@ -72,7 +71,6 @@ _EXPORTS = {
             "monoid_centralizer_closed_form",
             "orbit_restriction_table",
             "restrict_to_orbit",
-            "ti_group",
             "ti_orbit",
         ),
         "triadic": (
@@ -99,7 +97,6 @@ _EXPORTS = {
             "find_affine_morphisms",
             "find_rich_voicing_cycle",
             "orbit_of_element",
-            "rich",
             "rich_element",
             "solve_step",
             "solve_step_bruteforce",

@@ -257,17 +257,9 @@ def solve_uniform_all_cases(prog: Progression, budget: int = DEFAULT_BUDGET) -> 
     return _solve_uniform(prog, budget)
 
 
-def rich(v: Vec3) -> Vec3:
-    """Retrograde inversion enchaining: keep the last two entries in front,
-    close with the reflected first entry."""
-    if type(v) is not Vec3:
-        raise TypeError(f"rich expects a Vec3, got {type(v).__name__}")
-    x, y, z = v.entries
-    return _vec3((y, z, (y + z - x) % v.modulus.n), v.modulus)
-
-
 def rich_element(modulus: Modulus | int) -> ExtElement:
-    """RICH as a group element: (13) V."""
+    """Retrograde inversion enchaining as a group element, (13) V: its image of
+    (x, y, z) keeps y and z in front and closes with the reflected y + z - x."""
     m = as_modulus(modulus)
     return ExtElement(TRANSPOSITION_13, JElement(1, 1, 0, m))
 
@@ -348,13 +340,14 @@ def find_rich_voicing_cycle(
         raise ValueError("chords is empty: a cycle needs at least one chord")
     if len(sets[0]) != 3:
         raise ValueError(f"the first chord {sorted(sets[0])} has {len(sets[0])} pitch classes; a voicing needs 3")
+    step = rich_element(m).apply
     for start in permutations(sorted(sets[0])):
         v = Vec3.of(*start, m)
         cycle = [v]
         current = v
         ok = True
         for i in range(1, len(sets) + 1):
-            current = rich(current)
+            current = step(current)
             if i < len(sets):
                 if frozenset(current.entries) != sets[i]:
                     ok = False

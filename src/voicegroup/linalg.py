@@ -15,7 +15,6 @@ a @ v under its older name.
 
 from __future__ import annotations
 
-import math
 from operator import index
 from typing import Sequence
 
@@ -163,11 +162,6 @@ def _det_int(rows) -> int:
 def determinant(a: Mat3) -> int:
     """Cofactor-expansion determinant, as an int in [0, n)."""
     return _det_int(a.rows) % a.modulus.n
-
-
-def is_invertible(a: Mat3) -> bool:
-    """Invertible over Z/n iff the determinant is a unit: gcd(det, n) == 1."""
-    return math.gcd(_det_int(a.rows), a.modulus.n) == 1
 
 
 _PERM_IMAGES = {

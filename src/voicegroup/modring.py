@@ -317,11 +317,6 @@ def units(modulus: Modulus | int) -> list[int]:
     return [v for v in range(n) if math.gcd(v, n) == 1]
 
 
-def euler_phi(n: int) -> int:
-    """Euler totient via the prime-power factorization (used as a units() oracle)."""
-    return math.prod(q - q // p for p, q in _prime_powers(n))
-
-
 def _budget_gate(n: int, e: int, budget: int, zero_rhs: Sequence[int] = (), pairs: list | None = None) -> bool:
     """Whether a system over Z/n is unsolvable, checked against the budget
     on the q^e candidates of each prime-power factor q of n.

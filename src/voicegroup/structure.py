@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Sequence
 
-from .modring import DEFAULT_BUDGET, Modulus, as_modulus, _budget_gate, _prime_powers
-from .linalg import ALL_PERMS, AffineMap, Mat3, Vec3, scalar_affine, _affine, _mat3, _permute, _vec3
+from .modring import DEFAULT_BUDGET, Modulus, as_modulus, units, _budget_gate, _prime_powers
+from .linalg import ALL_PERMS, Mat3, Vec3, _affine, _mat3, _permute, _vec3
 from .voicing import Generator, JElement, _require_group_modulus
 from .voicing import _centralizer_covectors, _centralizer_rows, sigma_conjugate_generator
 
@@ -101,7 +101,7 @@ def centralizer_in_GL3(modulus: Modulus | int, budget: int = DEFAULT_BUDGET) -> 
     budget."""
     m = as_modulus(modulus)
     _budget_gate(m.n, 9, budget)
-    mats = _centralizer_family([a for a in range(m.n) if math.gcd(a, m.n) == 1], m)
+    mats = _centralizer_family(units(m), m)
     return CentralizerReport(Ambient.GL3, mats, len(mats))
 
 
@@ -196,14 +196,6 @@ def index_of_J(modulus: Modulus | int, ambient: str, budget: int = DEFAULT_BUDGE
             f"|ambient| = {order} is not divisible by 2n^2 = {j_size}; counting bug upstream"
         )
     return order // j_size
-
-
-def ti_group(modulus: Modulus | int) -> list[AffineMap]:
-    """The 2n componentwise transpositions x+t and inversions -x+t."""
-    m = as_modulus(modulus)
-    maps = [scalar_affine(1, t, m) for t in range(m.n)]
-    maps += [scalar_affine(-1, t, m) for t in range(m.n)]
-    return maps
 
 
 def ti_orbit(seed: Vec3) -> list[Vec3]:

@@ -23,7 +23,7 @@ import math
 from typing import Iterable
 
 from .modring import Modulus, _Value, _ascii_int, _integer, check_same_modulus
-from .linalg import Perm3, Vec3, ALL_PERMS, TRANSPOSITION_13, _vec3
+from .linalg import Perm3, Vec3, TRANSPOSITION_13, _perm3, _vec3
 from .voicing import _GROUP_POINTS, JElement, NotInGroup, _act, _enumerate
 from .extension import ExtElement
 
@@ -112,22 +112,21 @@ def classify(v: Vec3) -> TriadClass | None:
 
     The returned voicing is the unique permutation carrying the triad's
     root-position tuple to v (consonant triads have three distinct pitch
-    classes, so the permutation is unique).
+    classes, so the permutation is unique): its image holds the 1-based
+    slots of v where the root, third and fifth sit. Those three pitch classes
+    are distinct, so all three are found only in a tuple of three distinct
+    entries, and the third picks the mode.
     """
     if type(v) is not Vec3:
         raise TypeError(f"classify expects a Vec3, got {type(v).__name__}")
     if v.modulus.n != 12:
         raise ValueError("triad classification is defined over Z/12")
-    pcs = set(v.entries)
-    if len(pcs) != 3:
-        return None
-    for r in pcs:
-        for mode in Mode:
-            id = TriadId(r, mode)
-            root_pos = root_position_tuple(id)
-            for perm in ALL_PERMS:
-                if perm.apply(root_pos) == v:
-                    return _triad_class(id, perm)
+    slot = {pc: i for i, pc in enumerate(v.entries, 1)}
+    for root in slot:
+        for mode, third in ((Mode.MAJOR, _MAJOR_THIRD), (Mode.MINOR, _MINOR_THIRD)):
+            image = tuple(slot.get((root + interval) % 12) for interval in (0, third, _FIFTH))
+            if None not in image:
+                return _triad_class(_triad_id(root, mode), _perm3(image))
     return None
 
 
@@ -318,10 +317,3 @@ def wreath_generators() -> tuple[ExtElement, ExtElement, ExtElement]:
     f = ExtElement.from_j(JElement(0, 4, -1, _TWELVE))
     g = ExtElement.from_j(JElement(0, 3, 1, _TWELVE))
     return e, f, g
-
-
-def rho_from_wreath(u: UTT) -> ExtElement:
-    """rho via the wreath generators: E^index(s) F^m G^n."""
-    e, f, g = wreath_generators()
-    acc = e if u.sign == "-" else ExtElement.identity(_TWELVE)
-    return acc * (f**u.t_major) * (g**u.t_minor)

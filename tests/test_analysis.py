@@ -29,7 +29,6 @@ from voicegroup.analysis import (
     find_affine_morphisms,
     find_rich_voicing_cycle,
     orbit_of_element,
-    rich,
     rich_element,
     solve_step,
     solve_step_bruteforce,
@@ -509,6 +508,7 @@ def test_hook_solving_needs_the_twelve_tone_modulus():
 
 
 def test_rich_examples():
+    rich = rich_element(M12).apply
     assert rich(Vec3.of(8, 4, 5, M12)) == Vec3.of(4, 5, 1, M12)
     assert rich(Vec3.of(5, 10, 1, M12)) == Vec3.of(10, 1, 6, M12)
     assert rich(Vec3.of(7, 8, 4, M12)) == Vec3.of(8, 4, 5, M12)
@@ -519,8 +519,9 @@ def test_rich_equals_group_element():
     assert e == parse_element("(13)V", 12)
     rng = random.Random(6)
     for _ in range(200):
-        v = Vec3.of(rng.randrange(12), rng.randrange(12), rng.randrange(12), M12)
-        assert rich(v) == e.apply(v)
+        x, y, z = rng.randrange(12), rng.randrange(12), rng.randrange(12)
+        # retrograde inversion enchaining: keep y and z in front, close with the reflected first entry
+        assert e.apply(Vec3.of(x, y, z, M12)) == Vec3.of(y, z, y + z - x, M12)
 
 
 def test_rich_element_is_in_hook():
@@ -570,6 +571,7 @@ def test_webern_rows_morphism():
 def test_schoenberg_affine_image():
     morphisms = find_affine_morphisms(SCHOENBERG_OCTATONIC, SCHOENBERG_JET_SHARK)
     assert any(str(f) == "x -> 7x+7" for f in morphisms)
+    rich = rich_element(M12).apply
     for src, dst in SCHOENBERG_OCTATONIC.steps():
         assert rich(src) == dst
     for src, dst in SCHOENBERG_JET_SHARK.steps():
@@ -587,7 +589,7 @@ def test_expansion_morphism_mod_7():
             if i == 1:  # the one voice swap in both melodies
                 assert TRANSPOSITION_13.apply(src) == dst
             else:
-                assert rich(src) == dst
+                assert rich_element(M7).apply(src) == dst
 
 
 def test_noninvertible_morphisms_still_commute():
@@ -699,7 +701,7 @@ def test_hexatonic_rich_cycle_found_by_search():
     ]
     for i, v in enumerate(cycle):
         assert frozenset(v.entries) == HEXATONIC_CHORDS[i]
-        assert rich(v) == cycle[(i + 1) % 6]
+        assert rich_element(12).apply(v) == cycle[(i + 1) % 6]
     # no ordering of C major is carried by RICH to C# major and back
     assert find_rich_voicing_cycle([{0, 4, 7}, {1, 5, 8}], 12) is None
     # nor, without an error, to a later chord of two pitch classes
@@ -719,6 +721,14 @@ def test_hexatonic_rich_cycle_found_by_search():
 def test_rich_cycle_search_refuses_a_malformed_first_chord(chords, expected):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         find_rich_voicing_cycle(chords, 12)
+
+
+def test_rich_cycle_search_refuses_modulus_2_as_rich_element_does():
+    # RICH is a group element, and over Z/2 there is no voicing group; the chords are checked first
+    with pytest.raises(ValueError, match=r"^voicing-group normal forms need modulus >= 3 "):
+        find_rich_voicing_cycle([{0, 2, 4}], 2)
+    with pytest.raises(ValueError, match=r"^chords is empty"):
+        find_rich_voicing_cycle([], 2)
 
 def test_export_dot():
     dot = export_network_dot(WEBERN_ROW_1, [rich_element(12)] * 5)

@@ -754,7 +754,7 @@ def test_group_computations_use_no_matrix_kernel():
     # restriction table off the seed's intervals, acting on nothing; a matrix is
     # built only when it is the answer, and no determinant is taken (a
     # centralizer member's is the cube of its scalar).
-    kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix", "is_invertible", "determinant", "_det_int"}
+    kernels = {"mat_mul", "_mat_vec_ints", "generator_matrix", "determinant", "_det_int"}
     for name in ("structure.py", "triadic.py"):
         lines = _references(PACKAGE_DIR / name, kernels)
         assert lines == [], f"{name}: matrix kernel at lines {lines}"

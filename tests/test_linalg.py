@@ -15,7 +15,6 @@ from voicegroup.linalg import (
     _mat_vec_ints,
     _permute,
     determinant,
-    is_invertible,
     mat_vec,
     perm_matrix,
     scalar_affine,
@@ -82,7 +81,7 @@ def test_generator_determinants():
 def test_non_invertible_scalar():
     d6 = Mat3([[6, 0, 0], [0, 6, 0], [0, 0, 6]], Modulus(12))
     assert determinant(d6) == 0
-    assert not is_invertible(d6)
+    assert math.gcd(determinant(d6), 12) == 12
 
 
 def _leibniz(rows, n):
@@ -108,15 +107,37 @@ def test_trace_and_determinant_are_ints_in_range(n):
         assert d == _leibniz(rows, n)
 
 
+def _adjugate(rows):
+    """The transposed cofactors of integer rows: a @ adj(a) == det(a) I."""
+    r = lambda i, j: rows[i % 3][j % 3]
+    return [[r(j + 1, i + 1) * r(j + 2, i + 2) - r(j + 1, i + 2) * r(j + 2, i + 1) for j in range(3)] for i in range(3)]
+
+
 @pytest.mark.parametrize("n", range(2, 31))
 def test_is_invertible_matches_unit_determinant(n):
+    # gcd(det, n) == 1 is the test for invertibility: a unit determinant gives the
+    # inverse adj / det, and a prime p dividing both det and n a nonzero kernel
+    # vector (n/p) v, with v found by search mod p
     rng = random.Random(n)
-    mats = [rand_mat(rng, n) for _ in range(200)]
-    got = [is_invertible(a) for a in mats]
-    assert got == [math.gcd(determinant(a), n) == 1 for a in mats]
+    unimodular = Mat3([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n))
+    singular = Mat3([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n))
+    zero = Vec3.of(0, 0, 0, n)
+    verdicts = []
+    for a in [rand_mat(rng, n) for _ in range(200)] + [unimodular, singular]:
+        d = determinant(a)
+        g = math.gcd(d, n)
+        if g == 1:
+            inverse = Mat3([[pow(d, -1, n) * x for x in row] for row in _adjugate(a.rows)], n)
+            assert a @ inverse == inverse @ a == Mat3.identity(n)
+        else:
+            p = next(q for q in range(2, g + 1) if g % q == 0)
+            cube = itertools.product(range(p), repeat=3)
+            v = next(v for v in cube if any(v) and all(sum(r * x for r, x in zip(row, v)) % p == 0 for row in a.rows))
+            w = Vec3.of(*(n // p * x for x in v), n)
+            assert w != zero and a @ w == zero
+        verdicts.append(g == 1)
     # both answers occur: a unimodular and a singular matrix at every n
-    assert is_invertible(Mat3([[1, 5, 0], [0, 1, 0], [-2, 3, 1]], Modulus(n)))
-    assert not is_invertible(Mat3([[1, 2, 3], [2, 4, 6], [0, 1, 1]], Modulus(n)))
+    assert verdicts[-2:] == [True, False]
 
 
 def test_group_inverses_found_by_search(j12):

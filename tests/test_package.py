@@ -44,7 +44,7 @@ def test_unknown_names_raise_attribute_error():
 
 
 # Spellings retired in 0.1.0, each with its one surviving spelling in the README.
-# affine_compose through rho_matrix were never exported.
+# affine_compose through rho_matrix, euler_phi and rho_from_wreath were never exported.
 _RETIRED = {
     "crt_combine": "modring",
     "crt_split": "modring",
@@ -71,6 +71,11 @@ _RETIRED = {
     "TRANSPOSITION_12": "linalg",
     "TRANSPOSITION_23": "linalg",
     "CliError": "cli",
+    "rich": "analysis",
+    "is_invertible": "linalg",
+    "ti_group": "structure",
+    "euler_phi": "modring",
+    "rho_from_wreath": "triadic",
 }
 
 

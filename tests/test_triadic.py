@@ -26,7 +26,6 @@ from voicegroup.triadic import (
     is_in_hook,
     orbit,
     rho,
-    rho_from_wreath,
     rho_inverse,
     root_position_tuple,
     stabilizer_of_set,
@@ -521,5 +520,8 @@ def test_wreath_product_law():
 
 
 def test_rho_from_wreath_agrees():
+    # rho(<s, m, n>) == E^k F^m G^n, with k = 1 exactly when s is - (E^0 is the identity)
+    E, F, G = wreath_generators()
     for u in all_utts():
-        assert rho_from_wreath(u) == rho(u)
+        k = 1 if u.sign == "-" else 0
+        assert E**k * F**u.t_major * G**u.t_minor == rho(u)

@@ -19,7 +19,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 import voicegroup
-from voicegroup.analysis import Progression, find_affine_morphisms, rich, solve_step
+from voicegroup.analysis import Progression, find_affine_morphisms, rich_element, solve_step
 from voicegroup.extension import ExtElement, enumerate_extension, parse_element
 from voicegroup.linalg import (
     ALL_PERMS,
@@ -185,12 +185,11 @@ def test_apply_on_what_a_value_does_not_act_on_raises_type_error(action, expecte
         (lambda t, v: classify(t), "classify expects a Vec3, got tuple"),
         (lambda t, v: solve_step(t, v), "solve_step expects a Vec3 src, got tuple"),
         (lambda t, v: solve_step(v, t), "solve_step expects a Vec3 dst, got tuple"),
-        (lambda t, v: rich(t), "rich expects a Vec3, got tuple"),
         (lambda t, v: j_reflection(1, 2, t), "j_reflection expects a Vec3, got tuple"),
         (lambda t, v: Progression(12, [t]), "Progression expects Vec3 tuples, got tuple"),
     ],
     ids=[
-        "check_duality", "ti_orbit", "orbit", "orbit-generator", "classify", "solve_step-src", "solve_step-dst", "rich",
+        "check_duality", "ti_orbit", "orbit", "orbit-generator", "classify", "solve_step-src", "solve_step-dst",
         "j_reflection", "Progression",
     ],
 )
@@ -499,7 +498,7 @@ def test_trusted_producers_store_what_the_public_constructors_would():
     a = Mat3([[11, 2, 7], [3, 0, 5], [10, 10, 1]], m)
     elements = enumerate_extension(m)[::37]
     produced = [a @ a, mat_vec(a, v), v.shift(-13), v + w, v - w, Mat3.identity(m), j_reflection(1, 2, v)]
-    produced += [rich(v), scalar_affine(-1, -5, m)]
+    produced += [rich_element(m).apply(v), scalar_affine(-1, -5, m)]
     produced += [p * q for p in ALL_PERMS for q in ALL_PERMS] + [p.inverse() for p in ALL_PERMS]
     produced += [p.apply(v) for p in ALL_PERMS] + [perm_matrix(p, m) for p in ALL_PERMS]
     produced += [g.matrix() for g in elements] + [g.apply(v) for g in elements]

@@ -40,7 +40,6 @@ _EXPORTS = {
             "Generator",
             "JElement",
             "NotInGroup",
-            "NotInJ",
             "decode",
             "enumerate_J",
             "generator_matrix",
@@ -50,7 +49,6 @@ _EXPORTS = {
         ),
         "extension": (
             "ExtElement",
-            "NotInExtension",
             "conjugacy_class",
             "enumerate_extension",
             "ext_decode",
@@ -75,7 +73,6 @@ _EXPORTS = {
         ),
         "triadic": (
             "Mode",
-            "NotInHook",
             "TriadClass",
             "TriadId",
             "UTT",

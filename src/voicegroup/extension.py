@@ -49,10 +49,6 @@ from .voicing import (
 )
 
 
-class NotInExtension(NotInGroup):
-    """The matrix is not in the extended voicing group."""
-
-
 # The translation row (-m, -n, m+n) of P_sigma M_j sums to 0, so the trace is tr(P_sigma M_{U^k}).
 _TRACES = tuple(sum(rows[i][i] for i in range(3)) for rows in _BASES)
 
@@ -84,24 +80,18 @@ class ExtElement(_Element):
         # the coordinates of j are those of the element at its point 0 or 1
         return cls._make(j._c)
 
-    @classmethod
-    def from_sigma(cls, sigma: Perm3, modulus: Modulus | int) -> "ExtElement":
-        return cls._make((_point(sigma, 0), 0, 0, _require_group_modulus(as_modulus(modulus))))
-
     def trace(self) -> int:
         p, _, _, modulus = self._c
         return _TRACES[p] % modulus.n  # the table holds -1 for U
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        p, m, n, _ = self._c
-        return (p >> 1, p & 1, m, n)
-
 
 def ext_decode(m: Mat3) -> ExtElement:
     """The unique (sigma, j) with P_sigma * M_j == m, read off its row differences."""
+    if type(m) is not Mat3:
+        raise TypeError(f"ext_decode expects a Mat3, got {type(m).__name__}")
     e = _decode(ExtElement, m, _GROUP_POINTS["extension"])
     if e is None:
-        raise NotInExtension(f"matrix {m} is not in the extended voicing group mod {m.modulus.n}")
+        raise NotInGroup(f"matrix {m} is not in the extended voicing group mod {m.modulus.n}")
     return e
 
 

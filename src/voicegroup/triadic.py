@@ -28,10 +28,6 @@ from .voicing import _GROUP_POINTS, JElement, NotInGroup, _act, _enumerate
 from .extension import ExtElement
 
 
-class NotInHook(NotInGroup):
-    """The element does not stabilize the root-position triads."""
-
-
 class Mode(enum.Enum):
     MAJOR = "major"
     MINOR = "minor"
@@ -259,13 +255,17 @@ def all_utts() -> list[UTT]:
 def is_in_hook(e: ExtElement) -> bool:
     """Stabilizing root position forces sigma = id on the mode-preserving half
     and sigma = (13) on the mode-reversing half."""
+    if type(e) is not ExtElement:
+        raise TypeError(f"is_in_hook expects an ExtElement, got {type(e).__name__}")
     p, _, _, modulus = e._c
     return modulus.n == 12 and p in _GROUP_POINTS["hook"]
 
 
-def _require_hook(e: ExtElement) -> None:
+def _require_hook(e: ExtElement, caller: str) -> None:
+    if type(e) is not ExtElement:
+        raise TypeError(f"{caller} expects an ExtElement, got {type(e).__name__}")
     if not is_in_hook(e):
-        raise NotInHook(f"{e} does not preserve root-position triads")
+        raise NotInGroup(f"{e} does not preserve root-position triads")
 
 
 def hook_elements() -> list[ExtElement]:
@@ -275,6 +275,8 @@ def hook_elements() -> list[ExtElement]:
 
 def rho(u: UTT) -> ExtElement:
     """Realize a triadic transformation as a Hook-group element (see _FIFTH)."""
+    if type(u) is not UTT:
+        raise TypeError(f"rho expects a UTT, got {type(u).__name__}")
     k = 1 if u.sign == "-" else 0
     # the two shifts differ by (MAJOR_THIRD - MINOR_THIRD)(n - k)
     d = (u.t_minor - u.t_major) * _THIRDS_GAP_INVERSE
@@ -284,7 +286,7 @@ def rho(u: UTT) -> ExtElement:
 
 def rho_inverse(e: ExtElement) -> UTT:
     """Read <s, a, b> off a Hook element's normal form: its two root shifts (see _FIFTH)."""
-    _require_hook(e)
+    _require_hook(e, "rho_inverse")
     p, m, n, _ = e._c
     k = p & 1
     shift = _FIFTH * m
@@ -300,7 +302,7 @@ def hook_normal_form_B(e: ExtElement) -> tuple[int, int]:
     ((13)U)^2q = (UV)^-q and ((13)U)^(2q+1) = (13)U(UV)^-q, so the parity of p
     is the mode parity and p // 2 is minus the (UV) exponent.
     """
-    _require_hook(e)
+    _require_hook(e, "hook_normal_form_B")
     p, m, n, _ = e._c
     return (2 * (-m % 12) + (p & 1), n)
 

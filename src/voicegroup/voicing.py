@@ -34,10 +34,6 @@ class NotInGroup(ValueError):
     """A matrix or element is not in the group it was read in."""
 
 
-class NotInJ(NotInGroup):
-    """The matrix is not in the voicing-reflection group."""
-
-
 class Generator(enum.Enum):
     """One of the three voicing reflections, tagged by its entry pair."""
 
@@ -86,6 +82,8 @@ _LETTERS = {**_GENERATOR_EXPONENTS, **{g.name: e for g, e in _GENERATOR_EXPONENT
 
 def generator_matrix(g: Generator, modulus: Modulus | int) -> Mat3:
     """Matrix of a generator, entries normalized mod n."""
+    if type(g) is not Generator:
+        raise TypeError(f"generator_matrix expects a Generator, got {type(g).__name__}")
     return Mat3(_GENERATOR_ROWS[g], modulus)
 
 
@@ -264,6 +262,11 @@ class _Element(_Value):
     def k(self) -> int:
         return self._c[0] & 1
 
+    def sort_key(self) -> tuple[int, int, int, int]:
+        """(index of sigma in ALL_PERMS, k, m, n); a JElement's key is (0, k, m, n)."""
+        p, m, n, _ = self._c
+        return (p >> 1, p & 1, m, n)
+
     @classmethod
     def identity(cls, modulus: Modulus | int):
         return cls._make((0, 0, 0, _require_group_modulus(as_modulus(modulus))))
@@ -369,9 +372,6 @@ class JElement(_Element):
         # any integer type is stored as a plain int, m and n in [0, n); a float or a string is refused
         return cls._make((k, _integer(m, "m") % nn, _integer(n, "n") % nn, modulus))
 
-    def sort_key(self) -> tuple[int, int, int]:
-        return self._c[:3]
-
 
 def _decode(cls, a: Mat3, points):
     """The element of cls at one of the points whose matrix is a, or None: the
@@ -394,10 +394,12 @@ def _enumerate(cls, points, modulus: Modulus | int) -> list:
 
 
 def decode(a: Mat3) -> JElement:
-    """Invert JElement.matrix; raises NotInJ if no (k, m, n) matches."""
+    """Invert JElement.matrix; raises NotInGroup if no (k, m, n) matches."""
+    if type(a) is not Mat3:
+        raise TypeError(f"decode expects a Mat3, got {type(a).__name__}")
     e = _decode(JElement, a, _GROUP_POINTS["J"])
     if e is None:
-        raise NotInJ(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
+        raise NotInGroup(f"matrix {a} is not a voicing-group element mod {a.modulus.n}")
     return e
 
 

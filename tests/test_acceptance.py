@@ -101,7 +101,7 @@ def test_criterion_02_generator_relations():
 
 def test_criterion_03_center():
     got = {e.sort_key() for e in center_of_J(12)}
-    assert got == {(0, 0, 0), (0, 6, 0), (0, 0, 6), (0, 6, 6)}
+    assert got == {(0, 0, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6), (0, 0, 6, 6)}
     print("criterion 3: PASS - center is the Klein 4-group {Id,(UV)^6,(UW)^6,(UV)^6(UW)^6}")
 
 
@@ -234,13 +234,13 @@ def test_criterion_07_orbits_and_restriction_table():
     seed = Vec3.of(0, 4, 7, M12)
     minor_seed = Vec3.of(0, 3, 7, M12)
     ext_gens = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator] + [
-        ExtElement.from_sigma(s, M12) for s in (Perm3.from_cycle("(12)"), Perm3.from_cycle("(13)"))
+        ExtElement(s, JElement.identity(M12)) for s in (Perm3.from_cycle("(12)"), Perm3.from_cycle("(13)"))
     ]
     plus_gens = [
         ExtElement.from_j(JElement(0, 1, 0, M12)),
         ExtElement.from_j(JElement(0, 0, 1, M12)),
-        ExtElement.from_sigma(Perm3.from_cycle("(12)"), M12),
-        ExtElement.from_sigma(Perm3.from_cycle("(123)"), M12),
+        ExtElement(Perm3.from_cycle("(12)"), JElement.identity(M12)),
+        ExtElement(Perm3.from_cycle("(123)"), JElement.identity(M12)),
     ]
     j_gens = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
     hook_gens = [

@@ -223,7 +223,7 @@ def test_solve_step_matches_bruteforce_for_every_divisor_of_60():
     n = 60
     rng = random.Random(n)
     js = enumerate_J(n)
-    perms = [ExtElement.from_sigma(sigma, n) for sigma in ALL_PERMS]
+    perms = [ExtElement(sigma, JElement.identity(n)) for sigma in ALL_PERMS]
     for d in (d for d in range(1, n + 1) if n % d == 0):
         while True:
             x, y, z = (rng.randrange(n) for _ in range(3))

@@ -675,8 +675,9 @@ print(code)
         (["orbit", "--seed", "0,4,7"], ""),
         (["hook", "to-utt", "--element", "(13)W"], ""),
         (["hook", "from-utt", "--utt", "<+,1,0>"], ""),
-        # these return the report records (CentralizerReport, DualityReport,
-        # UniformSolution), which are still dataclasses
+        # these import structure or analysis, which define the report records as
+        # dataclasses: CentralizerReport and DualityReport, or UniformSolution.
+        # center and count return no record; importing structure loads dataclasses
         (["center"], "dataclasses,inspect"),
         (["count", "gl3"], "dataclasses,inspect"),
         (["centralizer", "--ambient", "aff"], "dataclasses,inspect"),

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import voicegroup
-from voicegroup.extension import NotInExtension
-from voicegroup.triadic import NotInHook
-from voicegroup.voicing import NotInGroup, NotInJ
+from voicegroup.extension import ext_decode, parse_element
+from voicegroup.linalg import Mat3
+from voicegroup.triadic import hook_normal_form_B, rho_inverse
+from voicegroup.voicing import NotInGroup, decode
 
 
 def test_all_and_dir_list_every_exported_name():
@@ -76,6 +77,9 @@ _RETIRED = {
     "ti_group": "structure",
     "euler_phi": "modring",
     "rho_from_wreath": "triadic",
+    "NotInJ": "voicing",
+    "NotInExtension": "extension",
+    "NotInHook": "triadic",
 }
 
 
@@ -100,6 +104,7 @@ _RETIRED_ATTRIBUTES = [
     ("voicing", "JElement", "is_mode_reversing"),
     ("extension", "ExtElement", "is_mode_reversing"),
     ("linalg", "AffineMap", "__call__"),
+    ("extension", "ExtElement", "from_sigma"),
 ]
 
 
@@ -117,8 +122,18 @@ def test_library_modules_are_attributes_of_the_package():
 
 
 def test_not_in_group_errors_share_one_base():
-    for error in (NotInJ, NotInExtension, NotInHook):
-        assert issubclass(error, NotInGroup)
+    # every membership refusal is NotInGroup itself, its message naming the group
+    a = Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 7)
+    e = parse_element("(12)", 12)
+    for read, arg, message in [
+        (decode, a, "matrix [[1,0,0],[0,1,0],[0,0,2]] is not a voicing-group element mod 7"),
+        (ext_decode, a, "matrix [[1,0,0],[0,1,0],[0,0,2]] is not in the extended voicing group mod 7"),
+        (rho_inverse, e, "(12) does not preserve root-position triads"),
+        (hook_normal_form_B, e, "(12) does not preserve root-position triads"),
+    ]:
+        with pytest.raises(NotInGroup) as caught:
+            read(arg)
+        assert type(caught.value) is NotInGroup and str(caught.value) == message
     assert issubclass(NotInGroup, ValueError)
 
 

@@ -46,11 +46,11 @@ M12 = Modulus(12)
 
 def test_center_mod_12():
     got = {e.sort_key() for e in center_of_J(12)}
-    assert got == {(0, 0, 0), (0, 6, 0), (0, 0, 6), (0, 6, 6)}
+    assert got == {(0, 0, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6), (0, 0, 6, 6)}
 
 
 def test_center_mod_7_is_trivial():
-    assert [e.sort_key() for e in center_of_J(7)] == [(0, 0, 0)]
+    assert [e.sort_key() for e in center_of_J(7)] == [(0, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 7, 12, 15])

@@ -10,11 +10,10 @@ import voicegroup.triadic as triadic
 from voicegroup.cli import _ORBIT_GENERATORS, _orbit_generators, main
 from voicegroup.modring import Modulus
 from voicegroup.linalg import ALL_PERMS, Mat3, Perm3, Vec3, TRANSPOSITION_13, mat_vec
-from voicegroup.voicing import JElement
+from voicegroup.voicing import JElement, NotInGroup
 from voicegroup.extension import ExtElement, parse_element
 from voicegroup.triadic import (
     Mode,
-    NotInHook,
     TriadId,
     UTT,
     all_triads,
@@ -41,7 +40,7 @@ def ext_gens():
     from voicegroup.voicing import Generator, word_to_element
 
     gens = [ExtElement.from_j(word_to_element([g], M12)) for g in Generator]
-    gens += [ExtElement.from_sigma(Perm3.from_cycle(c), M12) for c in ("(12)", "(13)")]
+    gens += [ExtElement(Perm3.from_cycle(c), JElement.identity(M12)) for c in ("(12)", "(13)")]
     return gens
 
 
@@ -49,8 +48,8 @@ def mode_preserving_gens():
     return [
         ExtElement.from_j(JElement(0, 1, 0, M12)),
         ExtElement.from_j(JElement(0, 0, 1, M12)),
-        ExtElement.from_sigma(Perm3.from_cycle("(12)"), M12),
-        ExtElement.from_sigma(Perm3.from_cycle("(123)"), M12),
+        ExtElement(Perm3.from_cycle("(12)"), JElement.identity(M12)),
+        ExtElement(Perm3.from_cycle("(123)"), JElement.identity(M12)),
     ]
 
 
@@ -377,15 +376,19 @@ def test_rho_inverse_and_normal_form_B_check_hook_membership(ext12):
             inside += 1
             continue
         for read in (rho_inverse, hook_normal_form_B):
-            with pytest.raises(NotInHook, match=f"^{re.escape(str(e))} does not preserve root-position triads$"):
+            with pytest.raises(NotInGroup, match=f"^{re.escape(str(e))} does not preserve root-position triads$"):
                 read(e)
         outside += 1
     assert (inside, outside) == (288, 1440)
     # the Hook group is defined over Z/12 only: a Hook-shaped element mod 7 is refused
     e = ExtElement.from_j(JElement(0, 1, 2, Modulus(7)))
     for read in (rho_inverse, hook_normal_form_B):
-        with pytest.raises(NotInHook, match="does not preserve root-position triads"):
+        with pytest.raises(NotInGroup, match="does not preserve root-position triads"):
             read(e)
+    # a JElement is not a Hook element, even at a Hook point: each reader refuses its type
+    for read in (is_in_hook, rho_inverse, hook_normal_form_B):
+        with pytest.raises(TypeError, match=f"^{read.__name__} expects an ExtElement, got JElement$"):
+            read(JElement(0, 1, 0, M12))
 
 
 def test_hook_membership_characterization(ext12, hooks):

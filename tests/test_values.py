@@ -20,7 +20,7 @@ import pytest
 
 import voicegroup
 from voicegroup.analysis import Progression, find_affine_morphisms, rich_element, solve_step
-from voicegroup.extension import ExtElement, enumerate_extension, parse_element
+from voicegroup.extension import ExtElement, enumerate_extension, ext_decode, parse_element
 from voicegroup.linalg import (
     ALL_PERMS,
     AffineMap,
@@ -35,7 +35,8 @@ from voicegroup.modring import Modulus, _Value, solve_linear, units
 from voicegroup.structure import centralizer_in_Aff, centralizer_in_M3, check_duality, ti_orbit
 from voicegroup.triadic import UTT, Mode, TriadClass, TriadId, all_triads, all_utts, classify
 from voicegroup.triadic import hook_elements, hook_from_normal_form_B, orbit, rho, rho_inverse
-from voicegroup.voicing import JElement, j_reflection, word_to_element
+from voicegroup.triadic import hook_normal_form_B, is_in_hook
+from voicegroup.voicing import JElement, decode, generator_matrix, j_reflection, word_to_element
 
 
 def _values(modulus):
@@ -196,6 +197,26 @@ def test_apply_on_what_a_value_does_not_act_on_raises_type_error(action, expecte
 def test_functions_of_a_vec3_refuse_a_tuple_with_type_error(call, expected):
     with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
         call((0, 4, 7), Vec3.of(0, 4, 7, 12))
+
+
+# the group's membership functions refuse a wrong-typed argument with TypeError,
+# naming the function called, not with a KeyError or AttributeError from inside
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda x: generator_matrix(x, 12), "generator_matrix expects a Generator, got NoneType"),
+        (decode, "decode expects a Mat3, got NoneType"),
+        (ext_decode, "ext_decode expects a Mat3, got NoneType"),
+        (rho, "rho expects a UTT, got NoneType"),
+        (rho_inverse, "rho_inverse expects an ExtElement, got NoneType"),
+        (hook_normal_form_B, "hook_normal_form_B expects an ExtElement, got NoneType"),
+        (is_in_hook, "is_in_hook expects an ExtElement, got NoneType"),
+    ],
+    ids=["generator_matrix", "decode", "ext_decode", "rho", "rho_inverse", "hook_normal_form_B", "is_in_hook"],
+)
+def test_group_membership_functions_refuse_none_with_type_error(call, expected):
+    with pytest.raises(TypeError, match=f"^{re.escape(expected)}$"):
+        call(None)
 
 def test_reprs_are_pinned():
     assert [repr(v) for v in _values(12)] == [

@@ -10,7 +10,7 @@ from voicegroup.voicing import (
     _MOD2_FIXED_COVECTORS,
     Generator,
     JElement,
-    NotInJ,
+    NotInGroup,
     decode,
     enumerate_J,
     generator_for_pair,
@@ -68,7 +68,7 @@ def test_normal_form_matrix_examples():
 def test_decode_examples():
     assert decode(Mat3.identity(M12)) == JElement(0, 0, 0, M12)
     assert decode(JElement(0, 6, 0, M12).matrix()) == JElement(0, 6, 0, M12)
-    with pytest.raises(NotInJ):
+    with pytest.raises(NotInGroup, match="is not a voicing-group element mod 12"):
         decode(perm_matrix(Perm3.from_cycle("(123)"), M12))
 
 
